@@ -266,6 +266,7 @@ class RunResult:
     """A simulation plus its metadata, rate fits and file-ready summary."""
 
     config: RunConfig
+    mesh: Mesh
     dt: float
     n_steps: int
     admissibility: Admissibility
@@ -311,7 +312,7 @@ def execute(cfg: RunConfig) -> RunResult:
             fits[model] = None
             fit_errors[model] = str(err)
     return RunResult(
-        config=cfg, dt=dt, n_steps=n_steps, admissibility=admissibility,
+        config=cfg, mesh=mesh, dt=dt, n_steps=n_steps, admissibility=admissibility,
         sim=sim, fits=fits, fit_errors=fit_errors, wall_clock=wall,
     )
 
@@ -326,24 +327,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# Row formats of the CSV files; each float is written as _fmt writes it.
+_ENERGY_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}".format
+_SNAPSHOT_ROW = "{:.17g},{:.17g}".format
+
+
 def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
     """Energy history, one row per recorded step."""
     lines = ["step,t,e_kinetic,e_potential,e_total,dissipation,residual"]
-    for i in range(len(trace)):
-        lines.append(
-            f"{int(trace.step[i])},{_fmt(float(trace.t[i]))},"
-            f"{_fmt(float(trace.e_kinetic[i]))},{_fmt(float(trace.e_potential[i]))},"
-            f"{_fmt(float(trace.e_total[i]))},{_fmt(float(trace.dissipation[i]))},"
-            f"{_fmt(float(trace.residual[i]))}"
-        )
+    columns = (
+        trace.step, trace.t, trace.e_kinetic, trace.e_potential, trace.e_total,
+        trace.dissipation, trace.residual,
+    )
+    lines += map(_ENERGY_ROW, *(col.tolist() for col in columns))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_snapshot_csv(values: np.ndarray, mesh: Mesh, path: str | Path) -> None:
     """Cell-center profile of one layer."""
     lines = ["x,u"]
-    for x, u in zip(mesh.centers, values):
-        lines.append(f"{_fmt(float(x))},{_fmt(float(u))}")
+    lines += map(_SNAPSHOT_ROW, mesh.centers.tolist(), values.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -415,13 +418,9 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     path = out / "energy.csv"
     write_energy_csv(result.sim.trace, path)
     written.append(path)
-    params = _parameters(result.config)
-    mesh = build_mesh(
-        params, result.config.n_alpha, result.config.n_damp, result.config.n_beta
-    )
     for snap in result.sim.snapshots:
         path = out / f"snapshot_step{snap.step:08d}.csv"
-        write_snapshot_csv(snap.values, mesh, path)
+        write_snapshot_csv(snap.values, result.mesh, path)
         written.append(path)
     path = out / "summary.txt"
     write_summary(result, path)

@@ -8,7 +8,9 @@ The three scheme matrices are assembled here:
                the interfaces through the interface flux coefficients.
 
 Systems are solved by a tridiagonal LU factorization computed once and reused
-for every right-hand side (LAPACK gttrf/gttrs).  A hand-rolled dense
+for every right-hand side (LAPACK gttrf/gttrs).  Products with the right-hand
+matrices run on their BLAS band storage (gbmv), so a step costs O(n) time
+and the operators O(n) memory.  A hand-rolled dense
 partial-pivot elimination is provided as an independent oracle for testing.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .mesh import FluxCoefficients, Mesh
 
@@ -30,10 +32,13 @@ __all__ = [
     "assemble_stiffness",
     "factor",
     "solve",
+    "band_storage",
+    "band_sum",
     "dense_solve_oracle",
 ]
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
+_gbmv = get_blas_funcs("gbmv", (np.array([1.0]),))
 
 
 class SingularMatrixError(ValueError):
@@ -71,9 +76,6 @@ class TriDiagMatrix:
 
     def quadratic_form(self, x: np.ndarray) -> float:
         return float(x @ self.matvec(x))
-
-    def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.to_dense()).sum(axis=1))) if self.dim else 0.0
 
     def dominance_margin(self) -> float:
         """Smallest row margin |diag| - sum|off|; positive means strictly
@@ -193,6 +195,31 @@ def solve(f: TriDiagFactorization, rhs: np.ndarray) -> np.ndarray:
     if info != 0:
         raise SingularMatrixError("tridiagonal solve failed")
     return x[: f.dim]
+
+
+def band_storage(m: TriDiagMatrix) -> np.ndarray:
+    """The 3 x n BLAS general-band storage of a tridiagonal matrix.
+
+    Column j holds m[j-1, j], m[j, j] and m[j+1, j].  The array is Fortran
+    ordered so that gbmv reads it in place instead of copying it per call.
+    The BLAS wrapper needs at least three rows; every mesh has four or more.
+    """
+    if m.dim < 3:
+        raise ValueError("band storage needs a matrix of dimension 3 or more")
+    band = np.zeros((3, m.dim), order="F")
+    band[0, 1:] = m.off
+    band[1] = m.diag
+    band[2, :-1] = m.off
+    return band
+
+
+def band_sum(
+    a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """a x + scale (b y) for two matrices in band storage, into one new buffer."""
+    n = a.shape[1]
+    out = _gbmv(n, n, 1, 1, 1.0, a, x)
+    return _gbmv(n, n, 1, 1, scale, b, y, beta=1.0, y=out, overwrite_y=1)
 
 
 def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -222,6 +222,10 @@ def _check_face_bounds(ell: np.ndarray, mesh: Mesh, params: Parameters) -> None:
     lo[n_a], hi[n_a] = min(c1, c2), max(c1, c2)
     lo[n_a + n_d], hi[n_a + n_d] = min(c2, c3), max(c2, c3)
     product = ell * mesh.face_spacings
-    tol = 1e-12 * max(c1, c2, c3)
+    # The spacings are differences of face positions that carry rounding of
+    # order eps * length, so the product is only accurate to a relative
+    # eps * length / spacing, which grows with the cell count.
+    rounding = 8.0 * np.finfo(float).eps * params.length / float(mesh.face_spacings.min())
+    tol = max(c1, c2, c3) * (1e-12 + rounding)
     if np.any(product < lo - tol) or np.any(product > hi + tol):
         raise ValueError("flux coefficient outside its zone speed bounds")

@@ -85,7 +85,8 @@ class SchemeOperators:
     rhs_curr and rhs_prev multiply the current and previous layers of the
     recurrence; lhs is the matrix applied to the next layer.  For the
     explicit scheme the bootstrap system is diagonal (twice the mass), for
-    the flux-averaged scheme it is boot_lhs.
+    the flux-averaged scheme it is boot_lhs.  Both right-hand matrices are
+    also held in linalg's band storage, which the stepping products use.
     """
 
     scheme: str
@@ -102,13 +103,12 @@ class SchemeOperators:
     lhs_factor: linalg.TriDiagFactorization
     boot_lhs: linalg.TriDiagMatrix | None
     boot_factor: linalg.TriDiagFactorization | None
-    _rhs_curr_dense: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
-    _rhs_prev_dense: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
+    _rhs_curr_band: np.ndarray = field(repr=False)
+    _rhs_prev_band: np.ndarray = field(repr=False)
 
     def advance(self, u_prev: np.ndarray, u_curr: np.ndarray) -> np.ndarray:
         """One recurrence step: solve lhs @ u_next = rhs_curr u_curr - rhs_prev u_prev."""
-        rhs = self._rhs_curr_dense @ u_curr
-        rhs -= self._rhs_prev_dense @ u_prev
+        rhs = linalg.band_sum(self._rhs_curr_band, u_curr, -1.0, self._rhs_prev_band, u_prev)
         return linalg.solve(self.lhs_factor, rhs)
 
 
@@ -158,8 +158,8 @@ def build_operators(
         lhs_factor=linalg.factor(lhs),
         boot_lhs=boot_lhs,
         boot_factor=boot_factor,
-        _rhs_curr_dense=rhs_curr.to_dense(),
-        _rhs_prev_dense=rhs_prev.to_dense(),
+        _rhs_curr_band=linalg.band_storage(rhs_curr),
+        _rhs_prev_band=linalg.band_storage(rhs_prev),
     )
 
 
@@ -180,7 +180,7 @@ def bootstrap_explicit(
     if ops.scheme != "explicit":
         raise ValueError("operators were built for the implicit scheme")
     u0v, psiv = _as_values(u0), _as_values(psi)
-    rhs = ops._rhs_curr_dense @ u0v + 2.0 * ops.dt * (ops._rhs_prev_dense @ psiv)
+    rhs = linalg.band_sum(ops._rhs_curr_band, u0v, 2.0 * ops.dt, ops._rhs_prev_band, psiv)
     return rhs / (2.0 * ops.mass.diag)
 
 
@@ -189,11 +189,15 @@ def bootstrap_implicit(
     psi: CellAverages | np.ndarray,
     ops: SchemeOperators,
 ) -> np.ndarray:
-    """First layer of the flux-averaged scheme (tridiagonal solve)."""
+    """First layer of the flux-averaged scheme.
+
+    Solves boot_lhs u1 = 2 M u0 + 2 dt rhs_prev psi; in this scheme rhs_curr
+    is 2 M, so the right-hand side has the explicit bootstrap's form.
+    """
     if ops.scheme != "implicit":
         raise ValueError("operators were built for the explicit scheme")
     u0v, psiv = _as_values(u0), _as_values(psi)
-    rhs = 2.0 * ops.mass.diag * u0v + 2.0 * ops.dt * (ops._rhs_prev_dense @ psiv)
+    rhs = linalg.band_sum(ops._rhs_curr_band, u0v, 2.0 * ops.dt, ops._rhs_prev_band, psiv)
     assert ops.boot_factor is not None
     return linalg.solve(ops.boot_factor, rhs)
 

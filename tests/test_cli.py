@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from kvwave import ConfigError, parse_config, preset
 from kvwave.cli import (
     PRESET_NAMES,
     RunConfig,
+    _fmt,
     execute,
     main,
     resolve_time_step,
@@ -17,7 +20,8 @@ from kvwave.cli import (
 from kvwave.diagnostics import EnergyTrace
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import cfl_max_dt
-from dataclasses import replace
+from kvwave.schemes import build_operators
+from dataclasses import is_dataclass, replace
 
 
 def small_trace():
@@ -218,6 +222,26 @@ class TestOutputs:
             assert float(row[4]) == trace.e_total[i]
             assert float(row[6]) == trace.residual[i]
 
+    def test_csv_bytes_match_per_value_formatting(self, tmp_path, base_mesh):
+        special = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0 / 3.0, -2.5e-7, 123456.789])
+        cols = [np.roll(special, k) for k in range(6)]
+        trace = EnergyTrace("explicit", np.arange(len(special)) * 100, *cols)
+        energy = tmp_path / "energy.csv"
+        write_energy_csv(trace, energy)
+        rows = ["step,t,e_kinetic,e_potential,e_total,dissipation,residual"] + [
+            ",".join([str(int(trace.step[i]))] + [_fmt(float(c[i])) for c in cols])
+            for i in range(len(special))
+        ]
+        assert energy.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+        values = np.resize(special, base_mesh.n_max)
+        snapshot = tmp_path / "snap.csv"
+        write_snapshot_csv(values, base_mesh, snapshot)
+        rows = ["x,u"] + [
+            f"{_fmt(float(x))},{_fmt(float(u))}" for x, u in zip(base_mesh.centers, values)
+        ]
+        assert snapshot.read_bytes() == ("\n".join(rows) + "\n").encode()
+
     def test_summary_round_trips_to_identical_config(self, short_wide_result, tmp_path):
         path = tmp_path / "summary.txt"
         write_summary(short_wide_result, path)
@@ -330,6 +354,40 @@ class TestMain:
 
     def test_run_requires_source(self, capsys):
         assert main(["run"]) == 1
+
+
+class TestLargeMesh:
+    COUNTS = (20000, 10000, 20000)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_fifty_thousand_cells_run_in_linear_memory(self, scheme):
+        params = Parameters(1, 1, 1, 1, 1, 2, 3, 10000.0)
+        mesh = build_mesh(params, *self.COUNTS)
+        dt = 0.9 * cfl_max_dt(params, mesh)
+        cfg = replace(
+            preset("equal-damped"), scheme=scheme, dt=dt, n_steps=200,
+            n_alpha=self.COUNTS[0], n_damp=self.COUNTS[1], n_beta=self.COUNTS[2],
+        )
+        tracemalloc.start()
+        try:
+            result = execute(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not result.sim.diverged
+        assert result.sim.steps_completed == 200
+        assert np.all(np.isfinite(result.sim.u_curr))
+        assert peak < 64 * 2**20
+
+        n = mesh.n_max
+        ops = build_operators(mesh, params, dt, scheme)
+        held = []
+        for value in vars(ops).values():
+            held.append(value)
+            if is_dataclass(value):
+                held += vars(value).values()
+        sizes = [a.size for a in held if isinstance(a, np.ndarray)]
+        assert sizes and max(sizes) <= 3 * n
 
 
 class TestRunConfigValidation:

@@ -15,6 +15,7 @@ from kvwave import (
     flux_coefficients,
     solve,
 )
+from kvwave.linalg import band_storage, band_sum
 from kvwave.mesh import Parameters
 
 
@@ -155,7 +156,11 @@ class TestFactorSolve:
         rhs = mass.matvec(np.ones(base_mesh.n_max))
         x = solve(factor(lhs), rhs)
         residual = float(np.abs(lhs.matvec(x) - rhs).max())
-        bound = 1e-12 * (lhs.inf_norm() * float(np.abs(x).max()) + float(np.abs(rhs).max()))
+        row_sums = np.abs(lhs.diag)
+        row_sums[:-1] += np.abs(lhs.off)
+        row_sums[1:] += np.abs(lhs.off)
+        inf_norm = float(row_sums.max())
+        bound = 1e-12 * (inf_norm * float(np.abs(x).max()) + float(np.abs(rhs).max()))
         assert residual <= bound
 
     def test_factorization_reusable(self, rng):
@@ -180,6 +185,29 @@ class TestFactorSolve:
         f = factor(random_dd_tridiag(rng, 6))
         with pytest.raises(ValueError):
             solve(f, np.ones(5))
+
+
+class TestBandSum:
+    @pytest.mark.parametrize("n", [3, 4, 17, 200])
+    def test_matches_tridiagonal_matvec(self, rng, n):
+        a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
+        x, y = rng.standard_normal((2, n))
+        scale = float(rng.uniform(-2.0, 2.0))
+        got = band_sum(band_storage(a), x, scale, band_storage(b), y)
+        np.testing.assert_allclose(got, a.matvec(x) + scale * b.matvec(y), rtol=1e-12, atol=1e-13)
+
+    def test_storage_is_three_rows(self, rng):
+        m = random_dd_tridiag(rng, 9)
+        band = band_storage(m)
+        assert band.shape == (3, 9) and band.flags.f_contiguous
+        np.testing.assert_array_equal(band[1], m.diag)
+        np.testing.assert_array_equal(band[0, 1:], m.off)
+        np.testing.assert_array_equal(band[2, :-1], m.off)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_small_rejected(self, rng, n):
+        with pytest.raises(ValueError):
+            band_storage(random_dd_tridiag(rng, n))
 
 
 class TestDenseOracle:

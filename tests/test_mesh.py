@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kvwave import Parameters, build_mesh, flux_coefficients
+from kvwave.mesh import _check_face_bounds
 
 
 def params_for(c1=1.0, c2=1.0, c3=1.0, alpha=1.0, beta=2.0, length=3.0):
@@ -168,3 +169,21 @@ class TestFluxCoefficients:
         mid_c = ell_c[coarse.n_alpha + 2]
         mid_f = ell_f[fine.n_alpha + 3]
         assert mid_f == pytest.approx(2 * mid_c, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "counts", [(4000, 2000, 4000), (20000, 10000, 20000), (40000, 20000, 40000)]
+    )
+    def test_large_equal_damped_meshes_accepted(self, base_params, counts):
+        mesh = build_mesh(base_params, *counts)
+        ell = flux_coefficients(mesh, base_params).ell
+        assert ell.shape == (mesh.n_max + 1,)
+
+    @pytest.mark.parametrize("interface", ["alpha", "beta"])
+    def test_perturbed_interface_coefficient_rejected(self, base_params, interface):
+        # the largest mesh above has the loosest rounding tolerance
+        mesh = build_mesh(base_params, 40000, 20000, 40000)
+        ell = flux_coefficients(mesh, base_params).ell.copy()
+        face = mesh.n_alpha if interface == "alpha" else mesh.n_alpha + mesh.n_damp
+        ell[face] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="zone speed bounds"):
+            _check_face_bounds(ell, mesh, base_params)

@@ -21,6 +21,7 @@ from kvwave import (
 from kvwave.diagnostics import total_energy
 
 DT = 0.025
+ORACLE_MESHES = [(1, 2, 1), (20, 10, 20), (200, 100, 200)]
 
 
 def undamped_params():
@@ -141,6 +142,24 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_implicit(z, z, ops)
 
+    @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_bootstrap_matches_dense_oracle(self, scheme, counts, rng):
+        p = Parameters(2.0, 1.0, 0.5, 1.0, 1.0, 2.0, 3.0, 10.0)
+        mesh = build_mesh(p, *counts)
+        dt = 0.01
+        ops = build_operators(mesh, p, dt, scheme)
+        u0, psi = rng.standard_normal((2, mesh.n_max))
+        if scheme == "explicit":
+            u1 = bootstrap_explicit(u0, psi, ops)
+            lhs = np.diag(2.0 * ops.mass.diag)
+        else:
+            u1 = bootstrap_implicit(u0, psi, ops)
+            lhs = ops.boot_lhs.to_dense()
+        rhs = ops.rhs_curr.matvec(u0) + 2.0 * dt * ops.rhs_prev.matvec(psi)
+        expected = dense_solve_oracle(lhs, rhs)
+        np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-14)
+
 
 class TestSteps:
     def test_zero_state_stays_zero(self, base_mesh, base_params):
@@ -150,10 +169,11 @@ class TestSteps:
             state = SchemeState(u_prev=z, u_curr=z.copy(), step_index=1, dt=DT)
             np.testing.assert_allclose(stepper(state, ops), z, atol=1e-18)
 
+    @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-    def test_step_matches_dense_oracle_on_toy_mesh(self, scheme, rng):
+    def test_step_matches_dense_oracle_on_toy_mesh(self, scheme, counts, rng):
         p = Parameters(2.0, 1.0, 0.5, 1.0, 1.0, 2.0, 3.0, 10.0)
-        mesh = build_mesh(p, 1, 2, 1)
+        mesh = build_mesh(p, *counts)
         ops = build_operators(mesh, p, 0.01, scheme)
         u_prev, u_curr = rng.standard_normal((2, mesh.n_max))
         state = SchemeState(u_prev=u_prev, u_curr=u_curr, step_index=1, dt=0.01)
