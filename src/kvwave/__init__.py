@@ -4,17 +4,11 @@ and decay-rate estimation."""
 
 from .diagnostics import (
     DecayFit,
-    EnergyRecord,
     EnergyTrace,
     discrete_h1_seminorm,
     discrete_l2_norm,
-    dissipation_increment,
-    energy_identity_residual,
     fit_exponential,
     fit_polynomial,
-    kinetic_energy,
-    potential_energy_explicit,
-    potential_energy_implicit,
 )
 from .linalg import (
     SingularMatrixError,
@@ -23,7 +17,6 @@ from .linalg import (
     assemble_damping,
     assemble_mass,
     assemble_stiffness,
-    dense_solve_oracle,
     factor,
     solve,
 )
@@ -40,15 +33,12 @@ from .model import (
 from .schemes import (
     DivergenceError,
     SchemeOperators,
-    SchemeState,
     SimulationResult,
     Snapshot,
     bootstrap_explicit,
     bootstrap_implicit,
     build_operators,
     run,
-    step_explicit,
-    step_implicit,
 )
 from .cli import PRESET_NAMES, ConfigError, RunConfig, RunResult, parse_config, preset
 
@@ -60,7 +50,6 @@ __all__ = [
     "ConfigError",
     "DecayFit",
     "DivergenceError",
-    "EnergyRecord",
     "EnergyTrace",
     "FluxCoefficients",
     "InitialData",
@@ -70,7 +59,6 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "SchemeOperators",
-    "SchemeState",
     "SimulationResult",
     "SingularMatrixError",
     "Snapshot",
@@ -85,24 +73,16 @@ __all__ = [
     "build_operators",
     "cfl_max_dt",
     "default_initial_data",
-    "dense_solve_oracle",
     "discrete_h1_seminorm",
     "discrete_l2_norm",
-    "dissipation_increment",
-    "energy_identity_residual",
     "factor",
     "fit_exponential",
     "fit_polynomial",
     "flux_coefficients",
-    "kinetic_energy",
     "parse_config",
-    "potential_energy_explicit",
-    "potential_energy_implicit",
     "preset",
     "run",
     "sample_cell_averages",
     "solve",
-    "step_explicit",
-    "step_implicit",
     "validate_run",
 ]

@@ -17,50 +17,14 @@ import numpy as np
 from .mesh import FluxCoefficients, Mesh, Parameters
 
 __all__ = [
-    "EnergyRecord",
     "EnergyTrace",
     "DecayFit",
-    "kinetic_energy",
-    "potential_energy_explicit",
-    "potential_energy_implicit",
-    "total_energy",
-    "dissipation_increment",
-    "energy_identity_residual",
     "discrete_l2_norm",
     "discrete_h1_seminorm",
     "layer_energies",
     "fit_exponential",
     "fit_polynomial",
 ]
-
-
-@dataclass(frozen=True)
-class EnergyRecord:
-    """Energy bookkeeping for one step.
-
-    dissipation is the increment predicted by the dissipation identity and
-    residual is (E^n - E^{n-1}) - dissipation; both are zero by convention on
-    the first record of a run, where no previous layer exists.
-    """
-
-    variant: str
-    step: int
-    t: float
-    e_kinetic: float
-    e_potential: float
-    e_total: float
-    dissipation: float
-    residual: float
-
-    def __post_init__(self) -> None:
-        if self.variant not in ("explicit", "implicit"):
-            raise ValueError(f"unknown scheme variant {self.variant!r}")
-        if self.e_kinetic < 0.0:
-            raise ValueError("kinetic energy cannot be negative")
-        if self.variant == "implicit" and self.e_potential < 0.0:
-            raise ValueError("implicit potential energy cannot be negative")
-        if not np.isfinite(self.e_total):
-            raise ValueError("total energy must be finite")
 
 
 @dataclass(frozen=True)
@@ -78,18 +42,6 @@ class EnergyTrace:
 
     def __len__(self) -> int:
         return len(self.step)
-
-    def record(self, i: int) -> EnergyRecord:
-        return EnergyRecord(
-            variant=self.variant,
-            step=int(self.step[i]),
-            t=float(self.t[i]),
-            e_kinetic=float(self.e_kinetic[i]),
-            e_potential=float(self.e_potential[i]),
-            e_total=float(self.e_total[i]),
-            dissipation=float(self.dissipation[i]),
-            residual=float(self.residual[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -110,76 +62,15 @@ class DecayFit:
 
 
 def _face_jumps(values: np.ndarray) -> np.ndarray:
-    """Jumps across all faces with zero ghost values at both boundaries."""
-    return np.diff(values, prepend=0.0, append=0.0)
+    """Jumps across all faces along the last axis, zero ghosts at both ends.
 
-
-def kinetic_energy(u_curr: np.ndarray, u_next: np.ndarray, mesh: Mesh, dt: float) -> float:
-    """Half the width-weighted sum of squared forward time differences."""
-    rate = (u_next - u_curr) / dt
-    return 0.5 * float(mesh.cell_widths @ (rate * rate))
-
-
-def potential_energy_explicit(
-    u_curr: np.ndarray, u_next: np.ndarray, ell: FluxCoefficients
-) -> float:
-    """Cross product of consecutive-layer face jumps; not sign-definite."""
-    return 0.5 * float(ell.ell @ (_face_jumps(u_next) * _face_jumps(u_curr)))
-
-
-def potential_energy_implicit(
-    u_curr: np.ndarray, u_next: np.ndarray, ell: FluxCoefficients
-) -> float:
-    """Quarter sum of squared face jumps of both layers; always nonnegative."""
-    jn, jc = _face_jumps(u_next), _face_jumps(u_curr)
-    return 0.25 * float(ell.ell @ (jn * jn)) + 0.25 * float(ell.ell @ (jc * jc))
-
-
-def total_energy(
-    u_curr: np.ndarray,
-    u_next: np.ndarray,
-    mesh: Mesh,
-    ell: FluxCoefficients,
-    dt: float,
-    variant: str,
-) -> tuple[float, float, float]:
-    """(kinetic, potential, total) for the layer pair, per scheme variant."""
-    e_k = kinetic_energy(u_curr, u_next, mesh, dt)
-    if variant == "explicit":
-        e_p = potential_energy_explicit(u_curr, u_next, ell)
-    elif variant == "implicit":
-        e_p = potential_energy_implicit(u_curr, u_next, ell)
-    else:
-        raise ValueError(f"unknown scheme variant {variant!r}")
-    return e_k, e_p, e_k + e_p
-
-
-def dissipation_increment(
-    u_prev: np.ndarray,
-    u_next: np.ndarray,
-    mesh: Mesh,
-    params: Parameters,
-    dt: float,
-) -> float:
-    """Predicted energy drop over one step; nonpositive, zero when undamped.
-
-    Sums the squared centered-in-time rate of the face jumps over the faces
-    strictly inside the damped zone.
+    Same bits as np.diff with prepend=0 and append=0, at a quarter to half
+    of its cost.
     """
-    if params.delta == 0.0:
-        return 0.0
-    faces = mesh.damping_interior_faces
-    jump_rate = (_face_jumps(u_next)[faces] - _face_jumps(u_prev)[faces]) / (2.0 * dt * mesh.h)
-    return -params.delta * dt * mesh.h * float(jump_rate @ jump_rate)
-
-
-def energy_identity_residual(prev_record: EnergyRecord, curr_record: EnergyRecord) -> float:
-    """(E^n - E^{n-1}) - D^n for two consecutive records of one variant."""
-    if prev_record.variant != curr_record.variant:
-        raise ValueError("records come from different scheme variants")
-    if curr_record.step != prev_record.step + 1:
-        raise ValueError("records are not consecutive steps")
-    return (curr_record.e_total - prev_record.e_total) - curr_record.dissipation
+    jumps = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    jumps[..., :-1] = values
+    jumps[..., 1:] -= values
+    return jumps
 
 
 def discrete_l2_norm(values: np.ndarray, mesh: Mesh) -> float:
@@ -201,38 +92,48 @@ def layer_energies(
     dt: float,
     variant: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized energies for a block of consecutive layers.
+    """Energies and the dissipation identity for a block of consecutive layers.
 
     layers has shape (m, n_cells) holding layers k .. k+m-1 of a run.  Returns
     (e_kinetic, e_potential, e_total, dissipation, residual); the energy
-    arrays have length m-1 (entry j belongs to step k+j), the dissipation and
-    residual arrays have length m-2 (entry j belongs to step k+j+1).
+    arrays have length m-1 (entry j belongs to step k+j, the layer pair
+    k+j, k+j+1), the dissipation and residual arrays have length m-2 (entry j
+    belongs to step k+j+1).
+
+    The kinetic energy is half the width-weighted sum of squared forward time
+    differences.  The explicit potential energy is half the flux-weighted
+    cross product of the pair's face jumps (not sign-definite); the implicit
+    one is a quarter of the flux-weighted squared jumps of both layers
+    (nonnegative).  The dissipation is the identity's predicted energy change,
+    nonpositive and +0.0 when undamped, summed over the faces strictly inside
+    the damped zone; residual is (E^n - E^{n-1}) - dissipation.
+
+    Every entry depends only on the layers it belongs to, never on the block
+    they came in, so any blocking of a run gives the same bits.
     """
     if layers.ndim != 2 or layers.shape[0] < 2:
         raise ValueError("need at least two consecutive layers")
     widths = mesh.cell_widths
     coeffs = ell.ell
 
+    # einsum reduces each row on its own; a BLAS product's rounding would
+    # depend on the row's position in the block.
     rates = (layers[1:] - layers[:-1]) / dt
-    e_k = 0.5 * ((rates * rates) @ widths)
-    jumps = np.diff(layers, axis=1, prepend=0.0, append=0.0)
+    e_k = 0.5 * np.einsum("ij,ij,j->i", rates, rates, widths)
+    jumps = _face_jumps(layers)
     if variant == "explicit":
-        e_p = 0.5 * ((jumps[1:] * jumps[:-1]) @ coeffs)
+        e_p = 0.5 * np.einsum("ij,ij,j->i", jumps[1:], jumps[:-1], coeffs)
     elif variant == "implicit":
-        sq = (jumps * jumps) @ coeffs
+        sq = np.einsum("ij,ij,j->i", jumps, jumps, coeffs)
         e_p = 0.25 * (sq[1:] + sq[:-1])
     else:
         raise ValueError(f"unknown scheme variant {variant!r}")
     e_total = e_k + e_p
 
-    if layers.shape[0] > 2:
-        faces = mesh.damping_interior_faces
-        diff = jumps[2:, faces] - jumps[:-2, faces]
-        dissipation = (-params.delta / (4.0 * dt * mesh.h)) * (diff * diff).sum(axis=1)
-        residual = (e_total[1:] - e_total[:-1]) - dissipation
-    else:
-        dissipation = np.empty(0)
-        residual = np.empty(0)
+    faces = mesh.damping_interior_faces
+    diff = jumps[2:, faces] - jumps[:-2, faces]
+    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * (diff * diff).sum(axis=1)
+    residual = (e_total[1:] - e_total[:-1]) - dissipation
     return e_k, e_p, e_total, dissipation, residual
 
 

@@ -10,8 +10,7 @@ The three scheme matrices are assembled here:
 Systems are solved by a tridiagonal LU factorization computed once and reused
 for every right-hand side (LAPACK gttrf/gttrs).  Products with the right-hand
 matrices run on their BLAS band storage (gbmv), so a step costs O(n) time
-and the operators O(n) memory.  A hand-rolled dense
-partial-pivot elimination is provided as an independent oracle for testing.
+and the operators O(n) memory.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "solve",
     "band_storage",
     "band_sum",
-    "dense_solve_oracle",
 ]
 
 _gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
@@ -68,12 +66,6 @@ class TriDiagMatrix:
             y[1:] += self.off * x[:-1]
         return y
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.diag(self.diag)
-        if self.dim > 1:
-            dense += np.diag(self.off, 1) + np.diag(self.off, -1)
-        return dense
-
     def quadratic_form(self, x: np.ndarray) -> float:
         return float(x @ self.matvec(x))
 
@@ -97,9 +89,6 @@ class TriDiagMatrix:
 
     def scaled(self, c: float) -> "TriDiagMatrix":
         return TriDiagMatrix(self.dim, c * self.diag, c * self.off)
-
-    def __rmul__(self, c: float) -> "TriDiagMatrix":
-        return self.scaled(float(c))
 
     def _check_same_dim(self, other: "TriDiagMatrix") -> None:
         if self.dim != other.dim:
@@ -220,29 +209,3 @@ def band_sum(
     n = a.shape[1]
     out = _gbmv(n, n, 1, 1, 1.0, a, x)
     return _gbmv(n, n, 1, 1, scale, b, y, beta=1.0, y=out, overwrite_y=1)
-
-
-def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Gaussian elimination with partial pivoting on a dense copy.
-
-    Intentionally independent of the tridiagonal path; used as a test oracle.
-    """
-    a = np.array(matrix, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError("need a square matrix and a matching right-hand side")
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(a[k:, k])))
-        if a[p, k] == 0.0:
-            raise SingularMatrixError(f"singular matrix (column {k})")
-        if p != k:
-            a[[k, p]] = a[[p, k]]
-            b[[k, p]] = b[[p, k]]
-        factors = a[k + 1 :, k] / a[k, k]
-        a[k + 1 :, k:] -= np.outer(factors, a[k, k:])
-        b[k + 1 :] -= factors * b[k]
-    x = np.empty(n)
-    for k in range(n - 1, -1, -1):
-        x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
-    return x

@@ -50,37 +50,6 @@ class Parameters:
         if not self.t_final > 0.0:
             raise ValueError("t_final must be > 0")
 
-    @classmethod
-    def from_material(
-        cls,
-        rho: tuple[float, float, float],
-        kappa: tuple[float, float, float],
-        damping: float,
-        alpha: float,
-        beta: float,
-        length: float,
-        t_final: float,
-    ) -> "Parameters":
-        """Build from raw densities and elastic moduli.
-
-        Squared speeds are kappa_i / rho_i and the normalized damping
-        coefficient is damping / rho_2.
-        """
-        r1, r2, r3 = rho
-        k1, k2, k3 = kappa
-        if min(r1, r2, r3) <= 0.0 or min(k1, k2, k3) <= 0.0:
-            raise ValueError("densities and moduli must be > 0")
-        return cls(
-            c1_sq=k1 / r1,
-            c2_sq=k2 / r2,
-            c3_sq=k3 / r3,
-            delta=damping / r2,
-            alpha=alpha,
-            beta=beta,
-            length=length,
-            t_final=t_final,
-        )
-
     @property
     def zone_speeds_sq(self) -> tuple[float, float, float]:
         return (self.c1_sq, self.c2_sq, self.c3_sq)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,15 +26,12 @@ from .model import CellAverages, InitialData, sample_cell_averages
 
 __all__ = [
     "DivergenceError",
-    "SchemeState",
     "SchemeOperators",
     "Snapshot",
     "SimulationResult",
     "build_operators",
     "bootstrap_explicit",
     "bootstrap_implicit",
-    "step_explicit",
-    "step_implicit",
     "run",
 ]
 
@@ -42,7 +39,10 @@ __all__ = [
 # sup norm is treated as divergence (also catches non-finite values).
 SUP_GROWTH_LIMIT = 1.0e6
 
-_VERIFY_CHUNK = 1024
+# A verified run evaluates its energies in blocks of consecutive layers held
+# in one buffer of about this many bytes, between 3 and _VERIFY_MAX_ROWS rows.
+_VERIFY_BYTES = 8 * 2**20
+_VERIFY_MAX_ROWS = 1026
 
 
 class DivergenceError(RuntimeError):
@@ -52,30 +52,6 @@ class DivergenceError(RuntimeError):
         super().__init__(f"solution diverged at step {step} (sup {sup:.3e})")
         self.step = step
         self.sup = sup
-
-
-@dataclass
-class SchemeState:
-    """Three consecutive layers of a run.
-
-    Boundary values are never stored; both ends are implicitly zero at every
-    layer.  u_next is None until a step has been taken.
-    """
-
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    step_index: int
-    dt: float
-    u_next: np.ndarray | None = None
-
-    def advanced(self, u_next: np.ndarray) -> "SchemeState":
-        """Rotate layers after a step; arrays are rebound, never copied."""
-        return SchemeState(
-            u_prev=self.u_curr,
-            u_curr=u_next,
-            step_index=self.step_index + 1,
-            dt=self.dt,
-        )
 
 
 @dataclass(frozen=True)
@@ -202,33 +178,6 @@ def bootstrap_implicit(
     return linalg.solve(ops.boot_factor, rhs)
 
 
-def _step(state: SchemeState, ops: SchemeOperators, sup_limit: float | None) -> np.ndarray:
-    u_next = ops.advance(state.u_prev, state.u_curr)
-    sup = float(np.abs(u_next).max())
-    limit = sup_limit if sup_limit is not None else math.inf
-    if not sup <= limit:  # also catches NaN
-        raise DivergenceError(state.step_index + 1, sup)
-    return u_next
-
-
-def step_explicit(
-    state: SchemeState, ops: SchemeOperators, sup_limit: float | None = None
-) -> np.ndarray:
-    """Advance the explicit scheme by one step and return the new layer."""
-    if ops.scheme != "explicit":
-        raise ValueError("operators were built for the implicit scheme")
-    return _step(state, ops, sup_limit)
-
-
-def step_implicit(
-    state: SchemeState, ops: SchemeOperators, sup_limit: float | None = None
-) -> np.ndarray:
-    """Advance the flux-averaged scheme by one step and return the new layer."""
-    if ops.scheme != "implicit":
-        raise ValueError("operators were built for the explicit scheme")
-    return _step(state, ops, sup_limit)
-
-
 @dataclass(frozen=True)
 class Snapshot:
     step: int
@@ -261,21 +210,48 @@ class SimulationResult:
     verified_steps: int
 
 
-class _TraceBuilder:
-    def __init__(self, variant: str):
-        self.variant = variant
-        self.rows: list[tuple[int, float, float, float, float, float, float]] = []
+class _EnergyLog:
+    """Trace rows and identity statistics of a run, fed by layer_energies.
 
-    def add(self, step, t, e_k, e_p, e_tot, diss, res):
-        self.rows.append((step, t, e_k, e_p, e_tot, diss, res))
+    Row 0 holds the energy of layers 0 and 1.  record() takes a block of
+    consecutive layers starting at layer `first` and accounts for the steps
+    first+1 .. first+m-2, whose residuals the block determines; a step's row
+    is kept when it is a multiple of observe_every or the last step.
+    """
 
-    def build(self) -> diagnostics.EnergyTrace:
-        if self.rows:
-            cols = list(zip(*self.rows))
-        else:
-            cols = [[]] * 7
+    def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
+                 first_pair: np.ndarray):
+        self.ops = ops
+        self.observe_every = observe_every
+        self.last_step = last_step
+        e_k, e_p, e_tot, _, _ = self._energies(first_pair)
+        self.e_tot0 = float(e_tot[0])
+        self.rows = [(0, 0.0, float(e_k[0]), float(e_p[0]), self.e_tot0, 0.0, 0.0)]
+        self.identity_max = 0.0
+        self.drift_max = 0.0
+        self.rise_max = -math.inf
+        self.verified = 0
+
+    def _energies(self, layers: np.ndarray):
+        ops = self.ops
+        return diagnostics.layer_energies(layers, ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
+
+    def record(self, layers: np.ndarray, first: int) -> None:
+        e_k, e_p, e_tot, diss, res = self._energies(layers)
+        self.identity_max = max(self.identity_max, float(np.abs(res).max()))
+        self.drift_max = max(self.drift_max, float(np.abs(e_tot[1:] - self.e_tot0).max()))
+        self.rise_max = max(self.rise_max, float((e_tot[1:] - e_tot[:-1]).max()))
+        self.verified += len(res)
+        for j in range(1, len(e_tot)):
+            step = first + j
+            if step % self.observe_every == 0 or step == self.last_step:
+                self.rows.append((step, step * self.ops.dt, float(e_k[j]), float(e_p[j]),
+                                  float(e_tot[j]), float(diss[j - 1]), float(res[j - 1])))
+
+    def trace(self) -> diagnostics.EnergyTrace:
+        cols = list(zip(*self.rows))
         return diagnostics.EnergyTrace(
-            variant=self.variant,
+            variant=self.ops.scheme,
             step=np.asarray(cols[0], dtype=int),
             t=np.asarray(cols[1], dtype=float),
             e_kinetic=np.asarray(cols[2], dtype=float),
@@ -296,15 +272,15 @@ def run(
     observe_every: int = 100,
     verify_identity: bool = False,
     snapshot_steps: Sequence[int] = (),
-    observers: Sequence[Callable[[int, np.ndarray], None]] = (),
 ) -> SimulationResult:
     """Run the chosen scheme for n_steps steps from the given initial data.
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
     recurrence steps).  Energies are recorded every observe_every steps plus
     the final step; with verify_identity the energy identity is evaluated at
-    every step (in vectorized blocks) and only its extremes are kept.
-    Divergence aborts the run but preserves everything recorded so far.
+    every step (in blocks of layers) and only its extremes are kept.  Either
+    way the recorded rows are the same bits.  Divergence aborts the run but
+    preserves everything recorded so far.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -320,13 +296,9 @@ def run(
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_set = frozenset(int(s) for s in snapshot_steps)
-    trace = _TraceBuilder(scheme)
     snapshots: list[Snapshot] = []
-    e_k0, e_p0, e_tot0 = diagnostics.total_energy(u0, u1, mesh, ops.ell, dt, scheme)
-    trace.add(0, 0.0, e_k0, e_p0, e_tot0, 0.0, 0.0)
-
-    stats = {"identity_max": 0.0, "drift_max": 0.0, "rise_max": -math.inf, "verified": 0}
-    last_index = n_steps - 1  # last step with a defined energy
+    last_step = n_steps - 1  # last step with a defined energy
+    log = _EnergyLog(ops, observe_every, last_step, np.stack((u0, u1)))
 
     def note_snapshot(step: int, layer: np.ndarray) -> None:
         if step in snap_set:
@@ -334,99 +306,40 @@ def run(
 
     note_snapshot(0, u0)
     note_snapshot(1, u1)
-    for obs in observers:
-        obs(0, u0.copy())
-
-    diverged = False
-    divergence_step: int | None = None
-    state_prev, state_curr = u0, u1
 
     if verify_identity:
-        buf = np.empty((_VERIFY_CHUNK + 2, mesh.n_max))
-        buf[0], buf[1] = u0, u1
-        filled = 2
-        base = 0  # layer index of buf[0]
-
-        def flush(final: bool) -> None:
-            nonlocal filled, base
-            if filled < 2:
-                return
-            e_k, e_p, e_tot, diss, res = diagnostics.layer_energies(
-                buf[:filled], mesh, ops.ell, params, dt, scheme
-            )
-            emit_from = 0 if base == 0 else 1  # energies before that were emitted already
-            if len(res):
-                stats["identity_max"] = max(stats["identity_max"], float(np.abs(res).max()))
-                jumps = e_tot[1:] - e_tot[:-1]
-                stats["rise_max"] = max(stats["rise_max"], float(jumps.max()))
-                stats["verified"] += len(res)
-            span = e_tot[emit_from:]
-            if len(span):
-                stats["drift_max"] = max(stats["drift_max"], float(np.abs(span - e_tot0).max()))
-            for j in range(emit_from, filled - 1):
-                n = base + j
-                if n == 0:
-                    continue  # recorded right after the bootstrap
-                if n % observe_every == 0 or (final and n == last_index):
-                    trace.add(
-                        n, n * dt, float(e_k[j]), float(e_p[j]), float(e_tot[j]),
-                        float(diss[j - 1]) if j >= 1 else 0.0,
-                        float(res[j - 1]) if j >= 1 else 0.0,
-                    )
-            base = base + filled - 2
-            buf[0], buf[1] = buf[filled - 2], buf[filled - 1]
-            filled = 2
-
-        advance = ops.advance
-        try:
-            for n in range(1, n_steps):
-                u_next = advance(state_prev, state_curr)
-                sup = float(np.abs(u_next).max())
-                if not sup <= sup_limit:
-                    raise DivergenceError(n + 1, sup)
-                buf[filled] = u_next
+        rows = min(max(_VERIFY_BYTES // (8 * mesh.n_max), 3), _VERIFY_MAX_ROWS)
+        block = np.empty((rows, mesh.n_max))
+        block[0], block[1] = u0, u1
+    filled = 2
+    first = 0  # layer index of block[0]
+    diverged = False
+    divergence_step: int | None = None
+    u_prev, u_curr = u0, u1
+    advance = ops.advance
+    try:
+        for n in range(1, n_steps):
+            u_next = advance(u_prev, u_curr)
+            sup = float(np.abs(u_next).max())
+            if not sup <= sup_limit:  # also catches NaN
+                raise DivergenceError(n + 1, sup)
+            if verify_identity:
+                block[filled] = u_next
                 filled += 1
-                if filled == _VERIFY_CHUNK + 2:
-                    flush(final=False)
-                state_prev, state_curr = state_curr, u_next
-                note_snapshot(n + 1, u_next)
-                if observers and (n + 1) % observe_every == 0:
-                    for obs in observers:
-                        obs(n + 1, u_next.copy())
-        except DivergenceError as err:
-            diverged = True
-            divergence_step = err.step
-        flush(final=not diverged)
-    else:
-        advance = ops.advance
-        try:
-            for n in range(1, n_steps):
-                u_next = advance(state_prev, state_curr)
-                sup = float(np.abs(u_next).max())
-                if not sup <= sup_limit:
-                    raise DivergenceError(n + 1, sup)
-                if n % observe_every == 0 or n == last_index:
-                    e_k, e_p, e_tot = diagnostics.total_energy(
-                        state_curr, u_next, mesh, ops.ell, dt, scheme
-                    )
-                    _, _, e_tot_prev = diagnostics.total_energy(
-                        state_prev, state_curr, mesh, ops.ell, dt, scheme
-                    )
-                    diss = diagnostics.dissipation_increment(state_prev, u_next, mesh, params, dt)
-                    res = (e_tot - e_tot_prev) - diss
-                    trace.add(n, n * dt, e_k, e_p, e_tot, diss, res)
-                    stats["identity_max"] = max(stats["identity_max"], abs(res))
-                    stats["drift_max"] = max(stats["drift_max"], abs(e_tot - e_tot0))
-                    stats["rise_max"] = max(stats["rise_max"], e_tot - e_tot_prev)
-                    stats["verified"] += 1
-                state_prev, state_curr = state_curr, u_next
-                note_snapshot(n + 1, u_next)
-                if observers and (n + 1) % observe_every == 0:
-                    for obs in observers:
-                        obs(n + 1, u_next.copy())
-        except DivergenceError as err:
-            diverged = True
-            divergence_step = err.step
+                if filled == rows:
+                    log.record(block, first)
+                    block[0], block[1] = block[-2], block[-1]
+                    first += rows - 2
+                    filled = 2
+            elif n % observe_every == 0 or n == last_step:
+                log.record(np.stack((u_prev, u_curr, u_next)), n - 1)
+            u_prev, u_curr = u_curr, u_next
+            note_snapshot(n + 1, u_next)
+    except DivergenceError as err:
+        diverged = True
+        divergence_step = err.step
+    if verify_identity and filled > 2:
+        log.record(block[:filled], first)
 
     return SimulationResult(
         scheme=scheme,
@@ -435,13 +348,13 @@ def run(
         steps_completed=int(divergence_step - 1) if diverged else n_steps,
         diverged=diverged,
         divergence_step=divergence_step,
-        u_prev=state_prev,
-        u_curr=state_curr,
-        trace=trace.build(),
+        u_prev=u_prev,
+        u_curr=u_curr,
+        trace=log.trace(),
         snapshots=snapshots,
-        energy_initial=e_tot0,
-        identity_residual_max=stats["identity_max"],
-        energy_drift_max=stats["drift_max"],
-        energy_rise_max=stats["rise_max"] if stats["verified"] else 0.0,
-        verified_steps=stats["verified"],
+        energy_initial=log.e_tot0,
+        identity_residual_max=log.identity_max,
+        energy_drift_max=log.drift_max,
+        energy_rise_max=log.rise_max if log.verified else 0.0,
+        verified_steps=log.verified,
     )

@@ -19,7 +19,6 @@ from kvwave import (
     build_mesh,
     build_operators,
     default_initial_data,
-    dense_solve_oracle,
     discrete_l2_norm,
     factor,
     fit_exponential,
@@ -34,6 +33,7 @@ from kvwave.linalg import TriDiagMatrix
 
 
 from conftest import ACCEPTANCE_LINES
+from oracles import dense_solve_oracle, to_dense
 from spectral import (
     companion_matrix,
     decay_rates,
@@ -246,7 +246,7 @@ class TestCriterion6SolverOracle:
             m = TriDiagMatrix(n, diag, off)
             rhs = rng.standard_normal(n)
             x = solve(factor(m), rhs)
-            x_ref = dense_solve_oracle(m.to_dense(), rhs)
+            x_ref = dense_solve_oracle(to_dense(m), rhs)
             scale = max(float(np.abs(x_ref).max()), 1e-300)
             worst = max(worst, float(np.abs(x - x_ref).max()) / scale)
         ok = worst <= 1e-12

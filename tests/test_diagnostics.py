@@ -2,20 +2,15 @@ import numpy as np
 import pytest
 
 from kvwave import (
-    EnergyRecord,
     EnergyTrace,
+    Parameters,
     discrete_h1_seminorm,
     discrete_l2_norm,
-    dissipation_increment,
-    energy_identity_residual,
     fit_exponential,
     fit_polynomial,
-    kinetic_energy,
-    potential_energy_explicit,
-    potential_energy_implicit,
     sample_cell_averages,
 )
-from kvwave.diagnostics import layer_energies, total_energy
+from kvwave.diagnostics import layer_energies
 
 DT = 0.025
 
@@ -58,104 +53,113 @@ def dissipation_oracle(u_prev, u_next, mesh, delta, dt):
     return total
 
 
-class TestKineticEnergy:
-    def test_equal_layers(self, base_mesh, rng):
-        u = rng.standard_normal(base_mesh.n_max)
-        assert kinetic_energy(u, u.copy(), base_mesh, DT) == 0.0
-
-    def test_unit_rate_gives_half_length(self, base_mesh, rng):
-        u = rng.standard_normal(base_mesh.n_max)
-        assert kinetic_energy(u, u + DT, base_mesh, DT) == pytest.approx(1.5, rel=1e-12)
-
-    def test_matches_brute_force(self, base_mesh, rng):
-        u, v = rng.standard_normal((2, base_mesh.n_max))
-        expected = kinetic_oracle(u, v, base_mesh.cell_widths, DT)
-        assert kinetic_energy(u, v, base_mesh, DT) == pytest.approx(expected, rel=1e-13)
+def pair_energies(u_curr, u_next, mesh, ell, params, variant):
+    """(kinetic, potential, total) of one layer pair, from a 2-row block."""
+    e_k, e_p, e_tot, diss, res = layer_energies(
+        np.stack((u_curr, u_next)), mesh, ell, params, DT, variant
+    )
+    assert len(e_k) == 1 and len(diss) == 0 and len(res) == 0
+    return float(e_k[0]), float(e_p[0]), float(e_tot[0])
 
 
-class TestPotentialEnergy:
-    def test_zero_layers(self, base_mesh, base_ell):
-        z = np.zeros(base_mesh.n_max)
-        assert potential_energy_explicit(z, z, base_ell) == 0.0
-        assert potential_energy_implicit(z, z, base_ell) == 0.0
-
-    def test_equal_layers_give_half_squared_seminorm(self, base_mesh, base_ell, rng):
-        u = rng.standard_normal(base_mesh.n_max)
-        half_sq = 0.5 * discrete_h1_seminorm(u, base_ell) ** 2
-        assert potential_energy_explicit(u, u, base_ell) == pytest.approx(half_sq, rel=1e-13)
-        assert potential_energy_implicit(u, u, base_ell) == pytest.approx(half_sq, rel=1e-13)
-
-    def test_matches_brute_force(self, base_mesh, base_ell, rng):
-        u, v = rng.standard_normal((2, base_mesh.n_max))
-        assert potential_energy_explicit(u, v, base_ell) == pytest.approx(
-            potential_explicit_oracle(u, v, base_ell.ell), rel=1e-12
-        )
-        assert potential_energy_implicit(u, v, base_ell) == pytest.approx(
-            potential_implicit_oracle(u, v, base_ell.ell), rel=1e-12
-        )
-
-    def test_implicit_nonnegative(self, base_mesh, base_ell, rng):
-        for _ in range(25):
-            u, v = rng.standard_normal((2, base_mesh.n_max))
-            assert potential_energy_implicit(u, v, base_ell) >= 0.0
+def step_identity(u_prev, u_curr, u_next, mesh, ell, params, variant):
+    """(dissipation, residual) of the step at u_curr, from a 3-row block."""
+    _, _, _, diss, res = layer_energies(
+        np.stack((u_prev, u_curr, u_next)), mesh, ell, params, DT, variant
+    )
+    return float(diss[0]), float(res[0])
 
 
-class TestDissipation:
-    def test_undamped_is_zero(self, base_mesh, rng):
-        p = base_params_zero_delta()
-        u, v = rng.standard_normal((2, base_mesh.n_max))
-        assert dissipation_increment(u, v, base_mesh, p, DT) == 0.0
-
-    def test_equal_outer_layers_cancel(self, base_mesh, base_params, rng):
-        u = rng.standard_normal(base_mesh.n_max)
-        assert dissipation_increment(u, u.copy(), base_mesh, base_params, DT) == 0.0
-
-    def test_matches_brute_force(self, base_mesh, base_params, rng):
-        u, v = rng.standard_normal((2, base_mesh.n_max))
-        expected = dissipation_oracle(u, v, base_mesh, base_params.delta, DT)
-        assert dissipation_increment(u, v, base_mesh, base_params, DT) == pytest.approx(
-            expected, rel=1e-12
-        )
-        assert dissipation_increment(u, v, base_mesh, base_params, DT) <= 0.0
-
-
-def base_params_zero_delta():
-    from kvwave import Parameters
-
+def undamped_params():
     return Parameters(1, 1, 1, 0.0, 1.0, 2.0, 3.0, 10.0)
 
 
+class TestKineticEnergy:
+    def test_equal_layers(self, base_mesh, base_ell, base_params, rng):
+        u = rng.standard_normal(base_mesh.n_max)
+        for variant in ("explicit", "implicit"):
+            e_k, _, _ = pair_energies(u, u.copy(), base_mesh, base_ell, base_params, variant)
+            assert e_k == 0.0
+
+    def test_unit_rate_gives_half_length(self, base_mesh, base_ell, base_params, rng):
+        u = rng.standard_normal(base_mesh.n_max)
+        e_k, _, _ = pair_energies(u, u + DT, base_mesh, base_ell, base_params, "explicit")
+        assert e_k == pytest.approx(1.5, rel=1e-12)
+
+    def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
+        u, v = rng.standard_normal((2, base_mesh.n_max))
+        expected = kinetic_oracle(u, v, base_mesh.cell_widths, DT)
+        for variant in ("explicit", "implicit"):
+            e_k, _, _ = pair_energies(u, v, base_mesh, base_ell, base_params, variant)
+            assert e_k == pytest.approx(expected, rel=1e-13)
+
+
+class TestPotentialEnergy:
+    def test_zero_layers(self, base_mesh, base_ell, base_params):
+        z = np.zeros(base_mesh.n_max)
+        for variant in ("explicit", "implicit"):
+            _, e_p, _ = pair_energies(z, z, base_mesh, base_ell, base_params, variant)
+            assert e_p == 0.0
+
+    def test_equal_layers_give_half_squared_seminorm(self, base_mesh, base_ell, base_params, rng):
+        u = rng.standard_normal(base_mesh.n_max)
+        half_sq = 0.5 * discrete_h1_seminorm(u, base_ell) ** 2
+        for variant in ("explicit", "implicit"):
+            _, e_p, _ = pair_energies(u, u, base_mesh, base_ell, base_params, variant)
+            assert e_p == pytest.approx(half_sq, rel=1e-13)
+
+    def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
+        u, v = rng.standard_normal((2, base_mesh.n_max))
+        for variant, oracle in (
+            ("explicit", potential_explicit_oracle),
+            ("implicit", potential_implicit_oracle),
+        ):
+            _, e_p, e_tot = pair_energies(u, v, base_mesh, base_ell, base_params, variant)
+            assert e_p == pytest.approx(oracle(u, v, base_ell.ell), rel=1e-12)
+            e_k = kinetic_oracle(u, v, base_mesh.cell_widths, DT)
+            assert e_tot == pytest.approx(e_k + oracle(u, v, base_ell.ell), rel=1e-12)
+
+    def test_implicit_nonnegative(self, base_mesh, base_ell, base_params, rng):
+        for _ in range(25):
+            u, v = rng.standard_normal((2, base_mesh.n_max))
+            _, e_p, _ = pair_energies(u, v, base_mesh, base_ell, base_params, "implicit")
+            assert e_p >= 0.0
+
+
+class TestDissipation:
+    def test_undamped_is_zero(self, base_mesh, base_ell, rng):
+        u, w, v = rng.standard_normal((3, base_mesh.n_max))
+        diss, _ = step_identity(u, w, v, base_mesh, base_ell, undamped_params(), "explicit")
+        assert diss == 0.0
+        assert not np.signbit(diss)  # written as 0, not -0
+
+    def test_equal_outer_layers_cancel(self, base_mesh, base_ell, base_params, rng):
+        u, w = rng.standard_normal((2, base_mesh.n_max))
+        diss, _ = step_identity(u, w, u.copy(), base_mesh, base_ell, base_params, "explicit")
+        assert diss == 0.0
+
+    def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
+        u, w, v = rng.standard_normal((3, base_mesh.n_max))
+        expected = dissipation_oracle(u, v, base_mesh, base_params.delta, DT)
+        for variant in ("explicit", "implicit"):
+            diss, _ = step_identity(u, w, v, base_mesh, base_ell, base_params, variant)
+            assert diss == pytest.approx(expected, rel=1e-12)
+            assert diss <= 0.0
+
+
 class TestIdentityResidual:
-    def _record(self, variant, step, e_total, dissipation):
-        return EnergyRecord(
-            variant=variant, step=step, t=step * DT, e_kinetic=0.1, e_potential=0.1,
-            e_total=e_total, dissipation=dissipation, residual=0.0,
-        )
-
-    def test_value(self):
-        prev = self._record("explicit", 4, 1.0, 0.0)
-        curr = self._record("explicit", 5, 0.9, -0.1)
-        assert energy_identity_residual(prev, curr) == pytest.approx(0.0, abs=1e-15)
-
-    def test_variant_mismatch_rejected(self):
-        prev = self._record("explicit", 4, 1.0, 0.0)
-        curr = self._record("implicit", 5, 0.9, -0.1)
-        with pytest.raises(ValueError):
-            energy_identity_residual(prev, curr)
-
-    def test_nonconsecutive_rejected(self):
-        prev = self._record("explicit", 4, 1.0, 0.0)
-        curr = self._record("explicit", 6, 0.9, -0.1)
-        with pytest.raises(ValueError):
-            energy_identity_residual(prev, curr)
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            EnergyRecord("explicit", 0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            EnergyRecord("implicit", 0, 0.0, 0.1, -0.1, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            EnergyRecord("leapfrog", 0, 0.0, 0.1, 0.1, 0.2, 0.0, 0.0)
+    def test_value(self, base_mesh, base_ell, base_params, rng):
+        u, w, v = rng.standard_normal((3, base_mesh.n_max))
+        widths, ell = base_mesh.cell_widths, base_ell.ell
+        for variant, oracle in (
+            ("explicit", potential_explicit_oracle),
+            ("implicit", potential_implicit_oracle),
+        ):
+            before = kinetic_oracle(u, w, widths, DT) + oracle(u, w, ell)
+            after = kinetic_oracle(w, v, widths, DT) + oracle(w, v, ell)
+            expected = (after - before) - dissipation_oracle(u, v, base_mesh, base_params.delta, DT)
+            _, res = step_identity(u, w, v, base_mesh, base_ell, base_params, variant)
+            assert res == pytest.approx(expected, rel=1e-10, abs=1e-12 * abs(before))
 
 
 class TestNorms:
@@ -186,26 +190,39 @@ class TestNorms:
 
 class TestLayerEnergies:
     def test_matches_scalar_functions(self, base_mesh, base_ell, base_params, rng):
+        # a block's entries are the brute-force energies of its layer pairs,
+        # and the same bits as the 2- and 3-row blocks of those layers
         layers = rng.standard_normal((6, base_mesh.n_max))
-        for variant in ("explicit", "implicit"):
+        widths, ell = base_mesh.cell_widths, base_ell.ell
+        for variant, oracle in (
+            ("explicit", potential_explicit_oracle),
+            ("implicit", potential_implicit_oracle),
+        ):
             e_k, e_p, e_tot, diss, res = layer_energies(
                 layers, base_mesh, base_ell, base_params, DT, variant
             )
             assert len(e_k) == 5 and len(diss) == 4
             for j in range(5):
-                ek_j, ep_j, et_j = total_energy(
-                    layers[j], layers[j + 1], base_mesh, base_ell, DT, variant
-                )
-                assert e_k[j] == pytest.approx(ek_j, rel=1e-13, abs=1e-15)
-                assert e_p[j] == pytest.approx(ep_j, rel=1e-13, abs=1e-15)
-                assert e_tot[j] == pytest.approx(et_j, rel=1e-13, abs=1e-15)
+                u, v = layers[j], layers[j + 1]
+                assert e_k[j] == pytest.approx(kinetic_oracle(u, v, widths, DT), rel=1e-13)
+                assert e_p[j] == pytest.approx(oracle(u, v, ell), rel=1e-12)
+                pair = pair_energies(u, v, base_mesh, base_ell, base_params, variant)
+                assert (e_k[j], e_p[j], e_tot[j]) == pair
             for j in range(4):
-                d_j = dissipation_increment(
-                    layers[j], layers[j + 2], base_mesh, base_params, DT
+                expected = dissipation_oracle(
+                    layers[j], layers[j + 2], base_mesh, base_params.delta, DT
                 )
-                assert diss[j] == pytest.approx(d_j, rel=1e-12, abs=1e-15)
-                r_j = (e_tot[j + 1] - e_tot[j]) - d_j
-                assert res[j] == pytest.approx(r_j, rel=1e-12, abs=1e-14)
+                assert diss[j] == pytest.approx(expected, rel=1e-12)
+                step = step_identity(*layers[j : j + 3], base_mesh, base_ell, base_params, variant)
+                assert (diss[j], res[j]) == step
+                assert res[j] == (e_tot[j + 1] - e_tot[j]) - diss[j]
+
+    def test_bad_blocks_rejected(self, base_mesh, base_ell, base_params, rng):
+        layers = rng.standard_normal((3, base_mesh.n_max))
+        with pytest.raises(ValueError, match="variant"):
+            layer_energies(layers, base_mesh, base_ell, base_params, DT, "leapfrog")
+        with pytest.raises(ValueError, match="two"):
+            layer_energies(layers[:1], base_mesh, base_ell, base_params, DT, "explicit")
 
 
 def synthetic_trace(t, e):

@@ -43,14 +43,6 @@ class TestParameters:
                 alpha=1.0, beta=2.0, length=3.0, t_final=1.0,
             )
 
-    def test_from_material(self):
-        p = Parameters.from_material(
-            rho=(2.0, 4.0, 1.0), kappa=(18.0, 4.0, 4.0), damping=2.0,
-            alpha=1.0, beta=2.0, length=3.0, t_final=10.0,
-        )
-        assert p.zone_speeds_sq == (9.0, 1.0, 4.0)
-        assert p.delta == 0.5
-
 
 class TestBuildMesh:
     def test_base_grid_widths(self, base_mesh):
