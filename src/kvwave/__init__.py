@@ -5,8 +5,6 @@ and decay-rate estimation."""
 from .diagnostics import (
     DecayFit,
     EnergyTrace,
-    discrete_h1_seminorm,
-    discrete_l2_norm,
     fit_exponential,
     fit_polynomial,
 )
@@ -23,7 +21,6 @@ from .linalg import (
 from .mesh import FluxCoefficients, Mesh, Parameters, build_mesh, flux_coefficients
 from .model import (
     Admissibility,
-    CellAverages,
     InitialData,
     cfl_max_dt,
     default_initial_data,
@@ -46,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Admissibility",
-    "CellAverages",
     "ConfigError",
     "DecayFit",
     "DivergenceError",
@@ -73,8 +69,6 @@ __all__ = [
     "build_operators",
     "cfl_max_dt",
     "default_initial_data",
-    "discrete_h1_seminorm",
-    "discrete_l2_norm",
     "factor",
     "fit_exponential",
     "fit_polynomial",

@@ -1,4 +1,4 @@
-"""Discrete energies, dissipation identity, norms and decay-rate fits.
+"""Discrete energies, dissipation identity and decay-rate fits.
 
 The discrete energy at step n pairs the layers n and n+1: the kinetic part is
 a forward difference in time, the potential part couples the face jumps of
@@ -19,8 +19,6 @@ from .mesh import FluxCoefficients, Mesh, Parameters
 __all__ = [
     "EnergyTrace",
     "DecayFit",
-    "discrete_l2_norm",
-    "discrete_h1_seminorm",
     "layer_energies",
     "fit_exponential",
     "fit_polynomial",
@@ -73,17 +71,6 @@ def _face_jumps(values: np.ndarray) -> np.ndarray:
     return jumps
 
 
-def discrete_l2_norm(values: np.ndarray, mesh: Mesh) -> float:
-    """Width-weighted Euclidean norm of cell values."""
-    return float(np.sqrt(mesh.cell_widths @ (values * values)))
-
-
-def discrete_h1_seminorm(values: np.ndarray, ell: FluxCoefficients) -> float:
-    """Flux-weighted norm of the face jumps, zero ghosts at the boundary."""
-    jumps = _face_jumps(values)
-    return float(np.sqrt(ell.ell @ (jumps * jumps)))
-
-
 def layer_energies(
     layers: np.ndarray,
     mesh: Mesh,
@@ -94,8 +81,9 @@ def layer_energies(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energies and the dissipation identity for a block of consecutive layers.
 
-    layers has shape (m, n_cells) holding layers k .. k+m-1 of a run.  Returns
-    (e_kinetic, e_potential, e_total, dissipation, residual); the energy
+    layers has shape (..., m, n_cells) holding layers k .. k+m-1 of a run,
+    optionally for a batch of such blocks.  Returns (e_kinetic, e_potential,
+    e_total, dissipation, residual) with the batch shape in front; the energy
     arrays have length m-1 (entry j belongs to step k+j, the layer pair
     k+j, k+j+1), the dissipation and residual arrays have length m-2 (entry j
     belongs to step k+j+1).
@@ -109,31 +97,33 @@ def layer_energies(
     the damped zone; residual is (E^n - E^{n-1}) - dissipation.
 
     Every entry depends only on the layers it belongs to, never on the block
-    they came in, so any blocking of a run gives the same bits.
+    or batch they came in, so any blocking of a run gives the same bits.
     """
-    if layers.ndim != 2 or layers.shape[0] < 2:
+    if layers.ndim < 2 or layers.shape[-2] < 2:
         raise ValueError("need at least two consecutive layers")
     widths = mesh.cell_widths
     coeffs = ell.ell
 
     # einsum reduces each row on its own; a BLAS product's rounding would
     # depend on the row's position in the block.
-    rates = (layers[1:] - layers[:-1]) / dt
-    e_k = 0.5 * np.einsum("ij,ij,j->i", rates, rates, widths)
+    rates = (layers[..., 1:, :] - layers[..., :-1, :]) / dt
+    e_k = 0.5 * np.einsum("...ij,...ij,j->...i", rates, rates, widths)
     jumps = _face_jumps(layers)
     if variant == "explicit":
-        e_p = 0.5 * np.einsum("ij,ij,j->i", jumps[1:], jumps[:-1], coeffs)
+        e_p = 0.5 * np.einsum(
+            "...ij,...ij,j->...i", jumps[..., 1:, :], jumps[..., :-1, :], coeffs
+        )
     elif variant == "implicit":
-        sq = np.einsum("ij,ij,j->i", jumps, jumps, coeffs)
-        e_p = 0.25 * (sq[1:] + sq[:-1])
+        sq = np.einsum("...ij,...ij,j->...i", jumps, jumps, coeffs)
+        e_p = 0.25 * (sq[..., 1:] + sq[..., :-1])
     else:
         raise ValueError(f"unknown scheme variant {variant!r}")
     e_total = e_k + e_p
 
     faces = mesh.damping_interior_faces
-    diff = jumps[2:, faces] - jumps[:-2, faces]
-    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * (diff * diff).sum(axis=1)
-    residual = (e_total[1:] - e_total[:-1]) - dissipation
+    diff = jumps[..., 2:, faces] - jumps[..., :-2, faces]
+    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * (diff * diff).sum(axis=-1)
+    residual = (e_total[..., 1:] - e_total[..., :-1]) - dissipation
     return e_k, e_p, e_total, dissipation, residual
 
 

@@ -59,26 +59,6 @@ class TriDiagMatrix:
         self.diag.setflags(write=False)
         self.off.setflags(write=False)
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.diag * x
-        if self.dim > 1:
-            y[:-1] += self.off * x[1:]
-            y[1:] += self.off * x[:-1]
-        return y
-
-    def quadratic_form(self, x: np.ndarray) -> float:
-        return float(x @ self.matvec(x))
-
-    def dominance_margin(self) -> float:
-        """Smallest row margin |diag| - sum|off|; positive means strictly
-        diagonally dominant."""
-        off_abs = np.abs(self.off)
-        row_off = np.zeros(self.dim)
-        if self.dim > 1:
-            row_off[:-1] += off_abs
-            row_off[1:] += off_abs
-        return float(np.min(np.abs(self.diag) - row_off))
-
     def __add__(self, other: "TriDiagMatrix") -> "TriDiagMatrix":
         self._check_same_dim(other)
         return TriDiagMatrix(self.dim, self.diag + other.diag, self.off + other.off)
@@ -148,23 +128,13 @@ def assemble_stiffness(mesh: Mesh, ell: FluxCoefficients) -> TriDiagMatrix:
 
 
 def factor(m: TriDiagMatrix) -> TriDiagFactorization:
-    """Tridiagonal LU factorization, computed once and reused across solves."""
-    if m.dim == 0:
-        raise ValueError("cannot factor an empty matrix")
-    if m.dim == 1:
-        if m.diag[0] == 0.0:
-            raise SingularMatrixError("zero pivot in 1x1 system")
-        return TriDiagFactorization(
-            1, np.empty(0), m.diag.copy(), np.empty(0), np.empty(0), np.zeros(0, np.int32)
-        )
-    if m.dim == 2:
-        # the LAPACK wrapper rejects n = 2; pad with a decoupled unit row
-        off = np.array([m.off[0], 0.0])
-        diag = np.array([m.diag[0], m.diag[1], 1.0])
-    else:
-        off = m.off.copy()
-        diag = m.diag.copy()
-    dl, d, du, du2, ipiv, info = _gttrf(off.copy(), diag, off.copy())
+    """Tridiagonal LU factorization, computed once and reused across solves.
+
+    The LAPACK wrapper needs at least three rows; every mesh has four or more.
+    """
+    if m.dim < 3:
+        raise ValueError("factorization needs a matrix of dimension 3 or more")
+    dl, d, du, du2, ipiv, info = _gttrf(m.off.copy(), m.diag.copy(), m.off.copy())
     if info > 0:
         raise SingularMatrixError(f"zero pivot at row {info}")
     if info < 0:
@@ -176,14 +146,10 @@ def solve(f: TriDiagFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve with previously computed factors."""
     if rhs.shape != (f.dim,):
         raise ValueError("right-hand side length does not match the factorization")
-    if f.dim == 1:
-        return rhs / f.d
-    if len(f.d) != f.dim:  # padded 2x2 system
-        rhs = np.append(rhs, 0.0)
     x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs)
     if info != 0:
         raise SingularMatrixError("tridiagonal solve failed")
-    return x[: f.dim]
+    return x
 
 
 def band_storage(m: TriDiagMatrix) -> np.ndarray:

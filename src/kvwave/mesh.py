@@ -89,16 +89,6 @@ class Mesh:
         return float(self.faces[-1])
 
     @property
-    def size(self) -> float:
-        """Largest cell width."""
-        return float(self.cell_widths.max())
-
-    @property
-    def damping_cells(self) -> slice:
-        """0-based slice of the cells inside (alpha, beta)."""
-        return slice(self.n_alpha, self.n_alpha + self.n_damp)
-
-    @property
     def damping_interior_faces(self) -> slice:
         """0-based slice (into a face-indexed array) of the faces strictly
         between alpha and beta."""

@@ -17,7 +17,6 @@ from .mesh import Mesh, Parameters
 
 __all__ = [
     "InitialData",
-    "CellAverages",
     "Admissibility",
     "default_initial_data",
     "sample_cell_averages",
@@ -46,21 +45,6 @@ class InitialData:
         scale = 1.0 + abs(float(_evaluate(self.phi, np.array([self.length / 2.0]))[0]))
         if np.max(np.abs(vals)) > 1e-9 * scale:
             raise ValueError("displacement profile must vanish at x = 0 and x = length")
-
-
-@dataclass(frozen=True)
-class CellAverages:
-    """Mean of a profile over each cell, cell order left to right."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("cell averages must be finite")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -107,14 +91,18 @@ def _evaluate(profile: ScalarField, x: np.ndarray) -> np.ndarray:
     return np.array([float(profile(xi)) for xi in x])
 
 
-def sample_cell_averages(profile: ScalarField, mesh: Mesh) -> CellAverages:
-    """Cell averages of a profile, per-cell Simpson rule (3 nodes per cell)."""
+def sample_cell_averages(profile: ScalarField, mesh: Mesh) -> np.ndarray:
+    """Cell averages of a profile, per-cell Simpson rule (3 nodes per cell).
+
+    Returns a read-only array, cell order left to right.
+    """
     at_faces = _evaluate(profile, mesh.faces)
     at_centers = _evaluate(profile, mesh.centers)
     values = (at_faces[:-1] + 4.0 * at_centers + at_faces[1:]) / 6.0
     if not np.all(np.isfinite(values)):
         raise ValueError("profile produced non-finite values on the mesh")
-    return CellAverages(values=values)
+    values.setflags(write=False)
+    return values
 
 
 def cfl_max_dt(params: Parameters, mesh: Mesh) -> float:

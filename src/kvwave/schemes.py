@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diagnostics, linalg
 from .mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
-from .model import CellAverages, InitialData, sample_cell_averages
+from .model import InitialData, sample_cell_averages
 
 __all__ = [
     "DivergenceError",
@@ -39,10 +39,11 @@ __all__ = [
 # sup norm is treated as divergence (also catches non-finite values).
 SUP_GROWTH_LIMIT = 1.0e6
 
-# A verified run evaluates its energies in blocks of consecutive layers held
-# in one buffer of about this many bytes, between 3 and _VERIFY_MAX_ROWS rows.
-_VERIFY_BYTES = 8 * 2**20
-_VERIFY_MAX_ROWS = 1026
+# Every run collects its layers in one buffer of about this many bytes,
+# between 3 and _BLOCK_MAX_ROWS rows, and evaluates energies once per full
+# buffer.
+_BLOCK_BYTES = 512 * 2**10
+_BLOCK_MAX_ROWS = 1026
 
 
 class DivergenceError(RuntimeError):
@@ -139,14 +140,8 @@ def build_operators(
     )
 
 
-def _as_values(v: CellAverages | np.ndarray) -> np.ndarray:
-    return v.values if isinstance(v, CellAverages) else np.asarray(v, dtype=float)
-
-
 def bootstrap_explicit(
-    u0: CellAverages | np.ndarray,
-    psi: CellAverages | np.ndarray,
-    ops: SchemeOperators,
+    u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators
 ) -> np.ndarray:
     """First layer of the explicit scheme.
 
@@ -155,15 +150,12 @@ def bootstrap_explicit(
     """
     if ops.scheme != "explicit":
         raise ValueError("operators were built for the implicit scheme")
-    u0v, psiv = _as_values(u0), _as_values(psi)
-    rhs = linalg.band_sum(ops._rhs_curr_band, u0v, 2.0 * ops.dt, ops._rhs_prev_band, psiv)
+    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi)
     return rhs / (2.0 * ops.mass.diag)
 
 
 def bootstrap_implicit(
-    u0: CellAverages | np.ndarray,
-    psi: CellAverages | np.ndarray,
-    ops: SchemeOperators,
+    u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators
 ) -> np.ndarray:
     """First layer of the flux-averaged scheme.
 
@@ -172,8 +164,7 @@ def bootstrap_implicit(
     """
     if ops.scheme != "implicit":
         raise ValueError("operators were built for the explicit scheme")
-    u0v, psiv = _as_values(u0), _as_values(psi)
-    rhs = linalg.band_sum(ops._rhs_curr_band, u0v, 2.0 * ops.dt, ops._rhs_prev_band, psiv)
+    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi)
     assert ops.boot_factor is not None
     return linalg.solve(ops.boot_factor, rhs)
 
@@ -214,16 +205,19 @@ class _EnergyLog:
     """Trace rows and identity statistics of a run, fed by layer_energies.
 
     Row 0 holds the energy of layers 0 and 1.  record() takes a block of
-    consecutive layers starting at layer `first` and accounts for the steps
-    first+1 .. first+m-2, whose residuals the block determines; a step's row
-    is kept when it is a multiple of observe_every or the last step.
+    consecutive layers starting at layer `first`; the steps first+1 ..
+    first+m-2 are the ones whose residuals the block determines.  A step's
+    row is kept when it is a multiple of observe_every or the last step.
+    With verify the statistics cover every step, otherwise the kept ones,
+    and only those are evaluated.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
-                 first_pair: np.ndarray):
+                 verify: bool, first_pair: np.ndarray):
         self.ops = ops
         self.observe_every = observe_every
         self.last_step = last_step
+        self.verify = verify
         e_k, e_p, e_tot, _, _ = self._energies(first_pair)
         self.e_tot0 = float(e_tot[0])
         self.rows = [(0, 0.0, float(e_k[0]), float(e_p[0]), self.e_tot0, 0.0, 0.0)]
@@ -236,30 +230,33 @@ class _EnergyLog:
         ops = self.ops
         return diagnostics.layer_energies(layers, ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
 
-    def record(self, layers: np.ndarray, first: int) -> None:
-        e_k, e_p, e_tot, diss, res = self._energies(layers)
+    def record(self, block: np.ndarray, first: int) -> None:
+        steps = np.arange(first + 1, first + len(block) - 1)
+        kept = (steps % self.observe_every == 0) | (steps == self.last_step)
+        if self.verify:
+            e_k, e_p, e_tot, diss, res = self._energies(block)
+            e_prev, e_k, e_p, e_tot = e_tot[:-1], e_k[1:], e_p[1:], e_tot[1:]
+        else:
+            steps = steps[kept]
+            if not len(steps):
+                return
+            # layers s-1, s, s+1 of every kept step s, evaluated in one call
+            triples = block[(steps - first - 1)[:, None] + np.arange(3)]
+            e_k, e_p, e_pair, diss, res = self._energies(triples)
+            e_prev, e_tot = e_pair[:, 0], e_pair[:, 1]
+            e_k, e_p, diss, res = e_k[:, 1], e_p[:, 1], diss[:, 0], res[:, 0]
+            kept = slice(None)
         self.identity_max = max(self.identity_max, float(np.abs(res).max()))
-        self.drift_max = max(self.drift_max, float(np.abs(e_tot[1:] - self.e_tot0).max()))
-        self.rise_max = max(self.rise_max, float((e_tot[1:] - e_tot[:-1]).max()))
+        self.drift_max = max(self.drift_max, float(np.abs(e_tot - self.e_tot0).max()))
+        self.rise_max = max(self.rise_max, float((e_tot - e_prev).max()))
         self.verified += len(res)
-        for j in range(1, len(e_tot)):
-            step = first + j
-            if step % self.observe_every == 0 or step == self.last_step:
-                self.rows.append((step, step * self.ops.dt, float(e_k[j]), float(e_p[j]),
-                                  float(e_tot[j]), float(diss[j - 1]), float(res[j - 1])))
+        columns = (a[kept].tolist() for a in (steps, e_k, e_p, e_tot, diss, res))
+        self.rows += [(step, step * self.ops.dt, *values) for step, *values in zip(*columns)]
 
     def trace(self) -> diagnostics.EnergyTrace:
-        cols = list(zip(*self.rows))
-        return diagnostics.EnergyTrace(
-            variant=self.ops.scheme,
-            step=np.asarray(cols[0], dtype=int),
-            t=np.asarray(cols[1], dtype=float),
-            e_kinetic=np.asarray(cols[2], dtype=float),
-            e_potential=np.asarray(cols[3], dtype=float),
-            e_total=np.asarray(cols[4], dtype=float),
-            dissipation=np.asarray(cols[5], dtype=float),
-            residual=np.asarray(cols[6], dtype=float),
-        )
+        # a row holds the EnergyTrace fields after `variant`, in order
+        columns = (np.asarray(column) for column in zip(*self.rows))
+        return diagnostics.EnergyTrace(self.ops.scheme, *columns)
 
 
 def run(
@@ -277,9 +274,10 @@ def run(
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
     recurrence steps).  Energies are recorded every observe_every steps plus
-    the final step; with verify_identity the energy identity is evaluated at
-    every step (in blocks of layers) and only its extremes are kept.  Either
-    way the recorded rows are the same bits.  Divergence aborts the run but
+    the final step.  Every run evaluates them in blocks of layers; with
+    verify_identity the energy identity is evaluated at every step and only
+    its extremes are kept, otherwise at the recorded steps only.  Either way
+    the recorded rows are the same bits.  Divergence aborts the run but
     preserves everything recorded so far.
     """
     if n_steps < 1:
@@ -287,8 +285,8 @@ def run(
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
     ops = build_operators(mesh, params, dt, scheme)
-    u0 = sample_cell_averages(initial.phi, mesh).values
-    psi = sample_cell_averages(initial.psi, mesh).values
+    u0 = sample_cell_averages(initial.phi, mesh)
+    psi = sample_cell_averages(initial.psi, mesh)
     if scheme == "explicit":
         u1 = bootstrap_explicit(u0, psi, ops)
     else:
@@ -298,7 +296,7 @@ def run(
     snap_set = frozenset(int(s) for s in snapshot_steps)
     snapshots: list[Snapshot] = []
     last_step = n_steps - 1  # last step with a defined energy
-    log = _EnergyLog(ops, observe_every, last_step, np.stack((u0, u1)))
+    log = _EnergyLog(ops, observe_every, last_step, verify_identity, np.stack((u0, u1)))
 
     def note_snapshot(step: int, layer: np.ndarray) -> None:
         if step in snap_set:
@@ -307,13 +305,11 @@ def run(
     note_snapshot(0, u0)
     note_snapshot(1, u1)
 
-    if verify_identity:
-        rows = min(max(_VERIFY_BYTES // (8 * mesh.n_max), 3), _VERIFY_MAX_ROWS)
-        block = np.empty((rows, mesh.n_max))
-        block[0], block[1] = u0, u1
+    rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
+    block = np.empty((rows, mesh.n_max))
+    block[0], block[1] = u0, u1
     filled = 2
     first = 0  # layer index of block[0]
-    diverged = False
     divergence_step: int | None = None
     u_prev, u_curr = u0, u1
     advance = ops.advance
@@ -323,23 +319,20 @@ def run(
             sup = float(np.abs(u_next).max())
             if not sup <= sup_limit:  # also catches NaN
                 raise DivergenceError(n + 1, sup)
-            if verify_identity:
-                block[filled] = u_next
-                filled += 1
-                if filled == rows:
-                    log.record(block, first)
-                    block[0], block[1] = block[-2], block[-1]
-                    first += rows - 2
-                    filled = 2
-            elif n % observe_every == 0 or n == last_step:
-                log.record(np.stack((u_prev, u_curr, u_next)), n - 1)
+            block[filled] = u_next
+            filled += 1
+            if filled == rows:
+                log.record(block, first)
+                block[0], block[1] = block[-2], block[-1]
+                first += rows - 2
+                filled = 2
             u_prev, u_curr = u_curr, u_next
             note_snapshot(n + 1, u_next)
     except DivergenceError as err:
-        diverged = True
         divergence_step = err.step
-    if verify_identity and filled > 2:
+    if filled > 2:
         log.record(block[:filled], first)
+    diverged = divergence_step is not None
 
     return SimulationResult(
         scheme=scheme,

@@ -1,10 +1,10 @@
-"""Dense reference implementations that the tridiagonal code is checked against."""
+"""Dense reference implementations and norms that the package is checked against."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from kvwave import SingularMatrixError, TriDiagMatrix
+from kvwave import FluxCoefficients, Mesh, SingularMatrixError, TriDiagMatrix
 
 
 def to_dense(m: TriDiagMatrix) -> np.ndarray:
@@ -39,3 +39,26 @@ def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for k in range(n - 1, -1, -1):
         x[k] = (b[k] - a[k, k + 1 :] @ x[k + 1 :]) / a[k, k]
     return x
+
+
+def quadratic_form(m: TriDiagMatrix, x: np.ndarray) -> float:
+    """x^T m x through the dense copy."""
+    return float(x @ (to_dense(m) @ x))
+
+
+def dominance_margin(m: TriDiagMatrix) -> float:
+    """Smallest row margin |m_ii| - sum_{j != i} |m_ij|; positive means
+    strictly diagonally dominant."""
+    dense = np.abs(to_dense(m))
+    return float(np.min(2.0 * np.diag(dense) - dense.sum(axis=1)))
+
+
+def discrete_l2_norm(values: np.ndarray, mesh: Mesh) -> float:
+    """Width-weighted Euclidean norm of cell values."""
+    return float(np.sqrt(mesh.cell_widths @ (values * values)))
+
+
+def discrete_h1_seminorm(values: np.ndarray, ell: FluxCoefficients) -> float:
+    """Flux-weighted norm of the face jumps, zero ghosts at the boundary."""
+    jumps = np.diff(values, prepend=0.0, append=0.0)
+    return float(np.sqrt(ell.ell @ (jumps * jumps)))

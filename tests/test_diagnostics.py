@@ -4,13 +4,12 @@ import pytest
 from kvwave import (
     EnergyTrace,
     Parameters,
-    discrete_h1_seminorm,
-    discrete_l2_norm,
     fit_exponential,
     fit_polynomial,
     sample_cell_averages,
 )
 from kvwave.diagnostics import layer_energies
+from oracles import discrete_h1_seminorm, discrete_l2_norm
 
 DT = 0.025
 
@@ -175,9 +174,9 @@ class TestNorms:
     def test_sine_against_continuous_values(self, base_mesh, base_ell):
         length = 3.0
         samples = sample_cell_averages(lambda x: np.sin(np.pi * x / length), base_mesh)
-        l2 = discrete_l2_norm(samples.values, base_mesh)
+        l2 = discrete_l2_norm(samples, base_mesh)
         assert abs(l2 - np.sqrt(length / 2.0)) / np.sqrt(length / 2.0) < 0.01
-        seminorm = discrete_h1_seminorm(samples.values, base_ell)
+        seminorm = discrete_h1_seminorm(samples, base_ell)
         continuous = np.sqrt(np.pi**2 / (2.0 * length))  # unit speeds
         assert abs(seminorm - continuous) / continuous < 0.02
 
@@ -185,7 +184,7 @@ class TestNorms:
         # cell averaging contracts the continuous norm
         length = 3.0
         samples = sample_cell_averages(lambda x: np.sin(np.pi * x / length), base_mesh)
-        assert discrete_l2_norm(samples.values, base_mesh) <= np.sqrt(length / 2.0) + 1e-12
+        assert discrete_l2_norm(samples, base_mesh) <= np.sqrt(length / 2.0) + 1e-12
 
 
 class TestLayerEnergies:

@@ -16,7 +16,7 @@ from kvwave import (
 )
 from kvwave.linalg import band_storage, band_sum
 from kvwave.mesh import Parameters
-from oracles import dense_solve_oracle, to_dense
+from oracles import dense_solve_oracle, dominance_margin, quadratic_form, to_dense
 
 
 def damping_form_oracle(mesh, x):
@@ -88,13 +88,13 @@ class TestAssembleDamping:
         for _ in range(20):
             x = rng.standard_normal(base_mesh.n_max)
             expected = damping_form_oracle(base_mesh, x)
-            assert a.quadratic_form(x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+            assert quadratic_form(a, x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
     def test_positive_semidefinite(self, base_mesh, rng):
         a = assemble_damping(base_mesh)
         for _ in range(50):
             x = rng.standard_normal(base_mesh.n_max)
-            assert a.quadratic_form(x) >= -1e-14 * float(x @ x)
+            assert quadratic_form(a, x) >= -1e-14 * float(x @ x)
 
 
 class TestAssembleStiffness:
@@ -103,11 +103,11 @@ class TestAssembleStiffness:
         for _ in range(20):
             x = rng.standard_normal(base_mesh.n_max)
             expected = stiffness_form_oracle(base_ell.ell, x)
-            assert b.quadratic_form(x) == pytest.approx(expected, rel=1e-12)
+            assert quadratic_form(b, x) == pytest.approx(expected, rel=1e-12)
 
     def test_constant_vector_telescopes(self, base_mesh, base_ell):
         b = assemble_stiffness(base_mesh, base_ell)
-        y = b.matvec(np.ones(base_mesh.n_max))
+        y = to_dense(b) @ np.ones(base_mesh.n_max)
         scale = float(np.abs(base_ell.ell).max())
         # interior rows see equal and opposite fluxes
         np.testing.assert_allclose(y[1:-1], 0.0, atol=1e-12 * scale)
@@ -129,10 +129,10 @@ class TestAssembleStiffness:
 
     def test_negative_definite(self, base_mesh, base_ell, rng):
         b = assemble_stiffness(base_mesh, base_ell)
-        assert b.quadratic_form(np.zeros(base_mesh.n_max)) == 0.0
+        assert quadratic_form(b, np.zeros(base_mesh.n_max)) == 0.0
         for _ in range(50):
             x = rng.standard_normal(base_mesh.n_max)
-            assert b.quadratic_form(x) < 0.0
+            assert quadratic_form(b, x) < 0.0
 
 
 class TestFactorSolve:
@@ -142,7 +142,7 @@ class TestFactorSolve:
         np.testing.assert_array_equal(solve(factor(m), rhs), rhs)
 
     def test_against_dense_oracle(self, rng):
-        for n in (2, 3, 17, 200):
+        for n in (3, 17, 200):
             m = random_dd_tridiag(rng, n)
             rhs = rng.standard_normal(n)
             x = solve(factor(m), rhs)
@@ -153,9 +153,9 @@ class TestFactorSolve:
         mass = assemble_mass(base_mesh)
         a = assemble_damping(base_mesh)
         lhs = mass + a.scaled(1.0 * 0.025 / base_mesh.h)
-        rhs = mass.matvec(np.ones(base_mesh.n_max))
+        rhs = to_dense(mass) @ np.ones(base_mesh.n_max)
         x = solve(factor(lhs), rhs)
-        residual = float(np.abs(lhs.matvec(x) - rhs).max())
+        residual = float(np.abs(to_dense(lhs) @ x - rhs).max())
         row_sums = np.abs(lhs.diag)
         row_sums[:-1] += np.abs(lhs.off)
         row_sums[1:] += np.abs(lhs.off)
@@ -177,9 +177,10 @@ class TestFactorSolve:
         with pytest.raises(SingularMatrixError):
             factor(m)
 
-    def test_one_by_one(self):
-        m = TriDiagMatrix(1, np.array([4.0]), np.zeros(0))
-        np.testing.assert_array_equal(solve(factor(m), np.array([8.0])), [2.0])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_too_small_rejected(self, rng, n):
+        with pytest.raises(ValueError, match="dimension 3"):
+            factor(random_dd_tridiag(rng, n))
 
     def test_length_mismatch(self, rng):
         f = factor(random_dd_tridiag(rng, 6))
@@ -194,7 +195,8 @@ class TestBandSum:
         x, y = rng.standard_normal((2, n))
         scale = float(rng.uniform(-2.0, 2.0))
         got = band_sum(band_storage(a), x, scale, band_storage(b), y)
-        np.testing.assert_allclose(got, a.matvec(x) + scale * b.matvec(y), rtol=1e-12, atol=1e-13)
+        expected = to_dense(a) @ x + scale * (to_dense(b) @ y)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
 
     def test_storage_is_three_rows(self, rng):
         m = random_dd_tridiag(rng, 9)
@@ -242,11 +244,6 @@ class TestDenseOracle:
 
 
 class TestTriDiagMatrix:
-    def test_matvec_matches_dense(self, rng):
-        m = random_dd_tridiag(rng, 12)
-        x = rng.standard_normal(12)
-        np.testing.assert_allclose(m.matvec(x), to_dense(m) @ x, rtol=1e-14)
-
     def test_arithmetic(self, rng):
         a = random_dd_tridiag(rng, 8)
         b = random_dd_tridiag(rng, 8)
@@ -260,9 +257,9 @@ class TestTriDiagMatrix:
 
     def test_dominance_margin(self):
         strict = TriDiagMatrix(3, np.array([3.0, 3.0, 3.0]), np.array([-1.0, 1.0]))
-        assert strict.dominance_margin() == pytest.approx(1.0)
+        assert dominance_margin(strict) == pytest.approx(1.0)
         weak = TriDiagMatrix(2, np.array([1.0, 1.0]), np.array([1.0]))
-        assert weak.dominance_margin() == pytest.approx(0.0)
+        assert dominance_margin(weak) == pytest.approx(0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -84,7 +84,7 @@ class TestBuildMesh:
         assert abs(total - base_params.length) <= 1e-14 * base_params.length
 
     def test_size_is_max_zone_width(self, base_mesh):
-        assert base_mesh.size == pytest.approx(
+        assert base_mesh.cell_widths.max() == pytest.approx(
             max(base_mesh.h_alpha, base_mesh.h, base_mesh.h_beta), rel=1e-12
         )
 
@@ -156,7 +156,7 @@ class TestFluxCoefficients:
         ell_f = flux_coefficients(fine, base_params).ell
         assert fine.h_alpha == pytest.approx(coarse.h_alpha / 2, rel=1e-15)
         assert fine.h == pytest.approx(coarse.h / 2, rel=1e-15)
-        assert fine.size == pytest.approx(coarse.size / 2, rel=1e-12)
+        assert fine.cell_widths.max() == pytest.approx(coarse.cell_widths.max() / 2, rel=1e-12)
         # interior face of the damped zone doubles
         mid_c = ell_c[coarse.n_alpha + 2]
         mid_f = ell_f[fine.n_alpha + 3]

@@ -15,12 +15,12 @@ from kvwave import (
 class TestSampleCellAverages:
     def test_constant_profile(self, base_mesh):
         avg = sample_cell_averages(lambda x: np.ones_like(x), base_mesh)
-        np.testing.assert_array_equal(avg.values, 1.0)
+        np.testing.assert_array_equal(avg, 1.0)
 
     def test_linear_profile_first_cell(self, base_mesh):
         avg = sample_cell_averages(lambda x: x, base_mesh)
         # mean of x over (0, 0.05) is the midpoint
-        assert avg.values[0] == pytest.approx(0.025, rel=1e-14)
+        assert avg[0] == pytest.approx(0.025, rel=1e-14)
 
     def test_quadratic_profile_matches_antiderivative(self, base_mesh):
         length = 3.0
@@ -30,23 +30,21 @@ class TestSampleCellAverages:
         # exact cell mean of the parabola, written without cancellation:
         # (1/h) int x(L-x) dx over (a, b) = L (a+b)/2 - (a^2 + a b + b^2)/3
         exact = (4.0 / length**2) * (length * (a + b) / 2 - (a * a + a * b + b * b) / 3)
-        np.testing.assert_allclose(avg.values, exact, rtol=1e-13)
+        np.testing.assert_allclose(avg, exact, rtol=1e-13)
 
     def test_linearity(self, base_mesh, rng):
         f = lambda x: np.sin(x) + 0.5
         g = lambda x: x**2 - x
         a, b = rng.uniform(-3, 3, size=2)
         combo = sample_cell_averages(lambda x: a * f(x) + b * g(x), base_mesh)
-        split = a * sample_cell_averages(f, base_mesh).values + b * sample_cell_averages(
-            g, base_mesh
-        ).values
-        np.testing.assert_allclose(combo.values, split, rtol=1e-12, atol=1e-14)
+        split = a * sample_cell_averages(f, base_mesh) + b * sample_cell_averages(g, base_mesh)
+        np.testing.assert_allclose(combo, split, rtol=1e-12, atol=1e-14)
 
     def test_cubic_quadrature_exactness(self, base_mesh):
         profile = lambda x: x**3 - 2.0 * x**2 + x - 0.25
         antideriv = lambda x: x**4 / 4 - 2.0 * x**3 / 3 + x**2 / 2 - 0.25 * x
         avg = sample_cell_averages(profile, base_mesh)
-        total = float(base_mesh.cell_widths @ avg.values)
+        total = float(base_mesh.cell_widths @ avg)
         exact = antideriv(3.0) - antideriv(0.0)
         assert total == pytest.approx(exact, rel=1e-13)
 
@@ -56,7 +54,7 @@ class TestSampleCellAverages:
 
         avg = sample_cell_averages(pointwise, base_mesh)
         vector = sample_cell_averages(lambda x: x**2, base_mesh)
-        np.testing.assert_allclose(avg.values, vector.values, rtol=1e-14)
+        np.testing.assert_allclose(avg, vector, rtol=1e-14)
 
     def test_non_finite_profile_rejected(self, base_mesh):
         with pytest.raises(ValueError):
