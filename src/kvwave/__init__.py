@@ -28,7 +28,6 @@ from .model import (
     validate_run,
 )
 from .schemes import (
-    DivergenceError,
     SchemeOperators,
     SimulationResult,
     Snapshot,
@@ -45,7 +44,6 @@ __all__ = [
     "Admissibility",
     "ConfigError",
     "DecayFit",
-    "DivergenceError",
     "EnergyTrace",
     "FluxCoefficients",
     "InitialData",

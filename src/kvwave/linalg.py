@@ -142,13 +142,16 @@ def factor(m: TriDiagMatrix) -> TriDiagFactorization:
     return TriDiagFactorization(m.dim, dl, d, du, du2, ipiv)
 
 
-def solve(f: TriDiagFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve with previously computed factors."""
+def solve(f: TriDiagFactorization, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Solve with previously computed factors; with overwrite, into rhs itself."""
     if rhs.shape != (f.dim,):
         raise ValueError("right-hand side length does not match the factorization")
-    x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs)
+    x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs, "N", overwrite)
     if info != 0:
         raise SingularMatrixError("tridiagonal solve failed")
+    if overwrite and x is not rhs:  # LAPACK worked on a copy of a strided rhs
+        rhs[...] = x
+        return rhs
     return x
 
 
@@ -169,9 +172,18 @@ def band_storage(m: TriDiagMatrix) -> np.ndarray:
 
 
 def band_sum(
-    a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray, y: np.ndarray
+    a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray, y: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
-    """a x + scale (b y) for two matrices in band storage, into one new buffer."""
+    """a x + scale (b y) for two matrices in band storage, written into out.
+
+    out's previous contents are never read (gbmv with beta = 0 overwrites
+    them).  The wrapper is called with positional arguments only: parsing
+    keywords more than doubled the cost of a call at 68 cells.
+    """
     n = a.shape[1]
-    out = _gbmv(n, n, 1, 1, 1.0, a, x)
-    return _gbmv(n, n, 1, 1, scale, b, y, beta=1.0, y=out, overwrite_y=1)
+    # (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
+    res = _gbmv(n, n, 1, 1, 1.0, a, x, 1, 0, 0.0, out, 1, 0, 0, 1)
+    res = _gbmv(n, n, 1, 1, scale, b, y, 1, 0, 1.0, res, 1, 0, 0, 1)
+    if res is not out:  # BLAS worked on a copy of a strided out
+        out[...] = res
+    return out

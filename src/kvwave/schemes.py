@@ -25,7 +25,6 @@ from .mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
 from .model import InitialData, sample_cell_averages
 
 __all__ = [
-    "DivergenceError",
     "SchemeOperators",
     "Snapshot",
     "SimulationResult",
@@ -35,24 +34,15 @@ __all__ = [
     "run",
 ]
 
-# Abort threshold: a layer whose sup norm exceeds this multiple of the initial
-# sup norm is treated as divergence (also catches non-finite values).
+# Divergence threshold: a layer whose sup norm exceeds this multiple of the
+# initial sup norm ends the run (also catches non-finite values).
 SUP_GROWTH_LIMIT = 1.0e6
 
-# Every run collects its layers in one buffer of about this many bytes,
-# between 3 and _BLOCK_MAX_ROWS rows, and evaluates energies once per full
-# buffer.
+# Every run steps its layers straight into one buffer of about this many
+# bytes, between 3 and _BLOCK_MAX_ROWS rows, and checks divergence, takes
+# snapshots and evaluates energies once per full buffer.
 _BLOCK_BYTES = 512 * 2**10
 _BLOCK_MAX_ROWS = 1026
-
-
-class DivergenceError(RuntimeError):
-    """Raised when a step produces a non-finite or runaway layer."""
-
-    def __init__(self, step: int, sup: float):
-        super().__init__(f"solution diverged at step {step} (sup {sup:.3e})")
-        self.step = step
-        self.sup = sup
 
 
 @dataclass(frozen=True)
@@ -83,10 +73,13 @@ class SchemeOperators:
     _rhs_curr_band: np.ndarray = field(repr=False)
     _rhs_prev_band: np.ndarray = field(repr=False)
 
-    def advance(self, u_prev: np.ndarray, u_curr: np.ndarray) -> np.ndarray:
-        """One recurrence step: solve lhs @ u_next = rhs_curr u_curr - rhs_prev u_prev."""
-        rhs = linalg.band_sum(self._rhs_curr_band, u_curr, -1.0, self._rhs_prev_band, u_prev)
-        return linalg.solve(self.lhs_factor, rhs)
+    def advance(self, u_prev: np.ndarray, u_curr: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """One recurrence step into out: solve lhs @ out = rhs_curr u_curr - rhs_prev u_prev.
+
+        out must not overlap u_prev or u_curr; it is returned.
+        """
+        linalg.band_sum(self._rhs_curr_band, u_curr, -1.0, self._rhs_prev_band, u_prev, out)
+        return linalg.solve(self.lhs_factor, out, overwrite=True)
 
 
 def build_operators(
@@ -150,7 +143,8 @@ def bootstrap_explicit(
     """
     if ops.scheme != "explicit":
         raise ValueError("operators were built for the implicit scheme")
-    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi)
+    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
+                          np.zeros_like(u0))
     return rhs / (2.0 * ops.mass.diag)
 
 
@@ -164,9 +158,10 @@ def bootstrap_implicit(
     """
     if ops.scheme != "implicit":
         raise ValueError("operators were built for the explicit scheme")
-    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi)
+    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
+                          np.zeros_like(u0))
     assert ops.boot_factor is not None
-    return linalg.solve(ops.boot_factor, rhs)
+    return linalg.solve(ops.boot_factor, rhs, overwrite=True)
 
 
 @dataclass(frozen=True)
@@ -208,8 +203,10 @@ class _EnergyLog:
     consecutive layers starting at layer `first`; the steps first+1 ..
     first+m-2 are the ones whose residuals the block determines.  A step's
     row is kept when it is a multiple of observe_every or the last step.
-    With verify the statistics cover every step, otherwise the kept ones,
-    and only those are evaluated.
+    With verify the statistics cover every step, otherwise the kept ones.
+    The whole block is evaluated in one call when verifying or when the kept
+    steps' layer triples would hold as many rows as the block or more;
+    otherwise only those triples are.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
@@ -233,19 +230,24 @@ class _EnergyLog:
     def record(self, block: np.ndarray, first: int) -> None:
         steps = np.arange(first + 1, first + len(block) - 1)
         kept = (steps % self.observe_every == 0) | (steps == self.last_step)
-        if self.verify:
+        n_kept = np.count_nonzero(kept)
+        if self.verify or 3 * n_kept >= len(block):
             e_k, e_p, e_tot, diss, res = self._energies(block)
-            e_prev, e_k, e_p, e_tot = e_tot[:-1], e_k[1:], e_p[1:], e_tot[1:]
-        else:
+            columns = (steps, e_tot[:-1], e_k[1:], e_p[1:], e_tot[1:], diss, res)
+            if not self.verify:
+                columns = tuple(a[kept] for a in columns)
+                kept = slice(None)
+        elif n_kept:
             steps = steps[kept]
-            if not len(steps):
-                return
             # layers s-1, s, s+1 of every kept step s, evaluated in one call
             triples = block[(steps - first - 1)[:, None] + np.arange(3)]
             e_k, e_p, e_pair, diss, res = self._energies(triples)
-            e_prev, e_tot = e_pair[:, 0], e_pair[:, 1]
-            e_k, e_p, diss, res = e_k[:, 1], e_p[:, 1], diss[:, 0], res[:, 0]
+            columns = (steps, e_pair[:, 0], e_k[:, 1], e_p[:, 1], e_pair[:, 1], diss[:, 0],
+                       res[:, 0])
             kept = slice(None)
+        else:
+            return
+        steps, e_prev, e_k, e_p, e_tot, diss, res = columns
         self.identity_max = max(self.identity_max, float(np.abs(res).max()))
         self.drift_max = max(self.drift_max, float(np.abs(e_tot - self.e_tot0).max()))
         self.rise_max = max(self.rise_max, float((e_tot - e_prev).max()))
@@ -273,12 +275,16 @@ def run(
     """Run the chosen scheme for n_steps steps from the given initial data.
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
-    recurrence steps).  Energies are recorded every observe_every steps plus
-    the final step.  Every run evaluates them in blocks of layers; with
+    recurrence steps).  Each step writes its layer straight into the next row
+    of a block of layers; once per full block the run checks the new layers
+    for divergence, copies out snapshots and evaluates energies.  Energies
+    are recorded every observe_every steps plus the final step; with
     verify_identity the energy identity is evaluated at every step and only
     its extremes are kept, otherwise at the recorded steps only.  Either way
-    the recorded rows are the same bits.  Divergence aborts the run but
-    preserves everything recorded so far.
+    the recorded rows are the same bits.  A layer whose sup norm exceeds
+    SUP_GROWTH_LIMIT times the initial one ends the run, which then reports
+    exactly what a run stopped just before that layer would: the layers
+    stepped past it in its block are discarded.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -293,56 +299,60 @@ def run(
         u1 = bootstrap_implicit(u0, psi, ops)
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
-    snap_set = frozenset(int(s) for s in snapshot_steps)
-    snapshots: list[Snapshot] = []
+    snap_steps = sorted({int(s) for s in snapshot_steps})
+    snapshots = [Snapshot(s, s * dt, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
     last_step = n_steps - 1  # last step with a defined energy
     log = _EnergyLog(ops, observe_every, last_step, verify_identity, np.stack((u0, u1)))
 
-    def note_snapshot(step: int, layer: np.ndarray) -> None:
-        if step in snap_set:
-            snapshots.append(Snapshot(step=step, t=step * dt, values=layer.copy()))
-
-    note_snapshot(0, u0)
-    note_snapshot(1, u1)
-
     rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
-    block = np.empty((rows, mesh.n_max))
+    # zeros, not empty: no row ever holds stale NaN for gbmv to meet
+    block = np.zeros((rows, mesh.n_max))
     block[0], block[1] = u0, u1
-    filled = 2
+    layers = list(block)  # row views, made once
     first = 0  # layer index of block[0]
     divergence_step: int | None = None
-    u_prev, u_curr = u0, u1
+
+    def flush(filled: int) -> int:
+        """Check, snapshot and record the new layers block[2:filled].
+
+        Returns the number of rows before the first diverged layer.
+        """
+        nonlocal divergence_step
+        within = np.abs(block[2:filled]).max(axis=1) <= sup_limit  # NaN is not
+        if not within.all():
+            filled = 2 + int(within.argmin())
+            divergence_step = first + filled
+        snapshots.extend(Snapshot(s, s * dt, block[s - first].copy())
+                         for s in snap_steps if first + 2 <= s < first + filled)
+        if filled > 2:
+            log.record(block[:filled], first)
+        return filled
+
+    filled = 2
     advance = ops.advance
-    try:
-        for n in range(1, n_steps):
-            u_next = advance(u_prev, u_curr)
-            sup = float(np.abs(u_next).max())
-            if not sup <= sup_limit:  # also catches NaN
-                raise DivergenceError(n + 1, sup)
-            block[filled] = u_next
-            filled += 1
-            if filled == rows:
-                log.record(block, first)
-                block[0], block[1] = block[-2], block[-1]
-                first += rows - 2
-                filled = 2
-            u_prev, u_curr = u_curr, u_next
-            note_snapshot(n + 1, u_next)
-    except DivergenceError as err:
-        divergence_step = err.step
-    if filled > 2:
-        log.record(block[:filled], first)
+    for _ in range(n_steps - 1):
+        advance(layers[filled - 2], layers[filled - 1], layers[filled])
+        filled += 1
+        if filled == rows:
+            filled = flush(filled)
+            if divergence_step is not None:
+                break
+            block[:2] = block[-2:]
+            first += rows - 2
+            filled = 2
+    else:  # no divergence in a full block: flush the partial last one
+        filled = flush(filled)
     diverged = divergence_step is not None
 
     return SimulationResult(
         scheme=scheme,
         dt=dt,
         n_steps=n_steps,
-        steps_completed=int(divergence_step - 1) if diverged else n_steps,
+        steps_completed=divergence_step - 1 if diverged else n_steps,
         diverged=diverged,
         divergence_step=divergence_step,
-        u_prev=u_prev,
-        u_curr=u_curr,
+        u_prev=block[filled - 2].copy(),
+        u_curr=block[filled - 1].copy(),
         trace=log.trace(),
         snapshots=snapshots,
         energy_initial=log.e_tot0,

@@ -173,7 +173,8 @@ class TestSpectralOracle:
         u_prev, u_curr = rng.standard_normal((2, ops.mesh.n_max))
         stacked = companion_matrix(ops) @ np.concatenate([u_curr, u_prev])
         np.testing.assert_allclose(
-            stacked[: ops.mesh.n_max], ops.advance(u_prev, u_curr), rtol=1e-12, atol=1e-12
+            stacked[: ops.mesh.n_max], ops.advance(u_prev, u_curr, np.empty_like(u_curr)),
+            rtol=1e-12, atol=1e-12,
         )
         np.testing.assert_array_equal(stacked[ops.mesh.n_max:], u_curr)
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kvwave import EnergyTrace, Parameters, build_mesh, cfl_max_dt, default_initial_data, run
 from kvwave import schemes
+from kvwave.model import sample_cell_averages
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
 
@@ -95,30 +96,62 @@ def test_energy_rows_depend_only_on_the_layers(
         assert verified.identity_residual_max <= 1e-11 * max(verified.energy_initial, 1.0)
 
 
+def assert_no_shared_memory(result) -> None:
+    arrays = [result.u_prev, result.u_curr] + [s.values for s in result.snapshots]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+def stepwise_divergence(params, mesh, data, dt):
+    """Divergence step and the two layers before it, each layer checked as it is stepped."""
+    ops = schemes.build_operators(mesh, params, dt, "explicit")
+    u0 = sample_cell_averages(data.phi, mesh)
+    layers = [u0, schemes.bootstrap_explicit(u0, sample_cell_averages(data.psi, mesh), ops)]
+    limit = schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
+    while True:
+        layers.append(ops.advance(layers[-2], layers[-1], np.empty_like(u0)))
+        if not np.abs(layers[-1]).max() <= limit:
+            return len(layers) - 1, layers[-3], layers[-2]
+
+
 @pytest.mark.parametrize("observe_every", [1, 7, 100])
 def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
-    # undamped explicit at 1.05x the CFL bound: diverges within 50 steps
+    # Undamped explicit above the CFL bound diverges at layer 42 (1.05x) or
+    # 13 (1.5x).  Over blocks of 3-12 rows that layer lands on the first, a
+    # middle and the last new row of a block; runs of exactly that many steps
+    # or one more end in a partial block at or just past it.
     params = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
     mesh = build_mesh(params, 20, 10, 20)
-    args = (params, mesh, default_initial_data(params.length),
-            1.05 * cfl_max_dt(params, mesh), 5000)
+    data = default_initial_data(params.length)
     kwargs = dict(scheme="explicit", observe_every=observe_every, snapshot_steps=range(0, 60, 5))
-    results = {}
-    for verify in (False, True):
-        results[verify, None] = run(*args, verify_identity=verify, **kwargs)
-        for rows in (3, 4, 7):
-            results[verify, rows] = run_with_block_rows(
-                rows, *args, verify_identity=verify, **kwargs
-            )
-    reference = results[False, None]
-    assert reference.diverged and reference.divergence_step < 50
-    assert_stats_from_recorded_rows(reference)
-    for (verify, rows), result in results.items():
-        assert result.divergence_step == reference.divergence_step
-        assert_same_trace(result.trace, reference.trace)
-        assert_same_stats(result, results[verify, None])
-        np.testing.assert_array_equal(result.u_prev, reference.u_prev)
-        np.testing.assert_array_equal(result.u_curr, reference.u_curr)
-        assert [s.step for s in result.snapshots] == [s.step for s in reference.snapshots]
-        for a, b in zip(result.snapshots, reference.snapshots):
-            np.testing.assert_array_equal(a.values, b.values)
+    for factor in (1.05, 1.5):
+        dt = factor * cfl_max_dt(params, mesh)
+        reference = run(params, mesh, data, dt, 5000, **kwargs)
+        step, u_prev, u_curr = stepwise_divergence(params, mesh, data, dt)
+        assert reference.diverged and reference.divergence_step == step < 50
+        assert reference.steps_completed == step - 1
+        assert reference.trace.step[-1] == (step - 2) // observe_every * observe_every
+        assert [s.step for s in reference.snapshots] == list(range(0, step, 5))
+        np.testing.assert_array_equal(reference.u_prev, u_prev)
+        np.testing.assert_array_equal(reference.u_curr, u_curr)
+        assert_stats_from_recorded_rows(reference)
+        results = {}
+        for verify in (False, True):
+            for n_steps in (5000, step, step + 1):
+                args = (params, mesh, data, dt, n_steps)
+                results[verify, None, n_steps] = run(*args, verify_identity=verify, **kwargs)
+                for rows in range(3, 13):
+                    results[verify, rows, n_steps] = run_with_block_rows(
+                        rows, *args, verify_identity=verify, **kwargs
+                    )
+        for (verify, rows, n_steps), result in results.items():
+            assert result.divergence_step == step
+            assert_same_trace(result.trace, reference.trace)
+            assert_same_stats(result, results[verify, None, 5000])
+            np.testing.assert_array_equal(result.u_prev, reference.u_prev)
+            np.testing.assert_array_equal(result.u_curr, reference.u_curr)
+            assert [s.step for s in result.snapshots] == [s.step for s in reference.snapshots]
+            for a, b in zip(result.snapshots, reference.snapshots):
+                np.testing.assert_array_equal(a.values, b.values)
+            assert_no_shared_memory(result)

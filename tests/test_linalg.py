@@ -187,6 +187,22 @@ class TestFactorSolve:
         with pytest.raises(ValueError):
             solve(f, np.ones(5))
 
+    def test_overwrite_solves_into_rhs(self, rng):
+        f = factor(random_dd_tridiag(rng, 40))
+        rhs = rng.standard_normal(40)
+        saved = rhs.copy()
+        x = solve(f, rhs)
+        assert rhs.tobytes() == saved.tobytes()  # the default leaves rhs alone
+        assert solve(f, rhs, overwrite=True) is rhs
+        assert rhs.tobytes() == x.tobytes()
+
+    def test_overwrite_of_a_strided_rhs(self, rng):
+        f = factor(random_dd_tridiag(rng, 12))
+        rhs = rng.standard_normal((12, 2))[:, 1]
+        x = solve(f, rhs.copy())
+        assert solve(f, rhs, overwrite=True) is rhs
+        assert rhs.tobytes() == x.tobytes()
+
 
 class TestBandSum:
     @pytest.mark.parametrize("n", [3, 4, 17, 200])
@@ -194,9 +210,28 @@ class TestBandSum:
         a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
         x, y = rng.standard_normal((2, n))
         scale = float(rng.uniform(-2.0, 2.0))
-        got = band_sum(band_storage(a), x, scale, band_storage(b), y)
+        got = band_sum(band_storage(a), x, scale, band_storage(b), y, np.empty(n))
         expected = to_dense(a) @ x + scale * (to_dense(b) @ y)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
+
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -0.0, 1e308])
+    def test_writes_into_out_whatever_it_held(self, rng, fill):
+        n = 17
+        a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
+        x, y = rng.standard_normal((2, n))
+        x[4:9] = y[4:9] = -0.0  # rows 5-7 sum signed zeros only
+        reference = band_sum(a, x, -1.0, b, y, np.zeros(n))
+        out = np.full(n, fill)
+        assert band_sum(a, x, -1.0, b, y, out) is out
+        assert out.tobytes() == reference.tobytes()
+
+    def test_strided_out_is_written(self, rng):
+        n = 9
+        a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
+        x, y = rng.standard_normal((2, n))
+        out = np.zeros((n, 2))[:, 0]
+        assert band_sum(a, x, 0.5, b, y, out) is out
+        np.testing.assert_array_equal(out, band_sum(a, x, 0.5, b, y, np.zeros(n)))
 
     def test_storage_is_three_rows(self, rng):
         m = random_dd_tridiag(rng, 9)

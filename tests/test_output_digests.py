@@ -1,0 +1,31 @@
+"""The byte-identity tool's comparison: identical digests pass, any change fails."""
+
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import output_digests  # noqa: E402
+
+BEFORE = {"run-a": {"energy.csv": "aa", "summary.txt": "bb"}, "run-b": {"energy.csv": "cc"}}
+
+
+def compare_exit(tmp_path, after) -> int:
+    a, b = tmp_path / "before.json", tmp_path / "after.json"
+    a.write_text(json.dumps(BEFORE))
+    b.write_text(json.dumps(after))
+    return output_digests.main(["--compare", str(a), str(b)])
+
+
+def test_identical_digests_pass(tmp_path):
+    assert compare_exit(tmp_path, BEFORE) == 0
+
+
+def test_changed_missing_or_extra_entries_fail(tmp_path):
+    changed = {"run-a": {"energy.csv": "aa", "summary.txt": "xx"}, "run-b": {"energy.csv": "cc"}}
+    no_file = {"run-a": {"energy.csv": "aa"}, "run-b": {"energy.csv": "cc"}}
+    no_run = {"run-a": BEFORE["run-a"]}
+    extra_run = dict(BEFORE, run_c={"energy.csv": "dd"})
+    for after in (changed, no_file, no_run, extra_run):
+        assert compare_exit(tmp_path, after) == 1
+    assert output_digests.compare(BEFORE, changed) == ["run-a/summary.txt: bb != xx"]

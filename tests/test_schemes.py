@@ -170,7 +170,7 @@ class TestSteps:
         for scheme in ("explicit", "implicit"):
             ops = build_operators(base_mesh, base_params, DT, scheme)
             z = np.zeros(base_mesh.n_max)
-            np.testing.assert_allclose(ops.advance(z, z.copy()), z, atol=1e-18)
+            np.testing.assert_allclose(ops.advance(z, z.copy(), np.empty_like(z)), z, atol=1e-18)
 
     @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -179,7 +179,7 @@ class TestSteps:
         mesh = build_mesh(p, *counts)
         ops = build_operators(mesh, p, 0.01, scheme)
         u_prev, u_curr = rng.standard_normal((2, mesh.n_max))
-        u_next = ops.advance(u_prev, u_curr)
+        u_next = ops.advance(u_prev, u_curr, np.empty_like(u_curr))
         rhs = to_dense(ops.rhs_curr) @ u_curr - to_dense(ops.rhs_prev) @ u_prev
         expected = dense_solve_oracle(to_dense(ops.lhs), rhs)
         np.testing.assert_allclose(u_next, expected, rtol=1e-12, atol=1e-14)
@@ -189,7 +189,7 @@ class TestSteps:
         ops = build_operators(base_mesh, p, DT, "explicit")
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap_explicit(u0, psi, ops)
-        u2 = ops.advance(u0, u1)
+        u2 = ops.advance(u0, u1, np.empty_like(u1))
         _, _, e_tot, _, _ = layer_energies(
             np.stack((u0, u1, u2)), base_mesh, ops.ell, p, DT, "explicit"
         )
@@ -206,11 +206,11 @@ class TestSteps:
         n = 1000
         prev, curr = u0, u1
         for _ in range(n):
-            prev, curr = curr, ops.advance(prev, curr)
+            prev, curr = curr, ops.advance(prev, curr, np.empty_like(curr))
         # swap the last two layers and march back
         prev, curr = curr, prev
         for _ in range(n):
-            prev, curr = curr, ops.advance(prev, curr)
+            prev, curr = curr, ops.advance(prev, curr, np.empty_like(curr))
         scale = float(np.abs(u0).max())
         assert float(np.abs(curr - u0).max()) <= 1e-8 * scale
 
@@ -302,7 +302,7 @@ class TestRun:
         prev, curr = u0, u1
         worst = s1
         for _ in range(20000):
-            prev, curr = curr, ops.advance(prev, curr)
+            prev, curr = curr, ops.advance(prev, curr, np.empty_like(curr))
             worst = max(worst, quantity(prev, curr))
         assert worst <= 4.0 * s1
 

@@ -1,0 +1,129 @@
+"""sha256 digests of kvwave's output files over a fixed set of runs.
+
+    python tools/output_digests.py DIGESTS.json [--steps N] [--src DIR]
+    python tools/output_digests.py --compare BEFORE.json AFTER.json
+
+The runs are every preset with both schemes, each with and without
+--verify-identity; an undamped explicit run at 1.05 times the stability
+bound, which diverges, in both modes; and a verified run on a 2000/1000/2000
+mesh (5000 cells, 300 steps).  Each goes through ``cli.execute`` and
+``cli.write_outputs``.  The JSON maps each run's name to the sha256 of every
+file it wrote, hashed as the benchmark hashes them
+(``perfbench/workloads.output_digests``: summary.txt without its wall-clock
+line).
+
+--steps caps every run at N steps and keeps its time step.  --src imports
+kvwave from another checkout's ``src`` directory, so one copy of this tool
+digests two revisions.  --compare prints every run and file whose digest
+differs or is missing on one side and exits 1 if there is any.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+from workloads import output_digests  # noqa: E402  (imports no kvwave)
+
+
+def configs(kvwave, steps: int | None) -> dict[str, object]:
+    """Name -> RunConfig of every run."""
+    cli = kvwave.cli
+    runs = {}
+    for name in cli.PRESET_NAMES:
+        for scheme in ("explicit", "implicit"):
+            for verify in (False, True):
+                mode = "verified" if verify else "plain"
+                runs[f"{name}-{scheme}-{mode}"] = replace(
+                    cli.preset(name), scheme=scheme, verify_identity=verify
+                )
+    undamped = cli.preset("equal-undamped")
+    params, mesh = _problem(kvwave, undamped)
+    for verify in (False, True):
+        mode = "verified" if verify else "plain"
+        runs[f"diverging-explicit-{mode}"] = replace(
+            undamped, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=5000,
+            cfl_override=True, verify_identity=verify,
+        )
+    runs["mesh5000-explicit-verified"] = replace(
+        cli.preset("equal-damped"), n_alpha=2000, n_damp=1000, n_beta=2000,
+        dt=None, n_steps=None, cfl_fraction=0.9, t_final=300 * 0.9 * 0.5 / 1000,
+        verify_identity=True,
+    )
+    if steps is not None:
+        runs = {name: _capped(kvwave, cfg, steps) for name, cfg in runs.items()}
+    return runs
+
+
+def _problem(kvwave, cfg):
+    names = [f.name for f in fields(kvwave.Parameters)]
+    params = kvwave.Parameters(**{name: getattr(cfg, name) for name in names})
+    return params, kvwave.build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
+
+
+def _capped(kvwave, cfg, steps: int):
+    dt, n_steps = kvwave.cli.resolve_time_step(cfg, *_problem(kvwave, cfg))
+    return replace(cfg, dt=dt, cfl_fraction=None, n_steps=min(steps, n_steps))
+
+
+def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
+    cli = kvwave.cli
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg in configs(kvwave, steps).items():
+            run_dir = Path(tmp) / name
+            cli.validate_config(cfg)
+            cli.write_outputs(cli.execute(cfg), run_dir)
+            out[name] = output_digests(run_dir)
+            print(f"{name}: {len(out[name])} files", file=sys.stderr)
+    return out
+
+
+def compare(before: dict, after: dict) -> list[str]:
+    problems = []
+    for name in sorted(before.keys() | after.keys()):
+        a, b = before.get(name), after.get(name)
+        if a is None or b is None:
+            problems.append(f"{name}: only in {'after' if a is None else 'before'}")
+            continue
+        for file in sorted(a.keys() | b.keys()):
+            if a.get(file) != b.get(file):
+                problems.append(f"{name}/{file}: {a.get(file)} != {b.get(file)}")
+    return problems
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("output", nargs="?", help="JSON file to write the digests to")
+    parser.add_argument("--steps", type=int, help="cap every run at this many steps")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the kvwave package to run")
+    parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
+                        help="compare two digest files instead of running")
+    args = parser.parse_args(argv)
+    if args.compare:
+        before, after = (json.loads(Path(p).read_text()) for p in args.compare)
+        problems = compare(before, after)
+        print("\n".join(problems) if problems else f"{len(before)} runs identical")
+        return 1 if problems else 0
+    if args.output is None:
+        parser.error("give an output file or --compare")
+    if args.steps is not None and args.steps < 1:
+        parser.error("--steps must be >= 1")
+    sys.path.insert(0, str(args.src))
+    import kvwave
+
+    print(f"kvwave from {Path(kvwave.__file__).parent}", file=sys.stderr)
+    digests = digest_runs(kvwave, args.steps)
+    Path(args.output).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
