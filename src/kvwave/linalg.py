@@ -142,17 +142,16 @@ def factor(m: TriDiagMatrix) -> TriDiagFactorization:
     return TriDiagFactorization(m.dim, dl, d, du, du2, ipiv)
 
 
-def solve(f: TriDiagFactorization, rhs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Solve with previously computed factors; with overwrite, into rhs itself."""
+def solve(f: TriDiagFactorization, rhs: np.ndarray) -> np.ndarray:
+    """Solve with previously computed factors, in place: rhs becomes the solution."""
     if rhs.shape != (f.dim,):
         raise ValueError("right-hand side length does not match the factorization")
-    x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs, "N", overwrite)
+    x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs, "N", 1)
+    if x is not rhs:  # LAPACK solved a copy
+        raise ValueError("rhs must be a contiguous float64 vector")
     if info != 0:
         raise SingularMatrixError("tridiagonal solve failed")
-    if overwrite and x is not rhs:  # LAPACK worked on a copy of a strided rhs
-        rhs[...] = x
-        return rhs
-    return x
+    return rhs
 
 
 def band_storage(m: TriDiagMatrix) -> np.ndarray:
@@ -184,6 +183,6 @@ def band_sum(
     # (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
     res = _gbmv(n, n, 1, 1, 1.0, a, x, 1, 0, 0.0, out, 1, 0, 0, 1)
     res = _gbmv(n, n, 1, 1, scale, b, y, 1, 0, 1.0, res, 1, 0, 0, 1)
-    if res is not out:  # BLAS worked on a copy of a strided out
-        out[...] = res
+    if res is not out:  # BLAS wrote into a copy
+        raise ValueError("out must be a contiguous float64 vector")
     return out

@@ -79,7 +79,7 @@ class SchemeOperators:
         out must not overlap u_prev or u_curr; it is returned.
         """
         linalg.band_sum(self._rhs_curr_band, u_curr, -1.0, self._rhs_prev_band, u_prev, out)
-        return linalg.solve(self.lhs_factor, out, overwrite=True)
+        return linalg.solve(self.lhs_factor, out)
 
 
 def build_operators(
@@ -161,7 +161,7 @@ def bootstrap_implicit(
     rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
                           np.zeros_like(u0))
     assert ops.boot_factor is not None
-    return linalg.solve(ops.boot_factor, rhs, overwrite=True)
+    return linalg.solve(ops.boot_factor, rhs)
 
 
 @dataclass(frozen=True)
@@ -203,10 +203,8 @@ class _EnergyLog:
     consecutive layers starting at layer `first`; the steps first+1 ..
     first+m-2 are the ones whose residuals the block determines.  A step's
     row is kept when it is a multiple of observe_every or the last step.
-    With verify the statistics cover every step, otherwise the kept ones.
-    The whole block is evaluated in one call when verifying or when the kept
-    steps' layer triples would hold as many rows as the block or more;
-    otherwise only those triples are.
+    With verify the statistics cover every step, otherwise the kept ones,
+    and only those are evaluated.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
@@ -230,24 +228,19 @@ class _EnergyLog:
     def record(self, block: np.ndarray, first: int) -> None:
         steps = np.arange(first + 1, first + len(block) - 1)
         kept = (steps % self.observe_every == 0) | (steps == self.last_step)
-        n_kept = np.count_nonzero(kept)
-        if self.verify or 3 * n_kept >= len(block):
+        if self.verify:
             e_k, e_p, e_tot, diss, res = self._energies(block)
-            columns = (steps, e_tot[:-1], e_k[1:], e_p[1:], e_tot[1:], diss, res)
-            if not self.verify:
-                columns = tuple(a[kept] for a in columns)
-                kept = slice(None)
-        elif n_kept:
+            e_prev, e_k, e_p, e_tot = e_tot[:-1], e_k[1:], e_p[1:], e_tot[1:]
+        else:
             steps = steps[kept]
+            if not len(steps):
+                return
             # layers s-1, s, s+1 of every kept step s, evaluated in one call
             triples = block[(steps - first - 1)[:, None] + np.arange(3)]
             e_k, e_p, e_pair, diss, res = self._energies(triples)
-            columns = (steps, e_pair[:, 0], e_k[:, 1], e_p[:, 1], e_pair[:, 1], diss[:, 0],
-                       res[:, 0])
+            e_prev, e_tot = e_pair[:, 0], e_pair[:, 1]
+            e_k, e_p, diss, res = e_k[:, 1], e_p[:, 1], diss[:, 0], res[:, 0]
             kept = slice(None)
-        else:
-            return
-        steps, e_prev, e_k, e_p, e_tot, diss, res = columns
         self.identity_max = max(self.identity_max, float(np.abs(res).max()))
         self.drift_max = max(self.drift_max, float(np.abs(e_tot - self.e_tot0).max()))
         self.rise_max = max(self.rise_max, float((e_tot - e_prev).max()))

@@ -139,13 +139,15 @@ class TestFactorSolve:
     def test_identity(self):
         m = TriDiagMatrix(5, np.ones(5), np.zeros(4))
         rhs = np.arange(5.0)
-        np.testing.assert_array_equal(solve(factor(m), rhs), rhs)
+        np.testing.assert_array_equal(solve(factor(m), rhs.copy()), rhs)
 
     def test_against_dense_oracle(self, rng):
         for n in (3, 17, 200):
             m = random_dd_tridiag(rng, n)
             rhs = rng.standard_normal(n)
-            x = solve(factor(m), rhs)
+            b = rhs.copy()
+            x = solve(factor(m), b)
+            assert x is b  # solved in place
             x_ref = dense_solve_oracle(to_dense(m), rhs)
             np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=1e-13)
 
@@ -154,7 +156,7 @@ class TestFactorSolve:
         a = assemble_damping(base_mesh)
         lhs = mass + a.scaled(1.0 * 0.025 / base_mesh.h)
         rhs = to_dense(mass) @ np.ones(base_mesh.n_max)
-        x = solve(factor(lhs), rhs)
+        x = solve(factor(lhs), rhs.copy())
         residual = float(np.abs(to_dense(lhs) @ x - rhs).max())
         row_sums = np.abs(lhs.diag)
         row_sums[:-1] += np.abs(lhs.off)
@@ -169,7 +171,7 @@ class TestFactorSolve:
         for _ in range(4):
             rhs = rng.standard_normal(40)
             np.testing.assert_allclose(
-                solve(f, rhs), dense_solve_oracle(to_dense(m), rhs), rtol=1e-12, atol=1e-13
+                solve(f, rhs.copy()), dense_solve_oracle(to_dense(m), rhs), rtol=1e-12, atol=1e-13
             )
 
     def test_singular_matrix_raises(self):
@@ -187,21 +189,13 @@ class TestFactorSolve:
         with pytest.raises(ValueError):
             solve(f, np.ones(5))
 
-    def test_overwrite_solves_into_rhs(self, rng):
-        f = factor(random_dd_tridiag(rng, 40))
-        rhs = rng.standard_normal(40)
-        saved = rhs.copy()
-        x = solve(f, rhs)
-        assert rhs.tobytes() == saved.tobytes()  # the default leaves rhs alone
-        assert solve(f, rhs, overwrite=True) is rhs
-        assert rhs.tobytes() == x.tobytes()
-
-    def test_overwrite_of_a_strided_rhs(self, rng):
+    def test_strided_rhs_rejected(self, rng):
         f = factor(random_dd_tridiag(rng, 12))
         rhs = rng.standard_normal((12, 2))[:, 1]
-        x = solve(f, rhs.copy())
-        assert solve(f, rhs, overwrite=True) is rhs
-        assert rhs.tobytes() == x.tobytes()
+        saved = rhs.copy()
+        with pytest.raises(ValueError, match="contiguous"):
+            solve(f, rhs)
+        assert rhs.tobytes() == saved.tobytes()
 
 
 class TestBandSum:
@@ -225,13 +219,12 @@ class TestBandSum:
         assert band_sum(a, x, -1.0, b, y, out) is out
         assert out.tobytes() == reference.tobytes()
 
-    def test_strided_out_is_written(self, rng):
+    def test_strided_out_rejected(self, rng):
         n = 9
         a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
         x, y = rng.standard_normal((2, n))
-        out = np.zeros((n, 2))[:, 0]
-        assert band_sum(a, x, 0.5, b, y, out) is out
-        np.testing.assert_array_equal(out, band_sum(a, x, 0.5, b, y, np.zeros(n)))
+        with pytest.raises(ValueError, match="contiguous"):
+            band_sum(a, x, 0.5, b, y, np.zeros((n, 2))[:, 0])
 
     def test_storage_is_three_rows(self, rng):
         m = random_dd_tridiag(rng, 9)
