@@ -307,7 +307,7 @@ def execute(cfg: RunConfig) -> RunResult:
         ("polynomial", diagnostics.fit_polynomial),
     ):
         try:
-            fits[model] = fitter(sim.trace, window)
+            fits[model] = fitter(sim.trace.t, sim.trace.e_total, window)
         except ValueError as err:
             fits[model] = None
             fit_errors[model] = str(err)
@@ -329,7 +329,7 @@ def _fmt(value) -> str:
 
 # Row formats of the CSV files; each float is written as _fmt writes it.
 _ENERGY_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}".format
-_SNAPSHOT_ROW = "{:.17g},{:.17g}".format
+_SNAPSHOT_ROW = "{},{:.17g}".format  # the x column comes formatted
 
 
 def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
@@ -343,10 +343,22 @@ def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_snapshot_csv(values: np.ndarray, mesh: Mesh, path: str | Path) -> None:
-    """Cell-center profile of one layer."""
+def _x_column(mesh: Mesh) -> list[str]:
+    """The x column of every snapshot of the mesh, formatted."""
+    return list(map("{:.17g}".format, mesh.centers.tolist()))
+
+
+def write_snapshot_csv(values: np.ndarray, mesh: Mesh, path: str | Path,
+                       x_column: list[str] | None = None) -> None:
+    """Cell-center profile of one layer.
+
+    x_column is _x_column(mesh), for a caller that writes several
+    snapshots of one mesh; without it the column is formatted here.
+    """
+    if x_column is None:
+        x_column = _x_column(mesh)
     lines = ["x,u"]
-    lines += map(_SNAPSHOT_ROW, mesh.centers.tolist(), values.tolist())
+    lines += map(_SNAPSHOT_ROW, x_column, values.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -418,9 +430,10 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     path = out / "energy.csv"
     write_energy_csv(result.sim.trace, path)
     written.append(path)
+    x_column = _x_column(result.mesh)
     for snap in result.sim.snapshots:
         path = out / f"snapshot_step{snap.step:08d}.csv"
-        write_snapshot_csv(snap.values, result.mesh, path)
+        write_snapshot_csv(snap.values, result.mesh, path, x_column)
         written.append(path)
     path = out / "summary.txt"
     write_summary(result, path)
@@ -503,7 +516,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_energy_csv(path: str) -> diagnostics.EnergyTrace:
+def _load_energy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The t and e_total columns of an energy CSV."""
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -525,18 +539,7 @@ def _load_energy_csv(path: str) -> diagnostics.EnergyTrace:
             e.append(float(parts[col_e]))
         except (ValueError, IndexError) as err:
             raise ConfigError(f"{path}:{lineno}: malformed row: {err}") from err
-    n = len(t)
-    zeros = np.zeros(n)
-    return diagnostics.EnergyTrace(
-        variant="explicit",
-        step=np.arange(n),
-        t=np.asarray(t),
-        e_kinetic=zeros,
-        e_potential=zeros,
-        e_total=np.asarray(e),
-        dissipation=zeros.copy(),
-        residual=zeros.copy(),
-    )
+    return np.asarray(t), np.asarray(e)
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
@@ -545,13 +548,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         window = (float(lo_s), float(hi_s))
     except ValueError as err:
         raise ConfigError(f"bad --window {args.window!r}: expected 'lo,hi'") from err
-    trace = _load_energy_csv(args.energy_csv)
+    t, e = _load_energy_csv(args.energy_csv)
     for model, fitter in (
         ("exponential", diagnostics.fit_exponential),
         ("polynomial", diagnostics.fit_polynomial),
     ):
         try:
-            fit = fitter(trace, window)
+            fit = fitter(t, e, window)
         except ValueError as err:
             print(f"{model}_error = {err}")
             continue

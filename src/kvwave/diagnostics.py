@@ -59,16 +59,20 @@ class DecayFit:
     n_samples: int
 
 
-def _face_jumps(values: np.ndarray) -> np.ndarray:
-    """Jumps across all faces along the last axis, zero ghosts at both ends.
+def energy_work(shape: tuple[int, ...], mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scratch arrays of layer_energies for layers of the given shape.
 
-    Same bits as np.diff with prepend=0 and append=0, at a quarter to half
-    of its cost.
+    They hold the time differences, the face jumps and the damped-face jump
+    differences.  A caller that evaluates many blocks allocates them once;
+    a block with fewer layers uses their leading rows.
     """
-    jumps = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
-    jumps[..., :-1] = values
-    jumps[..., 1:] -= values
-    return jumps
+    *batch, m, n = shape
+    faces = mesh.damping_interior_faces
+    return (
+        np.empty((*batch, m - 1, n)),
+        np.empty((*batch, m, n + 1)),
+        np.empty((*batch, m - 2, faces.stop - faces.start)),
+    )
 
 
 def layer_energies(
@@ -78,6 +82,7 @@ def layer_energies(
     params: Parameters,
     dt: float,
     variant: str,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energies and the dissipation identity for a block of consecutive layers.
 
@@ -96,19 +101,30 @@ def layer_energies(
     nonpositive and +0.0 when undamped, summed over the faces strictly inside
     the damped zone; residual is (E^n - E^{n-1}) - dissipation.
 
+    work is scratch space from energy_work for at least m layers; without it
+    the call allocates its own.  Its contents on entry do not matter.
+
     Every entry depends only on the layers it belongs to, never on the block
     or batch they came in, so any blocking of a run gives the same bits.
     """
     if layers.ndim < 2 or layers.shape[-2] < 2:
         raise ValueError("need at least two consecutive layers")
+    m = layers.shape[-2]
+    if work is None:
+        work = energy_work(layers.shape, mesh)
+    rates, jumps, diff = (a[..., :rows, :] for a, rows in zip(work, (m - 1, m, m - 2)))
     widths = mesh.cell_widths
     coeffs = ell.ell
 
     # einsum reduces each row on its own; a BLAS product's rounding would
     # depend on the row's position in the block.
-    rates = (layers[..., 1:, :] - layers[..., :-1, :]) / dt
+    np.subtract(layers[..., 1:, :], layers[..., :-1, :], out=rates)
+    rates /= dt
     e_k = 0.5 * np.einsum("...ij,...ij,j->...i", rates, rates, widths)
-    jumps = _face_jumps(layers)
+    # jumps across all faces, with zero ghost values at both ends
+    jumps[..., :-1] = layers
+    jumps[..., -1] = 0.0
+    jumps[..., 1:] -= layers
     if variant == "explicit":
         e_p = 0.5 * np.einsum(
             "...ij,...ij,j->...i", jumps[..., 1:, :], jumps[..., :-1, :], coeffs
@@ -121,23 +137,23 @@ def layer_energies(
     e_total = e_k + e_p
 
     faces = mesh.damping_interior_faces
-    diff = jumps[..., 2:, faces] - jumps[..., :-2, faces]
-    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * (diff * diff).sum(axis=-1)
+    np.subtract(jumps[..., 2:, faces], jumps[..., :-2, faces], out=diff)
+    diff *= diff
+    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * diff.sum(axis=-1)
     residual = (e_total[..., 1:] - e_total[..., :-1]) - dissipation
     return e_k, e_p, e_total, dissipation, residual
 
 
 def _window_samples(
-    trace: EnergyTrace, window: tuple[float, float], model: str
+    t: np.ndarray, e: np.ndarray, window: tuple[float, float], model: str
 ) -> tuple[np.ndarray, np.ndarray]:
     t_lo, t_hi = float(window[0]), float(window[1])
     if not t_lo < t_hi:
         raise ValueError("fit window must satisfy t_lo < t_hi")
     if model == "polynomial" and t_lo <= 0.0:
         raise ValueError("polynomial fit window must start at t > 0")
-    mask = (trace.t >= t_lo) & (trace.t <= t_hi)
-    t = trace.t[mask]
-    e = trace.e_total[mask]
+    mask = (t >= t_lo) & (t <= t_hi)
+    t, e = t[mask], e[mask]
     if len(t) < 10:
         raise ValueError(f"fit window holds {len(t)} samples, need at least 10")
     if np.any(e <= 0.0):
@@ -154,17 +170,21 @@ def _least_squares_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, flo
     return slope, intercept, float(np.sqrt(np.mean(misfit * misfit)))
 
 
-def fit_exponential(trace: EnergyTrace, window: tuple[float, float]) -> DecayFit:
-    """Slope of -ln E against t over the window (decay rate of e^{-rate t})."""
-    t, e = _window_samples(trace, window, "exponential")
+def fit_exponential(t: np.ndarray, e: np.ndarray, window: tuple[float, float]) -> DecayFit:
+    """Slope of -ln E against t over the window (decay rate of e^{-rate t}).
+
+    t and e are the sample times and total energies, e.g. a trace's t and
+    e_total columns.
+    """
+    t, e = _window_samples(t, e, window, "exponential")
     rate, intercept, residual = _least_squares_line(t, -np.log(e))
     return DecayFit("exponential", rate, intercept, float(window[0]), float(window[1]),
                     residual, len(t))
 
 
-def fit_polynomial(trace: EnergyTrace, window: tuple[float, float]) -> DecayFit:
+def fit_polynomial(t: np.ndarray, e: np.ndarray, window: tuple[float, float]) -> DecayFit:
     """Slope of -ln E against ln t over the window (decay rate of t^{-rate})."""
-    t, e = _window_samples(trace, window, "polynomial")
+    t, e = _window_samples(t, e, window, "polynomial")
     rate, intercept, residual = _least_squares_line(np.log(t), -np.log(e))
     return DecayFit("polynomial", rate, intercept, float(window[0]), float(window[1]),
                     residual, len(t))

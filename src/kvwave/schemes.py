@@ -164,6 +164,13 @@ def bootstrap_implicit(
     return linalg.solve(ops.boot_factor, rhs)
 
 
+def _rows_within(rows: np.ndarray, limit: float) -> np.ndarray:
+    """Whether the sup norm of each row is at most limit; False for a row
+    holding NaN.  The verdict of np.abs(rows).max(axis=1) <= limit, without
+    a copy of the rows."""
+    return (rows.max(axis=1) <= limit) & (rows.min(axis=1) >= -limit)
+
+
 @dataclass(frozen=True)
 class Snapshot:
     step: int
@@ -199,21 +206,25 @@ class SimulationResult:
 class _EnergyLog:
     """Trace rows and identity statistics of a run, fed by layer_energies.
 
-    Row 0 holds the energy of layers 0 and 1.  record() takes a block of
-    consecutive layers starting at layer `first`; the steps first+1 ..
-    first+m-2 are the ones whose residuals the block determines.  A step's
+    The log is built on the run's layer block, whose first two rows hold
+    layers 0 and 1; row 0 of the trace holds their energy.  record() takes a
+    block of consecutive layers starting at layer `first`; the steps first+1
+    .. first+m-2 are the ones whose residuals the block determines.  A step's
     row is kept when it is a multiple of observe_every or the last step.
-    With verify the statistics cover every step, otherwise the kept ones,
-    and only those are evaluated.
+    With verify the statistics cover every step, evaluated a whole block at
+    a time in scratch sized once from the run's block; otherwise the kept
+    steps only.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
-                 verify: bool, first_pair: np.ndarray):
+                 verify: bool, block: np.ndarray):
         self.ops = ops
         self.observe_every = observe_every
         self.last_step = last_step
         self.verify = verify
-        e_k, e_p, e_tot, _, _ = self._energies(first_pair)
+        # the triples of an unverified run come in batches of any size
+        self.work = diagnostics.energy_work(block.shape, ops.mesh) if verify else None
+        e_k, e_p, e_tot, _, _ = self._energies(block[:2])
         self.e_tot0 = float(e_tot[0])
         self.rows = [(0, 0.0, float(e_k[0]), float(e_p[0]), self.e_tot0, 0.0, 0.0)]
         self.identity_max = 0.0
@@ -223,7 +234,8 @@ class _EnergyLog:
 
     def _energies(self, layers: np.ndarray):
         ops = self.ops
-        return diagnostics.layer_energies(layers, ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
+        return diagnostics.layer_energies(layers, ops.mesh, ops.ell, ops.params, ops.dt,
+                                          ops.scheme, self.work)
 
     def record(self, block: np.ndarray, first: int) -> None:
         steps = np.arange(first + 1, first + len(block) - 1)
@@ -294,13 +306,12 @@ def run(
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = sorted({int(s) for s in snapshot_steps})
     snapshots = [Snapshot(s, s * dt, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
-    last_step = n_steps - 1  # last step with a defined energy
-    log = _EnergyLog(ops, observe_every, last_step, verify_identity, np.stack((u0, u1)))
-
     rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
     # zeros, not empty: no row ever holds stale NaN for gbmv to meet
     block = np.zeros((rows, mesh.n_max))
     block[0], block[1] = u0, u1
+    last_step = n_steps - 1  # last step with a defined energy
+    log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
     layers = list(block)  # row views, made once
     first = 0  # layer index of block[0]
     divergence_step: int | None = None
@@ -311,7 +322,7 @@ def run(
         Returns the number of rows before the first diverged layer.
         """
         nonlocal divergence_step
-        within = np.abs(block[2:filled]).max(axis=1) <= sup_limit  # NaN is not
+        within = _rows_within(block[2:filled], sup_limit)
         if not within.all():
             filled = 2 + int(within.argmin())
             divergence_step = first + filled

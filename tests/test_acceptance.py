@@ -27,7 +27,6 @@ from kvwave import (
     solve,
 )
 from kvwave.cli import PRESET_NAMES, execute, preset
-from kvwave.diagnostics import EnergyTrace
 from kvwave.linalg import TriDiagMatrix
 
 
@@ -352,23 +351,9 @@ class TestDampedRunEndState:
 class TestCriterion10RegressionExactness:
     def test_synthetic_rates_recovered(self):
         t = np.linspace(0.0, 2000.0, 400)
-        zeros = np.zeros_like(t)
-
-        def trace(e):
-            return EnergyTrace(
-                variant="explicit", step=np.arange(len(t)), t=t,
-                e_kinetic=zeros, e_potential=zeros, e_total=e,
-                dissipation=zeros.copy(), residual=zeros.copy(),
-            )
-
-        exp_fit = fit_exponential(trace(np.exp(-0.01 * t)), (0.0, 2000.0))
+        exp_fit = fit_exponential(t, np.exp(-0.01 * t), (0.0, 2000.0))
         t_poly = np.linspace(1.0, 2000.0, 400)
-        poly_trace = EnergyTrace(
-            variant="explicit", step=np.arange(len(t_poly)), t=t_poly,
-            e_kinetic=zeros, e_potential=zeros, e_total=t_poly**-4.0,
-            dissipation=zeros.copy(), residual=zeros.copy(),
-        )
-        poly_fit = fit_polynomial(poly_trace, (1.0, 2000.0))
+        poly_fit = fit_polynomial(t_poly, t_poly**-4.0, (1.0, 2000.0))
         err_exp = abs(exp_fit.rate - 0.01)
         err_poly = abs(poly_fit.rate - 4.0)
         ok = err_exp <= 1e-10 and err_poly <= 1e-10

@@ -277,6 +277,26 @@ class TestOutputs:
         assert "energy.csv" in names and "summary.txt" in names
         assert sum(1 for n in names if n.startswith("snapshot_step")) == 3
 
+    def test_runs_of_other_sizes_in_between_change_no_output(self, tmp_path):
+        # A, B, A, B, ... in one process, verified and plain: every run of a
+        # configuration writes the bytes of its first run, whatever ran in
+        # between.  Mesh objects die and their ids come back, so a cache
+        # keyed on a mesh's id fails this.
+        a = replace(preset("wide-damping"), n_steps=1500, observe_every=7)
+        b = replace(preset("equal-damped"), n_alpha=400, n_damp=200, n_beta=400, dt=0.001,
+                    n_steps=90)
+        for verify in (False, True):
+            first = {}
+            for i in range(8):
+                for name, cfg in (("a", a), ("b", b)):
+                    out = tmp_path / f"{verify}-{name}-{i}"
+                    write_outputs(execute(replace(cfg, verify_identity=verify)), out)
+                    files = {p.name: p.read_bytes() for p in out.iterdir()}
+                    files["summary.txt"] = re.sub(
+                        rb"result_wall_clock_s = .*", b"", files["summary.txt"]
+                    )
+                    assert len(files) == 5 and files == first.setdefault(name, files)
+
     def test_deterministic_csv_bytes(self, tmp_path):
         cfg = replace(preset("wide-damping"), n_steps=300)
         a = execute(cfg)
@@ -343,6 +363,20 @@ class TestMain:
         out = capsys.readouterr().out
         rate = float(next(l for l in out.splitlines() if l.startswith("exponential_rate")).split("=")[1])
         assert rate == pytest.approx(0.25, rel=1e-10)
+
+    def test_fit_subcommand_prints_the_runs_own_fits(self, tmp_path, capsys):
+        # energy.csv holds t and e_total exactly, so refitting it over the
+        # run's window prints every fit value of its summary, same digits
+        out = tmp_path / "wide"
+        assert main(["run", "--preset", "wide-damping", "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        window = [line.split(" = ")[1] for line in summary if line.startswith("result_fit_window")]
+        capsys.readouterr()
+        assert main(["fit", "--energy-csv", str(out / "energy.csv"),
+                     "--window", ",".join(window)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 8
+        assert set(f"result_{line}" for line in printed) <= set(summary)
 
     def test_fit_bad_window(self, tmp_path, capsys):
         path = tmp_path / "energy.csv"

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from kvwave import (
-    EnergyTrace,
     Parameters,
     fit_exponential,
     fit_polynomial,
     sample_cell_averages,
 )
-from kvwave.diagnostics import layer_energies
+from kvwave.diagnostics import energy_work, layer_energies
 from oracles import discrete_h1_seminorm, discrete_l2_norm
 
 DT = 0.025
@@ -67,6 +66,32 @@ def step_identity(u_prev, u_curr, u_next, mesh, ell, params, variant):
         np.stack((u_prev, u_curr, u_next)), mesh, ell, params, DT, variant
     )
     return float(diss[0]), float(res[0])
+
+
+def allocating_layer_energies(layers, mesh, ell, params, dt, variant):
+    """layer_energies' arithmetic in the same order, every temporary fresh."""
+    rates = (layers[..., 1:, :] - layers[..., :-1, :]) / dt
+    e_k = 0.5 * np.einsum("...ij,...ij,j->...i", rates, rates, mesh.cell_widths)
+    jumps = np.diff(layers, axis=-1, prepend=0.0, append=0.0)
+    if variant == "explicit":
+        e_p = 0.5 * np.einsum(
+            "...ij,...ij,j->...i", jumps[..., 1:, :], jumps[..., :-1, :], ell.ell
+        )
+    else:
+        sq = np.einsum("...ij,...ij,j->...i", jumps, jumps, ell.ell)
+        e_p = 0.25 * (sq[..., 1:] + sq[..., :-1])
+    e_total = e_k + e_p
+    faces = mesh.damping_interior_faces
+    diff = jumps[..., 2:, faces] - jumps[..., :-2, faces]
+    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * (diff * diff).sum(axis=-1)
+    residual = (e_total[..., 1:] - e_total[..., :-1]) - dissipation
+    return e_k, e_p, e_total, dissipation, residual
+
+
+def assert_same_bits(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def undamped_params():
@@ -216,6 +241,24 @@ class TestLayerEnergies:
                 assert (diss[j], res[j]) == step
                 assert res[j] == (e_tot[j + 1] - e_tot[j]) - diss[j]
 
+    def test_reused_work_gives_fresh_bits(self, base_mesh, base_ell, base_params, rng):
+        # one run's scratch, first filled with NaN or inf, then used for a
+        # full block and the shorter blocks after it: every call gives the
+        # bits of fresh temporaries
+        layers = rng.standard_normal((9, base_mesh.n_max))
+        blocks = (layers, layers[2:7], layers[4:7], layers[:2], layers[1:9])
+        for params in (base_params, undamped_params()):
+            for variant in ("explicit", "implicit"):
+                for fill in (np.nan, np.inf, -np.inf):
+                    work = energy_work(layers.shape, base_mesh)
+                    for scratch in work:
+                        scratch.fill(fill)
+                    for block in blocks:
+                        args = (block, base_mesh, base_ell, params, DT, variant)
+                        expected = allocating_layer_energies(*args)
+                        assert_same_bits(layer_energies(*args, work), expected)
+                        assert_same_bits(layer_energies(*args), expected)
+
     def test_bad_blocks_rejected(self, base_mesh, base_ell, base_params, rng):
         layers = rng.standard_normal((3, base_mesh.n_max))
         with pytest.raises(ValueError, match="variant"):
@@ -224,67 +267,54 @@ class TestLayerEnergies:
             layer_energies(layers[:1], base_mesh, base_ell, base_params, DT, "explicit")
 
 
-def synthetic_trace(t, e):
-    n = len(t)
-    zeros = np.zeros(n)
-    return EnergyTrace(
-        variant="explicit", step=np.arange(n), t=np.asarray(t, dtype=float),
-        e_kinetic=zeros, e_potential=zeros, e_total=np.asarray(e, dtype=float),
-        dissipation=zeros.copy(), residual=zeros.copy(),
-    )
-
-
 class TestFits:
     def test_exponential_exact(self):
         t = np.linspace(0.0, 1000.0, 200)
-        trace = synthetic_trace(t, np.exp(-0.01 * t))
-        fit = fit_exponential(trace, (0.0, 1000.0))
+        fit = fit_exponential(t, np.exp(-0.01 * t), (0.0, 1000.0))
         assert abs(fit.rate - 0.01) <= 1e-10
         assert fit.residual <= 1e-10
 
     def test_polynomial_exact(self):
         t = np.linspace(1.0, 1000.0, 200)
-        trace = synthetic_trace(t, t**-4.0)
-        fit = fit_polynomial(trace, (1.0, 1000.0))
+        fit = fit_polynomial(t, t**-4.0, (1.0, 1000.0))
         assert abs(fit.rate - 4.0) <= 1e-10
 
     def test_rescaling_leaves_rate_unchanged(self):
         t = np.linspace(10.0, 500.0, 64)
         e = np.exp(-0.37 * t)
-        base = fit_exponential(synthetic_trace(t, e), (10.0, 500.0))
-        scaled = fit_exponential(synthetic_trace(t, 123.456 * e), (10.0, 500.0))
+        base = fit_exponential(t, e, (10.0, 500.0))
+        scaled = fit_exponential(t, 123.456 * e, (10.0, 500.0))
         assert scaled.rate == pytest.approx(base.rate, rel=1e-12)
         assert scaled.intercept != pytest.approx(base.intercept, rel=1e-3)
-        p_base = fit_polynomial(synthetic_trace(t, t**-2.5), (10.0, 500.0))
-        p_scaled = fit_polynomial(synthetic_trace(t, 9.5 * t**-2.5), (10.0, 500.0))
+        p_base = fit_polynomial(t, t**-2.5, (10.0, 500.0))
+        p_scaled = fit_polynomial(t, 9.5 * t**-2.5, (10.0, 500.0))
         assert p_scaled.rate == pytest.approx(p_base.rate, rel=1e-12)
 
     def test_window_selection(self):
         t = np.linspace(0.0, 100.0, 101)
         e = np.exp(-0.1 * t)
-        fit = fit_exponential(synthetic_trace(t, e), (50.0, 100.0))
+        fit = fit_exponential(t, e, (50.0, 100.0))
         assert fit.n_samples == 51
         assert fit.t_lo == 50.0 and fit.t_hi == 100.0
 
     def test_too_few_samples(self):
         t = np.linspace(0.0, 100.0, 101)
-        trace = synthetic_trace(t, np.exp(-t / 30.0))
         with pytest.raises(ValueError, match="samples"):
-            fit_exponential(trace, (95.0, 100.0))
+            fit_exponential(t, np.exp(-t / 30.0), (95.0, 100.0))
 
     def test_nonpositive_energy_rejected(self):
         t = np.linspace(0.0, 10.0, 20)
         e = np.ones(20)
         e[5] = 0.0
         with pytest.raises(ValueError, match="onpositive"):
-            fit_exponential(synthetic_trace(t, e), (0.0, 10.0))
+            fit_exponential(t, e, (0.0, 10.0))
 
     def test_polynomial_needs_positive_start(self):
         t = np.linspace(0.0, 10.0, 20)
         with pytest.raises(ValueError, match="t > 0"):
-            fit_polynomial(synthetic_trace(t, np.ones(20)), (0.0, 10.0))
+            fit_polynomial(t, np.ones(20), (0.0, 10.0))
 
     def test_bad_window_ordering(self):
         t = np.linspace(0.0, 10.0, 20)
         with pytest.raises(ValueError, match="window"):
-            fit_exponential(synthetic_trace(t, np.ones(20)), (5.0, 5.0))
+            fit_exponential(t, np.ones(20), (5.0, 5.0))

@@ -155,3 +155,74 @@ def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
             for a, b in zip(result.snapshots, reference.snapshots):
                 np.testing.assert_array_equal(a.values, b.values)
             assert_no_shared_memory(result)
+
+
+def abs_max_within(rows, limit):
+    """The divergence check as np.abs(...).max(axis=1) <= limit."""
+    return np.abs(rows).max(axis=1) <= limit
+
+
+def test_sup_check_matches_abs_max_on_extreme_rows():
+    limit = 2.0
+    rows = np.array([
+        [0.0, -0.0, 1.0], [-2.0, 2.0, 0.0], [-2.0000000000000004, 0.0, 0.0],
+        [0.0, 2.0000000000000004, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
+        [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [-np.inf, np.nan, np.inf],
+    ])
+    np.testing.assert_array_equal(schemes._rows_within(rows, limit), abs_max_within(rows, limit))
+    assert schemes._rows_within(rows, limit).tolist() == [True, True] + [False] * 7
+
+
+def run_poisoned(layer, value, check, rows, *args, **kwargs):
+    """A run whose layer `layer` gets `value` in cell 3 as it is stepped,
+    checked for divergence by `check`, in blocks of `rows` layers."""
+    advance, within = schemes.SchemeOperators.advance, schemes._rows_within
+    calls = [0]
+
+    def poisoned(ops, u_prev, u_curr, out):
+        advance(ops, u_prev, u_curr, out)
+        calls[0] += 1
+        if calls[0] + 1 == layer:  # the first call steps layer 2
+            out[3] = value
+        return out
+
+    schemes.SchemeOperators.advance, schemes._rows_within = poisoned, check
+    try:
+        return run_with_block_rows(rows, *args, **kwargs)
+    finally:
+        schemes.SchemeOperators.advance, schemes._rows_within = advance, within
+
+
+def test_sup_check_stops_runs_where_abs_max_does():
+    # A stable run with one entry of layer 20 set past -limit, to exactly
+    # +-limit, or to +-inf or NaN.  Over blocks of 3-8 rows and runs ending
+    # at, just after and long after that layer (the first two end in a
+    # partial block), the check stops the run where the abs-max check does,
+    # with the same trace, statistics, last layers and snapshots.
+    params = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
+    mesh = build_mesh(params, 20, 10, 20)
+    data = default_initial_data(params.length)
+    dt = 0.9 * cfl_max_dt(params, mesh)
+    limit = schemes.SUP_GROWTH_LIMIT * np.abs(sample_cell_averages(data.phi, mesh)).max()
+    layer = 20
+    values = (-1.5 * limit, -limit, limit, np.inf, -np.inf, np.nan)
+    for value in values:
+        for verify in (False, True):
+            kwargs = dict(scheme="explicit", observe_every=3, verify_identity=verify,
+                          snapshot_steps=range(0, 60, 4))
+            for n_steps in (layer, layer + 1, 60):
+                for rows in range(3, 9):
+                    args = (params, mesh, data, dt, n_steps)
+                    result = run_poisoned(layer, value, schemes._rows_within, rows, *args,
+                                          **kwargs)
+                    expected = run_poisoned(layer, value, abs_max_within, rows, *args, **kwargs)
+                    assert result.divergence_step == expected.divergence_step
+                    if abs(value) != limit:
+                        assert result.divergence_step == layer
+                    assert_same_trace(result.trace, expected.trace)
+                    assert_same_stats(result, expected)
+                    np.testing.assert_array_equal(result.u_prev, expected.u_prev)
+                    np.testing.assert_array_equal(result.u_curr, expected.u_curr)
+                    assert [s.step for s in result.snapshots] == [s.step for s in expected.snapshots]
+                    for a, b in zip(result.snapshots, expected.snapshots):
+                        np.testing.assert_array_equal(a.values, b.values)

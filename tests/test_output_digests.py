@@ -1,4 +1,5 @@
-"""The byte-identity tool's comparison: identical digests pass, any change fails."""
+"""The byte-identity tool: its run set, and its comparison (identical digests
+pass, any change fails)."""
 
 import json
 import sys
@@ -6,6 +7,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import output_digests  # noqa: E402
+from workloads import SWEEP_TOTAL_CELLS  # noqa: E402  (on the path through output_digests)
+
+import kvwave  # noqa: E402
 
 BEFORE = {"run-a": {"energy.csv": "aa", "summary.txt": "bb"}, "run-b": {"energy.csv": "cc"}}
 
@@ -29,3 +33,10 @@ def test_changed_missing_or_extra_entries_fail(tmp_path):
     for after in (changed, no_file, no_run, extra_run):
         assert compare_exit(tmp_path, after) == 1
     assert output_digests.compare(BEFORE, changed) == ["run-a/summary.txt: bb != xx"]
+
+
+def test_runs_include_the_benchmark_sweep_and_dense_trace():
+    runs = output_digests.configs(kvwave, None)
+    for name in [f"sweep-n{total:03d}" for total in SWEEP_TOTAL_CELLS] + ["dense-trace"]:
+        assert runs[f"{name}-plain"].verify_identity is False
+        assert runs[f"{name}-verified"].verify_identity is True

@@ -5,8 +5,10 @@
 
 The runs are every preset with both schemes, each with and without
 --verify-identity; an undamped explicit run at 1.05 times the stability
-bound, which diverges, in both modes; and a verified run on a 2000/1000/2000
-mesh (5000 cells, 300 steps).  Each goes through ``cli.execute`` and
+bound, which diverges, in both modes; a verified run on a 2000/1000/2000
+mesh (5000 cells, 300 steps); and, in both modes, the benchmark's 16
+``sweep`` configurations and its ``dense-trace`` configuration, taken from
+``perfbench/workloads``.  Each goes through ``cli.execute`` and
 ``cli.write_outputs``.  The JSON maps each run's name to the sha256 of every
 file it wrote, hashed as the benchmark hashes them
 (``perfbench/workloads.output_digests``: summary.txt without its wall-clock
@@ -29,7 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import output_digests  # noqa: E402  (imports no kvwave)
+from workloads import output_digests, specs, sweep_specs, to_config  # noqa: E402  (imports no kvwave)
 
 
 def configs(kvwave, steps: int | None) -> dict[str, object]:
@@ -38,27 +40,30 @@ def configs(kvwave, steps: int | None) -> dict[str, object]:
     runs = {}
     for name in cli.PRESET_NAMES:
         for scheme in ("explicit", "implicit"):
-            for verify in (False, True):
-                mode = "verified" if verify else "plain"
-                runs[f"{name}-{scheme}-{mode}"] = replace(
-                    cli.preset(name), scheme=scheme, verify_identity=verify
-                )
+            _both_modes(runs, f"{name}-{scheme}", replace(cli.preset(name), scheme=scheme))
     undamped = cli.preset("equal-undamped")
     params, mesh = _problem(kvwave, undamped)
-    for verify in (False, True):
-        mode = "verified" if verify else "plain"
-        runs[f"diverging-explicit-{mode}"] = replace(
-            undamped, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=5000,
-            cfl_override=True, verify_identity=verify,
-        )
+    _both_modes(runs, "diverging-explicit", replace(
+        undamped, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=5000, cfl_override=True,
+    ))
     runs["mesh5000-explicit-verified"] = replace(
         cli.preset("equal-damped"), n_alpha=2000, n_damp=1000, n_beta=2000,
         dt=None, n_steps=None, cfl_fraction=0.9, t_final=300 * 0.9 * 0.5 / 1000,
         verify_identity=True,
     )
+    for spec in sweep_specs(0):
+        total = spec["n_alpha"] + spec["n_damp"] + spec["n_beta"]
+        _both_modes(runs, f"sweep-n{total:03d}", to_config(cli, spec))
+    _both_modes(runs, "dense-trace", to_config(cli, specs("dense-trace", 0)[0]))
     if steps is not None:
         runs = {name: _capped(kvwave, cfg, steps) for name, cfg in runs.items()}
     return runs
+
+
+def _both_modes(runs: dict, name: str, cfg) -> None:
+    for verify in (False, True):
+        mode = "verified" if verify else "plain"
+        runs[f"{name}-{mode}"] = replace(cfg, verify_identity=verify)
 
 
 def _problem(kvwave, cfg):
