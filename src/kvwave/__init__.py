@@ -10,13 +10,10 @@ from .diagnostics import (
 )
 from .linalg import (
     SingularMatrixError,
-    TriDiagFactorization,
     TriDiagMatrix,
     assemble_damping,
     assemble_mass,
     assemble_stiffness,
-    factor,
-    solve,
 )
 from .mesh import FluxCoefficients, Mesh, Parameters, build_mesh, flux_coefficients
 from .model import (
@@ -56,7 +53,6 @@ __all__ = [
     "SimulationResult",
     "SingularMatrixError",
     "Snapshot",
-    "TriDiagFactorization",
     "TriDiagMatrix",
     "assemble_damping",
     "assemble_mass",
@@ -67,7 +63,6 @@ __all__ = [
     "build_operators",
     "cfl_max_dt",
     "default_initial_data",
-    "factor",
     "fit_exponential",
     "fit_polynomial",
     "flux_coefficients",
@@ -75,6 +70,5 @@ __all__ = [
     "preset",
     "run",
     "sample_cell_averages",
-    "solve",
     "validate_run",
 ]

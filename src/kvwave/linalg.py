@@ -7,10 +7,12 @@ The three scheme matrices are assembled here:
 * stiffness -- flux-divergence operator, negative diagonal, coupling across
                the interfaces through the interface flux coefficients.
 
-Systems are solved by a tridiagonal LU factorization computed once and reused
-for every right-hand side (LAPACK gttrf/gttrs).  Products with the right-hand
-matrices run on their BLAS band storage (gbmv), so a step costs O(n) time
-and the operators O(n) memory.
+A matrix is factored once and the factors are reused for every right-hand
+side.  A positive definite matrix, which every matrix the schemes solve with
+is, gets an L D L^T factorization without pivoting (LAPACK pttrf/pttrs); any
+other nonsingular matrix falls back to a partial-pivoting LU factorization
+(gttrf/gttrs).  Products with the right-hand matrices run on their BLAS band
+storage (gbmv), so a step costs O(n) time and the operators O(n) memory.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "SingularMatrixError",
     "TriDiagMatrix",
     "TriDiagFactorization",
+    "LDLFactorization",
+    "LUFactorization",
     "assemble_mass",
     "assemble_damping",
     "assemble_stiffness",
@@ -35,7 +39,9 @@ __all__ = [
     "band_sum",
 ]
 
-_gttrf, _gttrs = get_lapack_funcs(("gttrf", "gttrs"), (np.array([1.0]),))
+_pttrf, _pttrs, _gttrf, _gttrs = get_lapack_funcs(
+    ("pttrf", "pttrs", "gttrf", "gttrs"), (np.array([1.0]),)
+)
 _gbmv = get_blas_funcs("gbmv", (np.array([1.0]),))
 
 
@@ -76,15 +82,26 @@ class TriDiagMatrix:
 
 
 @dataclass(frozen=True)
-class TriDiagFactorization:
-    """Reusable LU factors of a tridiagonal matrix (partial pivoting)."""
+class LDLFactorization:
+    """L D L^T factors of a positive definite tridiagonal matrix (pttrf):
+    d holds D and e the subdiagonal of the unit lower bidiagonal L."""
 
-    dim: int
+    d: np.ndarray
+    e: np.ndarray
+
+
+@dataclass(frozen=True)
+class LUFactorization:
+    """Partial-pivoting LU factors of a tridiagonal matrix (gttrf)."""
+
     dl: np.ndarray
     d: np.ndarray
     du: np.ndarray
     du2: np.ndarray
     ipiv: np.ndarray
+
+
+TriDiagFactorization = LDLFactorization | LUFactorization
 
 
 def assemble_mass(mesh: Mesh) -> TriDiagMatrix:
@@ -128,25 +145,35 @@ def assemble_stiffness(mesh: Mesh, ell: FluxCoefficients) -> TriDiagMatrix:
 
 
 def factor(m: TriDiagMatrix) -> TriDiagFactorization:
-    """Tridiagonal LU factorization, computed once and reused across solves.
+    """Factors of m, computed once and reused across solves.
 
-    The LAPACK wrapper needs at least three rows; every mesh has four or more.
+    L D L^T without pivoting when m is positive definite (pttrf meets no
+    non-positive pivot), else a partial-pivoting LU factorization.  The
+    LAPACK wrappers need at least three rows; every mesh has four or more.
     """
     if m.dim < 3:
         raise ValueError("factorization needs a matrix of dimension 3 or more")
+    d, e, info = _pttrf(m.diag, m.off)
+    if info == 0:
+        return LDLFactorization(d, e)
+    if info < 0:
+        raise ValueError(f"invalid argument {-info} to tridiagonal factorization")
     dl, d, du, du2, ipiv, info = _gttrf(m.off.copy(), m.diag.copy(), m.off.copy())
     if info > 0:
         raise SingularMatrixError(f"zero pivot at row {info}")
     if info < 0:
         raise ValueError(f"invalid argument {-info} to tridiagonal factorization")
-    return TriDiagFactorization(m.dim, dl, d, du, du2, ipiv)
+    return LUFactorization(dl, d, du, du2, ipiv)
 
 
 def solve(f: TriDiagFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve with previously computed factors, in place: rhs becomes the solution."""
-    if rhs.shape != (f.dim,):
+    if rhs.shape != f.d.shape:
         raise ValueError("right-hand side length does not match the factorization")
-    x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs, "N", 1)
+    if type(f) is LDLFactorization:
+        x, info = _pttrs(f.d, f.e, rhs, 1)
+    else:
+        x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs, "N", 1)
     if x is not rhs:  # LAPACK solved a copy
         raise ValueError("rhs must be a contiguous float64 vector")
     if info != 0:

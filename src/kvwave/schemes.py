@@ -4,12 +4,23 @@ Both schemes are three-layer recurrences
 
     L u_next = R2 u_curr - R1 u_prev
 
-with constant matrices, so the left-hand factorization is computed once per
-run.  The explicit scheme puts the flux divergence on the current layer; the
-flux-averaged (semi-implicit) scheme splits it evenly between the next and
-previous layers, which makes it unconditionally stable.  The first layer is
-bootstrapped from the initial velocity through a fictitious layer one step
-before the start, eliminated with a centered difference.
+with constant matrices.  The explicit scheme puts the flux divergence on the
+current layer; the flux-averaged (semi-implicit) scheme splits it evenly
+between the next and previous layers, which makes it unconditionally stable.
+The first layer is bootstrapped from the initial velocity through a
+fictitious layer one step before the start, eliminated with a centered
+difference.
+
+In both schemes R2 - L - R1 = dt^2 S, with S the stiffness matrix, so the
+recurrence is stepped in summed form (Henrici, Discrete Variable Methods in
+Ordinary Differential Equations, 1962): the run carries the increment
+d_n = u_{n+1} - u_n and each step solves
+
+    L d_n = dt^2 S u_n + R1 d_{n-1},    u_{n+1} = u_n + d_n.
+
+The increment is never formed as a difference of two rounded layers, which
+keeps the per-step energy identity at round-off whatever the cell count.  L
+is positive definite, so it is factored once per run as L D L^T.
 """
 
 from __future__ import annotations
@@ -25,9 +36,11 @@ from .mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
 from .model import InitialData, sample_cell_averages
 
 __all__ = [
+    "SchemeMatrices",
     "SchemeOperators",
     "Snapshot",
     "SimulationResult",
+    "scheme_matrices",
     "build_operators",
     "bootstrap_explicit",
     "bootstrap_implicit",
@@ -46,20 +59,16 @@ _BLOCK_MAX_ROWS = 1026
 
 
 @dataclass(frozen=True)
-class SchemeOperators:
-    """Constant matrices of one scheme at one time step, factored once.
+class SchemeMatrices:
+    """The tridiagonal matrices of one scheme at one time step.
 
-    rhs_curr and rhs_prev multiply the current and previous layers of the
-    recurrence; lhs is the matrix applied to the next layer.  For the
-    explicit scheme the bootstrap system is diagonal (twice the mass), for
-    the flux-averaged scheme it is boot_lhs.  Both right-hand matrices are
-    also held in linalg's band storage, which the stepping products use.
+    lhs, rhs_curr and rhs_prev are L, R2 and R1 of the recurrence.  The
+    bootstrap system is 2 M for the explicit scheme (boot_lhs is None) and
+    boot_lhs for the flux-averaged one.  Every left-hand matrix is positive
+    definite: M > 0, the damping is positive semidefinite and the stiffness
+    negative semidefinite.
     """
 
-    scheme: str
-    dt: float
-    mesh: Mesh
-    params: Parameters
     ell: FluxCoefficients
     mass: linalg.TriDiagMatrix
     damping: linalg.TriDiagMatrix
@@ -67,25 +76,11 @@ class SchemeOperators:
     lhs: linalg.TriDiagMatrix
     rhs_curr: linalg.TriDiagMatrix
     rhs_prev: linalg.TriDiagMatrix
-    lhs_factor: linalg.TriDiagFactorization
     boot_lhs: linalg.TriDiagMatrix | None
-    boot_factor: linalg.TriDiagFactorization | None
-    _rhs_curr_band: np.ndarray = field(repr=False)
-    _rhs_prev_band: np.ndarray = field(repr=False)
-
-    def advance(self, u_prev: np.ndarray, u_curr: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """One recurrence step into out: solve lhs @ out = rhs_curr u_curr - rhs_prev u_prev.
-
-        out must not overlap u_prev or u_curr; it is returned.
-        """
-        linalg.band_sum(self._rhs_curr_band, u_curr, -1.0, self._rhs_prev_band, u_prev, out)
-        return linalg.solve(self.lhs_factor, out)
 
 
-def build_operators(
-    mesh: Mesh, params: Parameters, dt: float, scheme: str
-) -> SchemeOperators:
-    """Assemble and factor the matrices of the requested scheme."""
+def scheme_matrices(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> SchemeMatrices:
+    """Assemble the matrices of the requested scheme."""
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if not dt > 0.0:
@@ -101,7 +96,6 @@ def build_operators(
         rhs_curr = mass.scaled(2.0) + stiffness.scaled(dt * dt)
         rhs_prev = mass - damping_scaled
         boot_lhs = None
-        boot_factor = None
     else:
         # The averaged fluxes put half the (negative-diagonal) stiffness on
         # each outer layer, so it enters both side matrices with a minus sign
@@ -111,25 +105,61 @@ def build_operators(
         rhs_curr = mass.scaled(2.0)
         rhs_prev = mass - half_stiff - damping_scaled
         boot_lhs = mass.scaled(2.0) - stiffness.scaled(dt * dt)
-        boot_factor = linalg.factor(boot_lhs)
+    return SchemeMatrices(ell, mass, damping, stiffness, lhs, rhs_curr, rhs_prev, boot_lhs)
 
+
+@dataclass(frozen=True)
+class SchemeOperators:
+    """What stepping and bootstrap read of one scheme at one time step.
+
+    lhs_factor holds the L D L^T factors of L, and boot_factor those of the
+    flux-averaged bootstrap matrix (None for the explicit scheme, whose
+    bootstrap divides by 2 M).  The bands are linalg's band storage of
+    dt^2 S and R1, which every step multiplies, and of R2, which only the
+    bootstraps multiply.
+    """
+
+    scheme: str
+    dt: float
+    mesh: Mesh
+    params: Parameters
+    ell: FluxCoefficients
+    lhs_factor: linalg.TriDiagFactorization
+    boot_factor: linalg.TriDiagFactorization | None
+    _stiff_band: np.ndarray = field(repr=False)
+    _rhs_curr_band: np.ndarray = field(repr=False)
+    _rhs_prev_band: np.ndarray = field(repr=False)
+
+    def advance(
+        self, u_curr: np.ndarray, d_prev: np.ndarray, d_next: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
+        """One step in summed form: solve L d_next = dt^2 S u_curr + R1 d_prev,
+        then write u_curr + d_next into out and return it.
+
+        d_prev is the increment u_curr - u_prev of the step before.  d_next
+        and out must not overlap each other or the inputs.
+        """
+        linalg.band_sum(self._stiff_band, u_curr, 1.0, self._rhs_prev_band, d_prev, d_next)
+        linalg.solve(self.lhs_factor, d_next)
+        return np.add(u_curr, d_next, out)
+
+
+def build_operators(
+    mesh: Mesh, params: Parameters, dt: float, scheme: str
+) -> SchemeOperators:
+    """Assemble the matrices of the requested scheme and factor them."""
+    m = scheme_matrices(mesh, params, dt, scheme)
     return SchemeOperators(
         scheme=scheme,
         dt=dt,
         mesh=mesh,
         params=params,
-        ell=ell,
-        mass=mass,
-        damping=damping,
-        stiffness=stiffness,
-        lhs=lhs,
-        rhs_curr=rhs_curr,
-        rhs_prev=rhs_prev,
-        lhs_factor=linalg.factor(lhs),
-        boot_lhs=boot_lhs,
-        boot_factor=boot_factor,
-        _rhs_curr_band=linalg.band_storage(rhs_curr),
-        _rhs_prev_band=linalg.band_storage(rhs_prev),
+        ell=m.ell,
+        lhs_factor=linalg.factor(m.lhs),
+        boot_factor=None if m.boot_lhs is None else linalg.factor(m.boot_lhs),
+        _stiff_band=linalg.band_storage(m.stiffness.scaled(dt * dt)),
+        _rhs_curr_band=linalg.band_storage(m.rhs_curr),
+        _rhs_prev_band=linalg.band_storage(m.rhs_prev),
     )
 
 
@@ -145,7 +175,7 @@ def bootstrap_explicit(
         raise ValueError("operators were built for the implicit scheme")
     rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
                           np.zeros_like(u0))
-    return rhs / (2.0 * ops.mass.diag)
+    return rhs / (2.0 * ops.mesh.cell_widths)
 
 
 def bootstrap_implicit(
@@ -280,8 +310,9 @@ def run(
     """Run the chosen scheme for n_steps steps from the given initial data.
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
-    recurrence steps).  Each step writes its layer straight into the next row
-    of a block of layers; once per full block the run checks the new layers
+    recurrence steps).  Each step keeps its increment in one of two vectors
+    and writes its layer straight into the next row of a block of layers;
+    once per full block the run checks the new layers
     for divergence, copies out snapshots and evaluates energies.  Energies
     are recorded every observe_every steps plus the final step; with
     verify_identity the energy identity is evaluated at every step and only
@@ -334,8 +365,10 @@ def run(
 
     filled = 2
     advance = ops.advance
+    d_prev, d_next = u1 - u0, np.empty_like(u0)  # increments, swapped every step
     for _ in range(n_steps - 1):
-        advance(layers[filled - 2], layers[filled - 1], layers[filled])
+        advance(layers[filled - 1], d_prev, d_next, layers[filled])
+        d_prev, d_next = d_next, d_prev
         filled += 1
         if filled == rows:
             filled = flush(filled)

@@ -21,6 +21,7 @@ import numpy as np
 
 from kvwave import Parameters, SchemeOperators, build_mesh, build_operators
 from kvwave.cli import preset, resolve_time_step
+from kvwave.schemes import scheme_matrices
 from oracles import to_dense
 
 # Eigenvalue moduli are trusted to a thousand ulps; as a rate that is
@@ -34,11 +35,12 @@ CLUSTER_GAP = 2.0
 
 def companion_matrix(ops: SchemeOperators) -> np.ndarray:
     """Dense one-step matrix acting on the stacked pair (u_curr, u_prev)."""
-    lhs = to_dense(ops.lhs)
+    m = scheme_matrices(ops.mesh, ops.params, ops.dt, ops.scheme)
+    lhs = to_dense(m.lhs)
     n = lhs.shape[0]
     t = np.zeros((2 * n, 2 * n))
-    t[:n, :n] = np.linalg.solve(lhs, to_dense(ops.rhs_curr))
-    t[:n, n:] = -np.linalg.solve(lhs, to_dense(ops.rhs_prev))
+    t[:n, :n] = np.linalg.solve(lhs, to_dense(m.rhs_curr))
+    t[:n, n:] = -np.linalg.solve(lhs, to_dense(m.rhs_prev))
     t[n:, :n] = np.eye(n)
     return t
 

@@ -415,8 +415,6 @@ class TestMain:
 class TestLargeMesh:
     COUNTS = (20000, 10000, 20000)
 
-    # The identity residual is not asserted here: at this cell count it
-    # exceeds the fixed gate used elsewhere (see CHANGES.md).
     @pytest.mark.parametrize(
         "scheme, verify",
         [("explicit", False), ("implicit", False), ("explicit", True), ("implicit", True)],
@@ -440,6 +438,9 @@ class TestLargeMesh:
         assert result.sim.steps_completed == 200
         assert np.all(np.isfinite(result.sim.u_curr))
         assert result.sim.verified_steps == (199 if verify else 2)
+        if verify:
+            tol = 1e-11 * max(result.sim.energy_initial, 1.0)
+            assert result.sim.identity_residual_max <= tol
         assert peak < 64 * 2**20
 
         n = mesh.n_max

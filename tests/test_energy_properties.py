@@ -4,7 +4,8 @@ Over random speeds, damping (including none), interfaces, cell counts and
 time steps at or below the CFL bound, the recorded energy rows are the same
 bits with and without --verify-identity, and a run gives the same trace and
 statistics whatever size its layer blocks have.  Without verification the
-statistics come from the recorded rows alone.
+statistics come from the recorded rows alone.  Over the same space, and far
+above the CFL bound, every scheme matrix is factored as L D L^T.
 """
 
 from dataclasses import fields
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from kvwave import EnergyTrace, Parameters, build_mesh, cfl_max_dt, default_initial_data, run
 from kvwave import schemes
+from kvwave.linalg import LDLFactorization
 from kvwave.model import sample_cell_averages
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
@@ -96,6 +98,35 @@ def test_energy_rows_depend_only_on_the_layers(
         assert verified.identity_residual_max <= 1e-11 * max(verified.energy_initial, 1.0)
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@example(  # undamped, smallest zones
+    c_sq=(1.0, 4.0, 0.25), delta=0.0, alpha=1.0, beta=2.0, cells=(1, 2, 1), cfl_fraction=1.0,
+)
+@example(  # strong damping on a 2-cell zone, dt far above the CFL bound
+    c_sq=(4.0, 0.25, 4.0), delta=10.0, alpha=0.1, beta=2.9, cells=(20, 2, 20),
+    cfl_fraction=1e4,
+)
+@given(
+    c_sq=st.tuples(speeds, speeds, speeds),
+    delta=damping,
+    alpha=st.floats(0.1, 1.4),
+    beta=st.floats(1.6, 2.9),
+    cells=counts,
+    cfl_fraction=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 1e4)),
+)
+def test_scheme_matrices_factor_as_ldlt(c_sq, delta, alpha, beta, cells, cfl_fraction):
+    # Every left-hand matrix is positive definite, so none takes the LU
+    # fallback; the implicit scheme is also drawn far above the CFL bound.
+    params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
+    mesh = build_mesh(params, *cells)
+    dt = cfl_fraction * cfl_max_dt(params, mesh)
+    for scheme in ("explicit", "implicit"):
+        ops = schemes.build_operators(mesh, params, dt, scheme)
+        assert type(ops.lhs_factor) is LDLFactorization
+        if scheme == "implicit":
+            assert type(ops.boot_factor) is LDLFactorization
+
+
 def assert_no_shared_memory(result) -> None:
     arrays = [result.u_prev, result.u_curr] + [s.values for s in result.snapshots]
     for i, a in enumerate(arrays):
@@ -109,8 +140,10 @@ def stepwise_divergence(params, mesh, data, dt):
     u0 = sample_cell_averages(data.phi, mesh)
     layers = [u0, schemes.bootstrap_explicit(u0, sample_cell_averages(data.psi, mesh), ops)]
     limit = schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
+    d_prev, d_next = layers[1] - u0, np.empty_like(u0)
     while True:
-        layers.append(ops.advance(layers[-2], layers[-1], np.empty_like(u0)))
+        layers.append(ops.advance(layers[-1], d_prev, d_next, np.empty_like(u0)))
+        d_prev, d_next = d_next, d_prev
         if not np.abs(layers[-1]).max() <= limit:
             return len(layers) - 1, layers[-3], layers[-2]
 
@@ -179,8 +212,8 @@ def run_poisoned(layer, value, check, rows, *args, **kwargs):
     advance, within = schemes.SchemeOperators.advance, schemes._rows_within
     calls = [0]
 
-    def poisoned(ops, u_prev, u_curr, out):
-        advance(ops, u_prev, u_curr, out)
+    def poisoned(ops, u_curr, d_prev, d_next, out):
+        advance(ops, u_curr, d_prev, d_next, out)
         calls[0] += 1
         if calls[0] + 1 == layer:  # the first call steps layer 2
             out[3] = value

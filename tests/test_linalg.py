@@ -10,11 +10,16 @@ from kvwave import (
     assemble_mass,
     assemble_stiffness,
     build_mesh,
-    factor,
     flux_coefficients,
+)
+from kvwave.linalg import (
+    LDLFactorization,
+    LUFactorization,
+    band_storage,
+    band_sum,
+    factor,
     solve,
 )
-from kvwave.linalg import band_storage, band_sum
 from kvwave.mesh import Parameters
 from oracles import dense_solve_oracle, dominance_margin, quadratic_form, to_dense
 
@@ -45,6 +50,12 @@ def random_dd_tridiag(rng, n):
     row_off[1:] += np.abs(off)
     diag = (row_off + rng.uniform(0.1, 2.0, size=n)) * rng.choice([-1.0, 1.0], size=n)
     return TriDiagMatrix(n, diag, off)
+
+
+def random_spd_tridiag(rng, n):
+    """Symmetric, strictly diagonally dominant, positive diagonal."""
+    m = random_dd_tridiag(rng, n)
+    return TriDiagMatrix(n, np.abs(m.diag), m.off)
 
 
 class TestAssembleMass:
@@ -191,6 +202,43 @@ class TestFactorSolve:
 
     def test_strided_rhs_rejected(self, rng):
         f = factor(random_dd_tridiag(rng, 12))
+        rhs = rng.standard_normal((12, 2))[:, 1]
+        saved = rhs.copy()
+        with pytest.raises(ValueError, match="contiguous"):
+            solve(f, rhs)
+        assert rhs.tobytes() == saved.tobytes()
+
+
+class TestLDLFactorization:
+    def test_spd_systems_match_dense_oracle(self):
+        rng = np.random.default_rng(14142136)
+        worst = 0.0
+        for _ in range(500):
+            n = int(rng.integers(3, 201))
+            m = random_spd_tridiag(rng, n)
+            f = factor(m)
+            assert type(f) is LDLFactorization
+            rhs = rng.standard_normal(n)
+            x = solve(f, rhs.copy())
+            x_ref = dense_solve_oracle(to_dense(m), rhs)
+            worst = max(worst, float(np.abs(x - x_ref).max() / np.abs(x_ref).max()))
+        assert worst <= 1e-12
+
+    def test_indefinite_matrix_falls_back_to_lu(self, rng):
+        m = random_spd_tridiag(rng, 30)
+        diag = m.diag.copy()
+        diag[17] = -diag[17]  # still nonsingular, no longer positive definite
+        m = TriDiagMatrix(30, diag, m.off)
+        f = factor(m)
+        assert type(f) is LUFactorization
+        rhs = rng.standard_normal(30)
+        np.testing.assert_allclose(
+            solve(f, rhs.copy()), dense_solve_oracle(to_dense(m), rhs), rtol=1e-12, atol=1e-13
+        )
+
+    def test_strided_rhs_rejected(self, rng):
+        f = factor(random_spd_tridiag(rng, 12))
+        assert type(f) is LDLFactorization
         rhs = rng.standard_normal((12, 2))[:, 1]
         saved = rhs.copy()
         with pytest.raises(ValueError, match="contiguous"):

@@ -11,11 +11,13 @@ from kvwave import (
     bootstrap_implicit,
     build_mesh,
     build_operators,
+    cfl_max_dt,
     default_initial_data,
     run,
     sample_cell_averages,
 )
 from kvwave.diagnostics import layer_energies
+from kvwave.schemes import scheme_matrices
 from oracles import (
     dense_solve_oracle,
     discrete_h1_seminorm,
@@ -39,53 +41,58 @@ def sampled_initial(mesh, length=3.0):
     return u0, psi
 
 
+def next_layer(ops, u_prev, u_curr):
+    """The layer after u_prev, u_curr, through one summed-form advance."""
+    return ops.advance(u_curr, u_curr - u_prev, np.empty_like(u_curr), np.empty_like(u_curr))
+
+
 class TestBuildOperators:
     def test_explicit_lhs_reduces_to_mass_when_undamped(self, base_mesh):
-        ops = build_operators(base_mesh, undamped_params(), DT, "explicit")
-        np.testing.assert_array_equal(ops.lhs.diag, ops.mass.diag)
-        assert np.all(ops.lhs.off == 0.0)
+        m = scheme_matrices(base_mesh, undamped_params(), DT, "explicit")
+        np.testing.assert_array_equal(m.lhs.diag, m.mass.diag)
+        assert np.all(m.lhs.off == 0.0)
 
     def test_matrix_combinations(self, base_mesh, base_params):
-        ops = build_operators(base_mesh, base_params, DT, "explicit")
+        m = scheme_matrices(base_mesh, base_params, DT, "explicit")
         s = base_params.delta * DT / base_mesh.h
         np.testing.assert_allclose(
-            to_dense(ops.lhs),
-            to_dense(ops.mass) + s * to_dense(ops.damping),
+            to_dense(m.lhs),
+            to_dense(m.mass) + s * to_dense(m.damping),
             rtol=1e-14,
         )
         np.testing.assert_allclose(
-            to_dense(ops.rhs_curr),
-            2.0 * to_dense(ops.mass) + DT**2 * to_dense(ops.stiffness),
+            to_dense(m.rhs_curr),
+            2.0 * to_dense(m.mass) + DT**2 * to_dense(m.stiffness),
             rtol=1e-14,
         )
         np.testing.assert_allclose(
-            to_dense(ops.rhs_prev),
-            to_dense(ops.mass) - s * to_dense(ops.damping),
+            to_dense(m.rhs_prev),
+            to_dense(m.mass) - s * to_dense(m.damping),
             rtol=1e-14,
         )
 
     def test_implicit_matrices_put_flux_average_on_outer_layers(self, base_mesh, base_params):
-        ops = build_operators(base_mesh, base_params, DT, "implicit")
+        m = scheme_matrices(base_mesh, base_params, DT, "implicit")
         s = base_params.delta * DT / base_mesh.h
         half = 0.5 * DT**2
         np.testing.assert_allclose(
-            to_dense(ops.lhs),
-            to_dense(ops.mass) - half * to_dense(ops.stiffness) + s * to_dense(ops.damping),
+            to_dense(m.lhs),
+            to_dense(m.mass) - half * to_dense(m.stiffness) + s * to_dense(m.damping),
             rtol=1e-14,
         )
-        np.testing.assert_allclose(to_dense(ops.rhs_curr), 2.0 * to_dense(ops.mass), rtol=1e-14)
+        np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * to_dense(m.mass), rtol=1e-14)
         np.testing.assert_allclose(
-            to_dense(ops.boot_lhs),
-            2.0 * to_dense(ops.mass) - DT**2 * to_dense(ops.stiffness),
+            to_dense(m.boot_lhs),
+            2.0 * to_dense(m.mass) - DT**2 * to_dense(m.stiffness),
             rtol=1e-14,
         )
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_left_matrices_strictly_diagonally_dominant(self, base_mesh, base_params, scheme):
-        ops = build_operators(base_mesh, base_params, DT, scheme)
-        assert dominance_margin(ops.lhs) > 0.0
+        m = scheme_matrices(base_mesh, base_params, DT, scheme)
+        assert dominance_margin(m.lhs) > 0.0
         if scheme == "implicit":
-            assert dominance_margin(ops.boot_lhs) > 0.0
+            assert dominance_margin(m.boot_lhs) > 0.0
 
     def test_bad_scheme_rejected(self, base_mesh, base_params):
         with pytest.raises(ValueError):
@@ -111,7 +118,8 @@ class TestBootstrap:
         u0, _ = sampled_initial(base_mesh)
         zero = np.zeros_like(u0)
         u1 = bootstrap_explicit(u0, zero, ops)
-        expected = u0 + 0.5 * DT**2 * (to_dense(ops.stiffness) @ u0) / base_mesh.cell_widths
+        stiffness = scheme_matrices(base_mesh, base_params, DT, "explicit").stiffness
+        expected = u0 + 0.5 * DT**2 * (to_dense(stiffness) @ u0) / base_mesh.cell_widths
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-15)
 
     def test_explicit_first_layer_close_to_initial(self, base_mesh, base_params):
@@ -136,8 +144,9 @@ class TestBootstrap:
         ops = build_operators(base_mesh, base_params, DT, "implicit")
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap_implicit(u0, psi, ops)
-        rhs = 2.0 * ops.mass.diag * u0 + 2.0 * DT * (to_dense(ops.rhs_prev) @ psi)
-        residual = float(np.abs(to_dense(ops.boot_lhs) @ u1 - rhs).max())
+        m = scheme_matrices(base_mesh, base_params, DT, "implicit")
+        rhs = 2.0 * m.mass.diag * u0 + 2.0 * DT * (to_dense(m.rhs_prev) @ psi)
+        residual = float(np.abs(to_dense(m.boot_lhs) @ u1 - rhs).max())
         assert residual <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
 
     def test_scheme_guard(self, base_mesh, base_params):
@@ -153,14 +162,15 @@ class TestBootstrap:
         mesh = build_mesh(p, *counts)
         dt = 0.01
         ops = build_operators(mesh, p, dt, scheme)
+        m = scheme_matrices(mesh, p, dt, scheme)
         u0, psi = rng.standard_normal((2, mesh.n_max))
         if scheme == "explicit":
             u1 = bootstrap_explicit(u0, psi, ops)
-            lhs = np.diag(2.0 * ops.mass.diag)
+            lhs = np.diag(2.0 * m.mass.diag)
         else:
             u1 = bootstrap_implicit(u0, psi, ops)
-            lhs = to_dense(ops.boot_lhs)
-        rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * dt * (to_dense(ops.rhs_prev) @ psi)
+            lhs = to_dense(m.boot_lhs)
+        rhs = to_dense(m.rhs_curr) @ u0 + 2.0 * dt * (to_dense(m.rhs_prev) @ psi)
         expected = dense_solve_oracle(lhs, rhs)
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-14)
 
@@ -170,7 +180,7 @@ class TestSteps:
         for scheme in ("explicit", "implicit"):
             ops = build_operators(base_mesh, base_params, DT, scheme)
             z = np.zeros(base_mesh.n_max)
-            np.testing.assert_allclose(ops.advance(z, z.copy(), np.empty_like(z)), z, atol=1e-18)
+            np.testing.assert_allclose(next_layer(ops, z, z.copy()), z, atol=1e-18)
 
     @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -178,10 +188,11 @@ class TestSteps:
         p = Parameters(2.0, 1.0, 0.5, 1.0, 1.0, 2.0, 3.0, 10.0)
         mesh = build_mesh(p, *counts)
         ops = build_operators(mesh, p, 0.01, scheme)
+        m = scheme_matrices(mesh, p, 0.01, scheme)
         u_prev, u_curr = rng.standard_normal((2, mesh.n_max))
-        u_next = ops.advance(u_prev, u_curr, np.empty_like(u_curr))
-        rhs = to_dense(ops.rhs_curr) @ u_curr - to_dense(ops.rhs_prev) @ u_prev
-        expected = dense_solve_oracle(to_dense(ops.lhs), rhs)
+        u_next = next_layer(ops, u_prev, u_curr)
+        rhs = to_dense(m.rhs_curr) @ u_curr - to_dense(m.rhs_prev) @ u_prev
+        expected = dense_solve_oracle(to_dense(m.lhs), rhs)
         np.testing.assert_allclose(u_next, expected, rtol=1e-12, atol=1e-14)
 
     def test_undamped_explicit_step_conserves_energy(self, base_mesh):
@@ -189,7 +200,7 @@ class TestSteps:
         ops = build_operators(base_mesh, p, DT, "explicit")
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap_explicit(u0, psi, ops)
-        u2 = ops.advance(u0, u1, np.empty_like(u1))
+        u2 = next_layer(ops, u0, u1)
         _, _, e_tot, _, _ = layer_energies(
             np.stack((u0, u1, u2)), base_mesh, ops.ell, p, DT, "explicit"
         )
@@ -206,11 +217,11 @@ class TestSteps:
         n = 1000
         prev, curr = u0, u1
         for _ in range(n):
-            prev, curr = curr, ops.advance(prev, curr, np.empty_like(curr))
+            prev, curr = curr, next_layer(ops, prev, curr)
         # swap the last two layers and march back
         prev, curr = curr, prev
         for _ in range(n):
-            prev, curr = curr, ops.advance(prev, curr, np.empty_like(curr))
+            prev, curr = curr, next_layer(ops, prev, curr)
         scale = float(np.abs(u0).max())
         assert float(np.abs(curr - u0).max()) <= 1e-8 * scale
 
@@ -302,9 +313,29 @@ class TestRun:
         prev, curr = u0, u1
         worst = s1
         for _ in range(20000):
-            prev, curr = curr, ops.advance(prev, curr, np.empty_like(curr))
+            prev, curr = curr, next_layer(ops, prev, curr)
             worst = max(worst, quantity(prev, curr))
         assert worst <= 4.0 * s1
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0], ids=["undamped", "damped"])
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_stored_layers_satisfy_three_layer_recurrence(self, scheme, delta):
+        # The run steps in summed form; the layers it stores still satisfy
+        # L u_{n+1} = R2 u_n - R1 u_{n-1} to a few ulps of the terms' size.
+        p = Parameters(9.0, 1.0, 4.0, delta, 1.0, 2.0, 3.0, 10000.0)
+        mesh = build_mesh(p, 20, 10, 20)
+        dt = 0.9 * cfl_max_dt(p, mesh)
+        n_steps = 300
+        result = run(p, mesh, default_initial_data(3.0), dt, n_steps, scheme=scheme,
+                     snapshot_steps=range(n_steps + 1))
+        u = np.array([s.values for s in result.snapshots])
+        m = scheme_matrices(mesh, p, dt, scheme)
+        lhs, r2, r1 = (to_dense(a) for a in (m.lhs, m.rhs_curr, m.rhs_prev))
+        residual = u[2:] @ lhs.T - u[1:-1] @ r2.T + u[:-2] @ r1.T
+        size = np.abs(u[2:]) @ np.abs(lhs).T + np.abs(u[1:-1]) @ np.abs(r2).T
+        size += np.abs(u[:-2]) @ np.abs(r1).T
+        assert len(u) == n_steps + 1
+        assert np.all(np.abs(residual) <= 4.0 * np.finfo(float).eps * size)
 
     def test_bad_arguments(self, base_mesh, base_params):
         data = default_initial_data(3.0)
