@@ -201,12 +201,13 @@ class TestFactorSolve:
             solve(f, np.ones(5))
 
     def test_strided_rhs_rejected(self, rng):
-        f = factor(random_dd_tridiag(rng, 12))
-        rhs = rng.standard_normal((12, 2))[:, 1]
-        saved = rhs.copy()
-        with pytest.raises(ValueError, match="contiguous"):
-            solve(f, rhs)
-        assert rhs.tobytes() == saved.tobytes()
+        for m in (random_dd_tridiag(rng, 12), random_spd_tridiag(rng, 12)):  # LU, then LDL^T
+            f = factor(m)
+            rhs = rng.standard_normal((12, 2))[:, 1]
+            saved = rhs.copy()
+            with pytest.raises(ValueError, match="contiguous"):
+                solve(f, rhs)
+            assert rhs.tobytes() == saved.tobytes()
 
 
 class TestLDLFactorization:
@@ -235,15 +236,6 @@ class TestLDLFactorization:
         np.testing.assert_allclose(
             solve(f, rhs.copy()), dense_solve_oracle(to_dense(m), rhs), rtol=1e-12, atol=1e-13
         )
-
-    def test_strided_rhs_rejected(self, rng):
-        f = factor(random_spd_tridiag(rng, 12))
-        assert type(f) is LDLFactorization
-        rhs = rng.standard_normal((12, 2))[:, 1]
-        saved = rhs.copy()
-        with pytest.raises(ValueError, match="contiguous"):
-            solve(f, rhs)
-        assert rhs.tobytes() == saved.tobytes()
 
 
 class TestBandSum:
