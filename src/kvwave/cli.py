@@ -327,39 +327,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# Row formats of the CSV files; each float is written as _fmt writes it.
-_ENERGY_ROW = "{},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g},{:.17g}".format
-_SNAPSHOT_ROW = "{},{:.17g}".format  # the x column comes formatted
+# The CSV files format each float as _fmt does, %.17g, one % call per file.
+_ENERGY_COLUMNS = ("step", "t", "e_kinetic", "e_potential", "e_total", "dissipation", "residual")
 
 
 def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
     """Energy history, one row per recorded step."""
-    lines = ["step,t,e_kinetic,e_potential,e_total,dissipation,residual"]
-    columns = (
-        trace.step, trace.t, trace.e_kinetic, trace.e_potential, trace.e_total,
-        trace.dissipation, trace.residual,
-    )
-    lines += map(_ENERGY_ROW, *(col.tolist() for col in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    width = len(_ENERGY_COLUMNS)
+    values = [None] * (width * len(trace))
+    for i, name in enumerate(_ENERGY_COLUMNS):
+        values[i::width] = getattr(trace, name).tolist()
+    row = "%s" + ",%.17g" * (width - 1) + "\n"
+    Path(path).write_text(",".join(_ENERGY_COLUMNS) + "\n" + (row * len(trace)) % tuple(values))
 
 
-def _x_column(mesh: Mesh) -> list[str]:
-    """The x column of every snapshot of the mesh, formatted."""
-    return list(map("{:.17g}".format, mesh.centers.tolist()))
+def _snapshot_template(mesh: Mesh) -> str:
+    """The text of every snapshot file of the mesh, x column formatted and
+    one %.17g left for each u value."""
+    return "x,u\n" + ("%.17g,%%.17g\n" * mesh.n_max) % tuple(mesh.centers.tolist())
 
 
 def write_snapshot_csv(values: np.ndarray, mesh: Mesh, path: str | Path,
-                       x_column: list[str] | None = None) -> None:
+                       template: str | None = None) -> None:
     """Cell-center profile of one layer.
 
-    x_column is _x_column(mesh), for a caller that writes several
-    snapshots of one mesh; without it the column is formatted here.
+    template is _snapshot_template(mesh), for a caller that writes several
+    snapshots of one mesh; without it the template is built here.
     """
-    if x_column is None:
-        x_column = _x_column(mesh)
-    lines = ["x,u"]
-    lines += map(_SNAPSHOT_ROW, x_column, values.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    if template is None:
+        template = _snapshot_template(mesh)
+    Path(path).write_text(template % tuple(values.tolist()))
 
 
 _CONFIG_ECHO_ORDER = (
@@ -430,10 +427,10 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     path = out / "energy.csv"
     write_energy_csv(result.sim.trace, path)
     written.append(path)
-    x_column = _x_column(result.mesh)
+    template = _snapshot_template(result.mesh)
     for snap in result.sim.snapshots:
         path = out / f"snapshot_step{snap.step:08d}.csv"
-        write_snapshot_csv(snap.values, result.mesh, path, x_column)
+        write_snapshot_csv(snap.values, result.mesh, path, template)
         written.append(path)
     path = out / "summary.txt"
     write_summary(result, path)

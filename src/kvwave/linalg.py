@@ -8,10 +8,9 @@ The three scheme matrices are assembled here:
                the interfaces through the interface flux coefficients.
 
 A matrix is factored once and the factors are reused for every right-hand
-side.  A positive definite matrix, which every matrix the schemes solve with
-is, gets an L D L^T factorization without pivoting (LAPACK pttrf/pttrs); any
-other nonsingular matrix falls back to a partial-pivoting LU factorization
-(gttrf/gttrs).  Products with the right-hand matrices run on their BLAS band
+side.  Every matrix the schemes solve with is positive definite, so it is
+factored as L D L^T without pivoting (LAPACK pttrf/pttrs); any other matrix
+is rejected.  Products with the right-hand matrices run on their BLAS band
 storage (gbmv), so a step costs O(n) time and the operators O(n) memory.
 """
 
@@ -27,9 +26,7 @@ from .mesh import FluxCoefficients, Mesh
 __all__ = [
     "SingularMatrixError",
     "TriDiagMatrix",
-    "TriDiagFactorization",
     "LDLFactorization",
-    "LUFactorization",
     "assemble_mass",
     "assemble_damping",
     "assemble_stiffness",
@@ -39,14 +36,13 @@ __all__ = [
     "band_sum",
 ]
 
-_pttrf, _pttrs, _gttrf, _gttrs = get_lapack_funcs(
-    ("pttrf", "pttrs", "gttrf", "gttrs"), (np.array([1.0]),)
-)
+_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.array([1.0]),))
 _gbmv = get_blas_funcs("gbmv", (np.array([1.0]),))
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a factorization or elimination meets an exactly zero pivot."""
+    """Raised when a factorization meets a pivot it cannot use: a
+    non-positive one in L D L^T, an exactly zero one in elimination."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class TriDiagMatrix:
     def __post_init__(self) -> None:
         if self.diag.shape != (self.dim,) or self.off.shape != (max(self.dim - 1, 0),):
             raise ValueError("inconsistent tridiagonal storage shapes")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.off))):
+        if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
             raise ValueError("matrix entries must be finite")
         self.diag.setflags(write=False)
         self.off.setflags(write=False)
@@ -88,20 +84,6 @@ class LDLFactorization:
 
     d: np.ndarray
     e: np.ndarray
-
-
-@dataclass(frozen=True)
-class LUFactorization:
-    """Partial-pivoting LU factors of a tridiagonal matrix (gttrf)."""
-
-    dl: np.ndarray
-    d: np.ndarray
-    du: np.ndarray
-    du2: np.ndarray
-    ipiv: np.ndarray
-
-
-TriDiagFactorization = LDLFactorization | LUFactorization
 
 
 def assemble_mass(mesh: Mesh) -> TriDiagMatrix:
@@ -144,36 +126,29 @@ def assemble_stiffness(mesh: Mesh, ell: FluxCoefficients) -> TriDiagMatrix:
     return TriDiagMatrix(n, diag, off)
 
 
-def factor(m: TriDiagMatrix) -> TriDiagFactorization:
-    """Factors of m, computed once and reused across solves.
+def factor(m: TriDiagMatrix) -> LDLFactorization:
+    """L D L^T factors of a positive definite m, computed once and reused
+    across solves.
 
-    L D L^T without pivoting when m is positive definite (pttrf meets no
-    non-positive pivot), else a partial-pivoting LU factorization.  The
-    LAPACK wrappers need at least three rows; every mesh has four or more.
+    Raises SingularMatrixError when pttrf meets a non-positive pivot, that
+    is when m is not positive definite.  The LAPACK wrappers need at least
+    three rows; every mesh has four or more.
     """
     if m.dim < 3:
         raise ValueError("factorization needs a matrix of dimension 3 or more")
     d, e, info = _pttrf(m.diag, m.off)
-    if info == 0:
-        return LDLFactorization(d, e)
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} to tridiagonal factorization")
-    dl, d, du, du2, ipiv, info = _gttrf(m.off.copy(), m.diag.copy(), m.off.copy())
     if info > 0:
-        raise SingularMatrixError(f"zero pivot at row {info}")
+        raise SingularMatrixError(f"matrix not positive definite: pivot {info} is not positive")
     if info < 0:
         raise ValueError(f"invalid argument {-info} to tridiagonal factorization")
-    return LUFactorization(dl, d, du, du2, ipiv)
+    return LDLFactorization(d, e)
 
 
-def solve(f: TriDiagFactorization, rhs: np.ndarray) -> np.ndarray:
+def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve with previously computed factors, in place: rhs becomes the solution."""
     if rhs.shape != f.d.shape:
         raise ValueError("right-hand side length does not match the factorization")
-    if type(f) is LDLFactorization:
-        x, info = _pttrs(f.d, f.e, rhs, 1)
-    else:
-        x, info = _gttrs(f.dl, f.d, f.du, f.du2, f.ipiv, rhs, "N", 1)
+    x, info = _pttrs(f.d, f.e, rhs, 1)
     if x is not rhs:  # LAPACK solved a copy
         raise ValueError("rhs must be a contiguous float64 vector")
     if info != 0:

@@ -109,7 +109,7 @@ class FluxCoefficients:
 
     def __post_init__(self) -> None:
         self.ell.setflags(write=False)
-        if not np.all(np.isfinite(self.ell)) or not np.all(self.ell > 0.0):
+        if not np.isfinite(self.ell).all() or not (self.ell > 0.0).all():
             raise ValueError("flux coefficients must be finite and positive")
 
 
@@ -186,5 +186,5 @@ def _check_face_bounds(ell: np.ndarray, mesh: Mesh, params: Parameters) -> None:
     # eps * length / spacing, which grows with the cell count.
     rounding = 8.0 * np.finfo(float).eps * params.length / float(mesh.face_spacings.min())
     tol = max(c1, c2, c3) * (1e-12 + rounding)
-    if np.any(product < lo - tol) or np.any(product > hi + tol):
+    if (product < lo - tol).any() or (product > hi + tol).any():
         raise ValueError("flux coefficient outside its zone speed bounds")

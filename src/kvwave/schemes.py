@@ -124,24 +124,41 @@ class SchemeOperators:
     mesh: Mesh
     params: Parameters
     ell: FluxCoefficients
-    lhs_factor: linalg.TriDiagFactorization
-    boot_factor: linalg.TriDiagFactorization | None
+    lhs_factor: linalg.LDLFactorization
+    boot_factor: linalg.LDLFactorization | None
     _stiff_band: np.ndarray = field(repr=False)
     _rhs_curr_band: np.ndarray = field(repr=False)
     _rhs_prev_band: np.ndarray = field(repr=False)
 
-    def advance(
-        self, u_curr: np.ndarray, d_prev: np.ndarray, d_next: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """One step in summed form: solve L d_next = dt^2 S u_curr + R1 d_prev,
-        then write u_curr + d_next into out and return it.
+    def step_block(
+        self, block: np.ndarray, start: int, stop: int, d_prev: np.ndarray, d_next: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Step rows start .. stop-1 of a block of layers in summed form.
 
-        d_prev is the increment u_curr - u_prev of the step before.  d_next
-        and out must not overlap each other or the inputs.
+        Each row i gets block[i-1] + d, where L d = dt^2 S block[i-1] + R1 d_prev
+        is solved in d_next; d_prev is the increment into row i-1, and the
+        two vectors then swap.  Returns (d_prev, d_next) as the next call
+        takes them.  The increments must not overlap each other or the block.
+        The BLAS and LAPACK wrappers are called directly, with positional
+        arguments, and bound once per call.
         """
-        linalg.band_sum(self._stiff_band, u_curr, 1.0, self._rhs_prev_band, d_prev, d_next)
-        linalg.solve(self.lhs_factor, d_next)
-        return np.add(u_curr, d_next, out)
+        gbmv, pttrs = linalg._gbmv, linalg._pttrs
+        stiff, rhs_prev = self._stiff_band, self._rhs_prev_band
+        d, e = self.lhs_factor.d, self.lhs_factor.e
+        n = len(d)
+        u_curr = block[start - 1]
+        for out in block[start:stop]:
+            # (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
+            rhs = gbmv(n, n, 1, 1, 1.0, stiff, u_curr, 1, 0, 0.0, d_next, 1, 0, 0, 1)
+            rhs = gbmv(n, n, 1, 1, 1.0, rhs_prev, d_prev, 1, 0, 1.0, rhs, 1, 0, 0, 1)
+            x, info = pttrs(d, e, rhs, 1)
+            if x is not d_next:  # BLAS or LAPACK worked on a copy
+                raise ValueError("increments must be contiguous float64 vectors")
+            if info != 0:
+                raise linalg.SingularMatrixError("tridiagonal solve failed")
+            u_curr = np.add(u_curr, x, out)
+            d_prev, d_next = d_next, d_prev
+        return d_prev, d_next
 
 
 def build_operators(
@@ -310,10 +327,10 @@ def run(
     """Run the chosen scheme for n_steps steps from the given initial data.
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
-    recurrence steps).  Each step keeps its increment in one of two vectors
-    and writes its layer straight into the next row of a block of layers;
-    once per full block the run checks the new layers
-    for divergence, copies out snapshots and evaluates energies.  Energies
+    recurrence steps).  One step_block call per block of layers steps its
+    rows, keeping the increment in one of two vectors and writing each
+    layer straight into its row; then the run checks the new layers for
+    divergence, copies out snapshots and evaluates energies.  Energies
     are recorded every observe_every steps plus the final step; with
     verify_identity the energy identity is evaluated at every step and only
     its extremes are kept, otherwise at the recorded steps only.  Either way
@@ -343,17 +360,17 @@ def run(
     block[0], block[1] = u0, u1
     last_step = n_steps - 1  # last step with a defined energy
     log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
-    layers = list(block)  # row views, made once
     first = 0  # layer index of block[0]
     divergence_step: int | None = None
-
-    def flush(filled: int) -> int:
-        """Check, snapshot and record the new layers block[2:filled].
-
-        Returns the number of rows before the first diverged layer.
-        """
-        nonlocal divergence_step
-        within = _rows_within(block[2:filled], sup_limit)
+    d_prev, d_next = u1 - u0, np.empty_like(u0)  # increments, swapped every step
+    remaining = n_steps - 1
+    while True:
+        stop = min(rows, 2 + remaining)
+        d_prev, d_next = ops.step_block(block, 2, stop, d_prev, d_next)
+        remaining -= stop - 2
+        # check, snapshot and record the new layers block[2:filled]
+        filled = stop
+        within = _rows_within(block[2:stop], sup_limit)
         if not within.all():
             filled = 2 + int(within.argmin())
             divergence_step = first + filled
@@ -361,24 +378,10 @@ def run(
                          for s in snap_steps if first + 2 <= s < first + filled)
         if filled > 2:
             log.record(block[:filled], first)
-        return filled
-
-    filled = 2
-    advance = ops.advance
-    d_prev, d_next = u1 - u0, np.empty_like(u0)  # increments, swapped every step
-    for _ in range(n_steps - 1):
-        advance(layers[filled - 1], d_prev, d_next, layers[filled])
-        d_prev, d_next = d_next, d_prev
-        filled += 1
-        if filled == rows:
-            filled = flush(filled)
-            if divergence_step is not None:
-                break
-            block[:2] = block[-2:]
-            first += rows - 2
-            filled = 2
-    else:  # no divergence in a full block: flush the partial last one
-        filled = flush(filled)
+        if divergence_step is not None or not remaining:
+            break
+        block[:2] = block[-2:]
+        first += rows - 2
     diverged = divergence_step is not None
 
     return SimulationResult(

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from kvwave import FluxCoefficients, Mesh, SingularMatrixError, TriDiagMatrix
+from kvwave import FluxCoefficients, Mesh, SchemeOperators, SingularMatrixError, TriDiagMatrix
+from kvwave.linalg import band_sum, solve
 
 
 def to_dense(m: TriDiagMatrix) -> np.ndarray:
@@ -62,3 +63,19 @@ def discrete_h1_seminorm(values: np.ndarray, ell: FluxCoefficients) -> float:
     """Flux-weighted norm of the face jumps, zero ghosts at the boundary."""
     jumps = np.diff(values, prepend=0.0, append=0.0)
     return float(np.sqrt(ell.ell @ (jumps * jumps)))
+
+
+def one_step_layers(ops: SchemeOperators, u0: np.ndarray, u1: np.ndarray,
+                    n_steps: int) -> list[np.ndarray]:
+    """Layers 0 .. n_steps of a run from its first two, one summed-form step
+    at a time: the right-hand side by band_sum, the increment by solve and
+    the layer by np.add, each into a new array."""
+    layers = [u0, u1]
+    d_prev = u1 - u0
+    for _ in range(n_steps - 1):
+        d = band_sum(ops._stiff_band, layers[-1], 1.0, ops._rhs_prev_band, d_prev,
+                     np.empty_like(u0))
+        solve(ops.lhs_factor, d)
+        layers.append(np.add(layers[-1], d))
+        d_prev = d
+    return layers

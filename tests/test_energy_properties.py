@@ -19,6 +19,7 @@ from kvwave import EnergyTrace, Parameters, build_mesh, cfl_max_dt, default_init
 from kvwave import schemes
 from kvwave.linalg import LDLFactorization
 from kvwave.model import sample_cell_averages
+from oracles import one_step_layers
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
 
@@ -135,17 +136,21 @@ def assert_no_shared_memory(result) -> None:
 
 
 def stepwise_divergence(params, mesh, data, dt):
-    """Divergence step and the two layers before it, each layer checked as it is stepped."""
+    """Divergence step and the two layers before it, each layer stepped by
+    its own step_block call and checked as it is stepped."""
     ops = schemes.build_operators(mesh, params, dt, "explicit")
     u0 = sample_cell_averages(data.phi, mesh)
-    layers = [u0, schemes.bootstrap_explicit(u0, sample_cell_averages(data.psi, mesh), ops)]
+    u1 = schemes.bootstrap_explicit(u0, sample_cell_averages(data.psi, mesh), ops)
     limit = schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
-    d_prev, d_next = layers[1] - u0, np.empty_like(u0)
+    block = np.stack([u0, u1, np.zeros_like(u0)])
+    d_prev, d_next = u1 - u0, np.empty_like(u0)
+    step = 2
     while True:
-        layers.append(ops.advance(layers[-1], d_prev, d_next, np.empty_like(u0)))
-        d_prev, d_next = d_next, d_prev
-        if not np.abs(layers[-1]).max() <= limit:
-            return len(layers) - 1, layers[-3], layers[-2]
+        d_prev, d_next = ops.step_block(block, 2, 3, d_prev, d_next)
+        if not np.abs(block[2]).max() <= limit:
+            return step, block[0], block[1]
+        block[:2] = block[1:].copy()
+        step += 1
 
 
 @pytest.mark.parametrize("observe_every", [1, 7, 100])
@@ -190,6 +195,40 @@ def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
             assert_no_shared_memory(result)
 
 
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_run_layers_match_one_step_oracle(scheme):
+    # Every layer of a run, over two full blocks and a partial one, is the
+    # same bits as stepping one layer at a time with band_sum, solve and
+    # np.add: at the default block size (1026 rows at 50 cells) on a damped
+    # problem, and in blocks of 18 rows on an explicit run that diverges at
+    # layer 42, in its third block.
+    damped = Parameters(9.0, 1.0, 4.0, 1.0, 1.0, 2.0, 3.0, 10.0)
+    undamped = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
+    cases = [(damped, 0.9, None, 2 * 1024 + 300)]
+    if scheme == "explicit":
+        cases.append((undamped, 1.05, 18, 60))
+    for params, cfl_fraction, rows, n_steps in cases:
+        mesh = build_mesh(params, 20, 10, 20)
+        data = default_initial_data(params.length)
+        dt = cfl_fraction * cfl_max_dt(params, mesh)
+        args = (params, mesh, data, dt, n_steps)
+        kwargs = dict(scheme=scheme, snapshot_steps=range(n_steps + 1))
+        result = run(*args, **kwargs) if rows is None else run_with_block_rows(rows, *args, **kwargs)
+        ops = schemes.build_operators(mesh, params, dt, scheme)
+        u0, u1 = (s.values for s in result.snapshots[:2])
+        expected = one_step_layers(ops, u0, u1, n_steps)
+        stored = len(result.snapshots)
+        if rows is None:
+            assert not result.diverged and stored == n_steps + 1
+        else:
+            assert result.divergence_step == stored == 42
+            assert not np.abs(expected[42]).max() <= schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
+        for snapshot, layer in zip(result.snapshots, expected[:stored]):
+            assert snapshot.values.tobytes() == layer.tobytes(), snapshot.step
+        assert result.u_prev.tobytes() == expected[stored - 2].tobytes()
+        assert result.u_curr.tobytes() == expected[stored - 1].tobytes()
+
+
 def abs_max_within(rows, limit):
     """The divergence check as np.abs(...).max(axis=1) <= limit."""
     return np.abs(rows).max(axis=1) <= limit
@@ -209,21 +248,24 @@ def test_sup_check_matches_abs_max_on_extreme_rows():
 def run_poisoned(layer, value, check, rows, *args, **kwargs):
     """A run whose layer `layer` gets `value` in cell 3 as it is stepped,
     checked for divergence by `check`, in blocks of `rows` layers."""
-    advance, within = schemes.SchemeOperators.advance, schemes._rows_within
-    calls = [0]
+    step_block, within = schemes.SchemeOperators.step_block, schemes._rows_within
+    stepped = [0]  # layers stepped by earlier calls; the first call starts at layer 2
 
-    def poisoned(ops, u_curr, d_prev, d_next, out):
-        advance(ops, u_curr, d_prev, d_next, out)
-        calls[0] += 1
-        if calls[0] + 1 == layer:  # the first call steps layer 2
-            out[3] = value
-        return out
+    def poisoned(ops, block, start, stop, d_prev, d_next):
+        row = start + layer - 2 - stepped[0]  # the row of `layer`, if this call steps it
+        stepped[0] += stop - start
+        if start <= row < stop:
+            # step up to the layer, poison it, and step the rest from it
+            d_prev, d_next = step_block(ops, block, start, row + 1, d_prev, d_next)
+            block[row, 3] = value
+            start = row + 1
+        return step_block(ops, block, start, stop, d_prev, d_next)
 
-    schemes.SchemeOperators.advance, schemes._rows_within = poisoned, check
+    schemes.SchemeOperators.step_block, schemes._rows_within = poisoned, check
     try:
         return run_with_block_rows(rows, *args, **kwargs)
     finally:
-        schemes.SchemeOperators.advance, schemes._rows_within = advance, within
+        schemes.SchemeOperators.step_block, schemes._rows_within = step_block, within
 
 
 def test_sup_check_stops_runs_where_abs_max_does():

@@ -14,7 +14,6 @@ from kvwave import (
 )
 from kvwave.linalg import (
     LDLFactorization,
-    LUFactorization,
     band_storage,
     band_sum,
     factor,
@@ -44,6 +43,7 @@ def stiffness_form_oracle(ell, x):
 
 
 def random_dd_tridiag(rng, n):
+    """Symmetric, strictly diagonally dominant, diagonal of random sign."""
     off = rng.uniform(-1.0, 1.0, size=n - 1)
     row_off = np.zeros(n)
     row_off[:-1] += np.abs(off)
@@ -154,7 +154,7 @@ class TestFactorSolve:
 
     def test_against_dense_oracle(self, rng):
         for n in (3, 17, 200):
-            m = random_dd_tridiag(rng, n)
+            m = random_spd_tridiag(rng, n)
             rhs = rng.standard_normal(n)
             b = rhs.copy()
             x = solve(factor(m), b)
@@ -177,7 +177,7 @@ class TestFactorSolve:
         assert residual <= bound
 
     def test_factorization_reusable(self, rng):
-        m = random_dd_tridiag(rng, 40)
+        m = random_spd_tridiag(rng, 40)
         f = factor(m)
         for _ in range(4):
             rhs = rng.standard_normal(40)
@@ -196,18 +196,17 @@ class TestFactorSolve:
             factor(random_dd_tridiag(rng, n))
 
     def test_length_mismatch(self, rng):
-        f = factor(random_dd_tridiag(rng, 6))
+        f = factor(random_spd_tridiag(rng, 6))
         with pytest.raises(ValueError):
             solve(f, np.ones(5))
 
     def test_strided_rhs_rejected(self, rng):
-        for m in (random_dd_tridiag(rng, 12), random_spd_tridiag(rng, 12)):  # LU, then LDL^T
-            f = factor(m)
-            rhs = rng.standard_normal((12, 2))[:, 1]
-            saved = rhs.copy()
-            with pytest.raises(ValueError, match="contiguous"):
-                solve(f, rhs)
-            assert rhs.tobytes() == saved.tobytes()
+        f = factor(random_spd_tridiag(rng, 12))
+        rhs = rng.standard_normal((12, 2))[:, 1]
+        saved = rhs.copy()
+        with pytest.raises(ValueError, match="contiguous"):
+            solve(f, rhs)
+        assert rhs.tobytes() == saved.tobytes()
 
 
 class TestLDLFactorization:
@@ -225,17 +224,15 @@ class TestLDLFactorization:
             worst = max(worst, float(np.abs(x - x_ref).max() / np.abs(x_ref).max()))
         assert worst <= 1e-12
 
-    def test_indefinite_matrix_falls_back_to_lu(self, rng):
+    def test_indefinite_matrix_rejected(self, rng):
         m = random_spd_tridiag(rng, 30)
         diag = m.diag.copy()
         diag[17] = -diag[17]  # still nonsingular, no longer positive definite
-        m = TriDiagMatrix(30, diag, m.off)
-        f = factor(m)
-        assert type(f) is LUFactorization
-        rhs = rng.standard_normal(30)
-        np.testing.assert_allclose(
-            solve(f, rhs.copy()), dense_solve_oracle(to_dense(m), rhs), rtol=1e-12, atol=1e-13
-        )
+        with pytest.raises(SingularMatrixError, match="pivot 18 is not positive"):
+            factor(TriDiagMatrix(30, diag, m.off))
+        for m in (random_dd_tridiag(rng, 30), random_spd_tridiag(rng, 30).scaled(-1.0)):
+            with pytest.raises(SingularMatrixError):
+                factor(m)
 
 
 class TestBandSum:

@@ -14,9 +14,9 @@ import kvwave  # noqa: E402
 BEFORE = {"run-a": {"energy.csv": "aa", "summary.txt": "bb"}, "run-b": {"energy.csv": "cc"}}
 
 
-def compare_exit(tmp_path, after) -> int:
+def compare_exit(tmp_path, after, before=BEFORE) -> int:
     a, b = tmp_path / "before.json", tmp_path / "after.json"
-    a.write_text(json.dumps(BEFORE))
+    a.write_text(json.dumps(before))
     b.write_text(json.dumps(after))
     return output_digests.main(["--compare", str(a), str(b)])
 
@@ -33,6 +33,31 @@ def test_changed_missing_or_extra_entries_fail(tmp_path):
     for after in (changed, no_file, no_run, extra_run):
         assert compare_exit(tmp_path, after) == 1
     assert output_digests.compare(BEFORE, changed) == ["run-a/summary.txt: bb != xx"]
+
+
+def test_environment_mismatch_is_printed_before_the_diff(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    env = output_digests.environment()
+    assert env["OPENBLAS_CORETYPE"] == "Haswell" and "cpu_model" in env
+    before = dict(BEFORE, _environment={"OPENBLAS_CORETYPE": None, "cpu_model": "cpu A"})
+    after = dict(BEFORE, _environment={"OPENBLAS_CORETYPE": "Haswell", "cpu_model": "cpu A"})
+    assert compare_exit(tmp_path, after, before) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "environment differs, so may the output bits: OPENBLAS_CORETYPE None != 'Haswell'",
+        "2 runs identical",
+    ]
+    changed = dict(after, **{"run-b": {"energy.csv": "dd"}})
+    assert compare_exit(tmp_path, changed, before) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("environment differs") and lines[1:] == ["run-b/energy.csv: cc != dd"]
+    # a file written before the environment was recorded
+    assert compare_exit(tmp_path, BEFORE, before) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "environment differs, so may the output bits: OPENBLAS_CORETYPE None != 'unrecorded'",
+        "environment differs, so may the output bits: cpu_model 'cpu A' != 'unrecorded'",
+        "2 runs identical",
+    ]
 
 
 def test_runs_include_the_benchmark_sweep_and_dense_trace():

@@ -42,8 +42,11 @@ def sampled_initial(mesh, length=3.0):
 
 
 def next_layer(ops, u_prev, u_curr):
-    """The layer after u_prev, u_curr, through one summed-form advance."""
-    return ops.advance(u_curr, u_curr - u_prev, np.empty_like(u_curr), np.empty_like(u_curr))
+    """The layer after u_prev, u_curr, through one summed-form step: step_block
+    on a three-row block."""
+    block = np.stack([u_prev, u_curr, np.zeros_like(u_curr)])
+    ops.step_block(block, 2, 3, u_curr - u_prev, np.empty_like(u_curr))
+    return block[2]
 
 
 class TestBuildOperators:

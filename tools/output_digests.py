@@ -14,16 +14,24 @@ file it wrote, hashed as the benchmark hashes them
 (``perfbench/workloads.output_digests``: summary.txt without its wall-clock
 line).
 
+The JSON also holds, under ``_environment``, the ``OPENBLAS_CORETYPE``
+setting and the CPU model name: the step's band products run in OpenBLAS,
+whose kernel for the CPU decides whether they use fused multiply-adds, and
+with that the output bits (README "Known behavior").  Compare digests taken
+under the same kernel.
+
 --steps caps every run at N steps and keeps its time step.  --src imports
 kvwave from another checkout's ``src`` directory, so one copy of this tool
-digests two revisions.  --compare prints every run and file whose digest
-differs or is missing on one side and exits 1 if there is any.
+digests two revisions.  --compare prints any difference of the two
+environments first, then every run and file whose digest differs or is
+missing on one side, and exits 1 if there is any such run or file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -32,6 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import output_digests, specs, sweep_specs, to_config  # noqa: E402  (imports no kvwave)
+from bench_baseline import cpu_model  # noqa: E402  (this file's directory)
+
+ENVIRONMENT = "_environment"  # the key of the environment; no run name starts with "_"
 
 
 def configs(kvwave, steps: int | None) -> dict[str, object]:
@@ -90,8 +101,31 @@ def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
     return out
 
 
+def environment() -> dict[str, str | None]:
+    """What selects the OpenBLAS kernel, and with it the output bits."""
+    return {"OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"), "cpu_model": cpu_model()}
+
+
+def runs(digests: dict) -> dict[str, dict[str, str]]:
+    """The runs of a digest file, without its environment."""
+    return {name: files for name, files in digests.items() if name != ENVIRONMENT}
+
+
+def environment_mismatch(before: dict, after: dict) -> list[str]:
+    """One line per environment entry that differs; files written before the
+    environment was recorded read as "unrecorded"."""
+    a, b = before.get(ENVIRONMENT, {}), after.get(ENVIRONMENT, {})
+    lines = []
+    for key in sorted(a.keys() | b.keys()):
+        old, new = a.get(key, "unrecorded"), b.get(key, "unrecorded")
+        if old != new:
+            lines.append(f"environment differs, so may the output bits: {key} {old!r} != {new!r}")
+    return lines
+
+
 def compare(before: dict, after: dict) -> list[str]:
     problems = []
+    before, after = runs(before), runs(after)
     for name in sorted(before.keys() | after.keys()):
         a, b = before.get(name), after.get(name)
         if a is None or b is None:
@@ -115,7 +149,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.compare:
         before, after = (json.loads(Path(p).read_text()) for p in args.compare)
         problems = compare(before, after)
-        print("\n".join(problems) if problems else f"{len(before)} runs identical")
+        lines = environment_mismatch(before, after)
+        lines += problems or [f"{len(runs(before))} runs identical"]
+        print("\n".join(lines))
         return 1 if problems else 0
     if args.output is None:
         parser.error("give an output file or --compare")
@@ -125,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     import kvwave
 
     print(f"kvwave from {Path(kvwave.__file__).parent}", file=sys.stderr)
-    digests = digest_runs(kvwave, args.steps)
+    digests = {ENVIRONMENT: environment(), **digest_runs(kvwave, args.steps)}
     Path(args.output).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     return 0
 
