@@ -16,32 +16,31 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from math import ceil
+from math import ceil, isfinite
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics
 from .mesh import Mesh, Parameters, build_mesh
-from .model import Admissibility, cfl_max_dt, default_initial_data, validate_run
+from .model import Admissibility, ConfigError, cfl_max_dt, default_initial_data, validate_run
 from .schemes import SimulationResult, run
 
 __all__ = [
-    "ConfigError",
     "RunConfig",
-    "RunResult",
     "PRESET_NAMES",
     "preset",
     "parse_config",
+    "validate_config",
+    "resolve_time_step",
+    "execute",
+    "summary_lines",
     "write_energy_csv",
     "write_snapshot_csv",
     "write_summary",
+    "write_outputs",
     "main",
 ]
-
-
-class ConfigError(ValueError):
-    """Invalid configuration or command line."""
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,13 @@ class RunConfig:
     Exactly one of dt / cfl_fraction must be set; cfl_fraction resolves to
     the largest dt not above that fraction of the explicit stability bound
     that divides t_final into a whole number of steps.  n_steps defaults to
-    t_final / dt and cannot be combined with cfl_fraction.
+    t_final / dt and cannot be combined with cfl_fraction.  The fields are
+    in the order of the summary's configuration echo, and each key of a
+    configuration file is parsed as its field's type.
     """
 
+    preset: str | None = None
+    scheme: str = "explicit"
     c1_sq: float | None = None
     c2_sq: float | None = None
     c3_sq: float | None = None
@@ -68,12 +71,10 @@ class RunConfig:
     dt: float | None = None
     cfl_fraction: float | None = None
     n_steps: int | None = None
-    scheme: str = "explicit"
     observe_every: int = 100
     fit_lo: float = 0.5
     fit_hi: float = 1.0
     out_dir: str = "."
-    preset: str | None = None
     cfl_override: bool = False
     verify_identity: bool = False
 
@@ -122,13 +123,10 @@ def preset(name: str) -> RunConfig:
     return RunConfig(preset=name, **_PRESETS[name])
 
 
-_FLOAT_KEYS = {
-    "c1_sq", "c2_sq", "c3_sq", "delta", "alpha", "beta", "length", "t_final",
-    "dt", "cfl_fraction", "fit_lo", "fit_hi",
-}
-_INT_KEYS = {"n_alpha", "n_damp", "n_beta", "n_steps", "observe_every"}
-_BOOL_KEYS = {"cfl_override", "verify_identity"}
-_STR_KEYS = {"scheme", "out_dir"}
+# each key's value is parsed as its field's type, the annotation's first
+# word: annotations are strings here (PEP 563), such as "float | None"
+_FIELD_TYPES = {f.name: {"float": float, "int": int, "str": str, "bool": bool}[f.type.split()[0]]
+                for f in fields(RunConfig)}
 _MATERIAL_KEYS = {"rho1", "rho2", "rho3", "kappa1", "kappa2", "kappa3", "damping"}
 
 
@@ -162,20 +160,15 @@ def parse_config(text: str) -> RunConfig:
                 base = preset(raw)
                 for f in fields(RunConfig):
                     values[f.name] = getattr(base, f.name)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(raw)
+            elif key in _FIELD_TYPES:
+                kind = _FIELD_TYPES[key]
+                values[key] = _parse_bool(raw, key, lineno) if kind is bool else kind(raw)
                 if key == "dt":
                     explicit_dt = True
                     values["cfl_fraction"] = None
                 elif key == "cfl_fraction":
                     explicit_cfl = True
                     values["dt"] = None
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            elif key in _BOOL_KEYS:
-                values[key] = _parse_bool(raw, key, lineno)
-            elif key in _STR_KEYS:
-                values[key] = raw
             elif key in _MATERIAL_KEYS:
                 material[key] = float(raw)
             else:
@@ -236,6 +229,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("fit window fractions must satisfy 0 <= fit_lo < fit_hi <= 1")
     if cfg.observe_every < 1:
         raise ConfigError("observe_every must be >= 1")
+    infinite = [name for name, value in vars(cfg).items()
+                if isinstance(value, float) and not isfinite(value)]
+    if infinite:
+        raise ConfigError(f"values must be finite: {', '.join(infinite)}")
     try:
         _parameters(cfg)
     except ValueError as err:
@@ -276,18 +273,53 @@ class RunResult:
     wall_clock: float
 
 
+def _decay_fits(t: np.ndarray, e: np.ndarray, window: tuple[float, float]):
+    """Both decay fits of the energies e over the window, and the error
+    message of each fit that rejects it (its fit is then None)."""
+    fits: dict[str, diagnostics.DecayFit | None] = {}
+    errors: dict[str, str] = {}
+    for model in ("exponential", "polynomial"):
+        # looked up through the module at call time, where a tracer may wrap it
+        fitter = getattr(diagnostics, f"fit_{model}")
+        try:
+            fits[model] = fitter(t, e, window)
+        except ValueError as err:
+            fits[model], errors[model] = None, str(err)
+    return fits, errors
+
+
+def _fit_items(fits: dict, errors: dict[str, str]) -> list[tuple[str, object]]:
+    """The (key, value) pairs that report the fits, as `kvwave fit` prints
+    them and, with a result_ prefix, the summary holds them."""
+    items: list[tuple[str, object]] = []
+    for model, fit in fits.items():
+        if fit is None:
+            items.append((f"{model}_error", errors[model].replace("=", ":")))
+        else:
+            items += [
+                (f"{model}_rate", fit.rate),
+                (f"{model}_intercept", fit.intercept),
+                (f"{model}_residual", fit.residual),
+                (f"{model}_samples", fit.n_samples),
+            ]
+    return items
+
+
 def execute(cfg: RunConfig) -> RunResult:
     """Run a validated configuration end to end (no file output)."""
     params = _parameters(cfg)
-    mesh = build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
-    dt, n_steps = resolve_time_step(cfg, params, mesh)
+    try:
+        mesh = build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
+        dt, n_steps = resolve_time_step(cfg, params, mesh)
+        initial = default_initial_data(params.length)
+    except (ValueError, OverflowError) as err:  # e.g. a length whose square overflows
+        raise ConfigError(f"cannot set up the run: {err}") from err
     admissibility = validate_run(params, mesh, dt, cfg.scheme)
     if cfg.scheme == "explicit" and not admissibility.stable and not cfg.cfl_override:
         raise ConfigError(
             f"explicit run refused: dt = {dt:.6g} exceeds the stability bound "
             f"{admissibility.dt_bound:.6g}; rerun with --cfl-override to force"
         )
-    initial = default_initial_data(params.length)
     snapshot_steps = sorted({0, n_steps // 2, n_steps})
     started = time.perf_counter()
     sim = run(
@@ -300,17 +332,7 @@ def execute(cfg: RunConfig) -> RunResult:
     wall = time.perf_counter() - started
 
     window = (cfg.fit_lo * params.t_final, cfg.fit_hi * params.t_final)
-    fits: dict[str, diagnostics.DecayFit | None] = {}
-    fit_errors: dict[str, str] = {}
-    for model, fitter in (
-        ("exponential", diagnostics.fit_exponential),
-        ("polynomial", diagnostics.fit_polynomial),
-    ):
-        try:
-            fits[model] = fitter(sim.trace.t, sim.trace.e_total, window)
-        except ValueError as err:
-            fits[model] = None
-            fit_errors[model] = str(err)
+    fits, fit_errors = _decay_fits(sim.trace.t, sim.trace.e_total, window)
     return RunResult(
         config=cfg, mesh=mesh, dt=dt, n_steps=n_steps, admissibility=admissibility,
         sim=sim, fits=fits, fit_errors=fit_errors, wall_clock=wall,
@@ -347,34 +369,16 @@ def _snapshot_template(mesh: Mesh) -> str:
     return "x,u\n" + ("%.17g,%%.17g\n" * mesh.n_max) % tuple(mesh.centers.tolist())
 
 
-def write_snapshot_csv(values: np.ndarray, mesh: Mesh, path: str | Path,
-                       template: str | None = None) -> None:
-    """Cell-center profile of one layer.
-
-    template is _snapshot_template(mesh), for a caller that writes several
-    snapshots of one mesh; without it the template is built here.
-    """
-    if template is None:
-        template = _snapshot_template(mesh)
+def write_snapshot_csv(values: np.ndarray, path: str | Path, template: str) -> None:
+    """Cell-center profile of one layer; template is _snapshot_template of
+    the layer's mesh."""
     Path(path).write_text(template % tuple(values.tolist()))
-
-
-_CONFIG_ECHO_ORDER = (
-    "preset", "scheme", "c1_sq", "c2_sq", "c3_sq", "delta", "alpha", "beta",
-    "length", "t_final", "n_alpha", "n_damp", "n_beta", "dt", "cfl_fraction",
-    "n_steps", "observe_every", "fit_lo", "fit_hi", "out_dir", "cfl_override",
-    "verify_identity",
-)
 
 
 def summary_lines(result: RunResult) -> list[str]:
     cfg, sim = result.config, result.sim
     lines = ["# run configuration (this file can be fed back to `run --config`)"]
-    for name in _CONFIG_ECHO_ORDER:
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        lines.append(f"{name} = {_fmt(value)}")
+    lines += [f"{name} = {_fmt(value)}" for name, value in vars(cfg).items() if value is not None]
     adm = result.admissibility
     lines.append("# results")
     items: list[tuple[str, object]] = [
@@ -398,18 +402,7 @@ def summary_lines(result: RunResult) -> list[str]:
         ("result_fit_window_lo", cfg.fit_lo * (cfg.t_final or 0.0)),
         ("result_fit_window_hi", cfg.fit_hi * (cfg.t_final or 0.0)),
     ]
-    for model in ("exponential", "polynomial"):
-        fit = result.fits.get(model)
-        if fit is not None:
-            items += [
-                (f"result_{model}_rate", fit.rate),
-                (f"result_{model}_intercept", fit.intercept),
-                (f"result_{model}_residual", fit.residual),
-                (f"result_{model}_samples", fit.n_samples),
-            ]
-        else:
-            message = result.fit_errors.get(model, "not computed").replace("=", ":")
-            items.append((f"result_{model}_error", message))
+    items += [(f"result_{key}", value) for key, value in _fit_items(result.fits, result.fit_errors)]
     items.append(("result_wall_clock_s", result.wall_clock))
     lines += [f"{key} = {_fmt(value)}" for key, value in items]
     return lines
@@ -430,7 +423,7 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     template = _snapshot_template(result.mesh)
     for snap in result.sim.snapshots:
         path = out / f"snapshot_step{snap.step:08d}.csv"
-        write_snapshot_csv(snap.values, result.mesh, path, template)
+        write_snapshot_csv(snap.values, path, template)
         written.append(path)
     path = out / "summary.txt"
     write_summary(result, path)
@@ -546,19 +539,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise ConfigError(f"bad --window {args.window!r}: expected 'lo,hi'") from err
     t, e = _load_energy_csv(args.energy_csv)
-    for model, fitter in (
-        ("exponential", diagnostics.fit_exponential),
-        ("polynomial", diagnostics.fit_polynomial),
-    ):
-        try:
-            fit = fitter(t, e, window)
-        except ValueError as err:
-            print(f"{model}_error = {err}")
-            continue
-        print(f"{model}_rate = {_fmt(fit.rate)}")
-        print(f"{model}_intercept = {_fmt(fit.intercept)}")
-        print(f"{model}_residual = {_fmt(fit.residual)}")
-        print(f"{model}_samples = {fit.n_samples}")
+    for key, value in _fit_items(*_decay_fits(t, e, window)):
+        print(f"{key} = {_fmt(value)}")
     return 0
 
 

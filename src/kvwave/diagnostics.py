@@ -19,6 +19,7 @@ from .mesh import FluxCoefficients, Mesh, Parameters
 __all__ = [
     "EnergyTrace",
     "DecayFit",
+    "energy_work",
     "layer_energies",
     "fit_exponential",
     "fit_polynomial",
@@ -29,7 +30,6 @@ __all__ = [
 class EnergyTrace:
     """Column-wise energy history of a run, one row per recorded step."""
 
-    variant: str
     step: np.ndarray
     t: np.ndarray
     e_kinetic: np.ndarray

@@ -16,6 +16,7 @@ import numpy as np
 from .mesh import Mesh, Parameters
 
 __all__ = [
+    "ConfigError",
     "InitialData",
     "Admissibility",
     "default_initial_data",
@@ -25,6 +26,12 @@ __all__ = [
 ]
 
 ScalarField = Callable[[np.ndarray], np.ndarray]
+
+
+class ConfigError(ValueError):
+    """A run that cannot be set up: an invalid configuration or command line,
+    or a problem whose mesh, step count, initial data or operators cannot be
+    built in floating point."""
 
 
 @dataclass(frozen=True)

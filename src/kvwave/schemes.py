@@ -9,7 +9,7 @@ current layer; the flux-averaged (semi-implicit) scheme splits it evenly
 between the next and previous layers, which makes it unconditionally stable.
 The first layer is bootstrapped from the initial velocity through a
 fictitious layer one step before the start, eliminated with a centered
-difference.
+difference; in both schemes that leaves one tridiagonal solve.
 
 In both schemes R2 - L - R1 = dt^2 S, with S the stiffness matrix, so the
 recurrence is stepped in summed form (Henrici, Discrete Variable Methods in
@@ -33,17 +33,15 @@ import numpy as np
 
 from . import diagnostics, linalg
 from .mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
-from .model import InitialData, sample_cell_averages
+from .model import ConfigError, InitialData, sample_cell_averages
 
 __all__ = [
-    "SchemeMatrices",
+    "SUP_GROWTH_LIMIT",
     "SchemeOperators",
-    "Snapshot",
     "SimulationResult",
     "scheme_matrices",
     "build_operators",
-    "bootstrap_explicit",
-    "bootstrap_implicit",
+    "bootstrap",
     "run",
 ]
 
@@ -62,21 +60,19 @@ _BLOCK_MAX_ROWS = 1026
 class SchemeMatrices:
     """The tridiagonal matrices of one scheme at one time step.
 
-    lhs, rhs_curr and rhs_prev are L, R2 and R1 of the recurrence.  The
-    bootstrap system is 2 M for the explicit scheme (boot_lhs is None) and
-    boot_lhs for the flux-averaged one.  Every left-hand matrix is positive
-    definite: M > 0, the damping is positive semidefinite and the stiffness
-    negative semidefinite.
+    lhs, rhs_curr and rhs_prev are L, R2 and R1 of the recurrence, and
+    boot_lhs the matrix of the bootstrap: 2 M for the explicit scheme and
+    2 M - dt^2 S for the flux-averaged one.  Every left-hand matrix is
+    positive definite: M > 0, the damping is positive semidefinite and the
+    stiffness negative semidefinite.
     """
 
     ell: FluxCoefficients
-    mass: linalg.TriDiagMatrix
-    damping: linalg.TriDiagMatrix
     stiffness: linalg.TriDiagMatrix
     lhs: linalg.TriDiagMatrix
     rhs_curr: linalg.TriDiagMatrix
     rhs_prev: linalg.TriDiagMatrix
-    boot_lhs: linalg.TriDiagMatrix | None
+    boot_lhs: linalg.TriDiagMatrix
 
 
 def scheme_matrices(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> SchemeMatrices:
@@ -95,7 +91,7 @@ def scheme_matrices(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> S
         lhs = mass + damping_scaled
         rhs_curr = mass.scaled(2.0) + stiffness.scaled(dt * dt)
         rhs_prev = mass - damping_scaled
-        boot_lhs = None
+        boot_lhs = mass.scaled(2.0)
     else:
         # The averaged fluxes put half the (negative-diagonal) stiffness on
         # each outer layer, so it enters both side matrices with a minus sign
@@ -105,18 +101,17 @@ def scheme_matrices(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> S
         rhs_curr = mass.scaled(2.0)
         rhs_prev = mass - half_stiff - damping_scaled
         boot_lhs = mass.scaled(2.0) - stiffness.scaled(dt * dt)
-    return SchemeMatrices(ell, mass, damping, stiffness, lhs, rhs_curr, rhs_prev, boot_lhs)
+    return SchemeMatrices(ell, stiffness, lhs, rhs_curr, rhs_prev, boot_lhs)
 
 
 @dataclass(frozen=True)
 class SchemeOperators:
     """What stepping and bootstrap read of one scheme at one time step.
 
-    lhs_factor holds the L D L^T factors of L, and boot_factor those of the
-    flux-averaged bootstrap matrix (None for the explicit scheme, whose
-    bootstrap divides by 2 M).  The bands are linalg's band storage of
-    dt^2 S and R1, which every step multiplies, and of R2, which only the
-    bootstraps multiply.
+    lhs_factor and boot_factor hold the L D L^T factors of L and of the
+    bootstrap matrix.  The bands are linalg's band storage of dt^2 S and R1,
+    which every step multiplies, and of R2, which only the bootstrap
+    multiplies.
     """
 
     scheme: str
@@ -125,7 +120,7 @@ class SchemeOperators:
     params: Parameters
     ell: FluxCoefficients
     lhs_factor: linalg.LDLFactorization
-    boot_factor: linalg.LDLFactorization | None
+    boot_factor: linalg.LDLFactorization
     _stiff_band: np.ndarray = field(repr=False)
     _rhs_curr_band: np.ndarray = field(repr=False)
     _rhs_prev_band: np.ndarray = field(repr=False)
@@ -173,41 +168,17 @@ def build_operators(
         params=params,
         ell=m.ell,
         lhs_factor=linalg.factor(m.lhs),
-        boot_factor=None if m.boot_lhs is None else linalg.factor(m.boot_lhs),
+        boot_factor=linalg.factor(m.boot_lhs),
         _stiff_band=linalg.band_storage(m.stiffness.scaled(dt * dt)),
         _rhs_curr_band=linalg.band_storage(m.rhs_curr),
         _rhs_prev_band=linalg.band_storage(m.rhs_prev),
     )
 
 
-def bootstrap_explicit(
-    u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators
-) -> np.ndarray:
-    """First layer of the explicit scheme.
-
-    Solves 2 M u1 = (2M + dt^2 B) u0 + 2 dt (M - s A) psi; the left side is
-    diagonal, so this is a componentwise division.
-    """
-    if ops.scheme != "explicit":
-        raise ValueError("operators were built for the implicit scheme")
+def bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
+    """First layer of either scheme: solves boot_lhs u1 = R2 u0 + 2 dt R1 psi."""
     rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
                           np.zeros_like(u0))
-    return rhs / (2.0 * ops.mesh.cell_widths)
-
-
-def bootstrap_implicit(
-    u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators
-) -> np.ndarray:
-    """First layer of the flux-averaged scheme.
-
-    Solves boot_lhs u1 = 2 M u0 + 2 dt rhs_prev psi; in this scheme rhs_curr
-    is 2 M, so the right-hand side has the explicit bootstrap's form.
-    """
-    if ops.scheme != "implicit":
-        raise ValueError("operators were built for the explicit scheme")
-    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
-                          np.zeros_like(u0))
-    assert ops.boot_factor is not None
     return linalg.solve(ops.boot_factor, rhs)
 
 
@@ -308,9 +279,8 @@ class _EnergyLog:
         self.rows += [(step, step * self.ops.dt, *values) for step, *values in zip(*columns)]
 
     def trace(self) -> diagnostics.EnergyTrace:
-        # a row holds the EnergyTrace fields after `variant`, in order
-        columns = (np.asarray(column) for column in zip(*self.rows))
-        return diagnostics.EnergyTrace(self.ops.scheme, *columns)
+        # a row holds the EnergyTrace fields, in order
+        return diagnostics.EnergyTrace(*(np.asarray(column) for column in zip(*self.rows)))
 
 
 def run(
@@ -337,19 +307,20 @@ def run(
     the recorded rows are the same bits.  A layer whose sup norm exceeds
     SUP_GROWTH_LIMIT times the initial one ends the run, which then reports
     exactly what a run stopped just before that layer would: the layers
-    stepped past it in its block are discarded.
+    stepped past it in its block are discarded.  Operators that cannot be
+    assembled or factored raise ConfigError before the first step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
-    ops = build_operators(mesh, params, dt, scheme)
+    try:
+        ops = build_operators(mesh, params, dt, scheme)
+    except ValueError as err:  # e.g. an entry that overflows, or a pivot lost to rounding
+        raise ConfigError(f"cannot set up the {scheme} operators at dt = {dt:.6g}: {err}") from err
     u0 = sample_cell_averages(initial.phi, mesh)
     psi = sample_cell_averages(initial.psi, mesh)
-    if scheme == "explicit":
-        u1 = bootstrap_explicit(u0, psi, ops)
-    else:
-        u1 = bootstrap_implicit(u0, psi, ops)
+    u1 = bootstrap(u0, psi, ops)
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = sorted({int(s) for s in snapshot_steps})

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kvwave import Parameters, build_mesh, flux_coefficients
+from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 
 # pass/fail lines collected by the acceptance module, echoed after the run
 ACCEPTANCE_LINES: list[str] = []

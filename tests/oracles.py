@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from kvwave import FluxCoefficients, Mesh, SchemeOperators, SingularMatrixError, TriDiagMatrix
-from kvwave.linalg import band_sum, solve
+from kvwave.linalg import SingularMatrixError, TriDiagMatrix, band_sum, solve
+from kvwave.mesh import FluxCoefficients, Mesh
+from kvwave.schemes import SchemeOperators
 
 
 def to_dense(m: TriDiagMatrix) -> np.ndarray:
@@ -79,3 +80,11 @@ def one_step_layers(ops: SchemeOperators, u0: np.ndarray, u1: np.ndarray,
         layers.append(np.add(layers[-1], d))
         d_prev = d
     return layers
+
+
+def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
+    """First layer of the explicit scheme as a componentwise division: its
+    bootstrap matrix 2 M is diagonal, so u1 = (R2 u0 + 2 dt R1 psi) / (2 M)."""
+    rhs = band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
+                   np.zeros_like(u0))
+    return rhs / (2.0 * ops.mesh.cell_widths)

@@ -19,9 +19,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from kvwave import Parameters, SchemeOperators, build_mesh, build_operators
 from kvwave.cli import preset, resolve_time_step
-from kvwave.schemes import scheme_matrices
+from kvwave.mesh import Parameters, build_mesh
+from kvwave.schemes import SchemeOperators, build_operators, scheme_matrices
 from oracles import to_dense
 
 # Eigenvalue moduli are trusted to a thousand ulps; as a rate that is

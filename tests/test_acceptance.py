@@ -12,20 +12,19 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from kvwave import (
-    Parameters,
+from kvwave.cli import PRESET_NAMES, execute, preset
+from kvwave.diagnostics import fit_exponential, fit_polynomial
+from kvwave.linalg import (
+    SingularMatrixError,
+    TriDiagMatrix,
     assemble_damping,
     assemble_stiffness,
-    build_mesh,
-    build_operators,
-    default_initial_data,
-    fit_exponential,
-    fit_polynomial,
-    flux_coefficients,
-    run,
+    factor,
+    solve,
 )
-from kvwave.cli import PRESET_NAMES, execute, preset
-from kvwave.linalg import SingularMatrixError, TriDiagMatrix, factor, solve
+from kvwave.mesh import Parameters
+from kvwave.model import default_initial_data
+from kvwave.schemes import run
 
 
 from conftest import ACCEPTANCE_LINES

@@ -1,17 +1,18 @@
 import re
 import tracemalloc
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
 
-from kvwave import ConfigError, parse_config, preset
 from kvwave.cli import (
     PRESET_NAMES,
-    RunConfig,
     _fmt,
     _snapshot_template,
     execute,
     main,
+    parse_config,
+    preset,
     resolve_time_step,
     summary_lines,
     write_energy_csv,
@@ -21,9 +22,8 @@ from kvwave.cli import (
 )
 from kvwave.diagnostics import EnergyTrace
 from kvwave.mesh import Parameters, build_mesh
-from kvwave.model import cfl_max_dt
+from kvwave.model import ConfigError, cfl_max_dt
 from kvwave.schemes import build_operators
-from dataclasses import is_dataclass, replace
 
 
 MATERIAL_TEXT = (
@@ -41,7 +41,6 @@ def material_text(key, value):
 
 def small_trace():
     return EnergyTrace(
-        variant="explicit",
         step=np.array([0, 100]),
         t=np.array([0.0, 2.5]),
         e_kinetic=np.array([0.8, 0.7]),
@@ -219,7 +218,7 @@ class TestOutputs:
     def test_snapshot_csv_header(self, tmp_path, base_mesh, rng):
         path = tmp_path / "snap.csv"
         values = rng.standard_normal(base_mesh.n_max)
-        write_snapshot_csv(values, base_mesh, path)
+        write_snapshot_csv(values, path, _snapshot_template(base_mesh))
         lines = path.read_text().splitlines()
         assert lines[0] == "x,u"
         assert len(lines) == base_mesh.n_max + 1
@@ -239,7 +238,7 @@ class TestOutputs:
     def test_csv_bytes_match_per_value_formatting(self, tmp_path, base_mesh):
         special = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0 / 3.0, -2.5e-7, 123456.789])
         cols = [np.roll(special, k) for k in range(6)]
-        trace = EnergyTrace("explicit", np.arange(len(special)) * 100, *cols)
+        trace = EnergyTrace(np.arange(len(special)) * 100, *cols)
         energy = tmp_path / "energy.csv"
         write_energy_csv(trace, energy)
         rows = ["step,t,e_kinetic,e_potential,e_total,dissipation,residual"] + [
@@ -250,7 +249,7 @@ class TestOutputs:
 
         values = np.resize(special, base_mesh.n_max)
         snapshot = tmp_path / "snap.csv"
-        write_snapshot_csv(values, base_mesh, snapshot)
+        write_snapshot_csv(values, snapshot, _snapshot_template(base_mesh))
         rows = ["x,u"] + [
             f"{_fmt(float(x))},{_fmt(float(u))}" for x, u in zip(base_mesh.centers, values)
         ]
@@ -262,7 +261,7 @@ class TestOutputs:
         cols = [np.roll(edge, k) for k in range(6)]
         steps = np.arange(len(edge)) * 7
         energy = tmp_path / "energy.csv"
-        write_energy_csv(EnergyTrace("implicit", steps, *cols), energy)
+        write_energy_csv(EnergyTrace(steps, *cols), energy)
         rows = ["step,t,e_kinetic,e_potential,e_total,dissipation,residual"] + [
             ",".join(["{}".format(int(steps[i]))] + ["{:.17g}".format(c[i]) for c in cols])
             for i in range(len(edge))
@@ -275,10 +274,9 @@ class TestOutputs:
         expected = "\n".join(["x,u"] + [
             "{:.17g},{:.17g}".format(x, u) for x, u in zip(base_mesh.centers.tolist(), values.tolist())
         ]) + "\n"
-        for template in (None, _snapshot_template(base_mesh)):  # as write_outputs passes it
-            snapshot = tmp_path / "snap.csv"
-            write_snapshot_csv(values, base_mesh, snapshot, template)
-            assert snapshot.read_bytes() == expected.encode()
+        snapshot = tmp_path / "snap.csv"
+        write_snapshot_csv(values, snapshot, _snapshot_template(base_mesh))
+        assert snapshot.read_bytes() == expected.encode()
 
     def test_summary_round_trips_to_identical_config(self, short_wide_result, tmp_path):
         path = tmp_path / "summary.txt"
@@ -377,7 +375,7 @@ class TestMain:
     def test_fit_subcommand(self, tmp_path, capsys):
         t = np.linspace(0.0, 100.0, 201)
         trace = EnergyTrace(
-            variant="explicit", step=np.arange(201), t=t,
+            step=np.arange(201), t=t,
             e_kinetic=np.zeros(201), e_potential=np.zeros(201),
             e_total=np.exp(-0.25 * t), dissipation=np.zeros(201),
             residual=np.zeros(201),
@@ -430,6 +428,31 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "densities and moduli must be > 0" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("preset = case1\nt_final = inf\n", "values must be finite: t_final"),
+        ("preset = equal-damped\nlength = inf\n", "values must be finite: length"),
+        ("preset = equal-damped\nlength = 1e300\nbeta = 1e299\n",  # length**2 overflows
+         "cannot set up the run"),
+        ("preset = equal-damped\ndelta = inf\n", "values must be finite: delta"),
+        ("preset = equal-damped\ndelta = 1e308\n",  # L loses positive definiteness to rounding
+         "matrix not positive definite"),
+        ("preset = equal-damped\nscheme = implicit\ndt = 1e200\n",  # dt^2 S overflows
+         "matrix entries must be finite"),
+        ("preset = equal-damped\nscheme = implicit\ndt = inf\n", "values must be finite: dt"),
+        ("preset = equal-damped\nn_damp = 1\n", "n_damp must be >= 2"),
+        ("preset = case1\nt_final = 1e300\ncfl_fraction = 1e-300\n",  # the step count overflows
+         "cannot set up the run"),
+    ], ids=["t_final-inf", "length-inf", "length-1e300", "delta-inf", "delta-1e308",
+            "dt-1e200", "dt-inf", "n_damp-1", "steps-overflow"])
+    def test_unusable_config_exits_1_with_one_error_line(self, tmp_path, capsys, text, reason):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(text)
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 

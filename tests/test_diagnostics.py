@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from kvwave import (
-    Parameters,
-    fit_exponential,
-    fit_polynomial,
-    sample_cell_averages,
-)
-from kvwave.diagnostics import energy_work, layer_energies
+from kvwave.diagnostics import energy_work, fit_exponential, fit_polynomial, layer_energies
+from kvwave.mesh import Parameters
+from kvwave.model import sample_cell_averages
 from oracles import discrete_h1_seminorm, discrete_l2_norm
 
 DT = 0.025

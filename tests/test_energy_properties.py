@@ -4,8 +4,9 @@ Over random speeds, damping (including none), interfaces, cell counts and
 time steps at or below the CFL bound, the recorded energy rows are the same
 bits with and without --verify-identity, and a run gives the same trace and
 statistics whatever size its layer blocks have.  Without verification the
-statistics come from the recorded rows alone.  Over the same space, and far
-above the CFL bound, every scheme matrix is factored as L D L^T.
+statistics come from the recorded rows alone.  Over the same space the
+explicit bootstrap's solve gives the bits of a division by 2 M, and over it
+and far above the CFL bound every scheme matrix is factored as L D L^T.
 """
 
 from dataclasses import fields
@@ -15,11 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvwave import EnergyTrace, Parameters, build_mesh, cfl_max_dt, default_initial_data, run
 from kvwave import schemes
+from kvwave.diagnostics import EnergyTrace
 from kvwave.linalg import LDLFactorization
-from kvwave.model import sample_cell_averages
-from oracles import one_step_layers
+from kvwave.mesh import Parameters, build_mesh
+from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
+from kvwave.schemes import run
+from oracles import explicit_bootstrap, one_step_layers
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
 
@@ -124,8 +127,28 @@ def test_scheme_matrices_factor_as_ldlt(c_sq, delta, alpha, beta, cells, cfl_fra
     for scheme in ("explicit", "implicit"):
         ops = schemes.build_operators(mesh, params, dt, scheme)
         assert type(ops.lhs_factor) is LDLFactorization
-        if scheme == "implicit":
-            assert type(ops.boot_factor) is LDLFactorization
+        assert type(ops.boot_factor) is LDLFactorization
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@example(  # undamped, smallest zones
+    c_sq=(1.0, 4.0, 0.25), delta=0.0, alpha=1.0, beta=2.0, cells=(1, 2, 1), cfl_fraction=1.0,
+)
+@given(
+    c_sq=st.tuples(speeds, speeds, speeds),
+    delta=damping,
+    alpha=st.floats(0.1, 1.4),
+    beta=st.floats(1.6, 2.9),
+    cells=counts,
+    cfl_fraction=st.floats(0.05, 1.0),
+)
+def test_explicit_bootstrap_is_the_division_by_2m(c_sq, delta, alpha, beta, cells, cfl_fraction):
+    params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
+    mesh = build_mesh(params, *cells)
+    ops = schemes.build_operators(mesh, params, cfl_fraction * cfl_max_dt(params, mesh), "explicit")
+    data = default_initial_data(params.length)
+    u0, psi = (sample_cell_averages(f, mesh) for f in (data.phi, data.psi))
+    assert schemes.bootstrap(u0, psi, ops).tobytes() == explicit_bootstrap(u0, psi, ops).tobytes()
 
 
 def assert_no_shared_memory(result) -> None:
@@ -140,7 +163,7 @@ def stepwise_divergence(params, mesh, data, dt):
     its own step_block call and checked as it is stepped."""
     ops = schemes.build_operators(mesh, params, dt, "explicit")
     u0 = sample_cell_averages(data.phi, mesh)
-    u1 = schemes.bootstrap_explicit(u0, sample_cell_averages(data.psi, mesh), ops)
+    u1 = schemes.bootstrap(u0, sample_cell_averages(data.psi, mesh), ops)
     limit = schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
     block = np.stack([u0, u1, np.zeros_like(u0)])
     d_prev, d_next = u1 - u0, np.empty_like(u0)

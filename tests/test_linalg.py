@@ -1,25 +1,19 @@
 import numpy as np
 import pytest
 
-from kvwave import (
-    Mesh,
-    FluxCoefficients,
+from kvwave.linalg import (
+    LDLFactorization,
     SingularMatrixError,
     TriDiagMatrix,
     assemble_damping,
     assemble_mass,
     assemble_stiffness,
-    build_mesh,
-    flux_coefficients,
-)
-from kvwave.linalg import (
-    LDLFactorization,
     band_storage,
     band_sum,
     factor,
     solve,
 )
-from kvwave.mesh import Parameters
+from kvwave.mesh import FluxCoefficients, Mesh, Parameters, build_mesh
 from oracles import dense_solve_oracle, dominance_margin, quadratic_form, to_dense
 
 

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from kvwave import Parameters, build_mesh, flux_coefficients
-from kvwave.mesh import _check_face_bounds
+from kvwave.mesh import Parameters, _check_face_bounds, build_mesh, flux_coefficients
 
 
 def params_for(c1=1.0, c2=1.0, c3=1.0, alpha=1.0, beta=2.0, length=3.0):

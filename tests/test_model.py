@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from kvwave import (
+from kvwave.mesh import Parameters, build_mesh
+from kvwave.model import (
     InitialData,
-    Parameters,
-    build_mesh,
     cfl_max_dt,
     default_initial_data,
     sample_cell_averages,

@@ -65,3 +65,20 @@ def test_runs_include_the_benchmark_sweep_and_dense_trace():
     for name in [f"sweep-n{total:03d}" for total in SWEEP_TOTAL_CELLS] + ["dense-trace"]:
         assert runs[f"{name}-plain"].verify_identity is False
         assert runs[f"{name}-verified"].verify_identity is True
+
+
+def test_kvwave_fit_output_is_digested_over_two_windows(tmp_path, monkeypatch):
+    cfg = kvwave.cli.preset("wide-damping")
+    run_dir = tmp_path / "run"
+    kvwave.cli.write_outputs(kvwave.cli.execute(cfg), run_dir)
+    outputs = output_digests.fit_outputs(kvwave.cli, run_dir)
+    # over the summary's window, fit prints the run's own fit lines
+    summary = set((run_dir / "summary.txt").read_text().splitlines())
+    printed = outputs["fit:summary-window"].splitlines()
+    assert len(printed) == 8 and {f"result_{line}" for line in printed} <= summary
+    assert [line.split(" = ")[0] for line in outputs["fit:failing-window"].splitlines()] == [
+        "exponential_error", "polynomial_error",
+    ]
+    monkeypatch.setattr(output_digests, "configs", lambda kvwave, steps: {"wide": cfg})
+    digests = output_digests.digest_runs(kvwave, None)["wide"]
+    assert {"energy.csv", "summary.txt", "fit:summary-window", "fit:failing-window"} <= digests.keys()

@@ -3,28 +3,21 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kvwave import (
-    EnergyTrace,
-    InitialData,
-    Parameters,
-    bootstrap_explicit,
-    bootstrap_implicit,
-    build_mesh,
-    build_operators,
-    cfl_max_dt,
-    default_initial_data,
-    run,
-    sample_cell_averages,
-)
-from kvwave.diagnostics import layer_energies
-from kvwave.schemes import scheme_matrices
+from kvwave.cli import PRESET_NAMES
+from kvwave.diagnostics import EnergyTrace, layer_energies
+from kvwave.linalg import assemble_damping, assemble_mass
+from kvwave.mesh import Parameters, build_mesh
+from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
+from kvwave.schemes import bootstrap, build_operators, run, scheme_matrices
 from oracles import (
     dense_solve_oracle,
     discrete_h1_seminorm,
     discrete_l2_norm,
     dominance_margin,
+    explicit_bootstrap,
     to_dense,
 )
+from spectral import preset_operators
 
 DT = 0.025
 ORACLE_MESHES = [(1, 2, 1), (20, 10, 20), (200, 100, 200)]
@@ -52,41 +45,36 @@ def next_layer(ops, u_prev, u_curr):
 class TestBuildOperators:
     def test_explicit_lhs_reduces_to_mass_when_undamped(self, base_mesh):
         m = scheme_matrices(base_mesh, undamped_params(), DT, "explicit")
-        np.testing.assert_array_equal(m.lhs.diag, m.mass.diag)
+        np.testing.assert_array_equal(m.lhs.diag, assemble_mass(base_mesh).diag)
         assert np.all(m.lhs.off == 0.0)
 
     def test_matrix_combinations(self, base_mesh, base_params):
         m = scheme_matrices(base_mesh, base_params, DT, "explicit")
+        mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
-        np.testing.assert_allclose(
-            to_dense(m.lhs),
-            to_dense(m.mass) + s * to_dense(m.damping),
-            rtol=1e-14,
-        )
+        np.testing.assert_allclose(to_dense(m.lhs), mass + s * damping, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.rhs_curr),
-            2.0 * to_dense(m.mass) + DT**2 * to_dense(m.stiffness),
+            2.0 * mass + DT**2 * to_dense(m.stiffness),
             rtol=1e-14,
         )
-        np.testing.assert_allclose(
-            to_dense(m.rhs_prev),
-            to_dense(m.mass) - s * to_dense(m.damping),
-            rtol=1e-14,
-        )
+        np.testing.assert_allclose(to_dense(m.rhs_prev), mass - s * damping, rtol=1e-14)
+        np.testing.assert_array_equal(to_dense(m.boot_lhs), 2.0 * mass)
 
     def test_implicit_matrices_put_flux_average_on_outer_layers(self, base_mesh, base_params):
         m = scheme_matrices(base_mesh, base_params, DT, "implicit")
+        mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
         half = 0.5 * DT**2
         np.testing.assert_allclose(
             to_dense(m.lhs),
-            to_dense(m.mass) - half * to_dense(m.stiffness) + s * to_dense(m.damping),
+            mass - half * to_dense(m.stiffness) + s * damping,
             rtol=1e-14,
         )
-        np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * to_dense(m.mass), rtol=1e-14)
+        np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * mass, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.boot_lhs),
-            2.0 * to_dense(m.mass) - DT**2 * to_dense(m.stiffness),
+            2.0 * mass - DT**2 * to_dense(m.stiffness),
             rtol=1e-14,
         )
 
@@ -94,8 +82,7 @@ class TestBuildOperators:
     def test_left_matrices_strictly_diagonally_dominant(self, base_mesh, base_params, scheme):
         m = scheme_matrices(base_mesh, base_params, DT, scheme)
         assert dominance_margin(m.lhs) > 0.0
-        if scheme == "implicit":
-            assert dominance_margin(m.boot_lhs) > 0.0
+        assert dominance_margin(m.boot_lhs) > 0.0
 
     def test_bad_scheme_rejected(self, base_mesh, base_params):
         with pytest.raises(ValueError):
@@ -105,22 +92,18 @@ class TestBuildOperators:
 
 
 class TestBootstrap:
-    def test_zero_data_explicit(self, base_mesh, base_params):
-        ops = build_operators(base_mesh, base_params, DT, "explicit")
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_zero_data(self, base_mesh, base_params, scheme):
+        ops = build_operators(base_mesh, base_params, DT, scheme)
         z = np.zeros(base_mesh.n_max)
-        np.testing.assert_array_equal(bootstrap_explicit(z, z, ops), z)
-
-    def test_zero_data_implicit(self, base_mesh, base_params):
-        ops = build_operators(base_mesh, base_params, DT, "implicit")
-        z = np.zeros(base_mesh.n_max)
-        np.testing.assert_allclose(bootstrap_implicit(z, z, ops), z, atol=1e-16)
+        np.testing.assert_array_equal(bootstrap(z, z, ops), z)
 
     def test_explicit_zero_velocity_drops_damping(self, base_mesh, base_params):
         # with zero initial velocity: u1 = u0 + (dt^2 / 2) M^{-1} B u0
         ops = build_operators(base_mesh, base_params, DT, "explicit")
         u0, _ = sampled_initial(base_mesh)
         zero = np.zeros_like(u0)
-        u1 = bootstrap_explicit(u0, zero, ops)
+        u1 = bootstrap(u0, zero, ops)
         stiffness = scheme_matrices(base_mesh, base_params, DT, "explicit").stiffness
         expected = u0 + 0.5 * DT**2 * (to_dense(stiffness) @ u0) / base_mesh.cell_widths
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-15)
@@ -128,35 +111,31 @@ class TestBootstrap:
     def test_explicit_first_layer_close_to_initial(self, base_mesh, base_params):
         ops = build_operators(base_mesh, base_params, DT, "explicit")
         u0, psi = sampled_initial(base_mesh)
-        u1 = bootstrap_explicit(u0, psi, ops)
+        u1 = bootstrap(u0, psi, ops)
         assert np.all(np.isfinite(u1))
         gap = float(np.abs(u1 - u0).max())
         assert 0.0 < gap <= 3.0 * DT * float(np.abs(psi).max())
 
-    def test_implicit_taylor_consistency(self):
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_taylor_consistency(self, scheme):
         # coarse cells keep the second-order correction below the tolerance
         p = Parameters(1, 1, 1, 1.0, 1.0, 2.0, 3.0, 10.0)
         mesh = build_mesh(p, 2, 2, 2)
         dt = 1e-4
-        ops = build_operators(mesh, p, dt, "implicit")
+        ops = build_operators(mesh, p, dt, scheme)
         u0, psi = sampled_initial(mesh)
-        u1 = bootstrap_implicit(u0, psi, ops)
+        u1 = bootstrap(u0, psi, ops)
         np.testing.assert_allclose(u1, u0 + dt * psi, atol=1e-7)
 
-    def test_implicit_bootstrap_residual(self, base_mesh, base_params):
-        ops = build_operators(base_mesh, base_params, DT, "implicit")
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_bootstrap_residual(self, base_mesh, base_params, scheme):
+        ops = build_operators(base_mesh, base_params, DT, scheme)
         u0, psi = sampled_initial(base_mesh)
-        u1 = bootstrap_implicit(u0, psi, ops)
-        m = scheme_matrices(base_mesh, base_params, DT, "implicit")
-        rhs = 2.0 * m.mass.diag * u0 + 2.0 * DT * (to_dense(m.rhs_prev) @ psi)
+        u1 = bootstrap(u0, psi, ops)
+        m = scheme_matrices(base_mesh, base_params, DT, scheme)
+        rhs = to_dense(m.rhs_curr) @ u0 + 2.0 * DT * (to_dense(m.rhs_prev) @ psi)
         residual = float(np.abs(to_dense(m.boot_lhs) @ u1 - rhs).max())
         assert residual <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
-
-    def test_scheme_guard(self, base_mesh, base_params):
-        ops = build_operators(base_mesh, base_params, DT, "explicit")
-        z = np.zeros(base_mesh.n_max)
-        with pytest.raises(ValueError):
-            bootstrap_implicit(z, z, ops)
 
     @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -167,15 +146,18 @@ class TestBootstrap:
         ops = build_operators(mesh, p, dt, scheme)
         m = scheme_matrices(mesh, p, dt, scheme)
         u0, psi = rng.standard_normal((2, mesh.n_max))
-        if scheme == "explicit":
-            u1 = bootstrap_explicit(u0, psi, ops)
-            lhs = np.diag(2.0 * m.mass.diag)
-        else:
-            u1 = bootstrap_implicit(u0, psi, ops)
-            lhs = to_dense(m.boot_lhs)
+        u1 = bootstrap(u0, psi, ops)
         rhs = to_dense(m.rhs_curr) @ u0 + 2.0 * dt * (to_dense(m.rhs_prev) @ psi)
-        expected = dense_solve_oracle(lhs, rhs)
+        expected = dense_solve_oracle(to_dense(m.boot_lhs), rhs)
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_explicit_bootstrap_is_the_division_by_2m(self, name):
+        # the solve with the factors of the diagonal 2 M gives the bits of
+        # the componentwise division, so explicit runs keep their outputs
+        ops = preset_operators(name, "explicit")
+        u0, psi = sampled_initial(ops.mesh, ops.params.length)
+        assert bootstrap(u0, psi, ops).tobytes() == explicit_bootstrap(u0, psi, ops).tobytes()
 
 
 class TestSteps:
@@ -202,7 +184,7 @@ class TestSteps:
         p = undamped_params()
         ops = build_operators(base_mesh, p, DT, "explicit")
         u0, psi = sampled_initial(base_mesh)
-        u1 = bootstrap_explicit(u0, psi, ops)
+        u1 = bootstrap(u0, psi, ops)
         u2 = next_layer(ops, u0, u1)
         _, _, e_tot, _, _ = layer_energies(
             np.stack((u0, u1, u2)), base_mesh, ops.ell, p, DT, "explicit"
@@ -215,8 +197,7 @@ class TestSteps:
         p = undamped_params()
         ops = build_operators(base_mesh, p, DT, scheme)
         u0, psi = sampled_initial(base_mesh)
-        boot = bootstrap_explicit if scheme == "explicit" else bootstrap_implicit
-        u1 = boot(u0, psi, ops)
+        u1 = bootstrap(u0, psi, ops)
         n = 1000
         prev, curr = u0, u1
         for _ in range(n):
@@ -235,7 +216,7 @@ class TestRun:
         result = run(base_params, base_mesh, data, DT, 1, scheme="explicit")
         ops = build_operators(base_mesh, base_params, DT, "explicit")
         u0, psi = sampled_initial(base_mesh)
-        np.testing.assert_array_equal(result.u_curr, bootstrap_explicit(u0, psi, ops))
+        np.testing.assert_array_equal(result.u_curr, bootstrap(u0, psi, ops))
         np.testing.assert_array_equal(result.u_prev, u0)
         assert result.steps_completed == 1
         assert len(result.trace) == 1
@@ -302,7 +283,7 @@ class TestRun:
         # their first-step value along an implicit run
         ops = build_operators(base_mesh, base_params, DT, "implicit")
         u0, psi = sampled_initial(base_mesh)
-        u1 = bootstrap_implicit(u0, psi, ops)
+        u1 = bootstrap(u0, psi, ops)
 
         def quantity(prev, curr):
             d1 = (curr - prev) / DT

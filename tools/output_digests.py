@@ -12,7 +12,8 @@ mesh (5000 cells, 300 steps); and, in both modes, the benchmark's 16
 ``cli.write_outputs``.  The JSON maps each run's name to the sha256 of every
 file it wrote, hashed as the benchmark hashes them
 (``perfbench/workloads.output_digests``: summary.txt without its wall-clock
-line).
+line), and of what ``kvwave fit`` prints for its energy.csv over two
+windows: the fit window of its summary, and one where both fits fail.
 
 The JSON also holds, under ``_environment``, the ``OPENBLAS_CORETYPE``
 setting and the CPU model name: the step's band products run in OpenBLAS,
@@ -30,8 +31,12 @@ missing on one side, and exits 1 if there is any such run or file.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -43,6 +48,10 @@ from workloads import output_digests, specs, sweep_specs, to_config  # noqa: E40
 from bench_baseline import cpu_model  # noqa: E402  (this file's directory)
 
 ENVIRONMENT = "_environment"  # the key of the environment; no run name starts with "_"
+
+# No sample of a run lies in this window, and no polynomial fit window may
+# start at t = 0: both fits report an error.
+FAILING_FIT_WINDOW = "0,1e-300"
 
 
 def configs(kvwave, steps: int | None) -> dict[str, object]:
@@ -88,6 +97,24 @@ def _capped(kvwave, cfg, steps: int):
     return replace(cfg, dt=dt, cfl_fraction=None, n_steps=min(steps, n_steps))
 
 
+def fit_outputs(cli, run_dir: Path) -> dict[str, str]:
+    """What `kvwave fit` prints for a run's energy.csv over the fit window of
+    its summary ("fit:summary-window") and over FAILING_FIT_WINDOW
+    ("fit:failing-window")."""
+    summary = (run_dir / "summary.txt").read_text()
+    window = ",".join(re.search(rf"^result_fit_window_{end} = (.*)$", summary, re.M).group(1)
+                      for end in ("lo", "hi"))
+    outputs = {}
+    for name, w in (("fit:summary-window", window), ("fit:failing-window", FAILING_FIT_WINDOW)):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = cli.main(["fit", "--energy-csv", str(run_dir / "energy.csv"), "--window", w])
+        if code != 0:
+            raise RuntimeError(f"kvwave fit --window {w} on {run_dir} exited {code}")
+        outputs[name] = printed.getvalue()
+    return outputs
+
+
 def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
     cli = kvwave.cli
     out = {}
@@ -97,7 +124,9 @@ def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
             cli.validate_config(cfg)
             cli.write_outputs(cli.execute(cfg), run_dir)
             out[name] = output_digests(run_dir)
-            print(f"{name}: {len(out[name])} files", file=sys.stderr)
+            for key, text in fit_outputs(cli, run_dir).items():
+                out[name][key] = hashlib.sha256(text.encode()).hexdigest()
+            print(f"{name}: {len(out[name])} digests", file=sys.stderr)
     return out
 
 
