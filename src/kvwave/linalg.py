@@ -1,4 +1,5 @@
-"""Symmetric tridiagonal operators and linear solvers for the schemes.
+"""Symmetric tridiagonal operators and the compiled kernel that factors,
+solves and steps with them.
 
 The three scheme matrices are assembled here:
 
@@ -9,17 +10,28 @@ The three scheme matrices are assembled here:
 
 A matrix is factored once and the factors are reused for every right-hand
 side.  Every matrix the schemes solve with is positive definite, so it is
-factored as L D L^T without pivoting (LAPACK pttrf/pttrs); any other matrix
-is rejected.  Products with the right-hand matrices run on their BLAS band
-storage (gbmv), so a step costs O(n) time and the operators O(n) memory.
+factored as L D L^T without pivoting; any other matrix is rejected.
+Products with the right-hand matrices run on their band storage, so a step
+costs O(n) time and the operators O(n) memory.
+
+The arithmetic runs in kernel.c, which is compiled on first import into the
+package's __pycache__ and loaded with ctypes.  It computes what LAPACK
+pttrf/pttrs and BLAS gbmv compute, with every multiply-add of the band
+products an explicit correctly rounded fma(), so its results are the same
+bits on every machine.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .mesh import FluxCoefficients, Mesh
 
@@ -34,10 +46,77 @@ __all__ = [
     "solve",
     "band_storage",
     "band_sum",
+    "step_block",
 ]
 
-_pttrf, _pttrs = get_lapack_funcs(("pttrf", "pttrs"), (np.array([1.0]),))
-_gbmv = get_blas_funcs("gbmv", (np.array([1.0]),))
+# Hardware FMA where the CPU has it; no contraction or reassociation beyond
+# the source's own fma() calls, so the bits never depend on these flags.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-march=native", "-shared", "-fPIC")
+
+
+def _cpu() -> str:
+    """The machine and the CPU model and features that -march=native builds for."""
+    try:
+        lines = Path("/proc/cpuinfo").read_text().split("\n\n")[0].splitlines()
+    except OSError:
+        lines = []
+    keys = ("model name", "flags", "Features", "CPU implementer", "CPU part")
+    return "\n".join([platform.machine(), platform.processor(),
+                      *(line for line in lines if line.split(":")[0].strip() in keys)])
+
+
+def _load_kernel() -> ctypes.CDLL:
+    """kernel.c as a shared library, built by cc on first use.
+
+    The library is cached in the package's __pycache__ under a key of the
+    source, the flags and the CPU, so later processes load it without a
+    compiler.  Each build writes a file of its own and renames it into place,
+    so concurrent first imports are safe.
+    """
+    source = Path(__file__).with_name("kernel.c")
+    key = hashlib.sha256("\0".join([source.read_text(), *_CFLAGS, _cpu()]).encode())
+    lib = source.with_name("__pycache__") / f"kernel-{key.hexdigest()[:16]}.so"
+    if not lib.exists():
+        tmp = lib.with_name(f"{lib.name}.{os.getpid()}.tmp")
+        try:
+            lib.parent.mkdir(exist_ok=True)
+            subprocess.run(["cc", *_CFLAGS, "-o", str(tmp), str(source), "-lm"],
+                           check=True, capture_output=True, text=True)
+            os.replace(tmp, lib)
+        except (OSError, subprocess.CalledProcessError) as err:
+            detail = getattr(err, "stderr", None) or err
+            raise ImportError(f"kvwave needs a C compiler (cc) to build {lib} from {source}: "
+                              f"{detail}") from None
+        finally:
+            tmp.unlink(missing_ok=True)
+    kernel = ctypes.CDLL(str(lib))
+    size = ctypes.c_ssize_t
+    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    band = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    kernel.kv_factor.argtypes = [size, out, out]
+    kernel.kv_factor.restype = size
+    kernel.kv_solve.argtypes = [size, vector, vector, out]
+    kernel.kv_solve.restype = None
+    kernel.kv_band_sum.argtypes = [size, band, vector, ctypes.c_double, band, vector, out]
+    kernel.kv_band_sum.restype = None
+    kernel.kv_step_block.argtypes = [size, size, size, block, band, band, vector, vector,
+                                     out, out]
+    kernel.kv_step_block.restype = None
+    return kernel
+
+
+_kernel = _load_kernel()
+
+
+def _call(function, *args) -> object:
+    """A kernel call whose arrays ctypes rejected raises ValueError."""
+    try:
+        return function(*args)
+    except ctypes.ArgumentError as err:
+        raise ValueError(f"kernel arrays must be contiguous float64 arrays, writeable where "
+                         f"written: {err}") from None
 
 
 class SingularMatrixError(ValueError):
@@ -85,6 +164,10 @@ class LDLFactorization:
     d: np.ndarray
     e: np.ndarray
 
+    def __post_init__(self) -> None:
+        if self.d.ndim != 1 or self.e.shape != (max(len(self.d) - 1, 0),):
+            raise ValueError("inconsistent factor shapes")
+
 
 def assemble_mass(mesh: Mesh) -> TriDiagMatrix:
     """Diagonal mass matrix of cell widths."""
@@ -130,17 +213,18 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     """L D L^T factors of a positive definite m, computed once and reused
     across solves.
 
-    Raises SingularMatrixError when pttrf meets a non-positive pivot, that
-    is when m is not positive definite.  The LAPACK wrappers need at least
-    three rows; every mesh has four or more.
+    Raises SingularMatrixError when the factorization meets a non-positive
+    pivot, that is when m is not positive definite.  The kernel's band
+    products need at least three rows; every mesh has four or more.
     """
     if m.dim < 3:
         raise ValueError("factorization needs a matrix of dimension 3 or more")
-    d, e, info = _pttrf(m.diag, m.off)
-    if info > 0:
+    d, e = np.array(m.diag, dtype=float), np.array(m.off, dtype=float)
+    info = _kernel.kv_factor(m.dim, d, e)
+    if info:
         raise SingularMatrixError(f"matrix not positive definite: pivot {info} is not positive")
-    if info < 0:
-        raise ValueError(f"invalid argument {-info} to tridiagonal factorization")
+    d.setflags(write=False)
+    e.setflags(write=False)
     return LDLFactorization(d, e)
 
 
@@ -148,11 +232,7 @@ def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve with previously computed factors, in place: rhs becomes the solution."""
     if rhs.shape != f.d.shape:
         raise ValueError("right-hand side length does not match the factorization")
-    x, info = _pttrs(f.d, f.e, rhs, 1)
-    if x is not rhs:  # LAPACK solved a copy
-        raise ValueError("rhs must be a contiguous float64 vector")
-    if info != 0:
-        raise SingularMatrixError("tridiagonal solve failed")
+    _call(_kernel.kv_solve, len(rhs), f.d, f.e, rhs)
     return rhs
 
 
@@ -160,8 +240,9 @@ def band_storage(m: TriDiagMatrix) -> np.ndarray:
     """The 3 x n BLAS general-band storage of a tridiagonal matrix.
 
     Column j holds m[j-1, j], m[j, j] and m[j+1, j].  The array is Fortran
-    ordered so that gbmv reads it in place instead of copying it per call.
-    The BLAS wrapper needs at least three rows; every mesh has four or more.
+    ordered, so each column's three entries are adjacent, as the kernel
+    reads them.  The band products need at least three rows; every mesh has
+    four or more.
     """
     if m.dim < 3:
         raise ValueError("band storage needs a matrix of dimension 3 or more")
@@ -172,19 +253,43 @@ def band_storage(m: TriDiagMatrix) -> np.ndarray:
     return band
 
 
+def _check_shapes(n: int, bands: tuple[np.ndarray, ...], vectors: tuple[np.ndarray, ...]) -> None:
+    if any(a.shape != (3, n) for a in bands) or any(v.shape != (n,) for v in vectors):
+        raise ValueError(f"bands must be 3 x {n} arrays and vectors of length {n}")
+
+
 def band_sum(
     a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray, y: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """a x + scale (b y) for two matrices in band storage, written into out.
 
-    out's previous contents are never read (gbmv with beta = 0 overwrites
-    them).  The wrapper is called with positional arguments only: parsing
-    keywords more than doubled the cost of a call at 68 cells.
+    out's previous contents are never read.  Each row adds its products in
+    column order, one fma() each, scale (b y) after a x; scale multiplies y
+    before its products, as gbmv's alpha does.
     """
-    n = a.shape[1]
-    # (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
-    res = _gbmv(n, n, 1, 1, 1.0, a, x, 1, 0, 0.0, out, 1, 0, 0, 1)
-    res = _gbmv(n, n, 1, 1, scale, b, y, 1, 0, 1.0, res, 1, 0, 0, 1)
-    if res is not out:  # BLAS wrote into a copy
-        raise ValueError("out must be a contiguous float64 vector")
+    n = a.shape[-1]
+    _check_shapes(n, (a, b), (x, y, out))
+    _call(_kernel.kv_band_sum, n, a, x, scale, b, y, out)
     return out
+
+
+def step_block(
+    block: np.ndarray, start: int, stop: int, stiff: np.ndarray, rhs_prev: np.ndarray,
+    f: LDLFactorization, d_prev: np.ndarray, d_next: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Summed-form steps into rows start .. stop-1 of a block of layers.
+
+    Each row i gets block[i-1] + d, where L d = stiff block[i-1] + rhs_prev
+    d_prev is solved with L's factors f: the product is band_sum's with
+    scale 1, the solve is solve's.  d_prev is the increment into row i-1,
+    d goes into d_next, and the two vectors then swap.  Returns (d_prev,
+    d_next) as the next call takes them.  The increments must not overlap
+    each other or the block.
+    """
+    if block.ndim != 2 or not 1 <= start <= stop <= len(block):
+        raise ValueError(f"rows {start} .. {stop - 1} do not follow a row of the block")
+    n = block.shape[1]
+    _check_shapes(n, (stiff, rhs_prev), (f.d, d_prev, d_next))
+    _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
+          d_prev, d_next)
+    return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)

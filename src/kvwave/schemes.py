@@ -20,7 +20,9 @@ d_n = u_{n+1} - u_n and each step solves
 
 The increment is never formed as a difference of two rounded layers, which
 keeps the per-step energy identity at round-off whatever the cell count.  L
-is positive definite, so it is factored once per run as L D L^T.
+is positive definite, so it is factored once per run as L D L^T.  A whole
+block of steps runs in one call of linalg's compiled kernel, whose bits do
+not depend on the machine.
 """
 
 from __future__ import annotations
@@ -134,26 +136,10 @@ class SchemeOperators:
         is solved in d_next; d_prev is the increment into row i-1, and the
         two vectors then swap.  Returns (d_prev, d_next) as the next call
         takes them.  The increments must not overlap each other or the block.
-        The BLAS and LAPACK wrappers are called directly, with positional
-        arguments, and bound once per call.
+        The whole block runs in one call of the compiled kernel.
         """
-        gbmv, pttrs = linalg._gbmv, linalg._pttrs
-        stiff, rhs_prev = self._stiff_band, self._rhs_prev_band
-        d, e = self.lhs_factor.d, self.lhs_factor.e
-        n = len(d)
-        u_curr = block[start - 1]
-        for out in block[start:stop]:
-            # (m, n, kl, ku, alpha, a, x, incx, offx, beta, y, incy, offy, trans, overwrite_y)
-            rhs = gbmv(n, n, 1, 1, 1.0, stiff, u_curr, 1, 0, 0.0, d_next, 1, 0, 0, 1)
-            rhs = gbmv(n, n, 1, 1, 1.0, rhs_prev, d_prev, 1, 0, 1.0, rhs, 1, 0, 0, 1)
-            x, info = pttrs(d, e, rhs, 1)
-            if x is not d_next:  # BLAS or LAPACK worked on a copy
-                raise ValueError("increments must be contiguous float64 vectors")
-            if info != 0:
-                raise linalg.SingularMatrixError("tridiagonal solve failed")
-            u_curr = np.add(u_curr, x, out)
-            d_prev, d_next = d_next, d_prev
-        return d_prev, d_next
+        return linalg.step_block(block, start, stop, self._stiff_band, self._rhs_prev_band,
+                                 self.lhs_factor, d_prev, d_next)
 
 
 def build_operators(
@@ -326,7 +312,6 @@ def run(
     snap_steps = sorted({int(s) for s in snapshot_steps})
     snapshots = [Snapshot(s, s * dt, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
     rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
-    # zeros, not empty: no row ever holds stale NaN for gbmv to meet
     block = np.zeros((rows, mesh.n_max))
     block[0], block[1] = u0, u1
     last_step = n_steps - 1  # last step with a defined energy

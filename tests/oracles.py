@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kvwave.linalg import SingularMatrixError, TriDiagMatrix, band_sum, solve
+from kvwave.linalg import SingularMatrixError, TriDiagMatrix
 from kvwave.mesh import FluxCoefficients, Mesh
 from kvwave.schemes import SchemeOperators
 
@@ -66,25 +66,76 @@ def discrete_h1_seminorm(values: np.ndarray, ell: FluxCoefficients) -> float:
     return float(np.sqrt(ell.ell @ (jumps * jumps)))
 
 
+def fma(a: float, b: float, c: float) -> float:
+    """a * b + c rounded once, as C99 fma(): float(Fraction(a) * Fraction(b)
+    + Fraction(c)).  It is computed from the floats' integer ratios, whose
+    denominators are powers of two, because int / int rounds correctly and
+    is several times faster than Fraction."""
+    (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
+    return (na * nb * dc + nc * da * db) / (da * db * dc)
+
+
+def band_products(a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """a x + scale (b y) for two 3 x n band arrays, rounded as the kernel
+    rounds it: each row adds its products over the columns in order, one
+    fma each, a x first, starting from +0; scale multiplies y first."""
+    n = len(x)
+    terms = ((a.tolist(), x.tolist()), (b.tolist(), [scale * v for v in y.tolist()]))
+    out = np.empty(n)
+    for j in range(n):
+        s = 0.0
+        for band, v in terms:
+            for i in range(max(j - 1, 0), min(j + 2, n)):
+                s = fma(v[i], band[j - i + 1][i], s)
+        out[j] = s
+    return out
+
+
+def ldl_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """LAPACK dpttrf in plain floats: (D, subdiagonal of L, info), info the
+    1-based index of the first non-positive pivot or 0."""
+    d, e = diag.tolist(), off.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if d[i] <= 0.0:
+            return np.array(d), np.array(e), i + 1
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    return np.array(d), np.array(e), n if d[-1] <= 0.0 else 0
+
+
+def ldl_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """LAPACK dptts2 in plain floats: the two sweeps of L D L^T x = rhs."""
+    d, e, b = d.tolist(), e.tolist(), rhs.tolist()
+    n = len(b)
+    for i in range(1, n):
+        b[i] = b[i] - b[i - 1] * e[i - 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    for i in range(n - 2, -1, -1):
+        b[i] = b[i] / d[i] - b[i + 1] * e[i]
+    return np.array(b)
+
+
 def one_step_layers(ops: SchemeOperators, u0: np.ndarray, u1: np.ndarray,
                     n_steps: int) -> list[np.ndarray]:
     """Layers 0 .. n_steps of a run from its first two, one summed-form step
-    at a time: the right-hand side by band_sum, the increment by solve and
-    the layer by np.add, each into a new array."""
+    at a time in Python floats: the right-hand side by band_products, the
+    increment by ldl_solve with the operators' factors and the layer by
+    np.add, so the bits depend on no BLAS."""
     layers = [u0, u1]
     d_prev = u1 - u0
+    f = ops.lhs_factor
     for _ in range(n_steps - 1):
-        d = band_sum(ops._stiff_band, layers[-1], 1.0, ops._rhs_prev_band, d_prev,
-                     np.empty_like(u0))
-        solve(ops.lhs_factor, d)
-        layers.append(np.add(layers[-1], d))
-        d_prev = d
+        rhs = band_products(ops._stiff_band, layers[-1], 1.0, ops._rhs_prev_band, d_prev)
+        d_prev = ldl_solve(f.d, f.e, rhs)
+        layers.append(np.add(layers[-1], d_prev))
     return layers
 
 
 def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
     """First layer of the explicit scheme as a componentwise division: its
     bootstrap matrix 2 M is diagonal, so u1 = (R2 u0 + 2 dt R1 psi) / (2 M)."""
-    rhs = band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
-                   np.zeros_like(u0))
+    rhs = band_products(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi)
     return rhs / (2.0 * ops.mesh.cell_widths)

@@ -221,8 +221,8 @@ def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_run_layers_match_one_step_oracle(scheme):
     # Every layer of a run, over two full blocks and a partial one, is the
-    # same bits as stepping one layer at a time with band_sum, solve and
-    # np.add: at the default block size (1026 rows at 50 cells) on a damped
+    # same bits as the kernel's arithmetic done one layer at a time in
+    # Python floats (oracles.one_step_layers): at the default block size (1026 rows at 50 cells) on a damped
     # problem, and in blocks of 18 rows on an explicit run that diverges at
     # layer 42, in its third block.
     damped = Parameters(9.0, 1.0, 4.0, 1.0, 1.0, 2.0, 3.0, 10.0)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,19 @@ from kvwave.linalg import (
     band_sum,
     factor,
     solve,
+    step_block,
 )
 from kvwave.mesh import FluxCoefficients, Mesh, Parameters, build_mesh
-from oracles import dense_solve_oracle, dominance_margin, quadratic_form, to_dense
+from oracles import (
+    band_products,
+    dense_solve_oracle,
+    dominance_margin,
+    fma,
+    ldl_factor,
+    ldl_solve,
+    quadratic_form,
+    to_dense,
+)
 
 
 def damping_form_oracle(mesh, x):
@@ -269,6 +281,126 @@ class TestBandSum:
     def test_too_small_rejected(self, rng, n):
         with pytest.raises(ValueError):
             band_storage(random_dd_tridiag(rng, n))
+
+
+def pivot_of(err: SingularMatrixError) -> int:
+    return int(str(err).split("pivot ")[1].split()[0])
+
+
+def random_band(rng, n):
+    """Band storage of a random tridiagonal matrix whose entries span many
+    binades, so that products and sums round."""
+    m = random_dd_tridiag(rng, n)
+    return band_storage(m.scaled(float(10.0 ** rng.uniform(-3, 3))))
+
+
+class TestKernelBits:
+    """The kernel against the Python oracles of its arithmetic: the same bits
+    on any machine, with no BLAS or LAPACK involved."""
+
+    def test_fma_oracle_rounds_once(self, rng):
+        edge = [(0.1, 0.1, -0.01), (1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0), (3.0, 1 / 3, -1.0),
+                (1e200, 1e100, -1e300), (2.0**-600, 2.0**-500, 0.0)]
+        draws = [tuple(float(v) for v in rng.standard_normal(3) * 10.0 ** rng.uniform(-20, 20, 3))
+                 for _ in range(2000)]
+        for a, b, c in edge + draws:
+            assert fma(a, b, c) == float(Fraction(a) * Fraction(b) + Fraction(c))
+        assert fma(0.1, 0.1, -0.01) != 0.1 * 0.1 - 0.01  # one rounding, not two
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 200])
+    def test_band_sum_matches_oracle(self, rng, n):
+        for _ in range(20):
+            a, b = random_band(rng, n), random_band(rng, n)
+            x, y = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-5, 5, (2, n))
+            scale = float(rng.uniform(-2.0, 2.0))
+            got = band_sum(a, x, scale, b, y, np.empty(n))
+            assert got.tobytes() == band_products(a, x, scale, b, y).tobytes()
+
+    def test_factor_and_solve_match_oracle(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(3, 120))
+            m = random_spd_tridiag(rng, n).scaled(float(10.0 ** rng.uniform(-3, 3)))
+            f = factor(m)
+            d, e, info = ldl_factor(m.diag, m.off)
+            assert info == 0
+            assert f.d.tobytes() == d.tobytes() and f.e.tobytes() == e.tobytes()
+            rhs = rng.standard_normal(n)
+            assert solve(f, rhs.copy()).tobytes() == ldl_solve(d, e, rhs).tobytes()
+
+    def test_factor_rejects_at_oracle_pivot(self, rng):
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            m = random_dd_tridiag(rng, n)
+            _, _, info = ldl_factor(m.diag, m.off)
+            if not info:  # every diagonal sign came out positive
+                factor(m)
+                continue
+            with pytest.raises(SingularMatrixError) as err:
+                factor(m)
+            assert pivot_of(err.value) == info
+
+    @pytest.mark.parametrize("rows", [3, 4, 9])
+    def test_step_block_matches_oracle(self, rng, rows):
+        n = 11
+        stiff, rhs_prev = random_band(rng, n), random_band(rng, n)
+        f = factor(random_spd_tridiag(rng, n))
+        block = np.zeros((rows, n))
+        block[0] = rng.standard_normal(n)
+        d0 = rng.standard_normal(n)
+        d_prev, d_next = d0.copy(), np.empty(n)
+        out = step_block(block, 1, rows, stiff, rhs_prev, f, d_prev, d_next)
+        d = d0
+        for i in range(1, rows):
+            d = ldl_solve(f.d, f.e, band_products(stiff, block[i - 1], 1.0, rhs_prev, d))
+            assert block[i].tobytes() == np.add(block[i - 1], d).tobytes(), i
+        assert out[0].tobytes() == d.tobytes()
+        assert out == ((d_next, d_prev) if (rows - 1) % 2 else (d_prev, d_next))
+
+    def test_step_block_rejects_bad_arguments(self, rng):
+        n = 7
+        stiff = band_storage(random_dd_tridiag(rng, n))
+        f = factor(random_spd_tridiag(rng, n))
+        block = np.zeros((4, n))
+        d_prev, d_next = np.zeros(n), np.zeros(n)
+        for start, stop in ((0, 2), (2, 5), (3, 2)):
+            with pytest.raises(ValueError, match="rows"):
+                step_block(block, start, stop, stiff, stiff, f, d_prev, d_next)
+        with pytest.raises(ValueError, match="length"):
+            step_block(block, 1, 4, stiff, stiff, f, np.zeros(n + 1), d_next)
+        with pytest.raises(ValueError, match="contiguous"):
+            step_block(block, 1, 4, stiff, stiff, f, np.zeros((n, 2))[:, 0], d_next)
+        with pytest.raises(ValueError, match="contiguous"):
+            step_block(block[:, ::-1], 1, 4, stiff, stiff, f, d_prev, d_next)
+        assert not block.any()
+
+
+class TestAgainstLapack:
+    """factor against LAPACK pttrf itself, where scipy is installed."""
+
+    @pytest.mark.parametrize("n", range(3, 10))  # every remainder of pttrf's 4-way unroll
+    def test_factor_matches_pttrf(self, rng, n):
+        linalg = pytest.importorskip("scipy.linalg")
+        pttrf = linalg.get_lapack_funcs("pttrf", (np.array([1.0]),))
+        for _ in range(200):
+            m = random_spd_tridiag(rng, n).scaled(float(10.0 ** rng.uniform(-3, 3)))
+            d, e, info = pttrf(m.diag, m.off)
+            f = factor(m)
+            assert info == 0
+            assert f.d.tobytes() == d.tobytes() and f.e.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_rejected_at_pttrf_pivot(self, rng, n):
+        linalg = pytest.importorskip("scipy.linalg")
+        pttrf = linalg.get_lapack_funcs("pttrf", (np.array([1.0]),))
+        for _ in range(200):
+            m = random_dd_tridiag(rng, n)
+            _, _, info = pttrf(m.diag, m.off)
+            if not info:  # every diagonal sign came out positive
+                factor(m)
+                continue
+            with pytest.raises(SingularMatrixError) as err:
+                factor(m)
+            assert pivot_of(err.value) == info
 
 
 class TestDenseOracle:

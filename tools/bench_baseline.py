@@ -7,9 +7,9 @@ the checkout's own ``perfbench/run.py --workload W --seed 1 --seconds 50
 --trace 0`` and keeps the JSON line it prints last.  The output file holds
 those lines by workload, the environment the benchmark recorded, the host,
 and the checkout's git revision with a flag for uncommitted changes and the
-sha256 of its ``src/kvwave`` sources.  A file measured with uncommitted
-changes is identified by that sha256, not by the revision, which is then
-the commit the changes were made on.  --checkout defaults to this
+sha256 of its ``src/kvwave`` sources, Python and C.  A file measured with
+uncommitted changes is identified by that sha256, not by the revision,
+which is then the commit the changes were made on.  --checkout defaults to this
 repository; point it at a clone of another revision to measure that one.
 """
 
@@ -34,8 +34,10 @@ def git(checkout: Path, *args: str) -> str:
 
 
 def sources_sha256(checkout: Path) -> str:
+    """sha256 of the package's Python and C sources, by file name."""
     digest = hashlib.sha256()
-    for path in sorted((checkout / "src" / "kvwave").glob("*.py")):
+    package = checkout / "src" / "kvwave"
+    for path in sorted([*package.glob("*.py"), *package.glob("*.c")]):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()
 

@@ -16,10 +16,14 @@ line), and of what ``kvwave fit`` prints for its energy.csv over two
 windows: the fit window of its summary, and one where both fits fail.
 
 The JSON also holds, under ``_environment``, the ``OPENBLAS_CORETYPE``
-setting and the CPU model name: the step's band products run in OpenBLAS,
-whose kernel for the CPU decides whether they use fused multiply-adds, and
-with that the output bits (README "Known behavior").  Compare digests taken
-under the same kernel.
+setting and the CPU model name.  The step no longer depends on either: it
+runs in kvwave's compiled kernel, whose bits are the same on every machine,
+so energy.csv and the snapshots match across them.  The fits still do: their
+``@`` products run in the BLAS kernel OpenBLAS picks for the CPU and
+``np.log`` in numpy's CPU-specific loops, so the fitted rates in summary.txt
+and the ``kvwave fit`` output may differ in their last digits between
+machines (README "Known behavior").  Compare those digests taken under the
+same kernel and CPU.
 
 --steps caps every run at N steps and keeps its time step.  --src imports
 kvwave from another checkout's ``src`` directory, so one copy of this tool
@@ -131,7 +135,8 @@ def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
 
 
 def environment() -> dict[str, str | None]:
-    """What selects the OpenBLAS kernel, and with it the output bits."""
+    """What selects the OpenBLAS kernel and numpy's CPU loops, and with them
+    the bits of the fits; the step's bits depend on neither."""
     return {"OPENBLAS_CORETYPE": os.environ.get("OPENBLAS_CORETYPE"), "cpu_model": cpu_model()}
 
 
