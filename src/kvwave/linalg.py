@@ -61,12 +61,12 @@ def _cpu() -> str:
     except OSError:
         lines = []
     keys = ("model name", "flags", "Features", "CPU implementer", "CPU part")
-    return "\n".join([platform.machine(), platform.processor(),
+    return "\n".join([platform.machine(),
                       *(line for line in lines if line.split(":")[0].strip() in keys)])
 
 
 def _load_kernel() -> ctypes.CDLL:
-    """kernel.c as a shared library, built by cc on first use.
+    """kernel.c as a shared library, built by cc on the first import.
 
     The library is cached in the package's __pycache__ under a key of the
     source, the flags and the CPU, so later processes load it without a
@@ -165,7 +165,8 @@ class LDLFactorization:
     e: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.d.ndim != 1 or self.e.shape != (max(len(self.d) - 1, 0),):
+        # the kernel reads len(d) entries of d and one fewer of e
+        if self.d.ndim != 1 or not len(self.d) or self.e.shape != (len(self.d) - 1,):
             raise ValueError("inconsistent factor shapes")
 
 
