@@ -5,8 +5,8 @@
    fma() and every other operation rounds on its own.  fma() is correctly
    rounded in hardware and in libm alike, so the results are the same bits
    on every machine.  They are the bits of LAPACK dpttrf/dptts2 and of the
-   column-order axpy loop of BLAS gbmv (y[j] += (alpha x[i]) a[j, i] as one
-   fused multiply-add), which the step used before this kernel existed.
+   column-order axpy loop of BLAS gbmv where it runs on FMA hardware
+   (y[j] += (alpha x[i]) a[j, i] as one fused multiply-add).
 
    Band arrays are the 3 x n column-major BLAS band storage of a tridiagonal
    matrix: band[3 j + k] holds a[j + k - 1, j]. */
