@@ -215,8 +215,8 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     across solves.
 
     Raises SingularMatrixError when the factorization meets a non-positive
-    pivot, that is when m is not positive definite.  The kernel's band
-    products need at least three rows; every mesh has four or more.
+    pivot, that is when m is not positive definite.  Like band_storage, it
+    takes matrices of three rows or more; every mesh has four or more.
     """
     if m.dim < 3:
         raise ValueError("factorization needs a matrix of dimension 3 or more")
