@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration/usage error, 2 divergence,
 from __future__ import annotations
 
 import argparse
+import locale
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -360,7 +361,8 @@ def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
     for i, name in enumerate(_ENERGY_COLUMNS):
         values[i::width] = getattr(trace, name).tolist()
     row = "%s" + ",%.17g" * (width - 1) + "\n"
-    Path(path).write_text(",".join(_ENERGY_COLUMNS) + "\n" + (row * len(trace)) % tuple(values))
+    text = ",".join(_ENERGY_COLUMNS) + "\n" + (row * len(trace)) % tuple(values)
+    Path(path).write_bytes(text.encode("ascii"))
 
 
 def _snapshot_template(mesh: Mesh) -> str:
@@ -372,7 +374,7 @@ def _snapshot_template(mesh: Mesh) -> str:
 def write_snapshot_csv(values: np.ndarray, path: str | Path, template: str) -> None:
     """Cell-center profile of one layer; template is _snapshot_template of
     the layer's mesh."""
-    Path(path).write_text(template % tuple(values.tolist()))
+    Path(path).write_bytes((template % tuple(values.tolist())).encode("ascii"))
 
 
 def summary_lines(result: RunResult) -> list[str]:
@@ -409,8 +411,11 @@ def summary_lines(result: RunResult) -> list[str]:
 
 
 def write_summary(result: RunResult, path: str | Path) -> None:
-    """Flat key = value summary; config echo plus result_* keys."""
-    Path(path).write_text("\n".join(summary_lines(result)) + "\n")
+    """Flat key = value summary; config echo plus result_* keys.  Its text is
+    encoded as Path.write_text would, in the locale's encoding, since the
+    echoed out_dir may hold any character."""
+    text = "\n".join(summary_lines(result)) + "\n"
+    Path(path).write_bytes(text.encode(locale.getpreferredencoding(False)))
 
 
 def write_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:

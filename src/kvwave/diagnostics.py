@@ -5,21 +5,23 @@ a forward difference in time, the potential part couples the face jumps of
 both layers.  For either scheme the step-to-step energy difference equals an
 explicitly computable, nonpositive dissipation increment supported on the
 interior faces of the damped zone; the per-step residual of that identity is
-the primary correctness diagnostic of a run.
+the primary correctness diagnostic of a run.  layer_energies evaluates all of
+these in one call of linalg's compiled kernel; the fits run in numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .mesh import FluxCoefficients, Mesh, Parameters
 
 __all__ = [
     "EnergyTrace",
     "DecayFit",
-    "energy_work",
     "layer_energies",
     "fit_exponential",
     "fit_polynomial",
@@ -59,22 +61,6 @@ class DecayFit:
     n_samples: int
 
 
-def energy_work(shape: tuple[int, ...], mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scratch arrays of layer_energies for layers of the given shape.
-
-    They hold the time differences, the face jumps and the damped-face jump
-    differences.  A caller that evaluates many blocks allocates them once;
-    a block with fewer layers uses their leading rows.
-    """
-    *batch, m, n = shape
-    faces = mesh.damping_interior_faces
-    return (
-        np.empty((*batch, m - 1, n)),
-        np.empty((*batch, m, n + 1)),
-        np.empty((*batch, m - 2, faces.stop - faces.start)),
-    )
-
-
 def layer_energies(
     layers: np.ndarray,
     mesh: Mesh,
@@ -82,7 +68,6 @@ def layer_energies(
     params: Parameters,
     dt: float,
     variant: str,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energies and the dissipation identity for a block of consecutive layers.
 
@@ -101,47 +86,29 @@ def layer_energies(
     nonpositive and +0.0 when undamped, summed over the faces strictly inside
     the damped zone; residual is (E^n - E^{n-1}) - dissipation.
 
-    work is scratch space from energy_work for at least m layers; without it
-    the call allocates its own.  Its contents on entry do not matter.
-
-    Every entry depends only on the layers it belongs to, never on the block
-    or batch they came in, so any blocking of a run gives the same bits.
+    The arithmetic runs in linalg's compiled kernel, kv_energies, in the
+    order of numpy's einsum for the energies and of its pairwise sum for the
+    dissipation.  Every entry depends only on the layers it belongs to,
+    never on the block or batch they came in, so any blocking of a run gives
+    the same bits.  layers must be a C-contiguous float64 array.
     """
     if layers.ndim < 2 or layers.shape[-2] < 2:
         raise ValueError("need at least two consecutive layers")
-    m = layers.shape[-2]
-    if work is None:
-        work = energy_work(layers.shape, mesh)
-    rates, jumps, diff = (a[..., :rows, :] for a, rows in zip(work, (m - 1, m, m - 2)))
-    widths = mesh.cell_widths
-    coeffs = ell.ell
-
-    # einsum reduces each row on its own; a BLAS product's rounding would
-    # depend on the row's position in the block.
-    np.subtract(layers[..., 1:, :], layers[..., :-1, :], out=rates)
-    rates /= dt
-    e_k = 0.5 * np.einsum("...ij,...ij,j->...i", rates, rates, widths)
-    # jumps across all faces, with zero ghost values at both ends
-    jumps[..., :-1] = layers
-    jumps[..., -1] = 0.0
-    jumps[..., 1:] -= layers
-    if variant == "explicit":
-        e_p = 0.5 * np.einsum(
-            "...ij,...ij,j->...i", jumps[..., 1:, :], jumps[..., :-1, :], coeffs
-        )
-    elif variant == "implicit":
-        sq = np.einsum("...ij,...ij,j->...i", jumps, jumps, coeffs)
-        e_p = 0.25 * (sq[..., 1:] + sq[..., :-1])
-    else:
+    if variant not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme variant {variant!r}")
-    e_total = e_k + e_p
-
+    *batch, m, n = layers.shape
+    if mesh.cell_widths.shape != (n,) or ell.ell.shape != (n + 1,):
+        raise ValueError(f"layers of {n} cells do not match the mesh and its flux coefficients")
     faces = mesh.damping_interior_faces
-    np.subtract(jumps[..., 2:, faces], jumps[..., :-2, faces], out=diff)
-    diff *= diff
-    dissipation = 0.0 - (params.delta / (4.0 * dt * mesh.h)) * diff.sum(axis=-1)
-    residual = (e_total[..., 1:] - e_total[..., :-1]) - dissipation
-    return e_k, e_p, e_total, dissipation, residual
+    if not 1 <= faces.start <= faces.stop <= n:
+        raise ValueError("the damped zone's interior faces must lie inside the mesh")
+    out = np.empty((5, *batch, m))
+    linalg._call(linalg._kernel.kv_energies, math.prod(batch), m, n, layers, mesh.cell_widths,
+                 ell.ell, dt, variant == "implicit", faces.start, faces.stop,
+                 params.delta / (4.0 * dt * mesh.h), out)
+    e_k, e_p, e_total, dissipation, residual = out
+    return (e_k[..., :-1], e_p[..., :-1], e_total[..., :-1], dissipation[..., :-2],
+            residual[..., :-2])
 
 
 def _window_samples(

@@ -1,5 +1,5 @@
 """Symmetric tridiagonal operators and the compiled kernel that factors,
-solves and steps with them.
+solves and steps with them and evaluates the energies of the layers.
 
 The three scheme matrices are assembled here:
 
@@ -18,11 +18,14 @@ The arithmetic runs in kernel.c, which is compiled on first import into the
 package's __pycache__ and loaded with ctypes.  It computes what LAPACK
 pttrf/pttrs and BLAS gbmv compute, with every multiply-add of the band
 products an explicit correctly rounded fma(), so its results are the same
-bits on every machine.
+bits on every machine.  Its energy entry point, kv_energies, is bound by
+diagnostics.layer_energies and sums in numpy's order (einsum's buffered
+sequential sums, add.reduce's pairwise sum).
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -71,7 +74,8 @@ def _load_kernel() -> ctypes.CDLL:
     The library is cached in the package's __pycache__ under a key of the
     source, the flags and the CPU, so later processes load it without a
     compiler.  Each build writes a file of its own and renames it into place,
-    so concurrent first imports are safe.
+    so concurrent first imports are safe, and then deletes the libraries of
+    other keys.
     """
     source = Path(__file__).with_name("kernel.c")
     key = hashlib.sha256("\0".join([source.read_text(), *_CFLAGS, _cpu()]).encode())
@@ -89,6 +93,12 @@ def _load_kernel() -> ctypes.CDLL:
                               f"{detail}") from None
         finally:
             tmp.unlink(missing_ok=True)
+        # libraries of other sources, flags or CPUs are stale; a process that
+        # has one loaded keeps it valid after the unlink
+        for stale in lib.parent.glob("kernel-*.so"):
+            if stale != lib:
+                with contextlib.suppress(OSError):
+                    stale.unlink()
     kernel = ctypes.CDLL(str(lib))
     size = ctypes.c_ssize_t
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
@@ -104,6 +114,11 @@ def _load_kernel() -> ctypes.CDLL:
     kernel.kv_step_block.argtypes = [size, size, size, block, band, band, vector, vector,
                                      out, out]
     kernel.kv_step_block.restype = None
+    layers = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    result = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    kernel.kv_energies.argtypes = [size, size, size, layers, vector, vector, ctypes.c_double,
+                                   ctypes.c_int, size, size, ctypes.c_double, result]
+    kernel.kv_energies.restype = None
     return kernel
 
 
@@ -285,11 +300,14 @@ def step_block(
     scale 1, the solve is solve's.  d_prev is the increment into row i-1,
     d goes into d_next, and the two vectors then swap.  Returns (d_prev,
     d_next) as the next call takes them.  The increments must not overlap
-    each other or the block.
+    each other or the block.  Like band_storage, it takes matrices of three
+    rows or more.
     """
     if block.ndim != 2 or not 1 <= start <= stop <= len(block):
         raise ValueError(f"rows {start} .. {stop - 1} do not follow a row of the block")
     n = block.shape[1]
+    if n < 3:  # the kernel peels off a step's first and last rows
+        raise ValueError("steps need matrices of dimension 3 or more")
     _check_shapes(n, (stiff, rhs_prev), (f.d, d_prev, d_next))
     _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
           d_prev, d_next)

@@ -215,9 +215,10 @@ class _EnergyLog:
     block of consecutive layers starting at layer `first`; the steps first+1
     .. first+m-2 are the ones whose residuals the block determines.  A step's
     row is kept when it is a multiple of observe_every or the last step.
-    With verify the statistics cover every step, evaluated a whole block at
-    a time in scratch sized once from the run's block; otherwise the kept
-    steps only.
+    With verify the statistics cover every step, evaluated a whole block in
+    one call; otherwise the kept steps only, each from its own three layers,
+    all of a block's in one call.  The calls go through the module attribute
+    diagnostics.layer_energies, which the benchmark's tracer wraps.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
@@ -226,8 +227,6 @@ class _EnergyLog:
         self.observe_every = observe_every
         self.last_step = last_step
         self.verify = verify
-        # the triples of an unverified run come in batches of any size
-        self.work = diagnostics.energy_work(block.shape, ops.mesh) if verify else None
         e_k, e_p, e_tot, _, _ = self._energies(block[:2])
         self.e_tot0 = float(e_tot[0])
         self.rows = [(0, 0.0, float(e_k[0]), float(e_p[0]), self.e_tot0, 0.0, 0.0)]
@@ -239,7 +238,7 @@ class _EnergyLog:
     def _energies(self, layers: np.ndarray):
         ops = self.ops
         return diagnostics.layer_energies(layers, ops.mesh, ops.ell, ops.params, ops.dt,
-                                          ops.scheme, self.work)
+                                          ops.scheme)
 
     def record(self, block: np.ndarray, first: int) -> None:
         steps = np.arange(first + 1, first + len(block) - 1)

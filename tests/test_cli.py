@@ -349,6 +349,15 @@ class TestMain:
         assert np.max(np.abs(e_total - e_total[0])) <= 1e-9 * e_total[0]
         assert (tmp_path / "undamped" / "summary.txt").exists()
 
+    @pytest.mark.parametrize("name", ["energy.csv", "summary.txt"])
+    def test_unwritable_output_file_exits_3(self, tmp_path, capsys, name):
+        # a directory in the place of the first or the last file written
+        (tmp_path / "out" / name).mkdir(parents=True)
+        code = main(["run", "--preset", "equal-undamped", "--steps", "200",
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: cannot write outputs under")
+
     def test_run_refuses_unstable_explicit(self, tmp_path, capsys):
         code = main([
             "run", "--preset", "case1", "--scheme", "explicit", "--dt", "0.025",

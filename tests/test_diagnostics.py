@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from kvwave.diagnostics import energy_work, fit_exponential, fit_polynomial, layer_energies
-from kvwave.mesh import Parameters
+from kvwave.diagnostics import fit_exponential, fit_polynomial, layer_energies
+from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import sample_cell_averages
-from oracles import discrete_h1_seminorm, discrete_l2_norm
+from oracles import block_energies, discrete_h1_seminorm, discrete_l2_norm
 
 DT = 0.025
 
@@ -65,7 +67,8 @@ def step_identity(u_prev, u_curr, u_next, mesh, ell, params, variant):
 
 
 def allocating_layer_energies(layers, mesh, ell, params, dt, variant):
-    """layer_energies' arithmetic in the same order, every temporary fresh."""
+    """The numpy formulation of layer_energies that the kernel reproduces:
+    einsum for the energies, add.reduce for the dissipation's faces."""
     rates = (layers[..., 1:, :] - layers[..., :-1, :]) / dt
     e_k = 0.5 * np.einsum("...ij,...ij,j->...i", rates, rates, mesh.cell_widths)
     jumps = np.diff(layers, axis=-1, prepend=0.0, append=0.0)
@@ -84,9 +87,23 @@ def allocating_layer_energies(layers, mesh, ell, params, dt, variant):
     return e_k, e_p, e_total, dissipation, residual
 
 
+def loop_layer_energies(layers, mesh, ell, params, dt, variant):
+    """oracles.block_energies of every block of a batch, as arrays."""
+    *batch, m, n = layers.shape
+    coef = params.delta / (4.0 * dt * mesh.h)
+    blocks = [block_energies(block, mesh.cell_widths, ell.ell, dt, variant,
+                             mesh.damping_interior_faces, coef)
+              for block in layers.reshape(-1, m, n)]
+    return tuple(np.array([block[q] for block in blocks]).reshape(*batch, m - 1 - q // 3)
+                 for q in range(5))
+
+
 def assert_same_bits(a, b):
+    # which NaN an operation on NaN operands returns is fixed neither by
+    # IEEE 754 nor by C compilers, so every NaN compares as the same NaN
     assert len(a) == len(b)
     for x, y in zip(a, b):
+        x, y = (np.where(np.isnan(v), np.nan, v) for v in (np.asarray(x), np.asarray(y)))
         assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
@@ -238,21 +255,20 @@ class TestLayerEnergies:
                 assert res[j] == (e_tot[j + 1] - e_tot[j]) - diss[j]
 
     def test_reused_work_gives_fresh_bits(self, base_mesh, base_ell, base_params, rng):
-        # one run's scratch, first filled with NaN or inf, then used for a
-        # full block and the shorter blocks after it: every call gives the
-        # bits of fresh temporaries
+        # the kernel writes every entry of its result array, which np.empty
+        # may take from an array just freed: each call follows the freeing
+        # of an array of the same size filled with NaN or inf, for a full
+        # block and the shorter blocks after it, and gives the bits of fresh
+        # temporaries
         layers = rng.standard_normal((9, base_mesh.n_max))
         blocks = (layers, layers[2:7], layers[4:7], layers[:2], layers[1:9])
         for params in (base_params, undamped_params()):
             for variant in ("explicit", "implicit"):
                 for fill in (np.nan, np.inf, -np.inf):
-                    work = energy_work(layers.shape, base_mesh)
-                    for scratch in work:
-                        scratch.fill(fill)
                     for block in blocks:
                         args = (block, base_mesh, base_ell, params, DT, variant)
                         expected = allocating_layer_energies(*args)
-                        assert_same_bits(layer_energies(*args, work), expected)
+                        np.full(5 * len(block), fill)
                         assert_same_bits(layer_energies(*args), expected)
 
     def test_bad_blocks_rejected(self, base_mesh, base_ell, base_params, rng):
@@ -261,6 +277,78 @@ class TestLayerEnergies:
             layer_energies(layers, base_mesh, base_ell, base_params, DT, "leapfrog")
         with pytest.raises(ValueError, match="two"):
             layer_energies(layers[:1], base_mesh, base_ell, base_params, DT, "explicit")
+
+
+# (n_alpha, n_damp, n_beta): 4, 8191, 8192, 8193 and 20000 cells around
+# einsum's buffer of 8192 terms, and 1, 7, 8, 100, 128, 129, 1999 and 9999
+# damped faces around the pairwise sum's blocks of 8 and 128 terms
+KERNEL_MESHES = [(1, 2, 1), (3, 8, 3), (4000, 9, 4182), (10, 101, 10), (4000, 129, 4063),
+                 (60, 130, 60), (3000, 2000, 3193), (5000, 10000, 5000)]
+
+
+class TestKernelEnergies:
+    """The compiled kernel against the Python-float loops in its order and
+    against the numpy formulation it reproduces, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["explicit", "implicit"])
+    @pytest.mark.parametrize("cells", KERNEL_MESHES, ids=lambda c: "-".join(map(str, c)))
+    def test_matches_oracles(self, cells, variant, rng):
+        for delta in (1.3, 0.0):
+            params = Parameters(1.0, 4.0, 2.0, delta, 1.0, 2.0, 3.0, 10.0)
+            mesh = build_mesh(params, *cells)
+            ell = flux_coefficients(mesh, params)
+            layers = rng.standard_normal((8, mesh.n_max)) * 10.0 ** rng.uniform(-3, 3, (8, 1))
+            args = (layers, mesh, ell, params, DT, variant)
+            got = layer_energies(*args)
+            assert_same_bits(got, loop_layer_energies(*args))
+            assert_same_bits(got, allocating_layer_energies(*args))
+            if delta == 0.0:
+                assert got[3].tobytes() == np.zeros(6).tobytes()  # +0.0, never -0.0
+
+    @pytest.mark.parametrize("variant", ["explicit", "implicit"])
+    def test_signed_zeros_infinities_and_nan(self, base_mesh, base_ell, base_params, rng,
+                                             variant):
+        n = base_mesh.n_max
+        rows = [np.zeros(n), np.full(n, -0.0), rng.choice([0.0, -0.0], n)]
+        for value in (np.inf, -np.inf, np.nan):
+            row = rng.standard_normal(n)
+            row[rng.integers(0, n, 3)] = value
+            rows += [row, rng.standard_normal(n)]
+        rows += [np.full(n, np.inf), np.full(n, -np.inf), np.full(n, np.nan)]
+        args = (np.array(rows), base_mesh, base_ell, base_params, DT, variant)
+        got = layer_energies(*args)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_same_bits(got, allocating_layer_energies(*args))
+            assert_same_bits(got, loop_layer_energies(*args))
+
+    @pytest.mark.parametrize("variant", ["explicit", "implicit"])
+    def test_batches_of_blocks(self, base_mesh, base_ell, base_params, rng, variant):
+        n = base_mesh.n_max
+        for shape in ((5, 3, n), (2, 3, 4, n), (0, 3, n)):
+            layers = rng.standard_normal(shape)
+            args = (layers, base_mesh, base_ell, base_params, DT, variant)
+            got = layer_energies(*args)
+            assert [a.shape for a in got] == [(*shape[:-2], shape[-2] - 1 - q // 3)
+                                              for q in range(5)]
+            assert_same_bits(got, allocating_layer_energies(*args))
+            assert_same_bits(got, loop_layer_energies(*args))
+            for index in np.ndindex(*shape[:-2]):
+                single = layer_energies(layers[index], *args[1:])
+                assert_same_bits([a[index] for a in got], single)
+
+    def test_bad_arrays_rejected(self, base_mesh, base_ell, base_params, rng):
+        layers = rng.standard_normal((3, base_mesh.n_max))
+        args = (base_mesh, base_ell, base_params, DT, "explicit")
+        with pytest.raises(ValueError, match="contiguous"):
+            layer_energies(np.asfortranarray(layers), *args)
+        with pytest.raises(ValueError, match="float64"):
+            layer_energies(layers.astype(np.float32), *args)
+        with pytest.raises(ValueError, match="cells"):
+            layer_energies(layers[:, 1:], *args)
+        # counts that build_mesh would refuse: a damped zone past the last cell
+        mesh = replace(base_mesh, n_damp=base_mesh.n_damp + base_mesh.n_beta + 1, n_beta=-1)
+        with pytest.raises(ValueError, match="faces"):
+            layer_energies(layers, mesh, *args[1:])
 
 
 class TestFits:

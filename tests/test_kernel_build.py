@@ -71,3 +71,15 @@ def test_concurrent_first_imports_both_succeed(tmp_path):
         assert code == 0, stderr
     assert results[0][0] == results[1][0]
     assert len(built(src)) == 1  # one library, no temporary file left behind
+
+
+def test_rebuild_removes_stale_libraries(tmp_path):
+    src = fresh_copy(tmp_path)
+    first = run_import(src)
+    assert first.returncode == 0, first.stderr
+    with open(src / "kvwave" / "kernel.c", "a") as source:
+        source.write("/* edited */\n")
+    second = run_import(src)
+    assert second.returncode == 0, second.stderr
+    assert second.stdout != first.stdout
+    assert built(src) == [Path(second.stdout.strip()).name]

@@ -341,7 +341,22 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("rows", [3, 4, 9])
     def test_step_block_matches_oracle(self, rng, rows):
-        n = 11
+        self.check_step_block(rng, rows, 11)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_step_block_smallest_matrices_match_oracle(self, rng, n):
+        # the kernel peels the first and last row of each step: with n = 3
+        # one row is left between them, with n = 4 two
+        self.check_step_block(rng, 9, n)
+
+    def test_step_block_rejects_fewer_than_three_cells(self):
+        band = np.zeros((3, 2), order="F")
+        f = LDLFactorization(np.ones(2), np.zeros(1))
+        with pytest.raises(ValueError, match="3 or more"):
+            step_block(np.zeros((3, 2)), 1, 3, band, band, f, np.zeros(2), np.zeros(2))
+
+    @staticmethod
+    def check_step_block(rng, rows, n):
         stiff, rhs_prev = random_band(rng, n), random_band(rng, n)
         f = factor(random_spd_tridiag(rng, n))
         block = np.zeros((rows, n))
