@@ -6,6 +6,10 @@ point; later lines override individual fields.  Keys starting with
 ``result_`` are reserved for the run summary echo and are skipped on parsing,
 so a summary file is itself a valid configuration reproducing its run.
 
+Output: energy.csv and the snapshot CSVs are formatted in one call of the
+compiled kernel each (linalg.format_csv), summary.txt in Python by _fmt;
+both write every float as %.17g does, whatever the locale.
+
 Exit codes: 0 success, 1 configuration/usage error, 2 divergence,
 3 I/O error.
 """
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import diagnostics
+from . import diagnostics, linalg
 from .mesh import Mesh, Parameters, build_mesh
 from .model import Admissibility, ConfigError, cfl_max_dt, default_initial_data, validate_run
 from .schemes import SimulationResult, run
@@ -350,31 +354,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# The CSV files format each float as _fmt does, %.17g, one % call per file.
 _ENERGY_COLUMNS = ("step", "t", "e_kinetic", "e_potential", "e_total", "dissipation", "residual")
 
 
 def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
     """Energy history, one row per recorded step."""
-    width = len(_ENERGY_COLUMNS)
-    values = [None] * (width * len(trace))
-    for i, name in enumerate(_ENERGY_COLUMNS):
-        values[i::width] = getattr(trace, name).tolist()
-    row = "%s" + ",%.17g" * (width - 1) + "\n"
-    text = ",".join(_ENERGY_COLUMNS) + "\n" + (row * len(trace)) % tuple(values)
-    Path(path).write_bytes(text.encode("ascii"))
+    table = np.column_stack([getattr(trace, name) for name in _ENERGY_COLUMNS[1:]])
+    text = linalg.format_csv(table, np.ascontiguousarray(trace.step, dtype=np.int64))
+    Path(path).write_bytes(",".join(_ENERGY_COLUMNS).encode("ascii") + b"\n" + text)
 
 
-def _snapshot_template(mesh: Mesh) -> str:
-    """The text of every snapshot file of the mesh, x column formatted and
-    one %.17g left for each u value."""
-    return "x,u\n" + ("%.17g,%%.17g\n" * mesh.n_max) % tuple(mesh.centers.tolist())
-
-
-def write_snapshot_csv(values: np.ndarray, path: str | Path, template: str) -> None:
-    """Cell-center profile of one layer; template is _snapshot_template of
-    the layer's mesh."""
-    Path(path).write_bytes((template % tuple(values.tolist())).encode("ascii"))
+def write_snapshot_csv(values: np.ndarray, path: str | Path, centers: np.ndarray) -> None:
+    """Cell-center profile of one layer: centers are the x of its values."""
+    if np.shape(values) != np.shape(centers):
+        raise ValueError(f"a snapshot needs a vector of values per cell center, got "
+                         f"{np.shape(values)} values for {np.shape(centers)} centers")
+    Path(path).write_bytes(b"x,u\n" + linalg.format_csv(np.column_stack([centers, values])))
 
 
 def summary_lines(result: RunResult) -> list[str]:
@@ -425,10 +420,9 @@ def write_outputs(result: RunResult, out_dir: str | Path) -> list[Path]:
     path = out / "energy.csv"
     write_energy_csv(result.sim.trace, path)
     written.append(path)
-    template = _snapshot_template(result.mesh)
     for snap in result.sim.snapshots:
         path = out / f"snapshot_step{snap.step:08d}.csv"
-        write_snapshot_csv(snap.values, path, template)
+        write_snapshot_csv(snap.values, path, result.mesh.centers)
         written.append(path)
     path = out / "summary.txt"
     write_summary(result, path)

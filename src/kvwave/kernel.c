@@ -1,6 +1,6 @@
 /* Kernels of kvwave: the tridiagonal L D L^T factor and solve, band
-   products, a whole block of summed-form steps, and the energies and
-   identity residuals of a block of layers.
+   products, a whole block of summed-form steps, the energies and identity
+   residuals of a block of layers, and the CSV text of a table.
 
    Built with -ffp-contract=off, so every fused multiply-add is an explicit
    fma() and every other operation rounds on its own.  fma() is correctly
@@ -15,6 +15,8 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
+#include <string.h>
 
 /* LAPACK dpttrf without its 4-way unroll: d and e become D and the
    subdiagonal of L.  Returns LAPACK's info: k > 0 if pivot k is not
@@ -278,4 +280,241 @@ void kv_energies(ptrdiff_t batch, ptrdiff_t m, ptrdiff_t n, const double *layers
             res[o + t] = (e_t[o + t + 1] - e_t[o + t]) - diss[o + t];
         }
     }
+}
+
+/* The CSV formatter writes each double as Python's '%.17g' % x does, with
+   integer arithmetic only: no printf, no strtod and no locale, so the text
+   is the same bytes on every machine and under every LC_NUMERIC.  The 17
+   significant digits are x 10^(16-X) rounded to nearest, ties to even,
+   where X is the decimal exponent.  With x = m 2^e2, the rounding reads
+   the floor of m 2^e2 10^(17-X), computed exactly in 64-bit limbs, and
+   whether a fraction was dropped on the way. */
+
+static const uint64_t POW10[20] = {
+    1ull, 10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull, 10000000ull,
+    100000000ull, 1000000000ull, 10000000000ull, 100000000000ull, 1000000000000ull,
+    10000000000000ull, 100000000000000ull, 1000000000000000ull, 10000000000000000ull,
+    100000000000000000ull, 1000000000000000000ull, 10000000000000000000ull,
+};
+
+/* Little-endian limbs, n of them in use.  20 limbs hold every value
+   scaled_floor forms: m 10^341 < 2^1185 and m 2^971 < 2^1024. */
+#define BIG_LIMBS 20
+typedef struct {
+    uint64_t w[BIG_LIMBS];
+    int n;
+} big;
+
+static void big_mul(big *b, uint64_t f)
+{
+    unsigned __int128 carry = 0;
+    for (int i = 0; i < b->n; i++) {
+        carry += (unsigned __int128)b->w[i] * f;
+        b->w[i] = (uint64_t)carry;
+        carry >>= 64;
+    }
+    if (carry)
+        b->w[b->n++] = (uint64_t)carry;
+}
+
+static void big_trim(big *b)
+{
+    while (b->n > 1 && !b->w[b->n - 1])
+        b->n--;
+}
+
+/* b becomes floor(b / f); returns whether the remainder is nonzero. */
+static int big_div(big *b, uint64_t f)
+{
+    unsigned __int128 rem = 0;
+    for (int i = b->n - 1; i >= 0; i--) {
+        rem = rem << 64 | b->w[i];
+        uint64_t q = (uint64_t)(rem / f);
+        rem -= (unsigned __int128)q * f;
+        b->w[i] = q;
+    }
+    big_trim(b);
+    return rem != 0;
+}
+
+/* b becomes b 2^s. */
+static void big_shl(big *b, int s)
+{
+    int q = s / 64, r = s % 64, n = b->n;
+    uint64_t top = r ? b->w[n - 1] >> (64 - r) : 0;
+    for (int i = n - 1; i >= 0; i--)
+        b->w[i + q] = r ? b->w[i] << r | (i ? b->w[i - 1] >> (64 - r) : 0) : b->w[i];
+    for (int i = 0; i < q; i++)
+        b->w[i] = 0;
+    b->n = n + q;
+    if (top)
+        b->w[b->n++] = top;
+}
+
+/* b becomes floor(b / 2^s), for s below b's bit length; returns whether a
+   nonzero bit was shifted out. */
+static int big_shr(big *b, int s)
+{
+    int q = s / 64, r = s % 64, lost = 0;
+    for (int i = 0; i < q; i++)
+        lost |= b->w[i] != 0;
+    if (r)
+        lost |= (b->w[q] << (64 - r)) != 0;
+    for (int i = q; i < b->n; i++)
+        b->w[i - q] = r ? b->w[i] >> r | (i + 1 < b->n ? b->w[i + 1] << (64 - r) : 0) : b->w[i];
+    b->n -= q;
+    big_trim(b);
+    return lost;
+}
+
+/* floor(m 2^e2 10^p), which must be below 2^64, and in *inexact whether
+   it differs from m 2^e2 10^p.  Values from about 1e-2 to 2^53 take one
+   128-bit product; the others multiply before the shift right and shift
+   left before the divisions, so nothing is lost but the fraction. */
+static uint64_t scaled_floor(uint64_t m, int e2, int p, int *inexact)
+{
+    if (p >= 0 && p <= 19 && e2 < 0 && e2 > -128) {  /* m 10^p < 2^117 */
+        unsigned __int128 v = (unsigned __int128)m * POW10[p];
+        *inexact = (v & (((unsigned __int128)1 << -e2) - 1)) != 0;
+        return (uint64_t)(v >> -e2);
+    }
+    big b;
+    b.w[0] = m, b.n = 1;
+    int lost = 0;
+    for (; p > 0; p -= p < 19 ? p : 19)
+        big_mul(&b, POW10[p < 19 ? p : 19]);
+    if (e2 > 0)
+        big_shl(&b, e2);
+    for (; p < 0; p += -p < 19 ? -p : 19)
+        lost |= big_div(&b, POW10[-p < 19 ? -p : 19]);
+    if (e2 < 0)
+        lost |= big_shr(&b, -e2);
+    *inexact = lost;
+    return b.w[0];
+}
+
+/* floor(k log10 2) for |k| <= 2620. */
+static int floor_log10_pow2(int k)
+{
+    int64_t t = (int64_t)k * 315653;
+    return (int)(t >= 0 ? t >> 20 : -((-t + (1 << 20) - 1) >> 20));
+}
+
+static char *put(char *o, const char *s, int len)
+{
+    for (int i = 0; i < len; i++)
+        *o++ = s[i];
+    return o;
+}
+
+/* x as '%.17g' % x writes it: 17 significant digits with trailing zeros
+   dropped, positional when -4 <= X < 17 and else with an exponent of at
+   least two digits; nan whatever the sign and payload, inf, -inf, -0.
+   At most 24 bytes, as in -1.2345678901234567e-308. */
+static char *format_double(char *o, double x)
+{
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    int neg = (int)(bits >> 63), biased = (int)(bits >> 52 & 0x7ff);
+    uint64_t m = bits & ((1ull << 52) - 1);
+    if (biased == 0x7ff && m)
+        return put(o, "nan", 3);
+    if (neg)
+        *o++ = '-';
+    if (biased == 0x7ff)
+        return put(o, "inf", 3);
+    if (!biased && !m) {
+        *o++ = '0';
+        return o;
+    }
+    int e2 = biased ? biased - 1075 : -1074;
+    if (biased)
+        m |= 1ull << 52;
+    /* floor(log10 2^k) for k = floor(log2 x): X, or X - 1 */
+    int X = floor_log10_pow2(e2 + 63 - __builtin_clzll(m)), inexact;
+    uint64_t digits = scaled_floor(m, e2, 17 - X, &inexact);  /* 18 digits, or 19 */
+    if (digits >= POW10[18]) {
+        inexact |= digits % 10 != 0;
+        digits /= 10;
+        X++;
+    }
+    unsigned last = (unsigned)(digits % 10);
+    digits /= 10;
+    if (last > 5 || (last == 5 && (inexact || digits % 2)))
+        digits++;
+    if (digits == POW10[17]) {
+        digits = POW10[16];
+        X++;
+    }
+    /* two independent 32-bit chains of digits */
+    char d[17];
+    uint32_t hi = (uint32_t)(digits / 100000000), lo = (uint32_t)(digits % 100000000);
+    for (int i = 16; i >= 9; i--, hi /= 10, lo /= 10) {
+        d[i] = (char)('0' + lo % 10);
+        d[i - 8] = (char)('0' + hi % 10);
+    }
+    d[0] = (char)('0' + hi);
+    int len = 17;
+    while (d[len - 1] == '0')
+        len--;
+    if (X >= 17 || X < -4) {
+        *o++ = d[0];
+        if (len > 1) {
+            *o++ = '.';
+            o = put(o, d + 1, len - 1);
+        }
+        *o++ = 'e';
+        *o++ = X < 0 ? '-' : '+';
+        int a = X < 0 ? -X : X;
+        if (a >= 100)
+            *o++ = (char)('0' + a / 100);
+        *o++ = (char)('0' + a / 10 % 10);
+        *o++ = (char)('0' + a % 10);
+    } else if (X < 0) {
+        o = put(o, "0.0000", 1 - X);
+        o = put(o, d, len);
+    } else {
+        o = put(o, d, X + 1);
+        if (len > X + 1) {
+            *o++ = '.';
+            o = put(o, d + X + 1, len - X - 1);
+        }
+    }
+    return o;
+}
+
+static char *format_int(char *o, int64_t v)
+{
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    char t[20];
+    int i = 20;
+    do {
+        t[--i] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    if (v < 0)
+        *o++ = '-';
+    return put(o, t + i, 20 - i);
+}
+
+/* The CSV lines of a row-major rows x cols table of doubles, each as
+   format_double writes it, led by first[i] in row i when first is not
+   NULL.  Writes at most 25 bytes per field, separator included, and
+   returns the number written. */
+ptrdiff_t kv_format_csv(ptrdiff_t rows, ptrdiff_t cols, const double *table,
+                        const int64_t *first, char *out)
+{
+    char *o = out;
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const double *row = table + i * cols;
+        if (first)
+            o = format_int(o, first[i]);
+        for (ptrdiff_t j = 0; j < cols; j++) {
+            if (first || j)
+                *o++ = ',';
+            o = format_double(o, row[j]);
+        }
+        *o++ = '\n';
+    }
+    return o - out;
 }

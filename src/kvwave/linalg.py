@@ -1,5 +1,6 @@
 """Symmetric tridiagonal operators and the compiled kernel that factors,
-solves and steps with them and evaluates the energies of the layers.
+solves and steps with them, evaluates the energies of the layers and
+formats the CSV outputs.
 
 The three scheme matrices are assembled here:
 
@@ -20,7 +21,10 @@ pttrf/pttrs and BLAS gbmv compute, with every multiply-add of the band
 products an explicit correctly rounded fma(), so its results are the same
 bits on every machine.  Its energy entry point, kv_energies, is bound by
 diagnostics.layer_energies and sums in numpy's order (einsum's buffered
-sequential sums, add.reduce's pairwise sum).
+sequential sums, add.reduce's pairwise sum).  Its CSV entry point,
+kv_format_csv, is bound by format_csv: it writes each double as
+'%.17g' % x does, with integer arithmetic only, so the text depends on
+neither the locale nor the C library.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "band_storage",
     "band_sum",
     "step_block",
+    "format_csv",
 ]
 
 # Hardware FMA where the CPU has it; no contraction or reassociation beyond
@@ -119,6 +124,11 @@ def _load_kernel() -> ctypes.CDLL:
     kernel.kv_energies.argtypes = [size, size, size, layers, vector, vector, ctypes.c_double,
                                    ctypes.c_int, size, size, ctypes.c_double, result]
     kernel.kv_energies.restype = None
+    table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    text = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
+    # first may be NULL, which ndpointer does not pass: format_csv checks it
+    kernel.kv_format_csv.argtypes = [size, size, table, ctypes.c_void_p, text]
+    kernel.kv_format_csv.restype = size
     return kernel
 
 
@@ -312,3 +322,24 @@ def step_block(
     _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
           d_prev, d_next)
     return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)
+
+
+# The widest field format_csv writes, as in -1.2345678901234567e-308 (an
+# int64 takes at most 20 bytes), and its separator.
+_CSV_FIELD_BYTES = 24 + 1
+
+
+def format_csv(table: np.ndarray, first: np.ndarray | None = None) -> bytes:
+    """CSV lines of a C-ordered float64 table, one per row, each value
+    written exactly as '%.17g' % value writes it, whatever the locale.
+    first, an int64 vector with an entry per row, leads each line."""
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError("the table must be two-dimensional with one column or more")
+    rows, cols = table.shape
+    if first is not None and (first.dtype != np.int64 or first.shape != (rows,)
+                              or not first.flags.c_contiguous):
+        raise ValueError(f"first must be a contiguous int64 vector of length {rows}")
+    out = np.empty(rows * (cols + (first is not None)) * _CSV_FIELD_BYTES, np.uint8)
+    size = _call(_kernel.kv_format_csv, rows, cols, table,
+                 None if first is None else first.ctypes.data, out)
+    return out[:size].tobytes()

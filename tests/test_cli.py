@@ -8,7 +8,6 @@ import pytest
 from kvwave.cli import (
     PRESET_NAMES,
     _fmt,
-    _snapshot_template,
     execute,
     main,
     parse_config,
@@ -218,13 +217,21 @@ class TestOutputs:
     def test_snapshot_csv_header(self, tmp_path, base_mesh, rng):
         path = tmp_path / "snap.csv"
         values = rng.standard_normal(base_mesh.n_max)
-        write_snapshot_csv(values, path, _snapshot_template(base_mesh))
+        write_snapshot_csv(values, path, base_mesh.centers)
         lines = path.read_text().splitlines()
         assert lines[0] == "x,u"
         assert len(lines) == base_mesh.n_max + 1
         x0, u0 = lines[1].split(",")
         assert float(x0) == base_mesh.centers[0]
         assert float(u0) == values[0]
+
+    def test_snapshot_values_must_match_the_centers(self, tmp_path, base_mesh):
+        path = tmp_path / "snap.csv"
+        for values in (np.zeros(base_mesh.n_max - 1), np.zeros(base_mesh.n_max + 1),
+                       np.zeros((base_mesh.n_max, 1))):
+            with pytest.raises(ValueError, match="cell center"):
+                write_snapshot_csv(values, path, base_mesh.centers)
+        assert not path.exists()
 
     def test_numbers_round_trip_exactly(self, tmp_path):
         path = tmp_path / "energy.csv"
@@ -249,7 +256,7 @@ class TestOutputs:
 
         values = np.resize(special, base_mesh.n_max)
         snapshot = tmp_path / "snap.csv"
-        write_snapshot_csv(values, snapshot, _snapshot_template(base_mesh))
+        write_snapshot_csv(values, snapshot, base_mesh.centers)
         rows = ["x,u"] + [
             f"{_fmt(float(x))},{_fmt(float(u))}" for x, u in zip(base_mesh.centers, values)
         ]
@@ -275,7 +282,7 @@ class TestOutputs:
             "{:.17g},{:.17g}".format(x, u) for x, u in zip(base_mesh.centers.tolist(), values.tolist())
         ]) + "\n"
         snapshot = tmp_path / "snap.csv"
-        write_snapshot_csv(values, snapshot, _snapshot_template(base_mesh))
+        write_snapshot_csv(values, snapshot, base_mesh.centers)
         assert snapshot.read_bytes() == expected.encode()
 
     def test_summary_round_trips_to_identical_config(self, short_wide_result, tmp_path):

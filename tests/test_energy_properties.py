@@ -4,7 +4,8 @@ Over random speeds, damping (including none), interfaces, cell counts and
 time steps at or below the CFL bound, the recorded energy rows are the same
 bits with and without --verify-identity, and a run gives the same trace and
 statistics whatever size its layer blocks have.  Without verification the
-statistics come from the recorded rows alone.  Over the same space the
+statistics come from the recorded rows alone, and without damping the
+energy drifts only by round-off.  Over the same space the
 explicit bootstrap's solve gives the bits of a division by 2 M, and over it
 and far above the CFL bound every scheme matrix is factored as L D L^T.
 """
@@ -100,6 +101,32 @@ def test_energy_rows_depend_only_on_the_layers(
         assert_stats_from_recorded_rows(plain)
         assert verified.verified_steps == n_steps - 1
         assert verified.identity_residual_max <= 1e-11 * max(verified.energy_initial, 1.0)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@example(  # smallest zones, at the CFL bound, the longest run
+    c_sq=(1.0, 4.0, 0.25), alpha=1.0, beta=2.0, cells=(1, 2, 1), cfl_fraction=1.0,
+    n_steps=300,
+)
+@given(
+    c_sq=st.tuples(speeds, speeds, speeds),
+    alpha=st.floats(0.1, 1.4),
+    beta=st.floats(1.6, 2.9),
+    cells=counts,
+    cfl_fraction=st.floats(0.05, 1.0),
+    n_steps=st.integers(1, 300),
+)
+def test_undamped_energy_drifts_only_by_round_off(c_sq, alpha, beta, cells, cfl_fraction, n_steps):
+    # Without damping both schemes conserve the discrete energy exactly, so
+    # at or below the CFL bound its drift over the run is round-off.
+    params = Parameters(*c_sq, 0.0, alpha, beta, 3.0, 10.0)
+    mesh = build_mesh(params, *cells)
+    dt = cfl_fraction * cfl_max_dt(params, mesh)
+    data = default_initial_data(params.length)
+    for scheme in ("explicit", "implicit"):
+        result = run(params, mesh, data, dt, n_steps, scheme=scheme, verify_identity=True)
+        assert not result.diverged
+        assert result.energy_drift_max <= 1e-8 * max(result.energy_initial, 1.0)
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)

@@ -1,12 +1,16 @@
 """The compiled kernel: built once into the package's __pycache__, loaded from
 there by later processes with no compiler, safe to build from two processes
-at once, and the only numerical dependency besides numpy."""
+at once, the only numerical dependency besides numpy, and free of the C
+library's locale-dependent formatting and parsing."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kvwave
 
@@ -83,3 +87,18 @@ def test_rebuild_removes_stale_libraries(tmp_path):
     assert second.returncode == 0, second.stderr
     assert second.stdout != first.stdout
     assert built(src) == [Path(second.stdout.strip()).name]
+
+
+def test_kernel_imports_no_locale_dependent_function():
+    # The CSV text must not depend on LC_NUMERIC or on the C library, so the
+    # library may import no printf-family, locale or strtod function.  A
+    # comma-decimal locale is not needed to check this, nor always installed.
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("nm (binutils) is not installed: cannot list the kernel's imports")
+    proc = subprocess.run([nm, "-D", "--undefined-only", kvwave.linalg._kernel._name],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
+    forbidden = re.compile(r"printf|setlocale|localeconv|strtod")
+    assert [name for name in imported if forbidden.search(name)] == []

@@ -1,7 +1,10 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvwave.linalg import (
     LDLFactorization,
@@ -13,6 +16,7 @@ from kvwave.linalg import (
     band_storage,
     band_sum,
     factor,
+    format_csv,
     solve,
     step_block,
 )
@@ -387,6 +391,114 @@ class TestKernelBits:
         with pytest.raises(ValueError, match="contiguous"):
             step_block(block[:, ::-1], 1, 4, stiff, stiff, f, d_prev, d_next)
         assert not block.any()
+
+
+def percent_lines(values) -> bytes:
+    """The reference: each value as '%.17g' % value, one per line."""
+    return "".join("%.17g\n" % v for v in values).encode("ascii")
+
+
+def format_column(values) -> bytes:
+    return format_csv(np.array(values, dtype=np.float64).reshape(-1, 1))
+
+
+def with_neighbours(values: np.ndarray) -> np.ndarray:
+    values = np.concatenate([values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)])
+    return np.concatenate([values, -values])
+
+
+class TestFormatCsv:
+    """The kernel's CSV text against Python's '%.17g' %, byte for byte."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float_matches_percent_format(self, values):
+        assert format_column(values) == percent_lines(values)
+
+    def test_random_bit_patterns_match_percent_format(self, rng):
+        for _ in range(4):
+            values = rng.integers(0, 2**64, 250_000, dtype=np.uint64).view(np.float64)
+            assert format_column(values) == percent_lines(values.tolist())
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        twos = np.ldexp(1.0, np.arange(-1074, 1024))
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = with_neighbours(np.concatenate([twos, tens]))
+        assert format_column(values) == percent_lines(values.tolist())
+
+    def test_exact_ties_round_half_to_even(self, rng):
+        # x = m / 2^j with m odd has the decimal digits of m 5^j; with 18 of
+        # them, the last a 5, x lies halfway between two 17-digit decimals.
+        # Such doubles (m < 2^53) exist for j = 2 .. 25 and for no other j.
+        ties = []
+        for j in range(1, 27):
+            lo, hi = -(-10**17 // 5**j) | 1, min((10**18 - 1) // 5**j + 1, 2**53)
+            odd = range(lo, hi, 2)
+            picks = [*odd[:20], *odd[-20:]]
+            picks += [odd[int(i)] for i in rng.integers(0, len(odd), 200)] if odd else []
+            assert bool(picks) == (2 <= j <= 25), j
+            ties += [m / 2**j for m in picks]
+        for x in ties:
+            digits = Decimal(x).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        # ties whose 17th digit is even (they round down) and odd (up) both occur
+        assert {Decimal(x).as_tuple().digits[-2] % 2 for x in ties} == {0, 1}
+        values = ties + [-x for x in ties]
+        assert format_column(values) == percent_lines(values)
+
+    def test_notation_and_exponent_edges(self):
+        pinned = [
+            (0.0, "0"), (-0.0, "-0"), (float("nan"), "nan"), (-float("nan"), "nan"),
+            (float("inf"), "inf"), (-float("inf"), "-inf"), (1.0, "1"), (0.5, "0.5"),
+            (1e-4, "0.0001"), (1.5e-4, "0.00014999999999999999"), (1e-5, "1.0000000000000001e-05"),
+            (2.0**-17, "7.62939453125e-06"), (1e16, "10000000000000000"), (1e17, "1e+17"),
+            (2.0**56, "72057594037927936"), (2.0**57, "1.4411518807585587e+17"),
+            (1e-10, "1e-10"), (1e99, "9.9999999999999997e+98"), (1e100, "1e+100"),
+            (1e-99, "1e-99"), (1e-100, "1e-100"),
+            (5e-324, "4.9406564584124654e-324"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+        ]
+        values, texts = zip(*pinned)
+        assert format_column(values) == "".join(t + "\n" for t in texts).encode()
+        assert percent_lines(values) == "".join(t + "\n" for t in texts).encode()
+        edges = with_neighbours(np.array([1e-5, 1e-4, 1e-1, 1.0, 10.0, 1e15, 1e16, 1e17, 1e18,
+                                          1e-9, 1e-10, 1e-99, 1e-100, 1e99, 1e100, 1e300]))
+        assert format_column(edges) == percent_lines(edges.tolist())
+
+    def test_leading_int64_column_and_many_columns(self, rng):
+        table = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-30, 30, (50, 6))
+        first = rng.integers(-2**63, 2**63, 50, dtype=np.int64)
+        first[:3] = [0, -2**63, 2**63 - 1]
+        lines = [",".join([str(k), *("%.17g" % v for v in row)]) + "\n"
+                 for k, row in zip(first.tolist(), table.tolist())]
+        assert format_csv(table, first) == "".join(lines).encode()
+        assert format_csv(table) == "".join(line.split(",", 1)[1] for line in lines).encode()
+        assert format_csv(np.zeros((0, 6)), np.zeros(0, np.int64)) == b""
+
+    def test_widest_fields_fill_the_output_bound(self):
+        # 24 bytes a value plus its separator is the bound the output buffer
+        # is sized by; rows of such values fill it exactly
+        widest = -1.2345678901234567e-300
+        assert len("%.17g" % widest) == 24
+        for rows, cols in ((1, 1), (3, 7), (100, 2)):
+            text = format_csv(np.full((rows, cols), widest))
+            assert len(text) == rows * cols * 25
+            assert text == (",".join(["%.17g" % widest] * cols) + "\n").encode() * rows
+        first = np.full(4, -2**63, np.int64)  # 20 bytes, below the bound
+        assert len(format_csv(np.full((4, 6), widest), first)) == 4 * (6 * 25 + 21)
+
+    def test_rejects_what_the_kernel_would_misread(self):
+        table = np.zeros((3, 2))
+        for first in (np.zeros(4, np.int64), np.zeros(3), np.zeros(6, np.int64)[::2]):
+            with pytest.raises(ValueError, match="int64"):
+                format_csv(table, first)
+        for bad in (np.zeros(3), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="two-dimensional"):
+                format_csv(bad)
+        for bad in (np.zeros((3, 2), np.float32), np.zeros((3, 2), order="F"),
+                    np.zeros((3, 4))[:, ::2]):
+            with pytest.raises(ValueError, match="contiguous float64"):
+                format_csv(bad)
 
 
 class TestAgainstLapack:
