@@ -1,6 +1,6 @@
-/* Kernels of kvwave: the tridiagonal L D L^T factor and solve, band
-   products, a whole block of summed-form steps, the energies and identity
-   residuals of a block of layers, and the CSV text of a table.
+/* Kernels of kvwave: the tridiagonal L D L^T factor, a whole block of
+   summed-form steps, the energies and identity residuals of a block of
+   layers, and the CSV text of a table.
 
    Built with -ffp-contract=off, so every fused multiply-add is an explicit
    fma() and every other operation rounds on its own.  fma() is correctly
@@ -33,23 +33,13 @@ ptrdiff_t kv_factor(ptrdiff_t n, double *d, double *e)
     return d[n - 1] <= 0.0 ? n : 0;
 }
 
-/* LAPACK dptts2 for one right-hand side: b becomes the solution. */
-void kv_solve(ptrdiff_t n, const double *d, const double *e, double *b)
-{
-    for (ptrdiff_t i = 1; i < n; i++)
-        b[i] = b[i] - b[i - 1] * e[i - 1];
-    b[n - 1] = b[n - 1] / d[n - 1];
-    for (ptrdiff_t i = n - 2; i >= 0; i--)
-        b[i] = b[i] / d[i] - b[i + 1] * e[i];
-}
-
-/* Row j of a x + scale (b y), as gbmv with beta = 0 and then gbmv with
-   alpha = scale and beta = 1 round it: the row takes its columns in order,
-   one fma() each, starting from +0.  Always inlined, so that in the step's
-   interior rows the bounds tests fold away and scale 1 multiplies nothing. */
+/* Row j of a x + b y, as gbmv with beta = 0 and then gbmv with beta = 1
+   round it: the row takes its columns in order, one fma() each, starting
+   from +0.  Always inlined, so that in the step's interior rows the bounds
+   tests fold away. */
 static inline __attribute__((always_inline)) double
-band_row(ptrdiff_t n, ptrdiff_t j, const double *a, const double *x, double scale,
-         const double *b, const double *y)
+band_row(ptrdiff_t n, ptrdiff_t j, const double *a, const double *x, const double *b,
+         const double *y)
 {
     double s = 0.0;
     if (j > 0)
@@ -58,27 +48,19 @@ band_row(ptrdiff_t n, ptrdiff_t j, const double *a, const double *x, double scal
     if (j < n - 1)
         s = fma(x[j + 1], a[3 * j + 3], s);
     if (j > 0)
-        s = fma(scale * y[j - 1], b[3 * j - 1], s);
-    s = fma(scale * y[j], b[3 * j + 1], s);
+        s = fma(y[j - 1], b[3 * j - 1], s);
+    s = fma(y[j], b[3 * j + 1], s);
     if (j < n - 1)
-        s = fma(scale * y[j + 1], b[3 * j + 3], s);
+        s = fma(y[j + 1], b[3 * j + 3], s);
     return s;
-}
-
-/* out = a x + scale (b y) for two matrices in band storage. */
-void kv_band_sum(ptrdiff_t n, const double *a, const double *x, double scale,
-                 const double *b, const double *y, double *out)
-{
-    for (ptrdiff_t j = 0; j < n; j++)
-        out[j] = band_row(n, j, a, x, scale, b, y);
 }
 
 /* Rows start .. stop-1 of a row-major block of n-vectors: row i becomes
    row i-1 plus d, where L d = stiff row[i-1] + rhs_prev d_prev is solved
-   with L's factors (d, e).  Each step is kv_band_sum's rows fused with
-   kv_solve's forward sweep, then kv_solve's backward sweep fused with the
-   add into the row: the same operations in the same order, one pass each.
-   The increments swap every step, so after an odd number of steps the last
+   with L's factors (d, e).  Each step fuses band_row's rows with the
+   forward sweep of LAPACK dptts2, then dptts2's backward sweep with the add
+   into the row: dptts2's operations in its order, one pass each.  The
+   increments swap every step, so after an odd number of steps the last
    one is in d_prev.  The first and last rows are peeled off, so n >= 2. */
 void kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
                    const double *stiff, const double *rhs_prev, const double *d,
@@ -87,13 +69,13 @@ void kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
     for (ptrdiff_t i = start; i < stop; i++) {
         const double *u = block + (i - 1) * n;
         double *out = block + i * n;
-        double s = band_row(n, 0, stiff, u, 1.0, rhs_prev, d_prev);
+        double s = band_row(n, 0, stiff, u, rhs_prev, d_prev);
         d_next[0] = s;
         for (ptrdiff_t j = 1; j < n - 1; j++) {
-            s = band_row(n, j, stiff, u, 1.0, rhs_prev, d_prev) - s * e[j - 1];
+            s = band_row(n, j, stiff, u, rhs_prev, d_prev) - s * e[j - 1];
             d_next[j] = s;
         }
-        s = band_row(n, n - 1, stiff, u, 1.0, rhs_prev, d_prev) - s * e[n - 2];
+        s = band_row(n, n - 1, stiff, u, rhs_prev, d_prev) - s * e[n - 2];
         s = s / d[n - 1];
         d_next[n - 1] = s;
         out[n - 1] = u[n - 1] + s;

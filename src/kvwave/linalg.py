@@ -1,6 +1,6 @@
-"""Symmetric tridiagonal operators and the compiled kernel that factors,
-solves and steps with them, evaluates the energies of the layers and
-formats the CSV outputs.
+"""Symmetric tridiagonal operators and the compiled kernel that factors
+and steps with them, evaluates the energies of the layers and formats the
+CSV outputs.
 
 The three scheme matrices are assembled here:
 
@@ -9,11 +9,13 @@ The three scheme matrices are assembled here:
 * stiffness -- flux-divergence operator, negative diagonal, coupling across
                the interfaces through the interface flux coefficients.
 
-A matrix is factored once and the factors are reused for every right-hand
-side.  Every matrix the schemes solve with is positive definite, so it is
-factored as L D L^T without pivoting; any other matrix is rejected.
-Products with the right-hand matrices run on their band storage, so a step
-costs O(n) time and the operators O(n) memory.
+A matrix is factored once and the factors are reused for every step.
+Every matrix the schemes solve with is positive definite, so it is factored
+as L D L^T without pivoting; any other matrix is rejected.  Products with
+the right-hand matrices run on their band storage, so a step costs O(n)
+time and the operators O(n) memory.  step_block forms a step's band
+products and solves with the factors, a whole block of steps per call; the
+bootstrap is one such step.
 
 The arithmetic runs in kernel.c, which is compiled on first import into the
 package's __pycache__ and loaded with ctypes.  It computes what LAPACK
@@ -50,9 +52,7 @@ __all__ = [
     "assemble_damping",
     "assemble_stiffness",
     "factor",
-    "solve",
     "band_storage",
-    "band_sum",
     "step_block",
     "format_csv",
 ]
@@ -112,10 +112,6 @@ def _load_kernel() -> ctypes.CDLL:
     block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     kernel.kv_factor.argtypes = [size, out, out]
     kernel.kv_factor.restype = size
-    kernel.kv_solve.argtypes = [size, vector, vector, out]
-    kernel.kv_solve.restype = None
-    kernel.kv_band_sum.argtypes = [size, band, vector, ctypes.c_double, band, vector, out]
-    kernel.kv_band_sum.restype = None
     kernel.kv_step_block.argtypes = [size, size, size, block, band, band, vector, vector,
                                      out, out]
     kernel.kv_step_block.restype = None
@@ -145,8 +141,7 @@ def _call(function, *args) -> object:
 
 
 class SingularMatrixError(ValueError):
-    """Raised when a factorization meets a pivot it cannot use: a
-    non-positive one in L D L^T, an exactly zero one in elimination."""
+    """Raised when the L D L^T factorization meets a non-positive pivot."""
 
 
 @dataclass(frozen=True)
@@ -237,7 +232,7 @@ def assemble_stiffness(mesh: Mesh, ell: FluxCoefficients) -> TriDiagMatrix:
 
 def factor(m: TriDiagMatrix) -> LDLFactorization:
     """L D L^T factors of a positive definite m, computed once and reused
-    across solves.
+    by every step.
 
     Raises SingularMatrixError when the factorization meets a non-positive
     pivot, that is when m is not positive definite.  Like band_storage, it
@@ -254,21 +249,13 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     return LDLFactorization(d, e)
 
 
-def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve with previously computed factors, in place: rhs becomes the solution."""
-    if rhs.shape != f.d.shape:
-        raise ValueError("right-hand side length does not match the factorization")
-    _call(_kernel.kv_solve, len(rhs), f.d, f.e, rhs)
-    return rhs
-
-
 def band_storage(m: TriDiagMatrix) -> np.ndarray:
     """The 3 x n BLAS general-band storage of a tridiagonal matrix.
 
     Column j holds m[j-1, j], m[j, j] and m[j+1, j].  The array is Fortran
     ordered, so each column's three entries are adjacent, as the kernel
-    reads them.  The band products need at least three rows; every mesh has
-    four or more.
+    reads them.  The steps need at least three rows; every mesh has four or
+    more.
     """
     if m.dim < 3:
         raise ValueError("band storage needs a matrix of dimension 3 or more")
@@ -279,26 +266,6 @@ def band_storage(m: TriDiagMatrix) -> np.ndarray:
     return band
 
 
-def _check_shapes(n: int, bands: tuple[np.ndarray, ...], vectors: tuple[np.ndarray, ...]) -> None:
-    if any(a.shape != (3, n) for a in bands) or any(v.shape != (n,) for v in vectors):
-        raise ValueError(f"bands must be 3 x {n} arrays and vectors of length {n}")
-
-
-def band_sum(
-    a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray, y: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """a x + scale (b y) for two matrices in band storage, written into out.
-
-    out's previous contents are never read.  Each row adds its products in
-    column order, one fma() each, scale (b y) after a x; scale multiplies y
-    before its products, as gbmv's alpha does.
-    """
-    n = a.shape[-1]
-    _check_shapes(n, (a, b), (x, y, out))
-    _call(_kernel.kv_band_sum, n, a, x, scale, b, y, out)
-    return out
-
-
 def step_block(
     block: np.ndarray, start: int, stop: int, stiff: np.ndarray, rhs_prev: np.ndarray,
     f: LDLFactorization, d_prev: np.ndarray, d_next: np.ndarray,
@@ -306,19 +273,20 @@ def step_block(
     """Summed-form steps into rows start .. stop-1 of a block of layers.
 
     Each row i gets block[i-1] + d, where L d = stiff block[i-1] + rhs_prev
-    d_prev is solved with L's factors f: the product is band_sum's with
-    scale 1, the solve is solve's.  d_prev is the increment into row i-1,
-    d goes into d_next, and the two vectors then swap.  Returns (d_prev,
-    d_next) as the next call takes them.  The increments must not overlap
-    each other or the block.  Like band_storage, it takes matrices of three
-    rows or more.
+    d_prev is solved with L's factors f.  d_prev is the increment into row
+    i-1, d goes into d_next, whose previous contents are never read, and
+    the two vectors then swap.  Returns (d_prev, d_next) as the next call
+    takes them.  The increments must not overlap each other or the block.
+    Like band_storage, it takes matrices of three rows or more.
     """
     if block.ndim != 2 or not 1 <= start <= stop <= len(block):
         raise ValueError(f"rows {start} .. {stop - 1} do not follow a row of the block")
     n = block.shape[1]
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
-    _check_shapes(n, (stiff, rhs_prev), (f.d, d_prev, d_next))
+    if (any(a.shape != (3, n) for a in (stiff, rhs_prev))
+            or any(v.shape != (n,) for v in (f.d, d_prev, d_next))):
+        raise ValueError(f"bands must be 3 x {n} arrays and vectors of length {n}")
     _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
           d_prev, d_next)
     return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)

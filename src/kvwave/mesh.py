@@ -85,10 +85,6 @@ class Mesh:
         return self.n_alpha + self.n_damp + self.n_beta
 
     @property
-    def length(self) -> float:
-        return float(self.faces[-1])
-
-    @property
     def damping_interior_faces(self) -> slice:
         """0-based slice (into a face-indexed array) of the faces strictly
         between alpha and beta."""

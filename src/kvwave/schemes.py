@@ -9,7 +9,8 @@ current layer; the flux-averaged (semi-implicit) scheme splits it evenly
 between the next and previous layers, which makes it unconditionally stable.
 The first layer is bootstrapped from the initial velocity through a
 fictitious layer one step before the start, eliminated with a centered
-difference; in both schemes that leaves one tridiagonal solve.
+difference; in both schemes that leaves one tridiagonal solve, which runs
+as one block step.
 
 In both schemes R2 - L - R1 = dt^2 S, with S the stiffness matrix, so the
 recurrence is stepped in summed form (Henrici, Discrete Variable Methods in
@@ -162,10 +163,16 @@ def build_operators(
 
 
 def bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
-    """First layer of either scheme: solves boot_lhs u1 = R2 u0 + 2 dt R1 psi."""
-    rhs = linalg.band_sum(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi,
-                          np.zeros_like(u0))
-    return linalg.solve(ops.boot_factor, rhs)
+    """First layer of either scheme: solves boot_lhs u1 = R2 u0 + R1 (2 dt psi).
+
+    That is one block step from u0 with the bootstrap's factors, R2 in place
+    of dt^2 S and 2 dt psi as the previous increment: its increment is u1.
+    The row the step writes, u0 + u1, is scratch and discarded.
+    """
+    u1, _ = linalg.step_block(np.stack((u0, u0)), 1, 2, ops._rhs_curr_band,
+                              ops._rhs_prev_band, ops.boot_factor, 2.0 * ops.dt * psi,
+                              np.empty_like(u0))
+    return u1
 
 
 def _rows_within(rows: np.ndarray, limit: float) -> np.ndarray:

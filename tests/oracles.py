@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kvwave.linalg import SingularMatrixError, TriDiagMatrix
+from kvwave.linalg import LDLFactorization, SingularMatrixError, TriDiagMatrix, step_block
 from kvwave.mesh import FluxCoefficients, Mesh
 from kvwave.schemes import SchemeOperators
 
@@ -90,6 +90,19 @@ def band_products(a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray,
                 s = fma(v[i], band[j - i + 1][i], s)
         out[j] = s
     return out
+
+
+def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factors f in place, as every step solves: one
+    linalg.step_block step with a zero stiffness band and an identity R1
+    band, from rhs as the previous increment into rhs as the next one.  rhs
+    becomes the solution; a -0.0 entry of it counts as +0.0."""
+    n = len(f.d)
+    zero = np.zeros((3, n), order="F")
+    identity = np.zeros((3, n), order="F")
+    identity[1] = 1.0
+    step_block(np.zeros((2, n)), 1, 2, zero, identity, f, rhs.copy(), rhs)
+    return rhs
 
 
 def ldl_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:

@@ -20,7 +20,6 @@ from kvwave.linalg import (
     assemble_damping,
     assemble_stiffness,
     factor,
-    solve,
 )
 from kvwave.mesh import Parameters
 from kvwave.model import default_initial_data
@@ -28,7 +27,7 @@ from kvwave.schemes import run
 
 
 from conftest import ACCEPTANCE_LINES
-from oracles import dense_solve_oracle, discrete_l2_norm, quadratic_form, to_dense
+from oracles import dense_solve_oracle, discrete_l2_norm, quadratic_form, solve, to_dense
 from spectral import (
     companion_matrix,
     decay_rates,

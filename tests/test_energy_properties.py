@@ -7,7 +7,10 @@ statistics whatever size its layer blocks have.  Without verification the
 statistics come from the recorded rows alone, and without damping the
 energy drifts only by round-off.  Over the same space the
 explicit bootstrap's solve gives the bits of a division by 2 M, and over it
-and far above the CFL bound every scheme matrix is factored as L D L^T.
+and far above the CFL bound every scheme matrix is factored as L D L^T and
+both bootstraps give the bits of their band products solved with their
+factors.  At 1-100 times the CFL bound the implicit scheme stays bounded
+and its energy never rises beyond round-off.
 """
 
 from dataclasses import fields
@@ -23,7 +26,7 @@ from kvwave.linalg import LDLFactorization
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import run
-from oracles import explicit_bootstrap, one_step_layers
+from oracles import band_products, explicit_bootstrap, ldl_solve, one_step_layers
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
 
@@ -176,6 +179,72 @@ def test_explicit_bootstrap_is_the_division_by_2m(c_sq, delta, alpha, beta, cell
     data = default_initial_data(params.length)
     u0, psi = (sample_cell_averages(f, mesh) for f in (data.phi, data.psi))
     assert schemes.bootstrap(u0, psi, ops).tobytes() == explicit_bootstrap(u0, psi, ops).tobytes()
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@example(  # undamped, smallest zones
+    c_sq=(1.0, 4.0, 0.25), delta=0.0, alpha=1.0, beta=2.0, cells=(1, 2, 1), cfl_fraction=1.0,
+    seed=0,
+)
+@given(
+    c_sq=st.tuples(speeds, speeds, speeds),
+    delta=damping,
+    alpha=st.floats(0.1, 1.4),
+    beta=st.floats(1.6, 2.9),
+    cells=counts,
+    cfl_fraction=st.one_of(st.floats(0.05, 1.0), st.floats(1.0, 1e4)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bootstrap_is_the_oracle_solve_of_its_band_products(
+    c_sq, delta, alpha, beta, cells, cfl_fraction, seed
+):
+    # boot_lhs u1 = R2 u0 + R1 (2 dt psi), in Python floats: on the arch
+    # data and on random data of magnitudes 1e-100 .. 1e100 with signed zeros
+    params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
+    mesh = build_mesh(params, *cells)
+    dt = cfl_fraction * cfl_max_dt(params, mesh)
+    data = default_initial_data(params.length)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((2, mesh.n_max)) * 10.0 ** rng.uniform(-100, 100, (2, mesh.n_max))
+    zeros = rng.random(noise.shape) < 0.1
+    noise[zeros] = np.copysign(0.0, noise[zeros])
+    inputs = [tuple(sample_cell_averages(f, mesh) for f in (data.phi, data.psi)), tuple(noise)]
+    for scheme in ("explicit", "implicit"):
+        ops = schemes.build_operators(mesh, params, dt, scheme)
+        boot = ops.boot_factor
+        for u0, psi in inputs:
+            rhs = band_products(ops._rhs_curr_band, u0, 2.0 * dt, ops._rhs_prev_band, psi)
+            expected = ldl_solve(boot.d, boot.e, rhs)
+            assert schemes.bootstrap(u0, psi, ops).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@example(  # undamped, smallest zones, 100x the CFL bound, the longest run
+    c_sq=(1.0, 4.0, 0.25), delta=0.0, alpha=1.0, beta=2.0, cells=(1, 2, 1),
+    cfl_fraction=100.0, n_steps=300,
+)
+@given(
+    c_sq=st.tuples(speeds, speeds, speeds),
+    delta=damping,
+    alpha=st.floats(0.1, 1.4),
+    beta=st.floats(1.6, 2.9),
+    cells=counts,
+    cfl_fraction=st.floats(1.0, 100.0),
+    n_steps=st.integers(1, 300),
+)
+def test_implicit_scheme_stays_bounded_above_the_cfl_bound(
+    c_sq, delta, alpha, beta, cells, cfl_fraction, n_steps
+):
+    # The flux-averaged scheme is unconditionally stable: its discrete
+    # energy never grows, so well above the explicit scheme's bound a run
+    # neither diverges nor gains energy beyond round-off.
+    params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
+    mesh = build_mesh(params, *cells)
+    dt = cfl_fraction * cfl_max_dt(params, mesh)
+    data = default_initial_data(params.length)
+    result = run(params, mesh, data, dt, n_steps, scheme="implicit", verify_identity=True)
+    assert not result.diverged
+    assert result.energy_rise_max <= 1e-11 * max(result.energy_initial, 1.0)
 
 
 def assert_no_shared_memory(result) -> None:

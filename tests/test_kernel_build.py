@@ -1,7 +1,8 @@
 """The compiled kernel: built once into the package's __pycache__, loaded from
 there by later processes with no compiler, safe to build from two processes
-at once, the only numerical dependency besides numpy, and free of the C
-library's locale-dependent formatting and parsing."""
+at once, the only numerical dependency besides numpy, free of the C
+library's locale-dependent formatting and parsing, and exporting only the
+entry points the package binds."""
 
 import os
 import re
@@ -102,3 +103,17 @@ def test_kernel_imports_no_locale_dependent_function():
     imported = [line.split()[-1] for line in proc.stdout.splitlines() if line.strip()]
     forbidden = re.compile(r"printf|setlocale|localeconv|strtod")
     assert [name for name in imported if forbidden.search(name)] == []
+
+
+def test_kernel_exports_exactly_the_entry_points_the_package_binds():
+    # An entry point that nothing binds is dead code in the library.
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("nm (binutils) is not installed: cannot list the kernel's exports")
+    proc = subprocess.run([nm, "-D", "--defined-only", kvwave.linalg._kernel._name],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    defined = {line.split()[-1] for line in proc.stdout.splitlines() if line.strip()}
+    # ctypes keeps each function it has looked up as an attribute of the library
+    bound = {name for name in vars(kvwave.linalg._kernel) if name.startswith("kv_")}
+    assert {name for name in defined if name.startswith("kv_")} == bound

@@ -14,10 +14,8 @@ from kvwave.linalg import (
     assemble_mass,
     assemble_stiffness,
     band_storage,
-    band_sum,
     factor,
     format_csv,
-    solve,
     step_block,
 )
 from kvwave.mesh import FluxCoefficients, Mesh, Parameters, build_mesh
@@ -29,6 +27,7 @@ from oracles import (
     ldl_factor,
     ldl_solve,
     quadratic_form,
+    solve,
     to_dense,
 )
 
@@ -245,33 +244,56 @@ class TestLDLFactorization:
                 factor(m)
 
 
+def band_sum(a, x, b, y, out):
+    """a x + b y written into out by one block step from x with identity
+    factors, whose increment is then the step's band sum."""
+    n = len(x)
+    identity = LDLFactorization(np.ones(n), np.zeros(n - 1))
+    block = np.stack((x, x))
+    assert step_block(block, 1, 2, a, b, identity, y.copy(), out)[0] is out
+    return out
+
+
 class TestBandSum:
+    """The band sum a block step forms, stiff x + rhs_prev y, and the band
+    storage it reads."""
+
     @pytest.mark.parametrize("n", [3, 4, 17, 200])
     def test_matches_tridiagonal_matvec(self, rng, n):
         a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
         x, y = rng.standard_normal((2, n))
-        scale = float(rng.uniform(-2.0, 2.0))
-        got = band_sum(band_storage(a), x, scale, band_storage(b), y, np.empty(n))
+        scale = float(rng.uniform(-2.0, 2.0))  # the bootstrap's 2 dt
+        got = band_sum(band_storage(a), x, band_storage(b), scale * y, np.empty(n))
         expected = to_dense(a) @ x + scale * (to_dense(b) @ y)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
 
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -0.0, 1e308])
     def test_writes_into_out_whatever_it_held(self, rng, fill):
+        # a step never reads d_next's old contents: the same bits whatever
+        # it held, with real factors as well as identity ones
         n = 17
         a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
         x, y = rng.standard_normal((2, n))
         x[4:9] = y[4:9] = -0.0  # rows 5-7 sum signed zeros only
-        reference = band_sum(a, x, -1.0, b, y, np.zeros(n))
-        out = np.full(n, fill)
-        assert band_sum(a, x, -1.0, b, y, out) is out
-        assert out.tobytes() == reference.tobytes()
+        reference = band_sum(a, x, b, y, np.zeros(n))
+        assert band_sum(a, x, b, y, np.full(n, fill)).tobytes() == reference.tobytes()
+        f = factor(random_spd_tridiag(rng, n))
+        blocks, outs = (np.stack((x, x)), np.stack((x, x))), (np.zeros(n), np.full(n, fill))
+        for block, out in zip(blocks, outs):
+            step_block(block, 1, 2, a, b, f, y.copy(), out)
+        assert outs[1].tobytes() == outs[0].tobytes()
+        assert blocks[1].tobytes() == blocks[0].tobytes()
 
     def test_strided_out_rejected(self, rng):
         n = 9
         a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
         x, y = rng.standard_normal((2, n))
+        block = np.stack((x, y))
+        saved = block.copy()
         with pytest.raises(ValueError, match="contiguous"):
-            band_sum(a, x, 0.5, b, y, np.zeros((n, 2))[:, 0])
+            step_block(block, 1, 2, a, b, factor(random_spd_tridiag(rng, n)), y.copy(),
+                       np.zeros((n, 2))[:, 0])
+        assert block.tobytes() == saved.tobytes()
 
     def test_storage_is_three_rows(self, rng):
         m = random_dd_tridiag(rng, 9)
@@ -313,12 +335,18 @@ class TestKernelBits:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 17, 200])
     def test_band_sum_matches_oracle(self, rng, n):
+        # the bootstrap's step: a previous increment scaled by 2 dt in numpy
+        # is the oracle's scale y, and the increment is the band sum solved
         for _ in range(20):
             a, b = random_band(rng, n), random_band(rng, n)
             x, y = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-5, 5, (2, n))
             scale = float(rng.uniform(-2.0, 2.0))
-            got = band_sum(a, x, scale, b, y, np.empty(n))
+            got = band_sum(a, x, b, scale * y, np.empty(n))
             assert got.tobytes() == band_products(a, x, scale, b, y).tobytes()
+            f = factor(random_spd_tridiag(rng, n).scaled(float(10.0 ** rng.uniform(-3, 3))))
+            d, _ = step_block(np.stack((x, x)), 1, 2, a, b, f, scale * y, np.empty(n))
+            expected = ldl_solve(f.d, f.e, band_products(a, x, scale, b, y))
+            assert d.tobytes() == expected.tobytes()
 
     def test_factor_and_solve_match_oracle(self, rng):
         for _ in range(300):
