@@ -317,7 +317,8 @@ def execute(cfg: RunConfig) -> RunResult:
         mesh = build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
         dt, n_steps = resolve_time_step(cfg, params, mesh)
         initial = default_initial_data(params.length)
-    except (ValueError, OverflowError) as err:  # e.g. a length whose square overflows
+    except (ValueError, OverflowError, MemoryError) as err:
+        # e.g. a length whose square overflows, or a mesh too large to allocate
         raise ConfigError(f"cannot set up the run: {err}") from err
     admissibility = validate_run(params, mesh, dt, cfg.scheme)
     if cfg.scheme == "explicit" and not admissibility.stable and not cfg.cfl_override:
@@ -465,7 +466,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     else:
         try:
             text = Path(args.config).read_text()
-        except OSError as err:
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {args.config}: {err}") from err
         cfg = parse_config(text)
     if args.scheme is not None:
@@ -511,6 +512,8 @@ def _load_energy_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
         text = Path(path).read_text()
     except OSError as err:
         raise OSError(f"cannot read energy CSV {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"cannot read energy CSV {path}: {err}") from err
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise ConfigError(f"{path}: empty energy CSV")

@@ -11,7 +11,6 @@ these in one call of linalg's compiled kernel; the fits run in numpy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +67,18 @@ def layer_energies(
     params: Parameters,
     dt: float,
     variant: str,
+    selected: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Energies and the dissipation identity for a block of consecutive layers.
 
-    layers has shape (..., m, n_cells) holding layers k .. k+m-1 of a run,
-    optionally for a batch of such blocks.  Returns (e_kinetic, e_potential,
-    e_total, dissipation, residual) with the batch shape in front; the energy
-    arrays have length m-1 (entry j belongs to step k+j, the layer pair
-    k+j, k+j+1), the dissipation and residual arrays have length m-2 (entry j
-    belongs to step k+j+1).
+    layers has shape (m, n_cells) holding layers k .. k+m-1 of a run.
+    Returns (e_kinetic, e_potential, e_total, dissipation, residual); the
+    energy arrays have length m-1 (entry j belongs to step k+j, the layer
+    pair k+j, k+j+1), the dissipation and residual arrays have length m-2
+    (entry j belongs to step k+j+1).  selected, a boolean vector of length
+    m-2 like the residual, asks for some steps only: their dissipation and
+    residual and the energies of the two pairs each reads are evaluated,
+    and every other entry is NaN.  Without it every entry is evaluated.
 
     The kinetic energy is half the width-weighted sum of squared forward time
     differences.  The explicit potential energy is half the flux-weighted
@@ -89,26 +91,28 @@ def layer_energies(
     The arithmetic runs in linalg's compiled kernel, kv_energies, in the
     order of numpy's einsum for the energies and of its pairwise sum for the
     dissipation.  Every entry depends only on the layers it belongs to,
-    never on the block or batch they came in, so any blocking of a run gives
-    the same bits.  layers must be a C-contiguous float64 array.
+    never on the block it came in or on the selection, so any blocking of a
+    run gives the same bits.  layers must be a C-contiguous float64 array.
     """
-    if layers.ndim < 2 or layers.shape[-2] < 2:
-        raise ValueError("need at least two consecutive layers")
+    if layers.ndim != 2 or len(layers) < 2:
+        raise ValueError("need a block of at least two consecutive layers")
     if variant not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme variant {variant!r}")
-    *batch, m, n = layers.shape
+    m, n = layers.shape
     if mesh.cell_widths.shape != (n,) or ell.ell.shape != (n + 1,):
         raise ValueError(f"layers of {n} cells do not match the mesh and its flux coefficients")
     faces = mesh.damping_interior_faces
     if not 1 <= faces.start <= faces.stop <= n:
         raise ValueError("the damped zone's interior faces must lie inside the mesh")
-    out = np.empty((5, *batch, m))
-    linalg._call(linalg._kernel.kv_energies, math.prod(batch), m, n, layers, mesh.cell_widths,
-                 ell.ell, dt, variant == "implicit", faces.start, faces.stop,
+    if selected is not None and (selected.dtype != np.bool_ or selected.shape != (m - 2,)):
+        raise ValueError(f"selected must be a boolean vector of length {m - 2}")
+    out = np.empty((5, m))
+    linalg._call(linalg._kernel.kv_energies, m, n, layers,
+                 None if selected is None else selected.tobytes(), mesh.cell_widths, ell.ell,
+                 dt, variant == "implicit", faces.start, faces.stop,
                  params.delta / (4.0 * dt * mesh.h), out)
     e_k, e_p, e_total, dissipation, residual = out
-    return (e_k[..., :-1], e_p[..., :-1], e_total[..., :-1], dissipation[..., :-2],
-            residual[..., :-2])
+    return e_k[:-1], e_p[:-1], e_total[:-1], dissipation[:-2], residual[:-2]
 
 
 def _window_samples(

@@ -201,11 +201,21 @@ static double pairwise_sum(const double *u0, const double *u2, ptrdiff_t f, ptrd
     return pairwise_sum(u0, u2, f, half) + pairwise_sum(u0, u2, f + half, count - half);
 }
 
-/* Energies of `batch` blocks of m consecutive layers of n cells each,
-   written to out, 5 x batch x m: for block b, out[q][b][t] holds its
-   kinetic, potential and total energy (q = 0, 1, 2) of the layer pair
-   t, t+1 for t < m - 1, and its dissipation and identity residual (q = 3,
-   4) of the step at layer t+1 for t < m - 2; the other entries are scratch.
+/* Whether the layer pair t of a block of m layers is evaluated: every pair
+   without a selection, else the pairs a selected step reads.  sel[j]
+   selects the step at layer j+1, which reads the pairs j and j+1. */
+static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t)
+{
+    return !sel || (t > 0 && sel[t - 1]) || (t < m - 2 && sel[t]);
+}
+
+/* Energies of m consecutive layers of n cells each, written to out, 5 x m:
+   out[q][t] holds the kinetic, potential and total energy (q = 0, 1, 2) of
+   the layer pair t, t+1 for t < m - 1, and the dissipation and identity
+   residual (q = 3, 4) of the step at layer t+1 for t < m - 2; the other
+   entries are scratch.  sel, NULL or m - 2 flags, selects those steps: only
+   the selected steps' dissipation and residual and the pairs they read are
+   evaluated, and every other entry is NaN.
    The operations and their order
    are those of diagnostics' numpy formulation with einsum:
 
@@ -218,49 +228,51 @@ static double pairwise_sum(const double *u0, const double *u2, ptrdiff_t f, ptrd
      residual = (total_t+1 - total_t) - dissipation.
 
    The einsum sums are energy_sums', the face sum is pairwise_sum's. */
-void kv_energies(ptrdiff_t batch, ptrdiff_t m, ptrdiff_t n, const double *layers,
+void kv_energies(ptrdiff_t m, ptrdiff_t n, const double *layers, const unsigned char *sel,
                  const double *w, const double *ell, double dt, int implicit,
                  ptrdiff_t face_lo, ptrdiff_t face_hi, double coef, double *out)
 {
-    ptrdiff_t size = batch * m;
-    double *e_k = out, *e_p = out + size, *e_t = out + 2 * size;
-    double *diss = out + 3 * size, *res = out + 4 * size;
+    double *e_k = out, *e_p = out + m, *e_t = out + 2 * m;
+    double *diss = out + 3 * m, *res = out + 4 * m;
     const double *k0[ROWS], *k1[ROWS], *p0[ROWS], *p1[ROWS];
     double *kd[ROWS], *pd[ROWS], kin[ROWS], pot[ROWS], spare;
     int r = 0;
-    /* One row per layer pair, and for the implicit scheme one more for the
-       last layer's sq: its kinetic sum goes to spare. */
-    for (ptrdiff_t b = 0; b < batch; b++) {
-        for (ptrdiff_t t = 0; t < m - !implicit; t++) {
-            const double *u = layers + (b * m + t) * n;
-            int pair = t < m - 1;
-            k0[r] = u, k1[r] = pair ? u + n : u, kd[r] = pair ? e_k + b * m + t : &spare;
-            p0[r] = u, p1[r] = implicit ? u : u + n, pd[r] = e_p + b * m + t;
-            if (++r == ROWS || (b == batch - 1 && t == m - 1 - !implicit)) {
-                /* a short last group repeats its first row into spare */
-                for (int q = r; q < ROWS; q++)
-                    k0[q] = k0[0], k1[q] = k1[0], p0[q] = p0[0], p1[q] = p1[0],
-                    kd[q] = pd[q] = &spare;
-                energy_sums(n, dt, w, ell, k0, k1, p0, p1, kin, pot);
-                for (int q = 0; q < ROWS; q++)
-                    *kd[q] = kin[q], *pd[q] = pot[q];
-                r = 0;
-            }
+    /* One row per wanted pair, and for the implicit scheme one per layer of
+       a wanted pair, for its sq: a row without a wanted pair sends its
+       kinetic sum to spare.  A row's sums do not depend on the rows it is
+       grouped with. */
+    for (ptrdiff_t t = 0; t < m - !implicit; t++) {
+        int pair = t < m - 1 && pair_wanted(sel, m, t);
+        if (pair || (implicit && t > 0 && pair_wanted(sel, m, t - 1))) {
+            const double *u = layers + t * n;
+            k0[r] = u, k1[r] = pair ? u + n : u, kd[r] = pair ? e_k + t : &spare;
+            p0[r] = u, p1[r] = implicit ? u : u + n, pd[r++] = e_p + t;
+        }
+        if (r == ROWS || (r > 0 && t == m - 1 - !implicit)) {
+            /* a short last group repeats its first row into spare */
+            for (int q = r; q < ROWS; q++)
+                k0[q] = k0[0], k1[q] = k1[0], p0[q] = p0[0], p1[q] = p1[0],
+                kd[q] = pd[q] = &spare;
+            energy_sums(n, dt, w, ell, k0, k1, p0, p1, kin, pot);
+            for (int q = 0; q < ROWS; q++)
+                *kd[q] = kin[q], *pd[q] = pot[q];
+            r = 0;
         }
     }
-    for (ptrdiff_t b = 0; b < batch; b++) {
-        const double *u = layers + b * m * n;
-        ptrdiff_t o = b * m;
-        for (ptrdiff_t t = 0; t < m - 1; t++) {
-            e_k[o + t] = 0.5 * e_k[o + t];
-            e_p[o + t] = implicit ? 0.25 * (e_p[o + t + 1] + e_p[o + t]) : 0.5 * e_p[o + t];
-            e_t[o + t] = e_k[o + t] + e_p[o + t];
-        }
-        for (ptrdiff_t t = 0; t < m - 2; t++) {
-            double s = 0.0 + pairwise_sum(u + t * n, u + (t + 2) * n, face_lo, face_hi - face_lo);
-            diss[o + t] = 0.0 - coef * s;
-            res[o + t] = (e_t[o + t + 1] - e_t[o + t]) - diss[o + t];
-        }
+    /* In order of t, as the implicit e_p[t] reads sq_t+1.  The entries of a
+       pair that is not wanted are formed from scratch and then replaced. */
+    for (ptrdiff_t t = 0; t < m - 1; t++) {
+        e_k[t] = 0.5 * e_k[t];
+        e_p[t] = implicit ? 0.25 * (e_p[t + 1] + e_p[t]) : 0.5 * e_p[t];
+        e_t[t] = e_k[t] + e_p[t];
+        if (!pair_wanted(sel, m, t))
+            e_k[t] = e_p[t] = e_t[t] = NAN;
+    }
+    for (ptrdiff_t t = 0; t < m - 2; t++) {
+        double s = sel && !sel[t] ? NAN : 0.0 + pairwise_sum(layers + t * n, layers + (t + 2) * n,
+                                                             face_lo, face_hi - face_lo);
+        diss[t] = 0.0 - coef * s;
+        res[t] = (e_t[t + 1] - e_t[t]) - diss[t];
     }
 }
 

@@ -115,12 +115,12 @@ def _load_kernel() -> ctypes.CDLL:
     kernel.kv_step_block.argtypes = [size, size, size, block, band, band, vector, vector,
                                      out, out]
     kernel.kv_step_block.restype = None
-    layers = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    result = np.ctypeslib.ndpointer(np.float64, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    kernel.kv_energies.argtypes = [size, size, size, layers, vector, vector, ctypes.c_double,
-                                   ctypes.c_int, size, size, ctypes.c_double, result]
-    kernel.kv_energies.restype = None
     table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    # the selection's flags, as bytes, or NULL: layer_energies checks them
+    kernel.kv_energies.argtypes = [size, size, table, ctypes.c_char_p, vector, vector,
+                                   ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
+                                   block]
+    kernel.kv_energies.restype = None
     text = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
     # first may be NULL, which ndpointer does not pass: format_csv checks it
     kernel.kv_format_csv.argtypes = [size, size, table, ctypes.c_void_p, text]

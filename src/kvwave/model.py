@@ -30,8 +30,9 @@ ScalarField = Callable[[np.ndarray], np.ndarray]
 
 class ConfigError(ValueError):
     """A run that cannot be set up: an invalid configuration or command line,
-    or a problem whose mesh, step count, initial data or operators cannot be
-    built in floating point."""
+    an input file that is not text in the locale's encoding, or a problem
+    whose mesh, step count, initial data or operators cannot be built in
+    floating point or in the memory available."""
 
 
 @dataclass(frozen=True)

@@ -215,64 +215,60 @@ class SimulationResult:
 
 
 class _EnergyLog:
-    """Trace rows and identity statistics of a run, fed by layer_energies.
+    """Trace columns and identity statistics of a run, fed by layer_energies.
 
     The log is built on the run's layer block, whose first two rows hold
     layers 0 and 1; row 0 of the trace holds their energy.  record() takes a
     block of consecutive layers starting at layer `first`; the steps first+1
     .. first+m-2 are the ones whose residuals the block determines.  A step's
     row is kept when it is a multiple of observe_every or the last step.
-    With verify the statistics cover every step, evaluated a whole block in
-    one call; otherwise the kept steps only, each from its own three layers,
-    all of a block's in one call.  The calls go through the module attribute
-    diagnostics.layer_energies, which the benchmark's tracer wraps.
+    The statistics cover every step with verify, otherwise the kept steps.
+    A block's steps are evaluated in one call, on the block itself, with a
+    selection of the kept steps, or of every step with verify; a block that
+    selects no step is not evaluated.  The calls go through the module
+    attribute diagnostics.layer_energies, which the benchmark's tracer wraps.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
                  verify: bool, block: np.ndarray):
-        self.ops = ops
+        self.dt = ops.dt
+        # what every layer_energies call passes after the layers
+        self.args = (ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
         self.observe_every = observe_every
         self.last_step = last_step
         self.verify = verify
-        e_k, e_p, e_tot, _, _ = self._energies(block[:2])
+        e_k, e_p, e_tot, _, _ = diagnostics.layer_energies(block[:2], *self.args)
         self.e_tot0 = float(e_tot[0])
-        self.rows = [(0, 0.0, float(e_k[0]), float(e_p[0]), self.e_tot0, 0.0, 0.0)]
+        # per block: the kept steps and their energies, dissipations and residuals
+        self.columns = [(np.zeros(1, np.int64), e_k, e_p, e_tot, np.zeros(1), np.zeros(1))]
         self.identity_max = 0.0
         self.drift_max = 0.0
         self.rise_max = -math.inf
         self.verified = 0
 
-    def _energies(self, layers: np.ndarray):
-        ops = self.ops
-        return diagnostics.layer_energies(layers, ops.mesh, ops.ell, ops.params, ops.dt,
-                                          ops.scheme)
-
     def record(self, block: np.ndarray, first: int) -> None:
-        steps = np.arange(first + 1, first + len(block) - 1)
-        kept = (steps % self.observe_every == 0) | (steps == self.last_step)
-        if self.verify:
-            e_k, e_p, e_tot, diss, res = self._energies(block)
-            e_prev, e_k, e_p, e_tot = e_tot[:-1], e_k[1:], e_p[1:], e_tot[1:]
-        else:
-            steps = steps[kept]
-            if not len(steps):
-                return
-            # layers s-1, s, s+1 of every kept step s, evaluated in one call
-            triples = block[(steps - first - 1)[:, None] + np.arange(3)]
-            e_k, e_p, e_pair, diss, res = self._energies(triples)
-            e_prev, e_tot = e_pair[:, 0], e_pair[:, 1]
-            e_k, e_p, diss, res = e_k[:, 1], e_p[:, 1], diss[:, 0], res[:, 0]
-            kept = slice(None)
-        self.identity_max = max(self.identity_max, float(np.abs(res).max()))
-        self.drift_max = max(self.drift_max, float(np.abs(e_tot - self.e_tot0).max()))
-        self.rise_max = max(self.rise_max, float((e_tot - e_prev).max()))
-        self.verified += len(res)
-        columns = (a[kept].tolist() for a in (steps, e_k, e_p, e_tot, diss, res))
-        self.rows += [(step, step * self.ops.dt, *values) for step, *values in zip(*columns)]
+        # entry j is the step first+1+j: the multiples of observe_every,
+        # sliced with Python ints of any size, and the last step, which no
+        # step of the block follows
+        kept = np.zeros(len(block) - 2, bool)
+        kept[-(first + 1) % self.observe_every::self.observe_every] = True
+        kept[self.last_step - first - 1:] = True
+        selected = kept | self.verify
+        if not selected.any():
+            return
+        e_k, e_p, e_tot, diss, res = diagnostics.layer_energies(block, *self.args, selected)
+        e_prev, e_next, res_sel = e_tot[:-1][selected], e_tot[1:][selected], res[selected]
+        self.identity_max = max(self.identity_max, float(np.abs(res_sel).max()))
+        self.drift_max = max(self.drift_max, float(np.abs(e_next - self.e_tot0).max()))
+        self.rise_max = max(self.rise_max, float((e_next - e_prev).max()))
+        self.verified += len(e_next)
+        j = kept.nonzero()[0]
+        pair = j + 1  # the energies of step first+1+j are entry j+1's
+        self.columns.append((j + (first + 1), e_k[pair], e_p[pair], e_tot[pair], diss[j], res[j]))
 
     def trace(self) -> diagnostics.EnergyTrace:
-        # a row holds the EnergyTrace fields, in order
-        return diagnostics.EnergyTrace(*(np.asarray(column) for column in zip(*self.rows)))
+        step, *values = (np.concatenate(column) for column in zip(*self.columns))
+        return diagnostics.EnergyTrace(step, step * self.dt, *values)
 
 
 def run(
@@ -308,7 +304,8 @@ def run(
         raise ValueError("observe_every must be >= 1")
     try:
         ops = build_operators(mesh, params, dt, scheme)
-    except ValueError as err:  # e.g. an entry that overflows, or a pivot lost to rounding
+    except (ValueError, MemoryError) as err:
+        # e.g. an entry that overflows, a pivot lost to rounding, or too little memory
         raise ConfigError(f"cannot set up the {scheme} operators at dt = {dt:.6g}: {err}") from err
     u0 = sample_cell_averages(initial.phi, mesh)
     psi = sample_cell_averages(initial.psi, mesh)

@@ -1,6 +1,11 @@
+import locale
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
-from dataclasses import is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +41,15 @@ MATERIAL_TEXT = (
 def material_text(key, value):
     """MATERIAL_TEXT with one key set to another value."""
     return re.sub(rf"^{key} = .*$", f"{key} = {value}", MATERIAL_TEXT, flags=re.M)
+
+
+def undecodable() -> bytes:
+    """A byte the locale's encoding cannot decode: 0xff, in UTF-8 or ASCII."""
+    try:
+        b"\xff".decode(locale.getpreferredencoding(False))
+    except UnicodeDecodeError:
+        return b"\xff"
+    pytest.skip("the locale's encoding decodes every byte")
 
 
 def small_trace():
@@ -131,6 +145,21 @@ class TestParseConfig:
     def test_bad_value_reported(self):
         with pytest.raises(ConfigError, match="dt"):
             parse_config("preset = equal-damped\ndt = fast\n")
+
+    @pytest.mark.parametrize("every", [2**63, 10**30], ids=["2**63", "10**30"])
+    def test_observe_every_beyond_int64_runs_as_n_steps(self, every):
+        # any observe_every of n_steps or more keeps steps 0 and n_steps - 1
+        text = "preset = wide-damping\nn_steps = 300\nobserve_every = {}\n"
+        huge, plain = (execute(parse_config(text.format(e))) for e in (every, 300))
+        assert list(huge.sim.trace.step) == [0, 299]
+        for column in fields(EnergyTrace):
+            assert (getattr(huge.sim.trace, column.name).tobytes()
+                    == getattr(plain.sim.trace, column.name).tobytes())
+        echo = ("observe_every = ", "result_wall_clock_s = ")
+        huge_lines, plain_lines = summary_lines(huge), summary_lines(plain)
+        assert f"observe_every = {every}" in huge_lines
+        assert ([line for line in huge_lines if not line.startswith(echo)]
+                == [line for line in plain_lines if not line.startswith(echo)])
 
     def test_result_keys_skipped(self):
         cfg = parse_config("preset = equal-damped\nresult_diverged = false\n")
@@ -470,6 +499,46 @@ class TestMain:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_not_in_the_locale_encoding_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"preset = wide-damping\n# " + undecodable() + b"\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read config")
+        assert not (tmp_path / "out").exists()
+
+    def test_energy_csv_not_in_the_locale_encoding_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "energy.csv"
+        path.write_bytes(b"step,t,e_total\n0,0," + undecodable() + b"\n")
+        assert main(["fit", "--energy-csv", str(path), "--window", "0,1"]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: cannot read energy CSV")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the address space through Linux")
+    def test_mesh_too_large_to_allocate_exits_1(self, tmp_path):
+        # a child process whose address space is capped 1 GiB above its size
+        # after the import, so that no allocation of the mesh can succeed
+        child = (
+            "import resource, sys\n"
+            "from kvwave.cli import main\n"
+            "size = next(int(line.split()[1]) for line in open('/proc/self/status')\n"
+            "            if line.startswith('VmSize:')) * 1024\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (size + 2**30, resource.RLIM_INFINITY))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        path = tmp_path / "huge.cfg"
+        path.write_text("preset = equal-damped\nn_alpha = 100000000000\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", child, "run", "--config", str(path),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, timeout=120, cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 1, done.stderr
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: cannot set up the run: ")
+        assert "allocate" in done.stderr
         assert not (tmp_path / "out").exists()
 
     def test_run_requires_source(self, capsys):

@@ -88,14 +88,10 @@ def allocating_layer_energies(layers, mesh, ell, params, dt, variant):
 
 
 def loop_layer_energies(layers, mesh, ell, params, dt, variant):
-    """oracles.block_energies of every block of a batch, as arrays."""
-    *batch, m, n = layers.shape
+    """oracles.block_energies of a block, as arrays."""
     coef = params.delta / (4.0 * dt * mesh.h)
-    blocks = [block_energies(block, mesh.cell_widths, ell.ell, dt, variant,
-                             mesh.damping_interior_faces, coef)
-              for block in layers.reshape(-1, m, n)]
-    return tuple(np.array([block[q] for block in blocks]).reshape(*batch, m - 1 - q // 3)
-                 for q in range(5))
+    return tuple(np.array(column) for column in block_energies(
+        layers, mesh.cell_widths, ell.ell, dt, variant, mesh.damping_interior_faces, coef))
 
 
 def assert_same_bits(a, b):
@@ -322,19 +318,28 @@ class TestKernelEnergies:
             assert_same_bits(got, loop_layer_energies(*args))
 
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
-    def test_batches_of_blocks(self, base_mesh, base_ell, base_params, rng, variant):
-        n = base_mesh.n_max
-        for shape in ((5, 3, n), (2, 3, 4, n), (0, 3, n)):
-            layers = rng.standard_normal(shape)
+    def test_selected_steps_are_the_bits_of_the_whole_block(self, base_mesh, base_ell,
+                                                            base_params, rng, variant):
+        # a selected step's dissipation and residual, and the energies of the
+        # two pairs it reads, are the bits of the unselected call; every other
+        # entry is NaN, whatever the result array held before
+        for m in range(2, 10):
+            layers = rng.standard_normal((m, base_mesh.n_max))
             args = (layers, base_mesh, base_ell, base_params, DT, variant)
-            got = layer_energies(*args)
-            assert [a.shape for a in got] == [(*shape[:-2], shape[-2] - 1 - q // 3)
-                                              for q in range(5)]
-            assert_same_bits(got, allocating_layer_energies(*args))
-            assert_same_bits(got, loop_layer_energies(*args))
-            for index in np.ndindex(*shape[:-2]):
-                single = layer_energies(layers[index], *args[1:])
-                assert_same_bits([a[index] for a in got], single)
+            whole = layer_energies(*args)
+            index = np.arange(m - 2)
+            for selected in (index < 0, index >= 0, index == 0, index == m - 3, index % 2 == 0,
+                             index % 2 == 1, rng.random(m - 2) < 0.5):
+                pairs = np.zeros(m - 1, bool)
+                pairs[:-1] |= selected
+                pairs[1:] |= selected
+                np.full(5 * m, 1.0)
+                got = layer_energies(*args, selected)
+                for q, (values, expected) in enumerate(zip(got, whole)):
+                    wanted = pairs if q < 3 else selected
+                    assert values.shape == expected.shape
+                    assert values[wanted].tobytes() == expected[wanted].tobytes()
+                    assert np.isnan(values[~wanted]).all()
 
     def test_bad_arrays_rejected(self, base_mesh, base_ell, base_params, rng):
         layers = rng.standard_normal((3, base_mesh.n_max))
@@ -345,6 +350,12 @@ class TestKernelEnergies:
             layer_energies(layers.astype(np.float32), *args)
         with pytest.raises(ValueError, match="cells"):
             layer_energies(layers[:, 1:], *args)
+        with pytest.raises(ValueError, match="two"):
+            layer_energies(layers[None], *args)  # a batch of blocks
+        block = rng.standard_normal((4, base_mesh.n_max))
+        for selected in (np.ones(3, bool), np.ones(2, np.uint8), np.ones((2, 1), bool)):
+            with pytest.raises(ValueError, match="selected"):
+                layer_energies(block, *args, selected)
         # counts that build_mesh would refuse: a damped zone past the last cell
         mesh = replace(base_mesh, n_damp=base_mesh.n_damp + base_mesh.n_beta + 1, n_beta=-1)
         with pytest.raises(ValueError, match="faces"):

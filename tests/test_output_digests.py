@@ -62,9 +62,13 @@ def test_environment_mismatch_is_printed_before_the_diff(tmp_path, capsys, monke
 
 def test_runs_include_the_benchmark_sweep_and_dense_trace():
     runs = output_digests.configs(kvwave, None)
-    for name in [f"sweep-n{total:03d}" for total in SWEEP_TOTAL_CELLS] + ["dense-trace"]:
+    dense = ["dense-trace", "dense-trace-explicit"]
+    for name in [f"sweep-n{total:03d}" for total in SWEEP_TOTAL_CELLS] + dense:
         assert runs[f"{name}-plain"].verify_identity is False
         assert runs[f"{name}-verified"].verify_identity is True
+    # both schemes record every step
+    assert {runs[f"{name}-plain"].scheme for name in dense} == {"implicit", "explicit"}
+    assert all(runs[f"{name}-plain"].observe_every == 1 for name in dense)
 
 
 def test_kvwave_fit_output_is_digested_over_two_windows(tmp_path, monkeypatch):

@@ -3,11 +3,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from kvwave import diagnostics, linalg
 from kvwave.cli import PRESET_NAMES
 from kvwave.diagnostics import EnergyTrace, layer_energies
 from kvwave.linalg import assemble_damping, assemble_mass
 from kvwave.mesh import Parameters, build_mesh
-from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
+from kvwave.model import ConfigError, cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import bootstrap, build_operators, run, scheme_matrices
 from oracles import (
     dense_solve_oracle,
@@ -244,6 +245,37 @@ class TestRun:
                 getattr(plain.trace, column.name), getattr(verified.trace, column.name)
             )
 
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_recording_every_step_evaluates_what_verifying_does(self, base_mesh, base_params,
+                                                                 monkeypatch, scheme):
+        # an unverified run that keeps every step makes the verified run's
+        # layer_energies calls: the initial pair, then each block itself with
+        # every step selected, and no other evaluation
+        original = diagnostics.layer_energies
+
+        def calls(verify):
+            seen = []
+
+            def spy(layers, *args):
+                selected = args[5] if len(args) > 5 else None
+                seen.append((layers.copy(), None if selected is None else selected.copy()))
+                return original(layers, *args)
+
+            monkeypatch.setattr(diagnostics, "layer_energies", spy)
+            run(base_params, base_mesh, default_initial_data(3.0), DT, 2500, scheme=scheme,
+                observe_every=1, verify_identity=verify)
+            return seen
+
+        plain, verified = calls(False), calls(True)
+        assert [len(layers) for layers, _ in verified] == [2, 1026, 1026, 453]
+        assert len(plain) == len(verified)
+        for (layers, selected), (layers_v, selected_v) in zip(plain, verified):
+            assert layers.tobytes() == layers_v.tobytes()
+            if selected_v is None:
+                assert selected is None
+            else:
+                assert selected.all() and selected.tobytes() == selected_v.tobytes()
+
     def test_trace_records_cadence_and_final_step(self, base_mesh, base_params):
         data = default_initial_data(3.0)
         result = run(base_params, base_mesh, data, DT, 250, observe_every=100)
@@ -321,9 +353,33 @@ class TestRun:
         assert len(u) == n_steps + 1
         assert np.all(np.abs(residual) <= 4.0 * np.finfo(float).eps * size)
 
+    @pytest.mark.parametrize("every", [2**63, 10**30], ids=["2**63", "10**30"])
+    def test_observe_every_beyond_int64_keeps_what_n_steps_keeps(self, base_mesh, base_params,
+                                                                  every):
+        data = default_initial_data(3.0)
+        for verify in (False, True):
+            huge, plain = (run(base_params, base_mesh, data, DT, 250, observe_every=e,
+                               verify_identity=verify) for e in (every, 250))
+            assert list(huge.trace.step) == [0, 249]
+            for column in fields(EnergyTrace):
+                assert (getattr(huge.trace, column.name).tobytes()
+                        == getattr(plain.trace, column.name).tobytes())
+            for name in ("identity_residual_max", "energy_drift_max", "energy_rise_max",
+                         "verified_steps"):
+                assert getattr(huge, name) == getattr(plain, name)
+
     def test_bad_arguments(self, base_mesh, base_params):
         data = default_initial_data(3.0)
         with pytest.raises(ValueError):
             run(base_params, base_mesh, data, DT, 0)
         with pytest.raises(ValueError):
             run(base_params, base_mesh, data, DT, 10, observe_every=0)
+
+    def test_operators_out_of_memory_are_a_config_error(self, base_mesh, base_params,
+                                                         monkeypatch):
+        def no_memory(matrix):
+            raise MemoryError("Unable to allocate the factors")
+
+        monkeypatch.setattr(linalg, "factor", no_memory)
+        with pytest.raises(ConfigError, match="cannot set up the explicit operators.*allocate"):
+            run(base_params, base_mesh, default_initial_data(3.0), DT, 10)

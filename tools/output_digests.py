@@ -8,7 +8,9 @@ The runs are every preset with both schemes, each with and without
 bound, which diverges, in both modes; a verified run on a 2000/1000/2000
 mesh (5000 cells, 300 steps); and, in both modes, the benchmark's 16
 ``sweep`` configurations and its ``dense-trace`` configuration, taken from
-``perfbench/workloads``.  Each goes through ``cli.execute`` and
+``perfbench/workloads``, with that configuration once more under the
+explicit scheme (it records every step, ``observe_every = 1``, and is
+implicit in the benchmark).  Each goes through ``cli.execute`` and
 ``cli.write_outputs``.  The JSON maps each run's name to the sha256 of every
 file it wrote, hashed as the benchmark hashes them
 (``perfbench/workloads.output_digests``: summary.txt without its wall-clock
@@ -78,7 +80,9 @@ def configs(kvwave, steps: int | None) -> dict[str, object]:
     for spec in sweep_specs(0):
         total = spec["n_alpha"] + spec["n_damp"] + spec["n_beta"]
         _both_modes(runs, f"sweep-n{total:03d}", to_config(cli, spec))
-    _both_modes(runs, "dense-trace", to_config(cli, specs("dense-trace", 0)[0]))
+    dense = to_config(cli, specs("dense-trace", 0)[0])
+    _both_modes(runs, "dense-trace", dense)
+    _both_modes(runs, "dense-trace-explicit", replace(dense, scheme="explicit"))
     if steps is not None:
         runs = {name: _capped(kvwave, cfg, steps) for name, cfg in runs.items()}
     return runs
