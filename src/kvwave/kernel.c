@@ -8,14 +8,18 @@
    on every machine.  They are the bits of LAPACK dpttrf/dptts2 and of the
    column-order axpy loop of BLAS gbmv where it runs on FMA hardware
    (y[j] += (alpha x[i]) a[j, i] as one fused multiply-add), and for the
-   energies the bits of numpy's einsum and pairwise add.reduce.
+   energies the bits of numpy's einsum and pairwise add.reduce.  The step
+   takes the cells that its factor decouples in vectorized passes, each
+   cell with the same operations in the same order, so those passes keep
+   the bits too.
 
-   Band arrays are the 3 x n column-major BLAS band storage of a tridiagonal
-   matrix: band[3 j + k] holds a[j + k - 1, j]. */
+   Band arrays are the 3 x n BLAS band storage of a tridiagonal matrix in C
+   order, one diagonal a row: band[k n + j] holds a[j + k - 1, j]. */
 
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* LAPACK dpttrf without its 4-way unroll: d and e become D and the
@@ -33,71 +37,180 @@ ptrdiff_t kv_factor(ptrdiff_t n, double *d, double *e)
     return d[n - 1] <= 0.0 ? n : 0;
 }
 
+/* Cells whose terms are computed in one vectorizable pass: -O2 vectorizes
+   a loop of this constant count, and not one of a variable count. */
+#define LANES 16
+
 /* Row j of a x + b y, as gbmv with beta = 0 and then gbmv with beta = 1
    round it: the row takes its columns in order, one fma() each, starting
-   from +0.  Always inlined, so that in the step's interior rows the bounds
-   tests fold away. */
+   from +0.  left and right say whether the row has the columns j - 1 and
+   j + 1.  Always inlined, so that constant ones fold away. */
 static inline __attribute__((always_inline)) double
-band_row(ptrdiff_t n, ptrdiff_t j, const double *a, const double *x, const double *b,
-         const double *y)
+band_row(ptrdiff_t n, ptrdiff_t j, int left, int right, const double *a, const double *x,
+         const double *b, const double *y)
 {
     double s = 0.0;
-    if (j > 0)
-        s = fma(x[j - 1], a[3 * j - 1], s);
-    s = fma(x[j], a[3 * j + 1], s);
-    if (j < n - 1)
-        s = fma(x[j + 1], a[3 * j + 3], s);
-    if (j > 0)
-        s = fma(y[j - 1], b[3 * j - 1], s);
-    s = fma(y[j], b[3 * j + 1], s);
-    if (j < n - 1)
-        s = fma(y[j + 1], b[3 * j + 3], s);
+    if (left)
+        s = fma(x[j - 1], a[2 * n + j - 1], s);
+    s = fma(x[j], a[n + j], s);
+    if (right)
+        s = fma(x[j + 1], a[j + 1], s);
+    if (left)
+        s = fma(y[j - 1], b[2 * n + j - 1], s);
+    s = fma(y[j], b[n + j], s);
+    if (right)
+        s = fma(y[j + 1], b[j + 1], s);
     return s;
 }
 
-/* Rows start .. stop-1 of a row-major block of n-vectors: row i becomes
-   row i-1 plus d, where L d = stiff row[i-1] + rhs_prev d_prev is solved
-   with L's factors (d, e).  Each step fuses band_row's rows with the
-   forward sweep of LAPACK dptts2, then dptts2's backward sweep with the add
-   into the row: dptts2's operations in its order, one pass each.  The
-   increments swap every step, so after an odd number of steps the last
-   one is in d_prev.  The first and last rows are peeled off, so n >= 2. */
-void kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
-                   const double *stiff, const double *rhs_prev, const double *d,
-                   const double *e, double *d_prev, double *d_next)
+/* Whether x is -0 or not finite.  Any other x is left as it is by x - w e
+   with e = +-0 and any finite w, and x e has the bits of w e for any
+   finite w of x's sign. */
+static inline int unsafe(double x)
 {
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    return (bits == 1ull << 63) | ((bits << 1) >= 0x7ffull << 53);
+}
+
+/* The step's cells j .. j+LANES-1, all free (with e = +-0 on both their
+   faces) and none the first or last of the row: x[i] = band_row(i) / d[i]
+   and out[i] = u[i] + x[i].  Returns whether any x[i] is unsafe. */
+static inline __attribute__((always_inline)) int
+free_cells(ptrdiff_t n, ptrdiff_t j, const double *restrict a, const double *restrict u,
+           const double *restrict b, const double *restrict y, const double *restrict d,
+           double *restrict x, double *restrict out)
+{
+    int bad = 0;
+    for (ptrdiff_t i = j; i < j + LANES; i++) {
+        double s = band_row(n, i, 1, 1, a, u, b, y) / d[i];
+        x[i] = s;
+        out[i] = u[i] + s;
+        bad |= unsafe(s);
+    }
+    return bad;
+}
+
+/* LAPACK dptts2's two sweeps over the cells lo .. hi, fused with band_row's
+   rows and with the add into the row, from x[lo-1] when lo > 0 and x[hi+1]
+   when hi < n - 1: first x[j] = band_row(j) - x[j-1] e[j-1], then x[j] =
+   x[j] / d[j] - x[j+1] e[j] and out[j] = u[j] + x[j].  Returns whether the
+   forward value of x[hi] when hi < n - 1, or the final x[lo] when lo > 0,
+   is not finite. */
+static inline __attribute__((always_inline)) int
+serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *a, const double *u,
+             const double *b, const double *y, const double *d, const double *e, double *x,
+             double *out)
+{
+    int bad = 0;
+    double s = band_row(n, lo, lo > 0, lo < n - 1, a, u, b, y);
+    if (lo > 0)
+        s = s - x[lo - 1] * e[lo - 1];
+    x[lo] = s;
+    ptrdiff_t inner = hi < n - 1 ? hi : n - 2;
+    for (ptrdiff_t j = lo + 1; j <= inner; j++) {
+        s = band_row(n, j, 1, 1, a, u, b, y) - s * e[j - 1];
+        x[j] = s;
+    }
+    if (hi < n - 1) {
+        bad = !isfinite(s);
+        s = s / d[hi] - x[hi + 1] * e[hi];
+    } else {
+        if (hi > lo)
+            s = band_row(n, hi, 1, 0, a, u, b, y) - s * e[hi - 1];
+        s = s / d[hi];
+    }
+    x[hi] = s;
+    out[hi] = u[hi] + s;
+    for (ptrdiff_t j = hi - 1; j >= lo; j--) {
+        s = x[j] / d[j] - s * e[j];
+        x[j] = s;
+        out[j] = u[j] + s;
+    }
+    return bad | (lo > 0 && !isfinite(s));
+}
+
+/* Whether the na doubles at a and the nb at b share a byte. */
+static int overlap(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb)
+{
+    uintptr_t x = (uintptr_t)a, y = (uintptr_t)b;
+    return x < y + (uintptr_t)nb * sizeof *b && y < x + (uintptr_t)na * sizeof *a;
+}
+
+/* Rows start .. stop-1 of a row-major block of n-vectors, n >= 3, 1 <=
+   start <= stop: row i becomes row i-1 plus d, where L d = stiff row[i-1]
+   + rhs_prev d_prev is solved with L's factors (d, e), in d_next.  The
+   increments swap every step, so after an odd number of steps the last
+   one is in d_prev.  Returns 0, or -1 without a step when the rows start-1
+   .. stop-1 or an increment, which the step writes, overlap another array.
+
+   Each step gives the bits of serial_cells(0, n-1): band_row's rows and
+   dptts2's sweeps in dptts2's order.  A cell is free when e = +-0 on both
+   its faces: the sweeps then leave its band_row(j) / d[j] as it is, unless
+   that is unsafe or a neighbour's value is not finite.  Runs of free cells
+   are taken LANES at a time by free_cells, in passes that vectorize, and
+   the cells between those chunks by serial_cells, from the chunks' final
+   values at their ends: those stand in for the forward values, whose
+   product with e = +-0 they share.  A step in which a chunk comes out
+   unsafe, or serial_cells passes a value that is not finite to a chunk, is
+   redone as serial_cells(0, n-1). */
+int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
+                  const double *stiff, const double *rhs_prev, const double *d,
+                  const double *e, double *d_prev, double *d_next)
+{
+    const double *arrays[7] = {block + (start - 1) * n, d_prev, d_next, stiff, rhs_prev, d, e};
+    ptrdiff_t sizes[7] = {(stop - start + 1) * n, n, n, 3 * n, 3 * n, n, n - 1};
+    for (int a = 0; a < 3; a++)
+        for (int b = a + 1; b < 7; b++)
+            if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
+                return -1;
+    /* found once: the chunks, runs of whole chunks of free cells, cells
+       edge[2k+1] .. edge[2k+2]-1 for k < runs, and the cells around them,
+       edge[2k] .. edge[2k+1]-1 for k <= runs; no chunks without memory */
+    ptrdiff_t runs = 0;
+    ptrdiff_t *edge = malloc((size_t)(n + 2) * sizeof *edge);
+    for (ptrdiff_t j = 1; edge && j < n - 1; j++) {
+        if (e[j - 1] != 0.0 || e[j] != 0.0)
+            continue;
+        ptrdiff_t lo = j;
+        while (j + 1 < n - 1 && e[j + 1] == 0.0)
+            j++;
+        if (j + 1 - lo >= LANES) {
+            edge[2 * runs + 1] = lo;
+            edge[2 * runs + 2] = lo + (j + 1 - lo) / LANES * LANES;
+            runs++;
+        }
+    }
+    if (edge)
+        edge[0] = 0, edge[2 * runs + 1] = n;
     for (ptrdiff_t i = start; i < stop; i++) {
         const double *u = block + (i - 1) * n;
         double *out = block + i * n;
-        double s = band_row(n, 0, stiff, u, rhs_prev, d_prev);
-        d_next[0] = s;
-        for (ptrdiff_t j = 1; j < n - 1; j++) {
-            s = band_row(n, j, stiff, u, rhs_prev, d_prev) - s * e[j - 1];
-            d_next[j] = s;
-        }
-        s = band_row(n, n - 1, stiff, u, rhs_prev, d_prev) - s * e[n - 2];
-        s = s / d[n - 1];
-        d_next[n - 1] = s;
-        out[n - 1] = u[n - 1] + s;
-        for (ptrdiff_t j = n - 2; j >= 0; j--) {
-            s = d_next[j] / d[j] - s * e[j];
-            d_next[j] = s;
-            out[j] = u[j] + s;
-        }
+        int bad = 0;
+        for (ptrdiff_t k = 0; k < runs; k++)
+            for (ptrdiff_t j = edge[2 * k + 1]; j < edge[2 * k + 2]; j += LANES)
+                bad |= free_cells(n, j, stiff, u, rhs_prev, d_prev, d, d_next, out);
+        for (ptrdiff_t k = 0; runs && k <= runs; k++)
+            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, stiff, u, rhs_prev, d_prev,
+                                d, e, d_next, out);
+        /* without chunks the whole row at once, in a call whose bounds fold */
+        if (!runs || bad)
+            serial_cells(n, 0, n - 1, stiff, u, rhs_prev, d_prev, d, e, d_next, out);
         double *swap = d_prev;
         d_prev = d_next;
         d_next = swap;
     }
+    free(edge);
+    return 0;
 }
 
 /* numpy's einsum reduces a row in buffers of this many terms: each buffer is
    summed in order from +0 and then added to the row's total. */
 #define SUM_BUFFER 8192
 /* Rows whose sums run side by side, so that their chains of dependent adds
-   overlap (the unroll pragma below says 4, as it takes no macro), and
-   cells whose terms are computed in one vectorizable pass. */
+   overlap (the unroll pragma below says 4, as it takes no macro).  Their
+   terms are computed LANES cells at a time. */
 #define ROWS 4
-#define LANES 16
 
 /* The einsum terms of cells j .. j+len-1 of ROWS rows: (rate rate) w[j] with
    rate = (k1[r][j] - k0[r][j]) / dt, and (J(p1[r])[j] J(p0[r])[j]) ell[j]

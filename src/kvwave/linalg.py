@@ -12,21 +12,24 @@ The three scheme matrices are assembled here:
 A matrix is factored once and the factors are reused for every step.
 Every matrix the schemes solve with is positive definite, so it is factored
 as L D L^T without pivoting; any other matrix is rejected.  Products with
-the right-hand matrices run on their band storage, so a step costs O(n)
-time and the operators O(n) memory.  step_block forms a step's band
-products and solves with the factors, a whole block of steps per call; the
-bootstrap is one such step.
+the right-hand matrices run on their band storage, one contiguous row per
+diagonal, so a step costs O(n) time and the operators O(n) memory.
+step_block forms a step's band products and solves with the factors, a
+whole block of steps per call; the bootstrap is one such step.
 
 The arithmetic runs in kernel.c, which is compiled on first import into the
 package's __pycache__ and loaded with ctypes.  It computes what LAPACK
 pttrf/pttrs and BLAS gbmv compute, with every multiply-add of the band
 products an explicit correctly rounded fma(), so its results are the same
-bits on every machine.  Its energy entry point, kv_energies, is bound by
-diagnostics.layer_energies and sums in numpy's order (einsum's buffered
-sequential sums, add.reduce's pairwise sum).  Its CSV entry point,
-kv_format_csv, is bound by format_csv: it writes each double as
-'%.17g' % x does, with integer arithmetic only, so the text depends on
-neither the locale nor the C library.
+bits on every machine.  Where the factor's off-diagonal is zero, as it is
+outside the damped zone in the explicit scheme, the solve's sweeps leave
+the cells uncoupled, and the kernel takes runs of them in vectorized passes
+with the same operations on each cell.  Its energy entry point,
+kv_energies, is bound by diagnostics.layer_energies and sums in numpy's
+order (einsum's buffered sequential sums, add.reduce's pairwise sum).  Its
+CSV entry point, kv_format_csv, is bound by format_csv: it writes each
+double as '%.17g' % x does, with integer arithmetic only, so the text
+depends on neither the locale nor the C library.
 """
 
 from __future__ import annotations
@@ -108,14 +111,13 @@ def _load_kernel() -> ctypes.CDLL:
     size = ctypes.c_ssize_t
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    band = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+    table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     kernel.kv_factor.argtypes = [size, out, out]
     kernel.kv_factor.restype = size
-    kernel.kv_step_block.argtypes = [size, size, size, block, band, band, vector, vector,
+    kernel.kv_step_block.argtypes = [size, size, size, block, table, table, vector, vector,
                                      out, out]
-    kernel.kv_step_block.restype = None
-    table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    kernel.kv_step_block.restype = ctypes.c_int
     # the selection's flags, as bytes, or NULL: layer_energies checks them
     kernel.kv_energies.argtypes = [size, size, table, ctypes.c_char_p, vector, vector,
                                    ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
@@ -250,16 +252,16 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
 
 
 def band_storage(m: TriDiagMatrix) -> np.ndarray:
-    """The 3 x n BLAS general-band storage of a tridiagonal matrix.
+    """The 3 x n general-band storage of a tridiagonal matrix, as BLAS
+    lays it out: column j holds m[j-1, j], m[j, j] and m[j+1, j].
 
-    Column j holds m[j-1, j], m[j, j] and m[j+1, j].  The array is Fortran
-    ordered, so each column's three entries are adjacent, as the kernel
-    reads them.  The steps need at least three rows; every mesh has four or
-    more.
+    The array is C ordered, so each diagonal is one contiguous row, and the
+    kernel reads every diagonal at unit stride.  The steps need at least
+    three rows; every mesh has four or more.
     """
     if m.dim < 3:
         raise ValueError("band storage needs a matrix of dimension 3 or more")
-    band = np.zeros((3, m.dim), order="F")
+    band = np.zeros((3, m.dim))
     band[0, 1:] = m.off
     band[1] = m.diag
     band[2, :-1] = m.off
@@ -276,8 +278,11 @@ def step_block(
     d_prev is solved with L's factors f.  d_prev is the increment into row
     i-1, d goes into d_next, whose previous contents are never read, and
     the two vectors then swap.  Returns (d_prev, d_next) as the next call
-    takes them.  The increments must not overlap each other or the block.
-    Like band_storage, it takes matrices of three rows or more.
+    takes them.  The block's rows start-1 .. stop-1 and the increments, all
+    of which the kernel writes or reads, must not overlap each other or any
+    other argument: the kernel compares their bounds before it steps, and
+    an overlap raises ValueError.  Like band_storage, it takes matrices of
+    three rows or more.
     """
     if block.ndim != 2 or not 1 <= start <= stop <= len(block):
         raise ValueError(f"rows {start} .. {stop - 1} do not follow a row of the block")
@@ -287,8 +292,10 @@ def step_block(
     if (any(a.shape != (3, n) for a in (stiff, rhs_prev))
             or any(v.shape != (n,) for v in (f.d, d_prev, d_next))):
         raise ValueError(f"bands must be 3 x {n} arrays and vectors of length {n}")
-    _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
-          d_prev, d_next)
+    if _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
+             d_prev, d_next):
+        raise ValueError("the rows a step reads and writes and the increments must not overlap "
+                         "each other or any other argument")
     return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)
 
 

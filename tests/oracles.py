@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from kvwave.linalg import LDLFactorization, SingularMatrixError, TriDiagMatrix, step_block
@@ -70,7 +72,13 @@ def fma(a: float, b: float, c: float) -> float:
     """a * b + c rounded once, as C99 fma(): float(Fraction(a) * Fraction(b)
     + Fraction(c)).  It is computed from the floats' integer ratios, whose
     denominators are powers of two, because int / int rounds correctly and
-    is several times faster than Fraction."""
+    is several times faster than Fraction.  An infinite or NaN c absorbs
+    any finite product, and a product with an infinite or NaN factor is
+    ±inf or NaN exactly, so those cases need no exact arithmetic."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return a * b + c
+    if not math.isfinite(c):
+        return c
     (na, da), (nb, db), (nc, dc) = a.as_integer_ratio(), b.as_integer_ratio(), c.as_integer_ratio()
     return (na * nb * dc + nc * da * db) / (da * db * dc)
 
@@ -98,8 +106,8 @@ def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
     band, from rhs as the previous increment into rhs as the next one.  rhs
     becomes the solution; a -0.0 entry of it counts as +0.0."""
     n = len(f.d)
-    zero = np.zeros((3, n), order="F")
-    identity = np.zeros((3, n), order="F")
+    zero = np.zeros((3, n))
+    identity = np.zeros((3, n))
     identity[1] = 1.0
     step_block(np.zeros((2, n)), 1, 2, zero, identity, f, rhs.copy(), rhs)
     return rhs

@@ -9,8 +9,9 @@ energy drifts only by round-off.  Over the same space the
 explicit bootstrap's solve gives the bits of a division by 2 M, and over it
 and far above the CFL bound every scheme matrix is factored as L D L^T and
 both bootstraps give the bits of their band products solved with their
-factors.  At 1-100 times the CFL bound the implicit scheme stays bounded
-and its energy never rises beyond round-off.
+factors.  Over the same space every row a block step writes is the bits
+of the one-step oracle.  At 1-100 times the CFL bound the implicit scheme
+stays bounded and its energy never rises beyond round-off.
 """
 
 from dataclasses import fields
@@ -346,6 +347,62 @@ def test_run_layers_match_one_step_oracle(scheme):
             assert snapshot.values.tobytes() == layer.tobytes(), snapshot.step
         assert result.u_prev.tobytes() == expected[stored - 2].tobytes()
         assert result.u_curr.tobytes() == expected[stored - 1].tobytes()
+
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@example(  # undamped, one-cell side zones, at the CFL bound
+    c_sq=(1.0, 4.0, 0.25), delta=0.0, alpha=1.0, beta=2.0, cells=(1, 2, 1), cfl_fraction=1.0,
+    n_steps=30, seed=0,
+)
+@example(  # one damped face between side zones of whole chunks and more
+    c_sq=(9.0, 1.0, 4.0), delta=1.0, alpha=1.0, beta=2.0, cells=(40, 2, 33), cfl_fraction=0.9,
+    n_steps=30, seed=1,
+)
+@example(  # a one-cell side zone on either end of a damped zone
+    c_sq=(0.25, 1.0, 4.0), delta=2.0, alpha=0.2, beta=1.7, cells=(1, 20, 1), cfl_fraction=0.5,
+    n_steps=30, seed=2,
+)
+@example(  # undamped, both side zones longer than a chunk
+    c_sq=(4.0, 1.0, 0.25), delta=0.0, alpha=1.3, beta=1.6, cells=(34, 3, 17), cfl_fraction=1.0,
+    n_steps=30, seed=3,
+)
+@given(
+    c_sq=st.tuples(speeds, speeds, speeds),
+    delta=damping,
+    alpha=st.floats(0.1, 1.4),
+    beta=st.floats(1.6, 2.9),
+    cells=st.tuples(st.integers(1, 40), st.integers(2, 12), st.integers(1, 40)),
+    cfl_fraction=st.floats(0.05, 1.0),
+    n_steps=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_rows_are_the_one_step_oracle_layers(
+    c_sq, delta, alpha, beta, cells, cfl_fraction, n_steps, seed
+):
+    # Every row a block step writes has the bits of oracles.one_step_layers,
+    # in both schemes: from the arch data's first two layers, and from two
+    # random layers of magnitudes 1e-300 .. 1e100 with signed zeros, whose
+    # band products and divisions underflow.
+    params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
+    mesh = build_mesh(params, *cells)
+    dt = cfl_fraction * cfl_max_dt(params, mesh)
+    data = default_initial_data(params.length)
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((2, mesh.n_max)) * 10.0 ** rng.uniform(-300, 100, (2, mesh.n_max))
+    zeros = rng.random(noise.shape) < 0.1
+    noise[zeros] = np.copysign(0.0, noise[zeros])
+    for scheme in ("explicit", "implicit"):
+        ops = schemes.build_operators(mesh, params, dt, scheme)
+        u0 = sample_cell_averages(data.phi, mesh)
+        u1 = schemes.bootstrap(u0, sample_cell_averages(data.psi, mesh), ops)
+        for first, second in ((u0, u1), tuple(noise)):
+            expected = one_step_layers(ops, first, second, n_steps)
+            block = np.empty((n_steps + 1, mesh.n_max))
+            block[:2] = first, second
+            ops.step_block(block, 2, n_steps + 1, second - first, np.empty(mesh.n_max))
+            for step, layer in enumerate(expected):
+                assert block[step].tobytes() == layer.tobytes(), (scheme, step)
 
 
 def abs_max_within(rows, limit):

@@ -298,7 +298,7 @@ class TestBandSum:
     def test_storage_is_three_rows(self, rng):
         m = random_dd_tridiag(rng, 9)
         band = band_storage(m)
-        assert band.shape == (3, 9) and band.flags.f_contiguous
+        assert band.shape == (3, 9) and band.flags.c_contiguous
         np.testing.assert_array_equal(band[1], m.diag)
         np.testing.assert_array_equal(band[0, 1:], m.off)
         np.testing.assert_array_equal(band[2, :-1], m.off)
@@ -419,6 +419,170 @@ class TestKernelBits:
         with pytest.raises(ValueError, match="contiguous"):
             step_block(block[:, ::-1], 1, 4, stiff, stiff, f, d_prev, d_next)
         assert not block.any()
+
+    def test_step_block_rejects_overlapping_arrays(self, rng):
+        # the kernel writes the block and both increments: none of them may
+        # overlap another argument, while the arrays it only reads may
+        n = 7
+        stiff = band_storage(random_dd_tridiag(rng, n))
+        both = np.ones(2 * n - 1)
+        f = LDLFactorization(both[:n], both[n:])  # d and e in one buffer
+        block = np.zeros((4, n))
+        spare = np.zeros(2 * n + 1)
+        d_prev, d_next = spare[:n], spare[n + 1 :]
+        for prev, next_ in [(d_prev, d_prev), (spare[:n], spare[1 : n + 1]), (block[0], d_next),
+                            (d_prev, block[3]), (d_prev, stiff[1]), (f.d, d_next),
+                            (d_prev, both[n - 1 :])]:
+            with pytest.raises(ValueError, match="overlap"):
+                step_block(block, 1, 4, stiff, stiff, f, prev, next_)
+        assert not block.any() and not spare.any() and (both == 1.0).all()
+        step_block(block, 1, 4, stiff, stiff, f, d_prev, d_next)  # stiff as both bands
+
+
+def oracle_steps(stiff, rhs_prev, f, u0, d0, rows):
+    """Layers 0 .. rows-1 from u0 and the increment d0 into it, one step at a
+    time in Python floats, and the increments into layers 1 .. rows-1."""
+    layers, increments = [u0], [d0]
+    for _ in range(1, rows):
+        rhs = band_products(stiff, layers[-1], 1.0, rhs_prev, increments[-1])
+        increments.append(ldl_solve(f.d, f.e, rhs))
+        layers.append(np.add(layers[-1], increments[-1]))
+    return np.array(layers), increments[1:]
+
+
+def assert_same_bits(got, expected):
+    """The same bits, except that any NaN stands for any other: which of two
+    NaN operands an operation passes on depends on the instructions the
+    compiler picks, here and in Python."""
+    nan = np.isnan(expected)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def coupled_faces(n, pattern):
+    """Which of the n - 1 faces of a factor have e != 0."""
+    faces = np.zeros(n - 1, bool)
+    quarter = max((n - 1) // 4, 1)
+    if pattern == "all":
+        faces[:] = True
+    elif pattern == "zeros first":
+        faces[quarter:] = True
+    elif pattern == "zeros in the middle":
+        faces[:quarter] = faces[n - 1 - quarter:] = True
+    elif pattern == "zeros last":
+        faces[:n - 1 - quarter] = True
+    elif pattern == "one face":
+        faces[(n - 1) // 2] = True
+    elif pattern == "first and last faces":
+        faces[0] = faces[-1] = True
+    return faces  # "none": every face decoupled, as with no damping
+
+
+class TestDecoupledStep:
+    """The step takes runs of cells whose faces have e = 0 in vectorized
+    chunks and the others in the serial sweeps; either way every row and
+    increment has the bits of the sweeps over the whole row."""
+
+    PATTERNS = ["none", "all", "zeros first", "zeros in the middle", "zeros last", "one face",
+                "first and last faces"]
+
+    @staticmethod
+    def case(rng, n, faces, negative_zeros=False):
+        """Random bands spanning many binades, u0 and d0, and factors whose
+        e is nonzero on the given faces and +0 (or -0) on the others."""
+        stiff, rhs_prev = random_band(rng, n), random_band(rng, n)
+        e = np.where(faces, rng.uniform(-0.9, 0.9, n - 1), 0.0)
+        if negative_zeros:
+            e[~faces & (rng.random(n - 1) < 0.5)] = -0.0
+        f = LDLFactorization(rng.uniform(0.5, 2.0, n), e)
+        u0, d0 = rng.standard_normal((2, n)) * 10.0 ** rng.uniform(-5, 5, (2, n))
+        return stiff, rhs_prev, f, u0, d0
+
+    @staticmethod
+    def check(stiff, rhs_prev, f, u0, d0, rows=4):
+        """Steps rows 1 .. rows-1 in one call, and each in a call of its own,
+        against the oracle: every row, and every increment."""
+        n = len(u0)
+        layers, increments = oracle_steps(stiff, rhs_prev, f, u0, d0, rows)
+        block = np.zeros((rows, n))
+        block[0] = u0
+        d_prev, _ = step_block(block, 1, rows, stiff, rhs_prev, f, d0.copy(), np.full(n, np.nan))
+        for i in range(rows):
+            assert_same_bits(block[i], layers[i])
+        assert_same_bits(d_prev, increments[-1])
+        block[1:] = np.nan
+        d_prev, d_next = d0.copy(), np.empty(n)
+        for i in range(1, rows):
+            d_prev, d_next = step_block(block, i, i + 1, stiff, rhs_prev, f, d_prev, d_next)
+            assert_same_bits(d_prev, increments[i - 1])
+            assert_same_bits(block[i], layers[i])
+
+    @pytest.mark.parametrize("pattern", PATTERNS)
+    @pytest.mark.parametrize("n", [3, 4, 5, 17, 18, 19, 34, 50, 71])
+    def test_zero_faces_anywhere(self, rng, n, pattern):
+        # runs of decoupled cells shorter than, as long as and longer than a
+        # chunk, at the start of the row, in its middle and at its end
+        for _ in range(3):
+            self.check(*self.case(rng, n, coupled_faces(n, pattern)))
+
+    @pytest.mark.parametrize("n", [18, 40, 120])
+    def test_negative_zero_e_is_a_decoupled_face(self, rng, n):
+        for pattern in self.PATTERNS:
+            self.check(*self.case(rng, n, coupled_faces(n, pattern), negative_zeros=True))
+
+    def test_random_runs_of_zero_faces(self, rng):
+        for _ in range(60):
+            n = int(rng.integers(3, 90))
+            runs = rng.integers(1, 40, n)  # alternate runs of zero and nonzero faces
+            faces = np.repeat(np.arange(n) % 2 == 1, runs)[: n - 1]
+            self.check(*self.case(rng, n, faces ^ (rng.random() < 0.5)), rows=3)
+
+    @staticmethod
+    def underflow_case(rng, n, j, where):
+        """A step whose row j is -0 and whose neighbour on the side the
+        sweeps read is negative, so that the sweeps turn the -0 into +0, in
+        a row where no face is coupled.  where = "band": band_row(j) is a
+        product that underflows to -0; where = "division": band_row(j) is
+        tiny and negative and its division by d[j] underflows to -0."""
+        stiff, rhs_prev, f, u0, d0 = TestDecoupledStep.case(rng, n, np.zeros(n - 1, bool))
+        u0[max(j - 2, 0) : j + 3] = 0.0
+        d0[max(j - 2, 0) : j + 3] = 0.0
+        if where == "band":
+            # only the last product of row j is not +0, and it rounds to -0
+            last = min(j + 1, n - 1)
+            d0[last], rhs_prev[int(last == j), last] = -1e-200, 1e-200
+            # row j-1 is -1: the forward sweep reads it
+            d0[j - 2], rhs_prev[2, j - 2] = -1.0, 1.0
+        else:
+            d0[j + 1], rhs_prev[0, j + 1], f.d[j] = -1e-300, 1.0, 1e300
+            # row j+1 is -1e-300 over a d of 1: the backward sweep reads it
+            rhs_prev[1, j + 1], f.d[j + 1] = 1.0, 1.0
+        return stiff, rhs_prev, f, u0, d0
+
+    # With 50 cells the chunks are cells 1-16, 17-32 and 33-48, and the
+    # first and last cells are stepped serially; with 34 cells the chunks
+    # are 1-16 and 17-32, next to the serial last cell.
+    @pytest.mark.parametrize("n, j, where", [
+        *((50, j, where) for j in (16, 17, 24, 32) for where in ("band", "division")),
+        (50, 0, "division"), (34, 33, "band"),
+    ])
+    def test_underflow_to_negative_zero_next_to_a_negative_row(self, rng, n, j, where):
+        stiff, rhs_prev, f, u0, d0 = self.underflow_case(rng, n, j, where)
+        rhs = band_products(stiff, u0, 1.0, rhs_prev, d0)
+        quotient = (rhs / f.d)[j]
+        assert quotient == 0.0 and np.signbit(quotient)  # the case is what it claims
+        _, (d, *_) = oracle_steps(stiff, rhs_prev, f, u0, d0, 2)
+        assert d[j] == 0.0 and not np.signbit(d[j])
+        self.check(stiff, rhs_prev, f, u0, d0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("pattern", ["none", "zeros in the middle", "all"])
+    def test_non_finite_previous_increment(self, rng, value, pattern):
+        n = 60
+        for j in (0, 1, 20, 30, 45, n - 1):
+            stiff, rhs_prev, f, u0, d0 = self.case(rng, n, coupled_faces(n, pattern))
+            d0[j] = value
+            self.check(stiff, rhs_prev, f, u0, d0, rows=3)
 
 
 def percent_lines(values) -> bytes:

@@ -85,6 +85,24 @@ class TestBuildOperators:
         assert dominance_margin(m.lhs) > 0.0
         assert dominance_margin(m.boot_lhs) > 0.0
 
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    @pytest.mark.parametrize("counts", [(1, 2, 1), (20, 10, 20), (1, 2, 30), (30, 2, 1),
+                                        (2000, 1000, 2000)])
+    def test_factor_is_positive_zero_off_the_damped_faces(self, counts, delta):
+        # The step decouples the cells at a face whose e is +-0.  The
+        # explicit factor's e is nonzero exactly on the damped zone's
+        # interior faces when damped, and +0, never -0, everywhere else;
+        # the implicit factor's e is nonzero on every face.
+        params = Parameters(9.0, 1.0, 4.0, delta, 1.0, 2.0, 3.0, 10.0)
+        mesh = build_mesh(params, *counts)
+        dt = 0.9 * cfl_max_dt(params, mesh)
+        e = build_operators(mesh, params, dt, "explicit").lhs_factor.e
+        damped = np.zeros(len(e), bool)
+        damped[mesh.n_alpha : mesh.n_alpha + mesh.n_damp - 1] = delta > 0.0
+        assert (e[damped] != 0.0).all()
+        assert e[~damped].tobytes() == bytes(8 * int((~damped).sum()))
+        assert (build_operators(mesh, params, dt, "implicit").lhs_factor.e != 0.0).all()
+
     def test_bad_scheme_rejected(self, base_mesh, base_params):
         with pytest.raises(ValueError):
             build_operators(base_mesh, base_params, DT, "midpoint")
