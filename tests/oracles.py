@@ -139,20 +139,30 @@ def ldl_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(b)
 
 
+def summed_form_steps(stiff: np.ndarray, rhs_prev: np.ndarray, f: LDLFactorization,
+                      u: np.ndarray, d: np.ndarray,
+                      count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """count summed-form steps from the layer u and the increment d into it,
+    one at a time in Python floats: the right-hand side by band_products,
+    the increment by ldl_solve with the factors f and the layer by np.add,
+    so the bits depend on no BLAS.  Returns the new layers and the
+    increments into them."""
+    layers, increments = [], []
+    for _ in range(count):
+        d = ldl_solve(f.d, f.e, band_products(stiff, u, 1.0, rhs_prev, d))
+        u = np.add(u, d)
+        layers.append(u)
+        increments.append(d)
+    return layers, increments
+
+
 def one_step_layers(ops: SchemeOperators, u0: np.ndarray, u1: np.ndarray,
                     n_steps: int) -> list[np.ndarray]:
-    """Layers 0 .. n_steps of a run from its first two, one summed-form step
-    at a time in Python floats: the right-hand side by band_products, the
-    increment by ldl_solve with the operators' factors and the layer by
-    np.add, so the bits depend on no BLAS."""
-    layers = [u0, u1]
-    d_prev = u1 - u0
-    f = ops.lhs_factor
-    for _ in range(n_steps - 1):
-        rhs = band_products(ops._stiff_band, layers[-1], 1.0, ops._rhs_prev_band, d_prev)
-        d_prev = ldl_solve(f.d, f.e, rhs)
-        layers.append(np.add(layers[-1], d_prev))
-    return layers
+    """Layers 0 .. n_steps of a run from its first two, by summed_form_steps
+    with the operators' bands and factors."""
+    layers, _ = summed_form_steps(ops._stiff_band, ops._rhs_prev_band, ops.lhs_factor, u1,
+                                  u1 - u0, n_steps - 1)
+    return [u0, u1, *layers]
 
 
 def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:

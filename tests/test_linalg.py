@@ -28,6 +28,7 @@ from oracles import (
     ldl_solve,
     quadratic_form,
     solve,
+    summed_form_steps,
     to_dense,
 )
 
@@ -439,17 +440,6 @@ class TestKernelBits:
         step_block(block, 1, 4, stiff, stiff, f, d_prev, d_next)  # stiff as both bands
 
 
-def oracle_steps(stiff, rhs_prev, f, u0, d0, rows):
-    """Layers 0 .. rows-1 from u0 and the increment d0 into it, one step at a
-    time in Python floats, and the increments into layers 1 .. rows-1."""
-    layers, increments = [u0], [d0]
-    for _ in range(1, rows):
-        rhs = band_products(stiff, layers[-1], 1.0, rhs_prev, increments[-1])
-        increments.append(ldl_solve(f.d, f.e, rhs))
-        layers.append(np.add(layers[-1], increments[-1]))
-    return np.array(layers), increments[1:]
-
-
 def assert_same_bits(got, expected):
     """The same bits, except that any NaN stands for any other: which of two
     NaN operands an operation passes on depends on the instructions the
@@ -503,19 +493,20 @@ class TestDecoupledStep:
         """Steps rows 1 .. rows-1 in one call, and each in a call of its own,
         against the oracle: every row, and every increment."""
         n = len(u0)
-        layers, increments = oracle_steps(stiff, rhs_prev, f, u0, d0, rows)
+        layers, increments = summed_form_steps(stiff, rhs_prev, f, u0, d0, rows - 1)
         block = np.zeros((rows, n))
         block[0] = u0
         d_prev, _ = step_block(block, 1, rows, stiff, rhs_prev, f, d0.copy(), np.full(n, np.nan))
-        for i in range(rows):
-            assert_same_bits(block[i], layers[i])
+        assert block[0].tobytes() == u0.tobytes()
+        for i in range(1, rows):
+            assert_same_bits(block[i], layers[i - 1])
         assert_same_bits(d_prev, increments[-1])
         block[1:] = np.nan
         d_prev, d_next = d0.copy(), np.empty(n)
         for i in range(1, rows):
             d_prev, d_next = step_block(block, i, i + 1, stiff, rhs_prev, f, d_prev, d_next)
             assert_same_bits(d_prev, increments[i - 1])
-            assert_same_bits(block[i], layers[i])
+            assert_same_bits(block[i], layers[i - 1])
 
     @pytest.mark.parametrize("pattern", PATTERNS)
     @pytest.mark.parametrize("n", [3, 4, 5, 17, 18, 19, 34, 50, 71])
@@ -571,7 +562,7 @@ class TestDecoupledStep:
         rhs = band_products(stiff, u0, 1.0, rhs_prev, d0)
         quotient = (rhs / f.d)[j]
         assert quotient == 0.0 and np.signbit(quotient)  # the case is what it claims
-        _, (d, *_) = oracle_steps(stiff, rhs_prev, f, u0, d0, 2)
+        _, (d,) = summed_form_steps(stiff, rhs_prev, f, u0, d0, 1)
         assert d[j] == 0.0 and not np.signbit(d[j])
         self.check(stiff, rhs_prev, f, u0, d0)
 
