@@ -88,9 +88,9 @@ def layer_energies(
     nonpositive and +0.0 when undamped, summed over the faces strictly inside
     the damped zone; residual is (E^n - E^{n-1}) - dissipation.
 
-    The arithmetic runs in linalg's compiled kernel, kv_energies, in the
-    order of numpy's einsum for the energies and of its pairwise sum for the
-    dissipation.  Every entry depends only on the layers it belongs to,
+    The arithmetic runs in linalg's compiled kernel, kv_energies, which
+    adds each sum's terms in eight lanes in a fixed order (README, "Install
+    and test").  Every entry depends only on the layers it belongs to,
     never on the block it came in or on the selection, so any blocking of a
     run gives the same bits.  layers must be a C-contiguous float64 array.
     """
@@ -129,6 +129,8 @@ def _window_samples(
         raise ValueError(f"fit window holds {len(t)} samples, need at least 10")
     if np.any(e <= 0.0):
         raise ValueError("nonpositive energy inside the fit window")
+    if not (np.isfinite(t).all() and np.isfinite(e).all()):
+        raise ValueError("non-finite time or energy inside the fit window")
     return t, e
 
 

@@ -7,11 +7,11 @@
    rounded in hardware and in libm alike, so the results are the same bits
    on every machine.  They are the bits of LAPACK dpttrf/dptts2 and of the
    column-order axpy loop of BLAS gbmv where it runs on FMA hardware
-   (y[j] += (alpha x[i]) a[j, i] as one fused multiply-add), and for the
-   energies the bits of numpy's einsum and pairwise add.reduce.  The step
+   (y[j] += (alpha x[i]) a[j, i] as one fused multiply-add).  The step
    takes the cells that its factor decouples in vectorized passes, each
    cell with the same operations in the same order, so those passes keep
-   the bits too.
+   the bits too.  The energies add their terms in eight lanes in a fixed
+   order (SUM_LANES), which fixes their bits as well.
 
    Band arrays are the 3 x n BLAS band storage of a tridiagonal matrix in C
    order, one diagonal a row: band[k n + j] holds a[j + k - 1, j]. */
@@ -204,114 +204,85 @@ int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
     return 0;
 }
 
-/* numpy's einsum reduces a row in buffers of this many terms: each buffer is
-   summed in order from +0 and then added to the row's total. */
-#define SUM_BUFFER 8192
-/* Rows whose sums run side by side, so that their chains of dependent adds
-   overlap (the unroll pragma below says 4, as it takes no macro).  Their
-   terms are computed LANES cells at a time. */
-#define ROWS 4
+/* Every sum of the energies runs in SUM_LANES lanes: term i goes to lane i
+   mod SUM_LANES, each lane adds its terms in order from +0, and fold adds
+   the lanes up.  The lanes of a whole chunk of terms vectorize. */
+#define SUM_LANES 8
 
-/* The einsum terms of cells j .. j+len-1 of ROWS rows: (rate rate) w[j] with
-   rate = (k1[r][j] - k0[r][j]) / dt, and (J(p1[r])[j] J(p0[r])[j]) ell[j]
-   with the interior jumps J(u)[j] = u[j] - u[j-1], j >= 1. */
+/* Lane 0 after the lanes are folded in halves: lane k += lane k + 4, then
+   lane k += lane k + 2, then lane k += lane k + 1. */
+static inline double fold(double s[SUM_LANES])
+{
+    for (int h = SUM_LANES / 2; h > 0; h /= 2)
+        for (int k = 0; k < h; k++)
+            s[k] += s[k + h];
+    return s[0];
+}
+
+/* (rate rate) w[j] with rate = (k1[j] - k0[j]) / dt. */
+static inline double kinetic_term(ptrdiff_t j, double dt, const double *w, const double *k0,
+                                  const double *k1)
+{
+    double rate = (k1[j] - k0[j]) / dt;
+    return (rate * rate) * w[j];
+}
+
+/* Terms i .. i+len-1, len <= SUM_LANES and i a multiple of it, of a pair's
+   two sums: kinetic_term(i) and (J(p1)[i+1] J(p0)[i+1]) ell[i+1], with the
+   interior jumps J(u)[f] = u[f] - u[f-1]. */
 static inline __attribute__((always_inline)) void
-energy_terms(ptrdiff_t j, ptrdiff_t len, double dt, const double *w, const double *ell,
-             const double *const *k0, const double *const *k1, const double *const *p0,
-             const double *const *p1, double kt[ROWS][LANES], double pt[ROWS][LANES])
+pair_terms(ptrdiff_t i, ptrdiff_t len, double dt, const double *w, const double *ell,
+           const double *k0, const double *k1, const double *p0, const double *p1,
+           double ks[SUM_LANES], double ps[SUM_LANES])
 {
-    for (int r = 0; r < ROWS; r++) {
-        const double *a = k0[r] + j, *b = k1[r] + j, *c = p0[r] + j, *d = p1[r] + j;
-        for (ptrdiff_t i = 0; i < len; i++) {
-            double rate = (b[i] - a[i]) / dt;
-            kt[r][i] = (rate * rate) * w[j + i];
-            pt[r][i] = ((d[i] - d[i - 1]) * (c[i] - c[i - 1])) * ell[j + i];
-        }
+    for (ptrdiff_t k = 0; k < len; k++) {
+        ptrdiff_t f = i + k + 1;
+        ks[k] += kinetic_term(i + k, dt, w, k0, k1);
+        ps[k] += ((p1[f] - p1[f - 1]) * (p0[f] - p0[f - 1])) * ell[f];
     }
 }
 
-/* The einsum sums of ROWS rows.  Row r's kinetic sum adds (rate rate) w[j]
-   over the n cells, rate = (k1[r][j] - k0[r][j]) / dt; its potential sum
-   adds (J(p1[r])[f] J(p0[r])[f]) ell[f] over the n + 1 faces, where the face
-   jumps take zero ghosts: J(u)[0] = u[0], J(u)[f] = u[f] - u[f-1] and
-   J(u)[n] = 0.0 - u[n-1].  The terms are computed LANES cells at a time,
-   then added in order. */
-static void energy_sums(ptrdiff_t n, double dt, const double *w, const double *ell,
-                        const double *const *k0, const double *const *k1,
-                        const double *const *p0, const double *const *p1,
-                        double *kin, double *pot)
+/* A layer pair's sums in one pass over its cells.  *kin adds kinetic_term
+   over the n cells.  *pot adds (J(p1)[f] J(p0)[f]) ell[f] over the n + 1
+   faces, whose jumps take zero ghosts, J(u)[0] = u[0] and J(u)[n] = 0.0 -
+   u[n-1]: the boundary terms t_0 and t_n around the lanes of the n - 1
+   interior faces, ((0.0 + t_0) + lanes) + t_n. */
+static void pair_sums(ptrdiff_t n, double dt, const double *w, const double *ell,
+                      const double *k0, const double *k1, const double *p0, const double *p1,
+                      double *kin, double *pot)
 {
-    double tk[ROWS], tp[ROWS], ak[ROWS], ap[ROWS], kt[ROWS][LANES], pt[ROWS][LANES];
-    for (int r = 0; r < ROWS; r++) {
-        double rate = (k1[r][0] - k0[r][0]) / dt;
-        tk[r] = tp[r] = 0.0;
-        ak[r] = 0.0 + (rate * rate) * w[0];
-        ap[r] = 0.0 + (p1[r][0] * p0[r][0]) * ell[0];
-    }
-    for (ptrdiff_t c = 0; c < n; c += SUM_BUFFER) {
-        ptrdiff_t hi = n - c > SUM_BUFFER ? c + SUM_BUFFER : n;
-        for (ptrdiff_t j = c > 0 ? c : 1; j < hi; j += LANES) {
-            ptrdiff_t len = hi - j < LANES ? hi - j : LANES;
-            if (len == LANES)  /* a constant count, so that the loop vectorizes */
-                energy_terms(j, LANES, dt, w, ell, k0, k1, p0, p1, kt, pt);
-            else
-                energy_terms(j, len, dt, w, ell, k0, k1, p0, p1, kt, pt);
-            for (ptrdiff_t i = 0; i < len; i++) {
-#pragma GCC unroll 4
-                for (int r = 0; r < ROWS; r++) {
-                    ak[r] += kt[r][i];
-                    ap[r] += pt[r][i];
-                }
-            }
-        }
-        if (hi % SUM_BUFFER == 0) {
-            for (int r = 0; r < ROWS; r++) {
-                tk[r] += ak[r], tp[r] += ap[r];
-                ak[r] = ap[r] = 0.0;
-            }
-        }
-    }
-    for (int r = 0; r < ROWS; r++) {
-        ap[r] += ((0.0 - p1[r][n - 1]) * (0.0 - p0[r][n - 1])) * ell[n];
-        kin[r] = tk[r] + ak[r];
-        pot[r] = tp[r] + ap[r];
+    double ks[SUM_LANES] = {0.0}, ps[SUM_LANES] = {0.0};
+    ptrdiff_t i = 0;
+    for (; i + SUM_LANES <= n - 1; i += SUM_LANES)  /* a constant count vectorizes */
+        pair_terms(i, SUM_LANES, dt, w, ell, k0, k1, p0, p1, ks, ps);
+    pair_terms(i, n - 1 - i, dt, w, ell, k0, k1, p0, p1, ks, ps);
+    ks[(n - 1) % SUM_LANES] += kinetic_term(n - 1, dt, w, k0, k1);
+    *kin = fold(ks);
+    double first = (p1[0] * p0[0]) * ell[0];
+    double last = ((0.0 - p1[n - 1]) * (0.0 - p0[n - 1])) * ell[n];
+    *pot = ((0.0 + first) + fold(ps)) + last;
+}
+
+/* Terms f .. f+len-1 of face_sum, len <= SUM_LANES and f - lo a multiple
+   of it, in the lanes 0 .. len-1. */
+static inline __attribute__((always_inline)) void
+face_terms(ptrdiff_t f, ptrdiff_t len, const double *u0, const double *u2, double s[SUM_LANES])
+{
+    for (ptrdiff_t k = 0; k < len; k++) {
+        double d = (u2[f + k] - u2[f + k - 1]) - (u0[f + k] - u0[f + k - 1]);
+        s[k] += d * d;
     }
 }
 
-/* The square of J(u2)[f] - J(u0)[f] at an interior face f. */
-static inline double jump_change_sq(const double *u0, const double *u2, ptrdiff_t f)
+/* The lane sum of (J(u2)[f] - J(u0)[f])^2 over the faces lo .. hi-1. */
+static double face_sum(const double *u0, const double *u2, ptrdiff_t lo, ptrdiff_t hi)
 {
-    double d = (u2[f] - u2[f - 1]) - (u0[f] - u0[f - 1]);
-    return d * d;
-}
-
-/* numpy's pairwise add.reduce of jump_change_sq over faces f .. f+count-1:
-   in order from -0.0 below 8 terms, 8 interleaved sums up to 128, and the
-   two halves of a longer run, split at a multiple of 8, added. */
-static double pairwise_sum(const double *u0, const double *u2, ptrdiff_t f, ptrdiff_t count)
-{
-    if (count < 8) {
-        double s = -0.0;
-        for (ptrdiff_t i = 0; i < count; i++)
-            s += jump_change_sq(u0, u2, f + i);
-        return s;
-    }
-    if (count <= 128) {
-        double r[8];
-        for (int k = 0; k < 8; k++)
-            r[k] = jump_change_sq(u0, u2, f + k);
-        ptrdiff_t i;
-        for (i = 8; i < count - count % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += jump_change_sq(u0, u2, f + i + k);
-        double s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < count; i++)
-            s += jump_change_sq(u0, u2, f + i);
-        return s;
-    }
-    ptrdiff_t half = count / 2;
-    half -= half % 8;
-    return pairwise_sum(u0, u2, f, half) + pairwise_sum(u0, u2, f + half, count - half);
+    double s[SUM_LANES] = {0.0};
+    ptrdiff_t f = lo;
+    for (; f + SUM_LANES <= hi; f += SUM_LANES)
+        face_terms(f, SUM_LANES, u0, u2, s);
+    face_terms(f, hi - f, u0, u2, s);
+    return fold(s);
 }
 
 /* Whether the layer pair t of a block of m layers is evaluated: every pair
@@ -329,8 +300,6 @@ static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t
    entries are scratch.  sel, NULL or m - 2 flags, selects those steps: only
    the selected steps' dissipation and residual and the pairs they read are
    evaluated, and every other entry is NaN.
-   The operations and their order
-   are those of diagnostics' numpy formulation with einsum:
 
      e_k = 0.5 sum_j ((u_t+1[j] - u_t[j]) / dt)^2 w[j],
      e_p = 0.5 sum_f J(u_t+1)[f] J(u_t)[f] ell[f]               (explicit)
@@ -340,50 +309,35 @@ static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t
        over the interior faces face_lo .. face_hi-1, 1 <= face_lo <= face_hi <= n,
      residual = (total_t+1 - total_t) - dissipation.
 
-   The einsum sums are energy_sums', the face sum is pairwise_sum's. */
+   The energy sums are pair_sums', the face sum is face_sum's.  The wanted
+   pairs are taken one at a time, each in one pass.  For the implicit
+   scheme the pass of the pair t sums sq_t+1; sq_t comes from the pass
+   before, or, for the first pair of a run of wanted pairs, from one more
+   pass over the layer t alone. */
 void kv_energies(ptrdiff_t m, ptrdiff_t n, const double *layers, const unsigned char *sel,
                  const double *w, const double *ell, double dt, int implicit,
                  ptrdiff_t face_lo, ptrdiff_t face_hi, double coef, double *out)
 {
     double *e_k = out, *e_p = out + m, *e_t = out + 2 * m;
     double *diss = out + 3 * m, *res = out + 4 * m;
-    const double *k0[ROWS], *k1[ROWS], *p0[ROWS], *p1[ROWS];
-    double *kd[ROWS], *pd[ROWS], kin[ROWS], pot[ROWS], spare;
-    int r = 0;
-    /* One row per wanted pair, and for the implicit scheme one per layer of
-       a wanted pair, for its sq: a row without a wanted pair sends its
-       kinetic sum to spare.  A row's sums do not depend on the rows it is
-       grouped with. */
-    for (ptrdiff_t t = 0; t < m - !implicit; t++) {
-        int pair = t < m - 1 && pair_wanted(sel, m, t);
-        if (pair || (implicit && t > 0 && pair_wanted(sel, m, t - 1))) {
-            const double *u = layers + t * n;
-            k0[r] = u, k1[r] = pair ? u + n : u, kd[r] = pair ? e_k + t : &spare;
-            p0[r] = u, p1[r] = implicit ? u : u + n, pd[r++] = e_p + t;
-        }
-        if (r == ROWS || (r > 0 && t == m - 1 - !implicit)) {
-            /* a short last group repeats its first row into spare */
-            for (int q = r; q < ROWS; q++)
-                k0[q] = k0[0], k1[q] = k1[0], p0[q] = p0[0], p1[q] = p1[0],
-                kd[q] = pd[q] = &spare;
-            energy_sums(n, dt, w, ell, k0, k1, p0, p1, kin, pot);
-            for (int q = 0; q < ROWS; q++)
-                *kd[q] = kin[q], *pd[q] = pot[q];
-            r = 0;
-        }
-    }
-    /* In order of t, as the implicit e_p[t] reads sq_t+1.  The entries of a
-       pair that is not wanted are formed from scratch and then replaced. */
+    double kin, pot = 0.0;
     for (ptrdiff_t t = 0; t < m - 1; t++) {
-        e_k[t] = 0.5 * e_k[t];
-        e_p[t] = implicit ? 0.25 * (e_p[t + 1] + e_p[t]) : 0.5 * e_p[t];
-        e_t[t] = e_k[t] + e_p[t];
-        if (!pair_wanted(sel, m, t))
+        if (!pair_wanted(sel, m, t)) {
             e_k[t] = e_p[t] = e_t[t] = NAN;
+            continue;
+        }
+        const double *u = layers + t * n, *v = u + n;
+        if (implicit && (t == 0 || !pair_wanted(sel, m, t - 1)))
+            pair_sums(n, dt, w, ell, u, u, u, u, &kin, &pot);
+        double prev = pot;
+        pair_sums(n, dt, w, ell, u, v, implicit ? v : u, v, &kin, &pot);
+        e_k[t] = 0.5 * kin;
+        e_p[t] = implicit ? 0.25 * (pot + prev) : 0.5 * pot;
+        e_t[t] = e_k[t] + e_p[t];
     }
     for (ptrdiff_t t = 0; t < m - 2; t++) {
-        double s = sel && !sel[t] ? NAN : 0.0 + pairwise_sum(layers + t * n, layers + (t + 2) * n,
-                                                             face_lo, face_hi - face_lo);
+        double s = sel && !sel[t] ? NAN : face_sum(layers + t * n, layers + (t + 2) * n,
+                                                   face_lo, face_hi);
         diss[t] = 0.0 - coef * s;
         res[t] = (e_t[t + 1] - e_t[t]) - diss[t];
     }

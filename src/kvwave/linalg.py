@@ -25,8 +25,8 @@ bits on every machine.  Where the factor's off-diagonal is zero, as it is
 outside the damped zone in the explicit scheme, the solve's sweeps leave
 the cells uncoupled, and the kernel takes runs of them in vectorized passes
 with the same operations on each cell.  Its energy entry point,
-kv_energies, is bound by diagnostics.layer_energies and sums in numpy's
-order (einsum's buffered sequential sums, add.reduce's pairwise sum).  Its
+kv_energies, is bound by diagnostics.layer_energies and adds each sum's
+terms in eight lanes in a fixed order.  Its
 CSV entry point, kv_format_csv, is bound by format_csv: it writes each
 double as '%.17g' % x does, with integer arithmetic only, so the text
 depends on neither the locale nor the C library.

@@ -172,69 +172,49 @@ def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) ->
     return rhs / (2.0 * ops.mesh.cell_widths)
 
 
-def einsum_sum(terms: list[float]) -> float:
-    """A row's sum as numpy's einsum reduces it: in buffers of 8192 terms,
-    each added in order from +0, then added to the row's total."""
-    total = 0.0
-    for start in range(0, len(terms), 8192):
-        acc = 0.0
-        for term in terms[start : start + 8192]:
-            acc += term
-        total += acc
-    return total
-
-
-def pairwise_sum(terms: list[float]) -> float:
-    """numpy's pairwise add.reduce of a row: in order from -0.0 below 8
-    terms, 8 interleaved sums up to 128, otherwise the sums of the two
-    halves, split at a multiple of 8."""
-    n = len(terms)
-    if n < 8:
-        total = -0.0
-        for term in terms:
-            total += term
-        return total
-    if n <= 128:
-        r = terms[:8]
-        i = 8
-        while i < n - n % 8:
-            for k in range(8):
-                r[k] += terms[i + k]
-            i += 8
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for term in terms[i:]:
-            total += term
-        return total
-    half = n // 2
-    half -= half % 8
-    return pairwise_sum(terms[:half]) + pairwise_sum(terms[half:])
+def lane_sum(terms: list[float]) -> float:
+    """A sum as the kernel adds it: term i goes to lane i mod 8, each lane
+    adds its terms in order from +0, and the lanes are folded in halves,
+    lane k += lane k + 4, then k + 2, then k + 1."""
+    lanes = [0.0] * 8
+    for i, term in enumerate(terms):
+        lanes[i % 8] += term
+    for half in (4, 2, 1):
+        for k in range(half):
+            lanes[k] += lanes[k + half]
+    return lanes[0]
 
 
 def block_energies(layers: np.ndarray, widths: np.ndarray, ell: np.ndarray, dt: float,
                    variant: str, faces: slice, coef: float) -> tuple[list[float], ...]:
     """(e_kinetic, e_potential, e_total, dissipation, residual) of one m x n
-    block of layers in Python floats, in the order of numpy's einsum and
-    add.reduce that the kernel follows: products (a b) c, einsum_sum for the
-    energies and pairwise_sum for the dissipation's faces, whose jumps take
+    block of layers in Python floats, in the kernel's order: products
+    (a b) c, lane_sum for the kinetic sum and for the dissipation's faces,
+    and for a potential sum the boundary faces' terms around the lane_sum
+    of the interior faces', ((0.0 + t_0) + lanes) + t_n, whose jumps take
     zero ghosts at both ends."""
     rows = layers.tolist()
     w, c = widths.tolist(), ell.tolist()
     n = len(w)
     jumps = [[u[0]] + [u[f] - u[f - 1] for f in range(1, n)] + [0.0 - u[n - 1]] for u in rows]
+
+    def potential_sum(terms: list[float]) -> float:
+        return ((0.0 + terms[0]) + lane_sum(terms[1:-1])) + terms[-1]
+
     e_k = []
     for u, v in zip(rows, rows[1:]):
         rates = [(b - a) / dt for a, b in zip(u, v)]
-        e_k.append(0.5 * einsum_sum([(r * r) * x for r, x in zip(rates, w)]))
+        e_k.append(0.5 * lane_sum([(r * r) * x for r, x in zip(rates, w)]))
     if variant == "explicit":
-        e_p = [0.5 * einsum_sum([(b * a) * x for a, b, x in zip(ju, jv, c)])
+        e_p = [0.5 * potential_sum([(b * a) * x for a, b, x in zip(ju, jv, c)])
                for ju, jv in zip(jumps, jumps[1:])]
     else:
-        sq = [einsum_sum([(a * a) * x for a, x in zip(ju, c)]) for ju in jumps]
+        sq = [potential_sum([(a * a) * x for a, x in zip(ju, c)]) for ju in jumps]
         e_p = [0.25 * (s1 + s0) for s0, s1 in zip(sq, sq[1:])]
     e_total = [k + p for k, p in zip(e_k, e_p)]
     dissipation = []
     for ju, jw in zip(jumps, jumps[2:]):
         changes = [b - a for a, b in zip(ju[faces], jw[faces])]
-        dissipation.append(0.0 - coef * (0.0 + pairwise_sum([d * d for d in changes])))
+        dissipation.append(0.0 - coef * lane_sum([d * d for d in changes]))
     residual = [(e1 - e0) - d for e0, e1, d in zip(e_total, e_total[1:], dissipation)]
     return e_k, e_p, e_total, dissipation, residual

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -445,6 +446,22 @@ class TestMain:
         printed = capsys.readouterr().out.splitlines()
         assert len(printed) == 8
         assert set(f"result_{line}" for line in printed) <= set(summary)
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_fit_non_finite_energy_is_a_fit_error(self, tmp_path, capsys, value):
+        t = np.linspace(0.0, 29.0, 30)
+        e = np.exp(-0.25 * t)
+        e[12] = value
+        trace = EnergyTrace(step=np.arange(30), t=t, e_kinetic=e, e_potential=np.zeros(30),
+                            e_total=e, dissipation=np.zeros(30), residual=np.zeros(30))
+        path = tmp_path / "energy.csv"
+        write_energy_csv(trace, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--energy-csv", str(path), "--window", "1,29"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{model}_error = non-finite time or energy inside the fit window"
+            for model in ("exponential", "polynomial")]
 
     def test_fit_bad_window(self, tmp_path, capsys):
         path = tmp_path / "energy.csv"
