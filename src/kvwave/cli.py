@@ -317,8 +317,9 @@ def execute(cfg: RunConfig) -> RunResult:
         mesh = build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
         dt, n_steps = resolve_time_step(cfg, params, mesh)
         initial = default_initial_data(params.length)
-    except (ValueError, OverflowError, MemoryError) as err:
-        # e.g. a length whose square overflows, or a mesh too large to allocate
+    except (ArithmeticError, ValueError, MemoryError) as err:
+        # e.g. a length whose square overflows or underflows, or a mesh too
+        # large to allocate
         raise ConfigError(f"cannot set up the run: {err}") from err
     admissibility = validate_run(params, mesh, dt, cfg.scheme)
     if cfg.scheme == "explicit" and not admissibility.stable and not cfg.cfl_override:
@@ -546,6 +547,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
+# numpy's floating-point warnings are silenced: every value that matters is
+# checked for range where it is used, and a failed check exits with one
+# error line
+@np.errstate(all="ignore")
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:

@@ -13,8 +13,9 @@
    the bits too.  The energies add their terms in eight lanes in a fixed
    order (SUM_LANES), which fixes their bits as well.
 
-   Band arrays are the 3 x n BLAS band storage of a tridiagonal matrix in C
-   order, one diagonal a row: band[k n + j] holds a[j + k - 1, j]. */
+   A symmetric tridiagonal matrix a is passed as its diagonal and its
+   off-diagonal, n and n - 1 doubles: diag[j] holds a[j, j] and off[j]
+   holds a[j, j + 1] = a[j + 1, j]. */
 
 #include <math.h>
 #include <stddef.h>
@@ -41,25 +42,26 @@ ptrdiff_t kv_factor(ptrdiff_t n, double *d, double *e)
    a loop of this constant count, and not one of a variable count. */
 #define LANES 16
 
-/* Row j of a x + b y, as gbmv with beta = 0 and then gbmv with beta = 1
-   round it: the row takes its columns in order, one fma() each, starting
-   from +0.  left and right say whether the row has the columns j - 1 and
-   j + 1.  Always inlined, so that constant ones fold away. */
+/* Row j of a x + b y, with a = (ad, ao) and b = (bd, bo), as gbmv with
+   beta = 0 and then gbmv with beta = 1 round it: the row takes its columns
+   in order, one fma() each, starting from +0.  left and right say whether
+   the row has the columns j - 1 and j + 1.  Always inlined, so that
+   constant ones fold away. */
 static inline __attribute__((always_inline)) double
-band_row(ptrdiff_t n, ptrdiff_t j, int left, int right, const double *a, const double *x,
-         const double *b, const double *y)
+band_row(ptrdiff_t j, int left, int right, const double *ad, const double *ao, const double *x,
+         const double *bd, const double *bo, const double *y)
 {
     double s = 0.0;
     if (left)
-        s = fma(x[j - 1], a[2 * n + j - 1], s);
-    s = fma(x[j], a[n + j], s);
+        s = fma(x[j - 1], ao[j - 1], s);
+    s = fma(x[j], ad[j], s);
     if (right)
-        s = fma(x[j + 1], a[j + 1], s);
+        s = fma(x[j + 1], ao[j], s);
     if (left)
-        s = fma(y[j - 1], b[2 * n + j - 1], s);
-    s = fma(y[j], b[n + j], s);
+        s = fma(y[j - 1], bo[j - 1], s);
+    s = fma(y[j], bd[j], s);
     if (right)
-        s = fma(y[j + 1], b[j + 1], s);
+        s = fma(y[j + 1], bo[j], s);
     return s;
 }
 
@@ -77,13 +79,14 @@ static inline int unsafe(double x)
    faces) and none the first or last of the row: x[i] = band_row(i) / d[i]
    and out[i] = u[i] + x[i].  Returns whether any x[i] is unsafe. */
 static inline __attribute__((always_inline)) int
-free_cells(ptrdiff_t n, ptrdiff_t j, const double *restrict a, const double *restrict u,
-           const double *restrict b, const double *restrict y, const double *restrict d,
-           double *restrict x, double *restrict out)
+free_cells(ptrdiff_t j, const double *restrict ad, const double *restrict ao,
+           const double *restrict u, const double *restrict bd, const double *restrict bo,
+           const double *restrict y, const double *restrict d, double *restrict x,
+           double *restrict out)
 {
     int bad = 0;
     for (ptrdiff_t i = j; i < j + LANES; i++) {
-        double s = band_row(n, i, 1, 1, a, u, b, y) / d[i];
+        double s = band_row(i, 1, 1, ad, ao, u, bd, bo, y) / d[i];
         x[i] = s;
         out[i] = u[i] + s;
         bad |= unsafe(s);
@@ -98,18 +101,18 @@ free_cells(ptrdiff_t n, ptrdiff_t j, const double *restrict a, const double *res
    forward value of x[hi] when hi < n - 1, or the final x[lo] when lo > 0,
    is not finite. */
 static inline __attribute__((always_inline)) int
-serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *a, const double *u,
-             const double *b, const double *y, const double *d, const double *e, double *x,
-             double *out)
+serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *ad, const double *ao,
+             const double *u, const double *bd, const double *bo, const double *y,
+             const double *d, const double *e, double *x, double *out)
 {
     int bad = 0;
-    double s = band_row(n, lo, lo > 0, lo < n - 1, a, u, b, y);
+    double s = band_row(lo, lo > 0, lo < n - 1, ad, ao, u, bd, bo, y);
     if (lo > 0)
         s = s - x[lo - 1] * e[lo - 1];
     x[lo] = s;
     ptrdiff_t inner = hi < n - 1 ? hi : n - 2;
     for (ptrdiff_t j = lo + 1; j <= inner; j++) {
-        s = band_row(n, j, 1, 1, a, u, b, y) - s * e[j - 1];
+        s = band_row(j, 1, 1, ad, ao, u, bd, bo, y) - s * e[j - 1];
         x[j] = s;
     }
     if (hi < n - 1) {
@@ -117,7 +120,7 @@ serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *a, const dou
         s = s / d[hi] - x[hi + 1] * e[hi];
     } else {
         if (hi > lo)
-            s = band_row(n, hi, 1, 0, a, u, b, y) - s * e[hi - 1];
+            s = band_row(hi, 1, 0, ad, ao, u, bd, bo, y) - s * e[hi - 1];
         s = s / d[hi];
     }
     x[hi] = s;
@@ -139,7 +142,8 @@ static int overlap(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb)
 
 /* Rows start .. stop-1 of a row-major block of n-vectors, n >= 3, 1 <=
    start <= stop: row i becomes row i-1 plus d, where L d = stiff row[i-1]
-   + rhs_prev d_prev is solved with L's factors (d, e), in d_next.  The
+   + rhs_prev d_prev is solved with L's factors (d, e), in d_next; stiff is
+   (sd, so) and rhs_prev (rd, ro).  The
    increments swap every step, so after an odd number of steps the last
    one is in d_prev.  Returns 0, or -1 without a step when the rows start-1
    .. stop-1 or an increment, which the step writes, overlap another array.
@@ -155,13 +159,13 @@ static int overlap(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb)
    unsafe, or serial_cells passes a value that is not finite to a chunk, is
    redone as serial_cells(0, n-1). */
 int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
-                  const double *stiff, const double *rhs_prev, const double *d,
-                  const double *e, double *d_prev, double *d_next)
+                  const double *sd, const double *so, const double *rd, const double *ro,
+                  const double *d, const double *e, double *d_prev, double *d_next)
 {
-    const double *arrays[7] = {block + (start - 1) * n, d_prev, d_next, stiff, rhs_prev, d, e};
-    ptrdiff_t sizes[7] = {(stop - start + 1) * n, n, n, 3 * n, 3 * n, n, n - 1};
+    const double *arrays[9] = {block + (start - 1) * n, d_prev, d_next, sd, so, rd, ro, d, e};
+    ptrdiff_t sizes[9] = {(stop - start + 1) * n, n, n, n, n - 1, n, n - 1, n, n - 1};
     for (int a = 0; a < 3; a++)
-        for (int b = a + 1; b < 7; b++)
+        for (int b = a + 1; b < 9; b++)
             if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
                 return -1;
     /* found once: the chunks, runs of whole chunks of free cells, cells
@@ -189,13 +193,13 @@ int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
         int bad = 0;
         for (ptrdiff_t k = 0; k < runs; k++)
             for (ptrdiff_t j = edge[2 * k + 1]; j < edge[2 * k + 2]; j += LANES)
-                bad |= free_cells(n, j, stiff, u, rhs_prev, d_prev, d, d_next, out);
+                bad |= free_cells(j, sd, so, u, rd, ro, d_prev, d, d_next, out);
         for (ptrdiff_t k = 0; runs && k <= runs; k++)
-            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, stiff, u, rhs_prev, d_prev,
+            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, sd, so, u, rd, ro, d_prev,
                                 d, e, d_next, out);
         /* without chunks the whole row at once, in a call whose bounds fold */
         if (!runs || bad)
-            serial_cells(n, 0, n - 1, stiff, u, rhs_prev, d_prev, d, e, d_next, out);
+            serial_cells(n, 0, n - 1, sd, so, u, rd, ro, d_prev, d, e, d_next, out);
         double *swap = d_prev;
         d_prev = d_next;
         d_next = swap;

@@ -12,10 +12,10 @@ The three scheme matrices are assembled here:
 A matrix is factored once and the factors are reused for every step.
 Every matrix the schemes solve with is positive definite, so it is factored
 as L D L^T without pivoting; any other matrix is rejected.  Products with
-the right-hand matrices run on their band storage, one contiguous row per
-diagonal, so a step costs O(n) time and the operators O(n) memory.
-step_block forms a step's band products and solves with the factors, a
-whole block of steps per call; the bootstrap is one such step.
+the right-hand matrices read the diagonal and off-diagonal that every
+TriDiagMatrix holds, so a step costs O(n) time and the operators O(n)
+memory.  step_block forms a step's band products and solves with the
+factors, a whole block of steps per call; the bootstrap is one such step.
 
 The arithmetic runs in kernel.c, which is compiled on first import into the
 package's __pycache__ and loaded with ctypes.  It computes what LAPACK
@@ -55,7 +55,6 @@ __all__ = [
     "assemble_damping",
     "assemble_stiffness",
     "factor",
-    "band_storage",
     "step_block",
     "format_csv",
 ]
@@ -115,8 +114,7 @@ def _load_kernel() -> ctypes.CDLL:
     block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
     kernel.kv_factor.argtypes = [size, out, out]
     kernel.kv_factor.restype = size
-    kernel.kv_step_block.argtypes = [size, size, size, block, table, table, vector, vector,
-                                     out, out]
+    kernel.kv_step_block.argtypes = [size, size, size, block, *[vector] * 6, out, out]
     kernel.kv_step_block.restype = ctypes.c_int
     # the selection's flags, as bytes, or NULL: layer_energies checks them
     kernel.kv_energies.argtypes = [size, size, table, ctypes.c_char_p, vector, vector,
@@ -237,7 +235,7 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     by every step.
 
     Raises SingularMatrixError when the factorization meets a non-positive
-    pivot, that is when m is not positive definite.  Like band_storage, it
+    pivot, that is when m is not positive definite.  Like step_block, it
     takes matrices of three rows or more; every mesh has four or more.
     """
     if m.dim < 3:
@@ -251,25 +249,8 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     return LDLFactorization(d, e)
 
 
-def band_storage(m: TriDiagMatrix) -> np.ndarray:
-    """The 3 x n general-band storage of a tridiagonal matrix, as BLAS
-    lays it out: column j holds m[j-1, j], m[j, j] and m[j+1, j].
-
-    The array is C ordered, so each diagonal is one contiguous row, and the
-    kernel reads every diagonal at unit stride.  The steps need at least
-    three rows; every mesh has four or more.
-    """
-    if m.dim < 3:
-        raise ValueError("band storage needs a matrix of dimension 3 or more")
-    band = np.zeros((3, m.dim))
-    band[0, 1:] = m.off
-    band[1] = m.diag
-    band[2, :-1] = m.off
-    return band
-
-
 def step_block(
-    block: np.ndarray, start: int, stop: int, stiff: np.ndarray, rhs_prev: np.ndarray,
+    block: np.ndarray, start: int, stop: int, stiff: TriDiagMatrix, rhs_prev: TriDiagMatrix,
     f: LDLFactorization, d_prev: np.ndarray, d_next: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Summed-form steps into rows start .. stop-1 of a block of layers.
@@ -278,22 +259,23 @@ def step_block(
     d_prev is solved with L's factors f.  d_prev is the increment into row
     i-1, d goes into d_next, whose previous contents are never read, and
     the two vectors then swap.  Returns (d_prev, d_next) as the next call
-    takes them.  The block's rows start-1 .. stop-1 and the increments, all
-    of which the kernel writes or reads, must not overlap each other or any
-    other argument: the kernel compares their bounds before it steps, and
-    an overlap raises ValueError.  Like band_storage, it takes matrices of
-    three rows or more.
+    takes them.  The kernel reads the matrices' diagonals and
+    off-diagonals as they are, so they must be contiguous float64 arrays.
+    The block's rows start-1 .. stop-1 and the increments, all of which
+    the kernel writes or reads, must not overlap each other or any other
+    argument: the kernel compares their bounds before it steps, and an
+    overlap raises ValueError.  It takes matrices of three rows or more.
     """
     if block.ndim != 2 or not 1 <= start <= stop <= len(block):
         raise ValueError(f"rows {start} .. {stop - 1} do not follow a row of the block")
     n = block.shape[1]
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
-    if (any(a.shape != (3, n) for a in (stiff, rhs_prev))
+    if (stiff.dim != n or rhs_prev.dim != n
             or any(v.shape != (n,) for v in (f.d, d_prev, d_next))):
-        raise ValueError(f"bands must be 3 x {n} arrays and vectors of length {n}")
-    if _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff, rhs_prev, f.d, f.e,
-             d_prev, d_next):
+        raise ValueError(f"matrices must be of dimension {n} and vectors of length {n}")
+    if _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff.diag, stiff.off,
+             rhs_prev.diag, rhs_prev.off, f.d, f.e, d_prev, d_next):
         raise ValueError("the rows a step reads and writes and the increments must not overlap "
                          "each other or any other argument")
     return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)

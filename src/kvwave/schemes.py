@@ -21,15 +21,17 @@ d_n = u_{n+1} - u_n and each step solves
 
 The increment is never formed as a difference of two rounded layers, which
 keeps the per-step energy identity at round-off whatever the cell count.  L
-is positive definite, so it is factored once per run as L D L^T.  A whole
-block of steps runs in one call of linalg's compiled kernel, whose bits do
-not depend on the machine.
+is positive definite, so it is factored once per run as L D L^T.
+build_operators returns the scheme's matrices, each a linalg.TriDiagMatrix,
+with the factors in one SchemeOperators, and a whole block of steps runs in
+one call of linalg's compiled kernel, which reads those matrices as they
+are and whose bits do not depend on the machine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +44,6 @@ __all__ = [
     "SUP_GROWTH_LIMIT",
     "SchemeOperators",
     "SimulationResult",
-    "scheme_matrices",
     "build_operators",
     "bootstrap",
     "run",
@@ -60,61 +61,17 @@ _BLOCK_MAX_ROWS = 1026
 
 
 @dataclass(frozen=True)
-class SchemeMatrices:
-    """The tridiagonal matrices of one scheme at one time step.
-
-    lhs, rhs_curr and rhs_prev are L, R2 and R1 of the recurrence, and
-    boot_lhs the matrix of the bootstrap: 2 M for the explicit scheme and
-    2 M - dt^2 S for the flux-averaged one.  Every left-hand matrix is
-    positive definite: M > 0, the damping is positive semidefinite and the
-    stiffness negative semidefinite.
-    """
-
-    ell: FluxCoefficients
-    stiffness: linalg.TriDiagMatrix
-    lhs: linalg.TriDiagMatrix
-    rhs_curr: linalg.TriDiagMatrix
-    rhs_prev: linalg.TriDiagMatrix
-    boot_lhs: linalg.TriDiagMatrix
-
-
-def scheme_matrices(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> SchemeMatrices:
-    """Assemble the matrices of the requested scheme."""
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if not dt > 0.0:
-        raise ValueError("dt must be > 0")
-    ell = flux_coefficients(mesh, params)
-    mass = linalg.assemble_mass(mesh)
-    damping = linalg.assemble_damping(mesh)
-    stiffness = linalg.assemble_stiffness(mesh, ell)
-
-    damping_scaled = damping.scaled(params.delta * dt / mesh.h)
-    if scheme == "explicit":
-        lhs = mass + damping_scaled
-        rhs_curr = mass.scaled(2.0) + stiffness.scaled(dt * dt)
-        rhs_prev = mass - damping_scaled
-        boot_lhs = mass.scaled(2.0)
-    else:
-        # The averaged fluxes put half the (negative-diagonal) stiffness on
-        # each outer layer, so it enters both side matrices with a minus sign
-        # and the left-hand matrix is strictly diagonally dominant for any dt.
-        half_stiff = stiffness.scaled(0.5 * dt * dt)
-        lhs = mass - half_stiff + damping_scaled
-        rhs_curr = mass.scaled(2.0)
-        rhs_prev = mass - half_stiff - damping_scaled
-        boot_lhs = mass.scaled(2.0) - stiffness.scaled(dt * dt)
-    return SchemeMatrices(ell, stiffness, lhs, rhs_curr, rhs_prev, boot_lhs)
-
-
-@dataclass(frozen=True)
 class SchemeOperators:
-    """What stepping and bootstrap read of one scheme at one time step.
+    """The tridiagonal matrices of one scheme at one time step, and the
+    factors that stepping and bootstrap solve with.
 
-    lhs_factor and boot_factor hold the L D L^T factors of L and of the
-    bootstrap matrix.  The bands are linalg's band storage of dt^2 S and R1,
-    which every step multiplies, and of R2, which only the bootstrap
-    multiplies.
+    lhs, rhs_curr and rhs_prev are L, R2 and R1 of the recurrence, boot_lhs
+    the matrix of the bootstrap: 2 M for the explicit scheme and 2 M - dt^2 S
+    for the flux-averaged one, and stiff is dt^2 S, which every step
+    multiplies.  Every left-hand matrix is positive definite: M > 0, the
+    damping is positive semidefinite and the stiffness negative
+    semidefinite.  lhs_factor and boot_factor hold the L D L^T factors of
+    lhs and boot_lhs.
     """
 
     scheme: str
@@ -122,11 +79,13 @@ class SchemeOperators:
     mesh: Mesh
     params: Parameters
     ell: FluxCoefficients
+    lhs: linalg.TriDiagMatrix
+    rhs_curr: linalg.TriDiagMatrix
+    rhs_prev: linalg.TriDiagMatrix
+    boot_lhs: linalg.TriDiagMatrix
+    stiff: linalg.TriDiagMatrix
     lhs_factor: linalg.LDLFactorization
     boot_factor: linalg.LDLFactorization
-    _stiff_band: np.ndarray = field(repr=False)
-    _rhs_curr_band: np.ndarray = field(repr=False)
-    _rhs_prev_band: np.ndarray = field(repr=False)
 
     def step_block(
         self, block: np.ndarray, start: int, stop: int, d_prev: np.ndarray, d_next: np.ndarray
@@ -139,7 +98,7 @@ class SchemeOperators:
         takes them.  The increments must not overlap each other or the block.
         The whole block runs in one call of the compiled kernel.
         """
-        return linalg.step_block(block, start, stop, self._stiff_band, self._rhs_prev_band,
+        return linalg.step_block(block, start, stop, self.stiff, self.rhs_prev,
                                  self.lhs_factor, d_prev, d_next)
 
 
@@ -147,18 +106,44 @@ def build_operators(
     mesh: Mesh, params: Parameters, dt: float, scheme: str
 ) -> SchemeOperators:
     """Assemble the matrices of the requested scheme and factor them."""
-    m = scheme_matrices(mesh, params, dt, scheme)
+    if scheme not in ("explicit", "implicit"):
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if not dt > 0.0:
+        raise ValueError("dt must be > 0")
+    ell = flux_coefficients(mesh, params)
+    mass = linalg.assemble_mass(mesh)
+    damping = linalg.assemble_damping(mesh)
+    stiffness = linalg.assemble_stiffness(mesh, ell)
+
+    stiff = stiffness.scaled(dt * dt)
+    damping_scaled = damping.scaled(params.delta * dt / mesh.h)
+    if scheme == "explicit":
+        lhs = mass + damping_scaled
+        rhs_curr = mass.scaled(2.0) + stiff
+        rhs_prev = mass - damping_scaled
+        boot_lhs = mass.scaled(2.0)
+    else:
+        # The averaged fluxes put half the (negative-diagonal) stiffness on
+        # each outer layer, so it enters both side matrices with a minus sign
+        # and the left-hand matrix is strictly diagonally dominant for any dt.
+        half_stiff = stiffness.scaled(0.5 * dt * dt)
+        lhs = mass - half_stiff + damping_scaled
+        rhs_curr = mass.scaled(2.0)
+        rhs_prev = mass - half_stiff - damping_scaled
+        boot_lhs = mass.scaled(2.0) - stiff
     return SchemeOperators(
         scheme=scheme,
         dt=dt,
         mesh=mesh,
         params=params,
-        ell=m.ell,
-        lhs_factor=linalg.factor(m.lhs),
-        boot_factor=linalg.factor(m.boot_lhs),
-        _stiff_band=linalg.band_storage(m.stiffness.scaled(dt * dt)),
-        _rhs_curr_band=linalg.band_storage(m.rhs_curr),
-        _rhs_prev_band=linalg.band_storage(m.rhs_prev),
+        ell=ell,
+        lhs=lhs,
+        rhs_curr=rhs_curr,
+        rhs_prev=rhs_prev,
+        boot_lhs=boot_lhs,
+        stiff=stiff,
+        lhs_factor=linalg.factor(lhs),
+        boot_factor=linalg.factor(boot_lhs),
     )
 
 
@@ -169,9 +154,8 @@ def bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarr
     of dt^2 S and 2 dt psi as the previous increment: its increment is u1.
     The row the step writes, u0 + u1, is scratch and discarded.
     """
-    u1, _ = linalg.step_block(np.stack((u0, u0)), 1, 2, ops._rhs_curr_band,
-                              ops._rhs_prev_band, ops.boot_factor, 2.0 * ops.dt * psi,
-                              np.empty_like(u0))
+    u1, _ = linalg.step_block(np.stack((u0, u0)), 1, 2, ops.rhs_curr, ops.rhs_prev,
+                              ops.boot_factor, 2.0 * ops.dt * psi, np.empty_like(u0))
     return u1
 
 
@@ -295,30 +279,33 @@ def run(
     the recorded rows are the same bits.  A layer whose sup norm exceeds
     SUP_GROWTH_LIMIT times the initial one ends the run, which then reports
     exactly what a run stopped just before that layer would: the layers
-    stepped past it in its block are discarded.  Operators that cannot be
-    assembled or factored raise ConfigError before the first step.
+    stepped past it in its block are discarded.  Operators, initial layers
+    or energies that cannot be formed raise ConfigError before the first
+    step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
+    rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
+    last_step = n_steps - 1  # last step with a defined energy
     try:
+        # e.g. an entry that overflows, a pivot lost to rounding, initial
+        # data or an energy coefficient out of floating-point range, or too
+        # little memory
         ops = build_operators(mesh, params, dt, scheme)
-    except (ValueError, MemoryError) as err:
-        # e.g. an entry that overflows, a pivot lost to rounding, or too little memory
-        raise ConfigError(f"cannot set up the {scheme} operators at dt = {dt:.6g}: {err}") from err
-    u0 = sample_cell_averages(initial.phi, mesh)
-    psi = sample_cell_averages(initial.psi, mesh)
-    u1 = bootstrap(u0, psi, ops)
+        u0 = sample_cell_averages(initial.phi, mesh)
+        psi = sample_cell_averages(initial.psi, mesh)
+        u1 = bootstrap(u0, psi, ops)
+        block = np.zeros((rows, mesh.n_max))
+        block[0], block[1] = u0, u1
+        log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
+    except (ArithmeticError, ValueError, MemoryError) as err:
+        raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: {err}") from err
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = sorted({int(s) for s in snapshot_steps})
     snapshots = [Snapshot(s, s * dt, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
-    rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
-    block = np.zeros((rows, mesh.n_max))
-    block[0], block[1] = u0, u1
-    last_step = n_steps - 1  # last step with a defined energy
-    log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
     first = 0  # layer index of block[0]
     divergence_step: int | None = None
     d_prev, d_next = u1 - u0, np.empty_like(u0)  # increments, swapped every step

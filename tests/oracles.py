@@ -83,32 +83,32 @@ def fma(a: float, b: float, c: float) -> float:
     return (na * nb * dc + nc * da * db) / (da * db * dc)
 
 
-def band_products(a: np.ndarray, x: np.ndarray, scale: float, b: np.ndarray,
+def band_products(a: TriDiagMatrix, x: np.ndarray, scale: float, b: TriDiagMatrix,
                   y: np.ndarray) -> np.ndarray:
-    """a x + scale (b y) for two 3 x n band arrays, rounded as the kernel
+    """a x + scale (b y) for two tridiagonal matrices, rounded as the kernel
     rounds it: each row adds its products over the columns in order, one
     fma each, a x first, starting from +0; scale multiplies y first."""
     n = len(x)
-    terms = ((a.tolist(), x.tolist()), (b.tolist(), [scale * v for v in y.tolist()]))
+    terms = ((a.diag.tolist(), a.off.tolist(), x.tolist()),
+             (b.diag.tolist(), b.off.tolist(), [scale * v for v in y.tolist()]))
     out = np.empty(n)
     for j in range(n):
         s = 0.0
-        for band, v in terms:
+        for diag, off, v in terms:
             for i in range(max(j - 1, 0), min(j + 2, n)):
-                s = fma(v[i], band[j - i + 1][i], s)
+                s = fma(v[i], diag[j] if i == j else off[min(i, j)], s)
         out[j] = s
     return out
 
 
 def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factors f in place, as every step solves: one
-    linalg.step_block step with a zero stiffness band and an identity R1
-    band, from rhs as the previous increment into rhs as the next one.  rhs
-    becomes the solution; a -0.0 entry of it counts as +0.0."""
+    linalg.step_block step with a zero stiffness and an identity R1, from
+    rhs as the previous increment into rhs as the next one.  rhs becomes
+    the solution; a -0.0 entry of it counts as +0.0."""
     n = len(f.d)
-    zero = np.zeros((3, n))
-    identity = np.zeros((3, n))
-    identity[1] = 1.0
+    zero = TriDiagMatrix(n, np.zeros(n), np.zeros(n - 1))
+    identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
     step_block(np.zeros((2, n)), 1, 2, zero, identity, f, rhs.copy(), rhs)
     return rhs
 
@@ -139,7 +139,7 @@ def ldl_solve(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.array(b)
 
 
-def summed_form_steps(stiff: np.ndarray, rhs_prev: np.ndarray, f: LDLFactorization,
+def summed_form_steps(stiff: TriDiagMatrix, rhs_prev: TriDiagMatrix, f: LDLFactorization,
                       u: np.ndarray, d: np.ndarray,
                       count: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """count summed-form steps from the layer u and the increment d into it,
@@ -159,16 +159,16 @@ def summed_form_steps(stiff: np.ndarray, rhs_prev: np.ndarray, f: LDLFactorizati
 def one_step_layers(ops: SchemeOperators, u0: np.ndarray, u1: np.ndarray,
                     n_steps: int) -> list[np.ndarray]:
     """Layers 0 .. n_steps of a run from its first two, by summed_form_steps
-    with the operators' bands and factors."""
-    layers, _ = summed_form_steps(ops._stiff_band, ops._rhs_prev_band, ops.lhs_factor, u1,
-                                  u1 - u0, n_steps - 1)
+    with the operators' matrices and factors."""
+    layers, _ = summed_form_steps(ops.stiff, ops.rhs_prev, ops.lhs_factor, u1, u1 - u0,
+                                  n_steps - 1)
     return [u0, u1, *layers]
 
 
 def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
     """First layer of the explicit scheme as a componentwise division: its
     bootstrap matrix 2 M is diagonal, so u1 = (R2 u0 + 2 dt R1 psi) / (2 M)."""
-    rhs = band_products(ops._rhs_curr_band, u0, 2.0 * ops.dt, ops._rhs_prev_band, psi)
+    rhs = band_products(ops.rhs_curr, u0, 2.0 * ops.dt, ops.rhs_prev, psi)
     return rhs / (2.0 * ops.mesh.cell_widths)
 
 

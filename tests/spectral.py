@@ -21,7 +21,7 @@ import numpy as np
 
 from kvwave.cli import preset, resolve_time_step
 from kvwave.mesh import Parameters, build_mesh
-from kvwave.schemes import SchemeOperators, build_operators, scheme_matrices
+from kvwave.schemes import SchemeOperators, build_operators
 from oracles import to_dense
 
 # Eigenvalue moduli are trusted to a thousand ulps; as a rate that is
@@ -35,12 +35,11 @@ CLUSTER_GAP = 2.0
 
 def companion_matrix(ops: SchemeOperators) -> np.ndarray:
     """Dense one-step matrix acting on the stacked pair (u_curr, u_prev)."""
-    m = scheme_matrices(ops.mesh, ops.params, ops.dt, ops.scheme)
-    lhs = to_dense(m.lhs)
+    lhs = to_dense(ops.lhs)
     n = lhs.shape[0]
     t = np.zeros((2 * n, 2 * n))
-    t[:n, :n] = np.linalg.solve(lhs, to_dense(m.rhs_curr))
-    t[:n, n:] = -np.linalg.solve(lhs, to_dense(m.rhs_prev))
+    t[:n, :n] = np.linalg.solve(lhs, to_dense(ops.rhs_curr))
+    t[:n, n:] = -np.linalg.solve(lhs, to_dense(ops.rhs_prev))
     t[n:, :n] = np.eye(n)
     return t
 

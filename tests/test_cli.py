@@ -507,12 +507,27 @@ class TestMain:
         ("preset = equal-damped\nn_damp = 1\n", "n_damp must be >= 2"),
         ("preset = case1\nt_final = 1e300\ncfl_fraction = 1e-300\n",  # the step count overflows
          "cannot set up the run"),
+        ("preset = equal-damped\nlength = 1e-170\nalpha = 1e-171\nbeta = 2e-171\n",
+         "cannot set up the run"),  # length**2 underflows to 0
+        ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\nc1_sq = 1e300\n"
+         "c2_sq = 1e-170\nc3_sq = 1e-170\nscheme = implicit\ndt = 1e-8\nn_steps = 50\n"
+         "t_final = 1e-8\n",  # the interface coefficient's denominator underflows to 0
+         "cannot set up the implicit run"),
+        ("preset = equal-damped\nlength = 1e-100\nalpha = 3e-101\nbeta = 9e-101\n"
+         "scheme = implicit\ndt = 1e-300\nn_steps = 5\n",  # 4 dt h underflows to 0
+         "cannot set up the implicit run"),
+        ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\n"
+         "scheme = implicit\ndt = 1\nn_steps = 1\n",  # the arch's scale overflows
+         "profile produced non-finite values"),
     ], ids=["t_final-inf", "length-inf", "length-1e300", "delta-inf", "delta-1e308",
-            "dt-1e200", "dt-inf", "n_damp-1", "steps-overflow"])
+            "dt-1e200", "dt-inf", "n_damp-1", "steps-overflow", "length-1e-170",
+            "interface-underflow", "dissipation-underflow", "arch-overflow"])
     def test_unusable_config_exits_1_with_one_error_line(self, tmp_path, capsys, text, reason):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)
-        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would print lines of its own
+            assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err
         assert "Traceback" not in err

@@ -11,10 +11,19 @@ and far above the CFL bound every scheme matrix is factored as L D L^T and
 both bootstraps give the bits of their band products solved with their
 factors.  Over the same space every row a block step writes is the bits
 of the one-step oracle.  At 1-100 times the CFL bound the implicit scheme
-stays bounded and its energy never rises beyond round-off.
+stays bounded and its energy never rises beyond round-off.  Over every
+configuration that passes validation, with lengths, speeds, damping and
+time steps anywhere from 1e-320 to 1e308, a run ends in an exit code and
+at most one error line, never in an exception.
 """
 
+import contextlib
+import io
+import math
+import tempfile
+import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvwave import schemes
+from kvwave.cli import main
 from kvwave.diagnostics import EnergyTrace
 from kvwave.linalg import LDLFactorization
 from kvwave.mesh import Parameters, build_mesh
@@ -214,7 +224,7 @@ def test_bootstrap_is_the_oracle_solve_of_its_band_products(
         ops = schemes.build_operators(mesh, params, dt, scheme)
         boot = ops.boot_factor
         for u0, psi in inputs:
-            rhs = band_products(ops._rhs_curr_band, u0, 2.0 * dt, ops._rhs_prev_band, psi)
+            rhs = band_products(ops.rhs_curr, u0, 2.0 * dt, ops.rhs_prev, psi)
             expected = ldl_solve(boot.d, boot.e, rhs)
             assert schemes.bootstrap(u0, psi, ops).tobytes() == expected.tobytes()
 
@@ -477,3 +487,62 @@ def test_sup_check_stops_runs_where_abs_max_does():
                     assert [s.step for s in result.snapshots] == [s.step for s in expected.snapshots]
                     for a, b in zip(result.snapshots, expected.snapshots):
                         np.testing.assert_array_equal(a.values, b.values)
+
+
+# positive floats across the binades from 2**-1063 (about 1e-320) to 2**1023
+magnitudes = st.builds(math.ldexp, st.floats(1.0, 2.0, exclude_max=True), st.integers(-1063, 1022))
+fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def config_text(length, fractions, c_sq, delta, dt, scheme, cells, n_steps, out_dir):
+    alpha, beta = (f * length for f in fractions)
+    values = dict(scheme=scheme, c1_sq=c_sq[0], c2_sq=c_sq[1], c3_sq=c_sq[2], delta=delta,
+                  alpha=alpha, beta=beta, length=length, t_final=n_steps * dt,
+                  n_alpha=cells[0], n_damp=cells[1], n_beta=cells[2], dt=dt, n_steps=n_steps,
+                  observe_every=1, out_dir=out_dir)
+    return "".join(f"{key} = {value}\n" for key, value in values.items())
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@example(  # length**2 underflows to 0
+    length=1e-170, fractions=(0.1, 0.2), c_sq=(1.0, 1.0, 1.0), delta=1.0, dt=0.025,
+    scheme="explicit", cells=(20, 10, 20), n_steps=20,
+)
+@example(  # the interface coefficient's denominator underflows to 0
+    length=1e-160, fractions=(1e-10, 0.5), c_sq=(1e300, 1e-170, 1e-170), delta=1.0, dt=1e-8,
+    scheme="implicit", cells=(20, 10, 20), n_steps=20,
+)
+@example(  # 4 dt h underflows to 0
+    length=1e-100, fractions=(0.3, 0.9), c_sq=(1.0, 1.0, 1.0), delta=1.0, dt=1e-300,
+    scheme="implicit", cells=(20, 10, 20), n_steps=5,
+)
+@example(  # the arch's scale 4 / length**2 overflows
+    length=1e-160, fractions=(1e-10, 0.5), c_sq=(1.0, 1.0, 1.0), delta=1.0, dt=1.0,
+    scheme="implicit", cells=(20, 10, 20), n_steps=1,
+)
+@given(
+    length=magnitudes,
+    fractions=st.tuples(fraction, fraction).map(sorted),
+    c_sq=st.tuples(magnitudes, magnitudes, magnitudes),
+    delta=st.one_of(st.just(0.0), magnitudes),
+    dt=magnitudes,
+    scheme=st.sampled_from(["explicit", "implicit"]),
+    cells=st.tuples(st.integers(1, 3), st.integers(2, 4), st.integers(1, 3)),
+    n_steps=st.integers(1, 20),
+)
+def test_any_valid_config_ends_in_an_exit_code(length, fractions, c_sq, delta, dt, scheme,
+                                                cells, n_steps):
+    # Success, a run that cannot be set up (1) or a divergence (2), each
+    # error as one line; nothing escapes main, not even a warning.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "run.cfg")
+        path.write_text(config_text(length, fractions, c_sq, delta, dt, scheme, cells, n_steps,
+                                    str(Path(tmp, "out"))))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--cfl-override"])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (code != 0) and all(line.startswith("error: ") for line in lines)

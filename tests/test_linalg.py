@@ -13,7 +13,6 @@ from kvwave.linalg import (
     assemble_damping,
     assemble_mass,
     assemble_stiffness,
-    band_storage,
     factor,
     format_csv,
     step_block,
@@ -256,15 +255,15 @@ def band_sum(a, x, b, y, out):
 
 
 class TestBandSum:
-    """The band sum a block step forms, stiff x + rhs_prev y, and the band
-    storage it reads."""
+    """The band sum a block step forms, stiff x + rhs_prev y, from the
+    matrices' diagonals and off-diagonals."""
 
     @pytest.mark.parametrize("n", [3, 4, 17, 200])
     def test_matches_tridiagonal_matvec(self, rng, n):
         a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
         x, y = rng.standard_normal((2, n))
         scale = float(rng.uniform(-2.0, 2.0))  # the bootstrap's 2 dt
-        got = band_sum(band_storage(a), x, band_storage(b), scale * y, np.empty(n))
+        got = band_sum(a, x, b, scale * y, np.empty(n))
         expected = to_dense(a) @ x + scale * (to_dense(b) @ y)
         np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-13)
 
@@ -273,7 +272,7 @@ class TestBandSum:
         # a step never reads d_next's old contents: the same bits whatever
         # it held, with real factors as well as identity ones
         n = 17
-        a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
+        a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
         x, y = rng.standard_normal((2, n))
         x[4:9] = y[4:9] = -0.0  # rows 5-7 sum signed zeros only
         reference = band_sum(a, x, b, y, np.zeros(n))
@@ -287,7 +286,7 @@ class TestBandSum:
 
     def test_strided_out_rejected(self, rng):
         n = 9
-        a, b = band_storage(random_dd_tridiag(rng, n)), band_storage(random_dd_tridiag(rng, n))
+        a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
         x, y = rng.standard_normal((2, n))
         block = np.stack((x, y))
         saved = block.copy()
@@ -296,29 +295,15 @@ class TestBandSum:
                        np.zeros((n, 2))[:, 0])
         assert block.tobytes() == saved.tobytes()
 
-    def test_storage_is_three_rows(self, rng):
-        m = random_dd_tridiag(rng, 9)
-        band = band_storage(m)
-        assert band.shape == (3, 9) and band.flags.c_contiguous
-        np.testing.assert_array_equal(band[1], m.diag)
-        np.testing.assert_array_equal(band[0, 1:], m.off)
-        np.testing.assert_array_equal(band[2, :-1], m.off)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_too_small_rejected(self, rng, n):
-        with pytest.raises(ValueError):
-            band_storage(random_dd_tridiag(rng, n))
-
 
 def pivot_of(err: SingularMatrixError) -> int:
     return int(str(err).split("pivot ")[1].split()[0])
 
 
 def random_band(rng, n):
-    """Band storage of a random tridiagonal matrix whose entries span many
-    binades, so that products and sums round."""
-    m = random_dd_tridiag(rng, n)
-    return band_storage(m.scaled(float(10.0 ** rng.uniform(-3, 3))))
+    """A random tridiagonal matrix whose entries span many binades, so that
+    products and sums round."""
+    return random_dd_tridiag(rng, n).scaled(float(10.0 ** rng.uniform(-3, 3)))
 
 
 class TestKernelBits:
@@ -383,10 +368,10 @@ class TestKernelBits:
         self.check_step_block(rng, 9, n)
 
     def test_step_block_rejects_fewer_than_three_cells(self):
-        band = np.zeros((3, 2), order="F")
+        m = TriDiagMatrix(2, np.zeros(2), np.zeros(1))
         f = LDLFactorization(np.ones(2), np.zeros(1))
         with pytest.raises(ValueError, match="3 or more"):
-            step_block(np.zeros((3, 2)), 1, 3, band, band, f, np.zeros(2), np.zeros(2))
+            step_block(np.zeros((3, 2)), 1, 3, m, m, f, np.zeros(2), np.zeros(2))
 
     @staticmethod
     def check_step_block(rng, rows, n):
@@ -405,11 +390,15 @@ class TestKernelBits:
         assert out == ((d_next, d_prev) if (rows - 1) % 2 else (d_prev, d_next))
 
     def test_step_block_rejects_bad_arguments(self, rng):
+        # the kernel reads each matrix's diagonal and off-diagonal as they
+        # are: a matrix of another dimension, or one whose vectors are not
+        # contiguous float64, is rejected before a step
         n = 7
-        stiff = band_storage(random_dd_tridiag(rng, n))
+        stiff = random_dd_tridiag(rng, n)
         f = factor(random_spd_tridiag(rng, n))
-        block = np.zeros((4, n))
-        d_prev, d_next = np.zeros(n), np.zeros(n)
+        block = rng.standard_normal((4, n))
+        saved = block.copy()
+        d_prev, d_next = np.ones(n), np.zeros(n)
         for start, stop in ((0, 2), (2, 5), (3, 2)):
             with pytest.raises(ValueError, match="rows"):
                 step_block(block, start, stop, stiff, stiff, f, d_prev, d_next)
@@ -419,25 +408,49 @@ class TestKernelBits:
             step_block(block, 1, 4, stiff, stiff, f, np.zeros((n, 2))[:, 0], d_next)
         with pytest.raises(ValueError, match="contiguous"):
             step_block(block[:, ::-1], 1, 4, stiff, stiff, f, d_prev, d_next)
-        assert not block.any()
+        diag, off = stiff.diag, stiff.off
+        bad = [
+            (random_dd_tridiag(rng, n + 1), "dimension"),
+            (random_dd_tridiag(rng, n - 1), "dimension"),
+            (TriDiagMatrix(n, diag.astype(np.float32), off), "contiguous float64"),
+            (TriDiagMatrix(n, diag, off.astype(np.float32)), "contiguous float64"),
+            (TriDiagMatrix(n, np.repeat(diag, 2)[::2], off), "contiguous float64"),
+            (TriDiagMatrix(n, diag, np.repeat(off, 2)[::2]), "contiguous float64"),
+        ]
+        for m, reason in bad:
+            for matrices in ((m, stiff), (stiff, m)):
+                with pytest.raises(ValueError, match=reason):
+                    step_block(block, 1, 4, *matrices, f, d_prev, d_next)
+        assert block.tobytes() == saved.tobytes()
+        assert (d_prev == 1.0).all() and not d_next.any()
 
     def test_step_block_rejects_overlapping_arrays(self, rng):
         # the kernel writes the block and both increments: none of them may
         # overlap another argument, while the arrays it only reads may
         n = 7
-        stiff = band_storage(random_dd_tridiag(rng, n))
+        stiff = random_dd_tridiag(rng, n)
         both = np.ones(2 * n - 1)
         f = LDLFactorization(both[:n], both[n:])  # d and e in one buffer
-        block = np.zeros((4, n))
+        block = np.ones((4, n))
         spare = np.zeros(2 * n + 1)
         d_prev, d_next = spare[:n], spare[n + 1 :]
         for prev, next_ in [(d_prev, d_prev), (spare[:n], spare[1 : n + 1]), (block[0], d_next),
-                            (d_prev, block[3]), (d_prev, stiff[1]), (f.d, d_next),
-                            (d_prev, both[n - 1 :])]:
+                            (d_prev, block[3]), (f.d, d_next), (d_prev, both[n - 1 :])]:
             with pytest.raises(ValueError, match="overlap"):
                 step_block(block, 1, 4, stiff, stiff, f, prev, next_)
-        assert not block.any() and not spare.any() and (both == 1.0).all()
-        step_block(block, 1, 4, stiff, stiff, f, d_prev, d_next)  # stiff as both bands
+        # a matrix whose diagonal and off-diagonal are views of one buffer,
+        # the diagonal then the off-diagonal after a spare entry
+        tri = np.ones(2 * n)
+        m = TriDiagMatrix(n, tri[:n], tri[n + 1 :])
+        for prev, next_ in [(tri[:n], d_next), (d_prev, tri[:n]), (tri[n:], d_next),
+                            (d_prev, tri[n:])]:
+            for matrices in ((m, stiff), (stiff, m)):
+                with pytest.raises(ValueError, match="overlap"):
+                    step_block(block, 1, 4, *matrices, f, prev, next_)
+        assert (block == 1.0).all() and not spare.any()
+        assert (both == 1.0).all() and (tri == 1.0).all()
+        step_block(block, 1, 4, stiff, stiff, f, d_prev, d_next)  # stiff as both matrices
+        step_block(block, 1, 4, m, m, f, d_prev, d_next)
 
 
 def assert_same_bits(got, expected):
@@ -536,19 +549,22 @@ class TestDecoupledStep:
         product that underflows to -0; where = "division": band_row(j) is
         tiny and negative and its division by d[j] underflows to -0."""
         stiff, rhs_prev, f, u0, d0 = TestDecoupledStep.case(rng, n, np.zeros(n - 1, bool))
+        diag, off = rhs_prev.diag.copy(), rhs_prev.off.copy()
         u0[max(j - 2, 0) : j + 3] = 0.0
         d0[max(j - 2, 0) : j + 3] = 0.0
         if where == "band":
-            # only the last product of row j is not +0, and it rounds to -0
+            # only the last product of row j is not +0, and it rounds to -0:
+            # with column j + 1 when there is one, else with column j
             last = min(j + 1, n - 1)
-            d0[last], rhs_prev[int(last == j), last] = -1e-200, 1e-200
+            d0[last] = -1e-200
+            (off if last > j else diag)[j] = 1e-200
             # row j-1 is -1: the forward sweep reads it
-            d0[j - 2], rhs_prev[2, j - 2] = -1.0, 1.0
+            d0[j - 2], off[j - 2] = -1.0, 1.0
         else:
-            d0[j + 1], rhs_prev[0, j + 1], f.d[j] = -1e-300, 1.0, 1e300
+            d0[j + 1], off[j], f.d[j] = -1e-300, 1.0, 1e300
             # row j+1 is -1e-300 over a d of 1: the backward sweep reads it
-            rhs_prev[1, j + 1], f.d[j + 1] = 1.0, 1.0
-        return stiff, rhs_prev, f, u0, d0
+            diag[j + 1], f.d[j + 1] = 1.0, 1.0
+        return stiff, TriDiagMatrix(n, diag, off), f, u0, d0
 
     # With 50 cells the chunks are cells 1-16, 17-32 and 33-48, and the
     # first and last cells are stepped serially; with 34 cells the chunks

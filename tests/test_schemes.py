@@ -6,10 +6,10 @@ import pytest
 from kvwave import diagnostics, linalg
 from kvwave.cli import PRESET_NAMES
 from kvwave.diagnostics import EnergyTrace, layer_energies
-from kvwave.linalg import assemble_damping, assemble_mass
+from kvwave.linalg import assemble_damping, assemble_mass, assemble_stiffness
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import ConfigError, cfl_max_dt, default_initial_data, sample_cell_averages
-from kvwave.schemes import bootstrap, build_operators, run, scheme_matrices
+from kvwave.schemes import bootstrap, build_operators, run
 from oracles import (
     dense_solve_oracle,
     discrete_h1_seminorm,
@@ -45,43 +45,43 @@ def next_layer(ops, u_prev, u_curr):
 
 class TestBuildOperators:
     def test_explicit_lhs_reduces_to_mass_when_undamped(self, base_mesh):
-        m = scheme_matrices(base_mesh, undamped_params(), DT, "explicit")
+        m = build_operators(base_mesh, undamped_params(), DT, "explicit")
         np.testing.assert_array_equal(m.lhs.diag, assemble_mass(base_mesh).diag)
         assert np.all(m.lhs.off == 0.0)
 
     def test_matrix_combinations(self, base_mesh, base_params):
-        m = scheme_matrices(base_mesh, base_params, DT, "explicit")
+        m = build_operators(base_mesh, base_params, DT, "explicit")
         mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
         np.testing.assert_allclose(to_dense(m.lhs), mass + s * damping, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.rhs_curr),
-            2.0 * mass + DT**2 * to_dense(m.stiffness),
+            2.0 * mass + to_dense(m.stiff),
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_prev), mass - s * damping, rtol=1e-14)
         np.testing.assert_array_equal(to_dense(m.boot_lhs), 2.0 * mass)
 
     def test_implicit_matrices_put_flux_average_on_outer_layers(self, base_mesh, base_params):
-        m = scheme_matrices(base_mesh, base_params, DT, "implicit")
+        m = build_operators(base_mesh, base_params, DT, "implicit")
         mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
         half = 0.5 * DT**2
         np.testing.assert_allclose(
             to_dense(m.lhs),
-            mass - half * to_dense(m.stiffness) + s * damping,
+            mass - half * to_dense(assemble_stiffness(base_mesh, m.ell)) + s * damping,
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * mass, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.boot_lhs),
-            2.0 * mass - DT**2 * to_dense(m.stiffness),
+            2.0 * mass - to_dense(m.stiff),
             rtol=1e-14,
         )
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_left_matrices_strictly_diagonally_dominant(self, base_mesh, base_params, scheme):
-        m = scheme_matrices(base_mesh, base_params, DT, scheme)
+        m = build_operators(base_mesh, base_params, DT, scheme)
         assert dominance_margin(m.lhs) > 0.0
         assert dominance_margin(m.boot_lhs) > 0.0
 
@@ -123,8 +123,7 @@ class TestBootstrap:
         u0, _ = sampled_initial(base_mesh)
         zero = np.zeros_like(u0)
         u1 = bootstrap(u0, zero, ops)
-        stiffness = scheme_matrices(base_mesh, base_params, DT, "explicit").stiffness
-        expected = u0 + 0.5 * DT**2 * (to_dense(stiffness) @ u0) / base_mesh.cell_widths
+        expected = u0 + 0.5 * (to_dense(ops.stiff) @ u0) / base_mesh.cell_widths
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-15)
 
     def test_explicit_first_layer_close_to_initial(self, base_mesh, base_params):
@@ -151,9 +150,8 @@ class TestBootstrap:
         ops = build_operators(base_mesh, base_params, DT, scheme)
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap(u0, psi, ops)
-        m = scheme_matrices(base_mesh, base_params, DT, scheme)
-        rhs = to_dense(m.rhs_curr) @ u0 + 2.0 * DT * (to_dense(m.rhs_prev) @ psi)
-        residual = float(np.abs(to_dense(m.boot_lhs) @ u1 - rhs).max())
+        rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * DT * (to_dense(ops.rhs_prev) @ psi)
+        residual = float(np.abs(to_dense(ops.boot_lhs) @ u1 - rhs).max())
         assert residual <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
 
     @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
@@ -163,11 +161,10 @@ class TestBootstrap:
         mesh = build_mesh(p, *counts)
         dt = 0.01
         ops = build_operators(mesh, p, dt, scheme)
-        m = scheme_matrices(mesh, p, dt, scheme)
         u0, psi = rng.standard_normal((2, mesh.n_max))
         u1 = bootstrap(u0, psi, ops)
-        rhs = to_dense(m.rhs_curr) @ u0 + 2.0 * dt * (to_dense(m.rhs_prev) @ psi)
-        expected = dense_solve_oracle(to_dense(m.boot_lhs), rhs)
+        rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * dt * (to_dense(ops.rhs_prev) @ psi)
+        expected = dense_solve_oracle(to_dense(ops.boot_lhs), rhs)
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -192,11 +189,10 @@ class TestSteps:
         p = Parameters(2.0, 1.0, 0.5, 1.0, 1.0, 2.0, 3.0, 10.0)
         mesh = build_mesh(p, *counts)
         ops = build_operators(mesh, p, 0.01, scheme)
-        m = scheme_matrices(mesh, p, 0.01, scheme)
         u_prev, u_curr = rng.standard_normal((2, mesh.n_max))
         u_next = next_layer(ops, u_prev, u_curr)
-        rhs = to_dense(m.rhs_curr) @ u_curr - to_dense(m.rhs_prev) @ u_prev
-        expected = dense_solve_oracle(to_dense(m.lhs), rhs)
+        rhs = to_dense(ops.rhs_curr) @ u_curr - to_dense(ops.rhs_prev) @ u_prev
+        expected = dense_solve_oracle(to_dense(ops.lhs), rhs)
         np.testing.assert_allclose(u_next, expected, rtol=1e-12, atol=1e-14)
 
     def test_undamped_explicit_step_conserves_energy(self, base_mesh):
@@ -363,8 +359,8 @@ class TestRun:
         result = run(p, mesh, default_initial_data(3.0), dt, n_steps, scheme=scheme,
                      snapshot_steps=range(n_steps + 1))
         u = np.array([s.values for s in result.snapshots])
-        m = scheme_matrices(mesh, p, dt, scheme)
-        lhs, r2, r1 = (to_dense(a) for a in (m.lhs, m.rhs_curr, m.rhs_prev))
+        ops = build_operators(mesh, p, dt, scheme)
+        lhs, r2, r1 = (to_dense(a) for a in (ops.lhs, ops.rhs_curr, ops.rhs_prev))
         residual = u[2:] @ lhs.T - u[1:-1] @ r2.T + u[:-2] @ r1.T
         size = np.abs(u[2:]) @ np.abs(lhs).T + np.abs(u[1:-1]) @ np.abs(r2).T
         size += np.abs(u[:-2]) @ np.abs(r1).T
@@ -399,5 +395,5 @@ class TestRun:
             raise MemoryError("Unable to allocate the factors")
 
         monkeypatch.setattr(linalg, "factor", no_memory)
-        with pytest.raises(ConfigError, match="cannot set up the explicit operators.*allocate"):
+        with pytest.raises(ConfigError, match="cannot set up the explicit run.*allocate"):
             run(base_params, base_mesh, default_initial_data(3.0), DT, 10)
