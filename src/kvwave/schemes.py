@@ -291,16 +291,19 @@ def run(
     last_step = n_steps - 1  # last step with a defined energy
     try:
         # e.g. an entry that overflows, a pivot lost to rounding, initial
-        # data or an energy coefficient out of floating-point range, or too
-        # little memory
+        # data out of floating-point range, or too little memory
         ops = build_operators(mesh, params, dt, scheme)
         u0 = sample_cell_averages(initial.phi, mesh)
         psi = sample_cell_averages(initial.psi, mesh)
-        u1 = bootstrap(u0, psi, ops)
-        block = np.zeros((rows, mesh.n_max))
-        block[0], block[1] = u0, u1
-        log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
     except (ArithmeticError, ValueError, MemoryError) as err:
+        raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: {err}") from err
+    u1 = bootstrap(u0, psi, ops)
+    block = np.zeros((rows, mesh.n_max))
+    block[0], block[1] = u0, u1
+    try:
+        log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
+    except ArithmeticError as err:
+        # an energy coefficient out of floating-point range, e.g. delta / (4 dt h)
         raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: {err}") from err
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)

@@ -56,7 +56,7 @@ class TestBuildOperators:
         np.testing.assert_allclose(to_dense(m.lhs), mass + s * damping, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.rhs_curr),
-            2.0 * mass + to_dense(m.stiff),
+            2.0 * mass + DT**2 * to_dense(assemble_stiffness(base_mesh, m.ell)),
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_prev), mass - s * damping, rtol=1e-14)
@@ -75,7 +75,7 @@ class TestBuildOperators:
         np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * mass, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.boot_lhs),
-            2.0 * mass - to_dense(m.stiff),
+            2.0 * mass - DT**2 * to_dense(assemble_stiffness(base_mesh, m.ell)),
             rtol=1e-14,
         )
 
@@ -123,7 +123,8 @@ class TestBootstrap:
         u0, _ = sampled_initial(base_mesh)
         zero = np.zeros_like(u0)
         u1 = bootstrap(u0, zero, ops)
-        expected = u0 + 0.5 * (to_dense(ops.stiff) @ u0) / base_mesh.cell_widths
+        stiffness = to_dense(assemble_stiffness(base_mesh, ops.ell))
+        expected = u0 + 0.5 * DT**2 * (stiffness @ u0) / base_mesh.cell_widths
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-15)
 
     def test_explicit_first_layer_close_to_initial(self, base_mesh, base_params):
