@@ -398,3 +398,13 @@ class TestRun:
         monkeypatch.setattr(linalg, "factor", no_memory)
         with pytest.raises(ConfigError, match="cannot set up the explicit run.*allocate"):
             run(base_params, base_mesh, default_initial_data(3.0), DT, 10)
+
+    def test_step_fault_is_not_a_config_error(self, base_mesh, base_params, monkeypatch):
+        # only the program can make the kernel reject its arguments
+        def overlapping(*args):
+            raise ValueError("overlap")
+
+        monkeypatch.setattr(linalg, "step_block", overlapping)
+        with pytest.raises(ValueError, match="overlap") as raised:
+            run(base_params, base_mesh, default_initial_data(3.0), DT, 10)
+        assert not isinstance(raised.value, ConfigError)
