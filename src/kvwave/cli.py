@@ -310,17 +310,26 @@ def _fit_items(fits: dict, errors: dict[str, str]) -> list[tuple[str, object]]:
     return items
 
 
+def _set_up(cfg: RunConfig, what: str, keys: tuple[str, ...], build, *args):
+    """build(*args), or a ConfigError that names what it builds and the
+    configuration's values of keys, its inputs: e.g. a length whose square
+    overflows or underflows, or a mesh too large to allocate."""
+    try:
+        return build(*args)
+    except (ArithmeticError, ValueError, MemoryError) as err:
+        inputs = ", ".join(f"{key} = {getattr(cfg, key)}" for key in keys
+                           if getattr(cfg, key) is not None)
+        raise ConfigError(f"cannot set up the run: the {what} for {inputs}: {err}") from err
+
+
 def execute(cfg: RunConfig) -> RunResult:
     """Run a validated configuration end to end (no file output)."""
     params = _parameters(cfg)
-    try:
-        mesh = build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
-        dt, n_steps = resolve_time_step(cfg, params, mesh)
-        initial = default_initial_data(params.length)
-    except (ArithmeticError, ValueError, MemoryError) as err:
-        # e.g. a length whose square overflows or underflows, or a mesh too
-        # large to allocate
-        raise ConfigError(f"cannot set up the run: {err}") from err
+    mesh = _set_up(cfg, "mesh", ("n_alpha", "n_damp", "n_beta"), build_mesh, params,
+                   cfg.n_alpha, cfg.n_damp, cfg.n_beta)
+    dt, n_steps = _set_up(cfg, "time step", ("t_final", "dt", "cfl_fraction"), resolve_time_step,
+                          cfg, params, mesh)
+    initial = _set_up(cfg, "initial data", ("length",), default_initial_data, params.length)
     admissibility = validate_run(params, mesh, dt, cfg.scheme)
     if cfg.scheme == "explicit" and not admissibility.stable and not cfg.cfl_override:
         raise ConfigError(

@@ -51,11 +51,8 @@ class DecayFit:
     slope; for the polynomial model, against ln t.
     """
 
-    model: str
     rate: float
     intercept: float
-    t_lo: float
-    t_hi: float
     residual: float
     n_samples: int
 
@@ -98,19 +95,20 @@ def layer_energies(
         raise ValueError("need a block of at least two consecutive layers")
     if variant not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme variant {variant!r}")
-    m, n = layers.shape
-    if mesh.cell_widths.shape != (n,) or ell.ell.shape != (n + 1,):
-        raise ValueError(f"layers of {n} cells do not match the mesh and its flux coefficients")
+    m, n = len(layers), mesh.n_max
     faces = mesh.damping_interior_faces
     if not 1 <= faces.start <= faces.stop <= n:
         raise ValueError("the damped zone's interior faces must lie inside the mesh")
-    if selected is not None and (selected.dtype != np.bool_ or selected.shape != (m - 2,)):
-        raise ValueError(f"selected must be a boolean vector of length {m - 2}")
+    # the kernel reads the selection's flags as bytes, so a strided one is copied
+    selected = None if selected is None else np.ascontiguousarray(selected)
     out = np.empty((5, m))
-    linalg._call(linalg._kernel.kv_energies, m, n, layers,
-                 None if selected is None else selected.tobytes(), mesh.cell_widths, ell.ell,
-                 dt, variant == "implicit", faces.start, faces.stop,
-                 params.delta / (4.0 * dt * mesh.h), out)
+    linalg._kernel.kv_energies(
+        m, n, linalg._address(f"layers of {n} cells", layers, (m, n)),
+        linalg._address("selected", selected, (m - 2,), np.bool_),
+        linalg._address("the mesh's cell widths", mesh.cell_widths, (n,)),
+        linalg._address("the flux coefficients", ell.ell, (n + 1,)), dt, variant == "implicit",
+        faces.start, faces.stop, params.delta / (4.0 * dt * mesh.h),
+        linalg._address("out", out, out.shape, written=True))
     e_k, e_p, e_total, dissipation, residual = out
     return e_k[:-1], e_p[:-1], e_total[:-1], dissipation[:-2], residual[:-2]
 
@@ -151,13 +149,11 @@ def fit_exponential(t: np.ndarray, e: np.ndarray, window: tuple[float, float]) -
     """
     t, e = _window_samples(t, e, window, "exponential")
     rate, intercept, residual = _least_squares_line(t, -np.log(e))
-    return DecayFit("exponential", rate, intercept, float(window[0]), float(window[1]),
-                    residual, len(t))
+    return DecayFit(rate, intercept, residual, len(t))
 
 
 def fit_polynomial(t: np.ndarray, e: np.ndarray, window: tuple[float, float]) -> DecayFit:
     """Slope of -ln E against ln t over the window (decay rate of t^{-rate})."""
     t, e = _window_samples(t, e, window, "polynomial")
     rate, intercept, residual = _least_squares_line(np.log(t), -np.log(e))
-    return DecayFit("polynomial", rate, intercept, float(window[0]), float(window[1]),
-                    residual, len(t))
+    return DecayFit(rate, intercept, residual, len(t))

@@ -18,18 +18,20 @@ memory.  step_block forms a step's band products and solves with the
 factors, a whole block of steps per call; the bootstrap is one such step.
 
 The arithmetic runs in kernel.c, which is compiled on first import into the
-package's __pycache__ and loaded with ctypes.  It computes what LAPACK
-pttrf/pttrs and BLAS gbmv compute, with every multiply-add of the band
-products an explicit correctly rounded fma(), so its results are the same
-bits on every machine.  Where the factor's off-diagonal is zero, as it is
-outside the damped zone in the explicit scheme, the solve's sweeps leave
-the cells uncoupled, and the kernel takes runs of them in vectorized passes
-with the same operations on each cell.  Its energy entry point,
-kv_energies, is bound by diagnostics.layer_energies and adds each sum's
-terms in eight lanes in a fixed order.  Its
-CSV entry point, kv_format_csv, is bound by format_csv: it writes each
-double as '%.17g' % x does, with integer arithmetic only, so the text
-depends on neither the locale nor the C library.
+package's __pycache__ and loaded with ctypes.  Each array reaches it as a
+bare address from _address, the one check at this boundary: the array's
+exact shape, dtype and C order, and that it is writeable where the kernel
+writes.  The kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute,
+with every multiply-add of the band products an explicit correctly rounded
+fma(), so its results are the same bits on every machine.  Where the
+factor's off-diagonal is zero, as it is outside the damped zone in the
+explicit scheme, the solve's sweeps leave the cells uncoupled, and the
+kernel takes runs of them in vectorized passes with the same operations on
+each cell.  Its energy entry point, kv_energies, is bound by
+diagnostics.layer_energies and adds each sum's terms in eight lanes in a
+fixed order.  Its CSV entry point, kv_format_csv, is bound by format_csv:
+it writes each double as '%.17g' % x does, with integer arithmetic only, so
+the text depends on neither the locale nor the C library.
 """
 
 from __future__ import annotations
@@ -107,23 +109,16 @@ def _load_kernel() -> ctypes.CDLL:
                 with contextlib.suppress(OSError):
                     stale.unlink()
     kernel = ctypes.CDLL(str(lib))
-    size = ctypes.c_ssize_t
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    out = np.ctypeslib.ndpointer(np.float64, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    table = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    block = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    kernel.kv_factor.argtypes = [size, out, out]
+    size, address = ctypes.c_ssize_t, ctypes.c_void_p
+    kernel.kv_factor.argtypes = [size, address, address]
     kernel.kv_factor.restype = size
-    kernel.kv_step_block.argtypes = [size, size, size, block, *[vector] * 6, out, out]
+    kernel.kv_step_block.argtypes = [size, size, size, *[address] * 9]
     kernel.kv_step_block.restype = ctypes.c_int
-    # the selection's flags, as bytes, or NULL: layer_energies checks them
-    kernel.kv_energies.argtypes = [size, size, table, ctypes.c_char_p, vector, vector,
+    kernel.kv_energies.argtypes = [size, size, address, address, address, address,
                                    ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
-                                   block]
+                                   address]
     kernel.kv_energies.restype = None
-    text = np.ctypeslib.ndpointer(np.uint8, ndim=1, flags=("C_CONTIGUOUS", "WRITEABLE"))
-    # first may be NULL, which ndpointer does not pass: format_csv checks it
-    kernel.kv_format_csv.argtypes = [size, size, table, ctypes.c_void_p, text]
+    kernel.kv_format_csv.argtypes = [size, size, address, address, address]
     kernel.kv_format_csv.restype = size
     return kernel
 
@@ -131,13 +126,21 @@ def _load_kernel() -> ctypes.CDLL:
 _kernel = _load_kernel()
 
 
-def _call(function, *args) -> object:
-    """A kernel call whose arrays ctypes rejected raises ValueError."""
-    try:
-        return function(*args)
-    except ctypes.ArgumentError as err:
-        raise ValueError(f"kernel arrays must be contiguous float64 arrays, writeable where "
-                         f"written: {err}") from None
+def _address(name: str, a: np.ndarray | None, shape: tuple[int, ...], dtype=np.float64,
+             written: bool = False) -> int | None:
+    """The address a kernel call passes for the array a, or None (NULL) for
+    no array.  Raises ValueError, naming the argument, unless a has exactly
+    this shape and dtype, is C-contiguous and, if the kernel writes it,
+    writeable.  ctypes keeps no reference to a, so the caller holds one by
+    a name bound before the call: an array built in the call's arguments
+    could be freed before the kernel reads it."""
+    if a is None:
+        return None
+    if (a.shape != shape or a.dtype != dtype or not a.flags.c_contiguous
+            or written and not a.flags.writeable):
+        raise ValueError(f"{name} must be a {'writeable ' if written else ''}C-contiguous "
+                         f"{np.dtype(dtype)} array with dimension lengths {shape}")
+    return a.ctypes.data
 
 
 class SingularMatrixError(ValueError):
@@ -241,7 +244,8 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     if m.dim < 3:
         raise ValueError("factorization needs a matrix of dimension 3 or more")
     d, e = np.array(m.diag, dtype=float), np.array(m.off, dtype=float)
-    info = _kernel.kv_factor(m.dim, d, e)
+    info = _kernel.kv_factor(m.dim, _address("d", d, (m.dim,), written=True),
+                             _address("e", e, (m.dim - 1,), written=True))
     if info:
         raise SingularMatrixError(f"matrix not positive definite: pivot {info} is not positive")
     d.setflags(write=False)
@@ -271,11 +275,14 @@ def step_block(
     n = block.shape[1]
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
-    if (stiff.dim != n or rhs_prev.dim != n
-            or any(v.shape != (n,) for v in (f.d, d_prev, d_next))):
-        raise ValueError(f"matrices must be of dimension {n} and vectors of length {n}")
-    if _call(_kernel.kv_step_block, n, int(start), int(stop), block, stiff.diag, stiff.off,
-             rhs_prev.diag, rhs_prev.off, f.d, f.e, d_prev, d_next):
+    if _kernel.kv_step_block(
+            n, int(start), int(stop), _address("block", block, block.shape, written=True),
+            _address("stiff.diag", stiff.diag, (n,)), _address("stiff.off", stiff.off, (n - 1,)),
+            _address("rhs_prev.diag", rhs_prev.diag, (n,)),
+            _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
+            _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
+            _address("d_prev", d_prev, (n,), written=True),
+            _address("d_next", d_next, (n,), written=True)):
         raise ValueError("the rows a step reads and writes and the increments must not overlap "
                          "each other or any other argument")
     return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)
@@ -293,10 +300,8 @@ def format_csv(table: np.ndarray, first: np.ndarray | None = None) -> bytes:
     if table.ndim != 2 or table.shape[1] < 1:
         raise ValueError("the table must be two-dimensional with one column or more")
     rows, cols = table.shape
-    if first is not None and (first.dtype != np.int64 or first.shape != (rows,)
-                              or not first.flags.c_contiguous):
-        raise ValueError(f"first must be a contiguous int64 vector of length {rows}")
     out = np.empty(rows * (cols + (first is not None)) * _CSV_FIELD_BYTES, np.uint8)
-    size = _call(_kernel.kv_format_csv, rows, cols, table,
-                 None if first is None else first.ctypes.data, out)
-    return out[:size].tobytes()
+    size = _kernel.kv_format_csv(rows, cols, _address("table", table, table.shape),
+                                 _address("first", first, (rows,), np.int64),
+                                 _address("out", out, out.shape, np.uint8, written=True))
+    return bytes(out[:size])

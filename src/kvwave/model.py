@@ -65,8 +65,6 @@ class Admissibility:
     the explicit bound.
     """
 
-    scheme: str
-    dt: float
     dt_bound: float
     stable: bool
     accuracy_warning: bool = False
@@ -133,11 +131,5 @@ def validate_run(params: Parameters, mesh: Mesh, dt: float, scheme: str) -> Admi
         raise ValueError("dt must be > 0")
     bound = cfl_max_dt(params, mesh)
     if scheme == "explicit":
-        return Admissibility(scheme=scheme, dt=dt, dt_bound=bound, stable=dt <= bound)
-    return Admissibility(
-        scheme=scheme,
-        dt=dt,
-        dt_bound=bound,
-        stable=True,
-        accuracy_warning=dt > bound,
-    )
+        return Admissibility(dt_bound=bound, stable=dt <= bound)
+    return Admissibility(dt_bound=bound, stable=True, accuracy_warning=dt > bound)

@@ -169,7 +169,6 @@ def _rows_within(rows: np.ndarray, limit: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Snapshot:
     step: int
-    t: float
     values: np.ndarray
 
 
@@ -181,9 +180,6 @@ class SimulationResult:
     when verify_identity is on, otherwise the recorded ones.
     """
 
-    scheme: str
-    dt: float
-    n_steps: int
     steps_completed: int
     diverged: bool
     divergence_step: int | None
@@ -308,7 +304,7 @@ def run(
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = sorted({int(s) for s in snapshot_steps})
-    snapshots = [Snapshot(s, s * dt, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
+    snapshots = [Snapshot(s, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
     first = 0  # layer index of block[0]
     divergence_step: int | None = None
     d_prev, d_next = u1 - u0, np.empty_like(u0)  # increments, swapped every step
@@ -323,7 +319,7 @@ def run(
         if not within.all():
             filled = 2 + int(within.argmin())
             divergence_step = first + filled
-        snapshots.extend(Snapshot(s, s * dt, block[s - first].copy())
+        snapshots.extend(Snapshot(s, block[s - first].copy())
                          for s in snap_steps if first + 2 <= s < first + filled)
         if filled > 2:
             log.record(block[:filled], first)
@@ -334,9 +330,6 @@ def run(
     diverged = divergence_step is not None
 
     return SimulationResult(
-        scheme=scheme,
-        dt=dt,
-        n_steps=n_steps,
         steps_completed=divergence_step - 1 if diverged else n_steps,
         diverged=diverged,
         divergence_step=divergence_step,

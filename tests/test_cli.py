@@ -497,7 +497,7 @@ class TestMain:
         ("preset = case1\nt_final = inf\n", "values must be finite: t_final"),
         ("preset = equal-damped\nlength = inf\n", "values must be finite: length"),
         ("preset = equal-damped\nlength = 1e300\nbeta = 1e299\n",  # length**2 overflows
-         "cannot set up the run"),
+         "cannot set up the run: the initial data for length = 1e+300: "),
         ("preset = equal-damped\ndelta = inf\n", "values must be finite: delta"),
         ("preset = equal-damped\ndelta = 1e308\n",  # L loses positive definiteness to rounding
          "matrix not positive definite"),
@@ -506,9 +506,9 @@ class TestMain:
         ("preset = equal-damped\nscheme = implicit\ndt = inf\n", "values must be finite: dt"),
         ("preset = equal-damped\nn_damp = 1\n", "n_damp must be >= 2"),
         ("preset = case1\nt_final = 1e300\ncfl_fraction = 1e-300\n",  # the step count overflows
-         "cannot set up the run"),
+         "cannot set up the run: the time step for t_final = 1e+300, cfl_fraction = 1e-300: "),
         ("preset = equal-damped\nlength = 1e-170\nalpha = 1e-171\nbeta = 2e-171\n",
-         "cannot set up the run"),  # length**2 underflows to 0
+         "cannot set up the run: the initial data for length = 1e-170: "),  # length**2 underflows
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\nc1_sq = 1e300\n"
          "c2_sq = 1e-170\nc3_sq = 1e-170\nscheme = implicit\ndt = 1e-8\nn_steps = 50\n"
          "t_final = 1e-8\n",  # the interface coefficient's denominator underflows to 0

@@ -421,6 +421,13 @@ class TestKernelBits:
             for matrices in ((m, stiff), (stiff, m)):
                 with pytest.raises(ValueError, match=reason):
                     step_block(block, 1, 4, *matrices, f, d_prev, d_next)
+        # a read-only view of an array the kernel writes
+        for i in range(3):
+            written = [block, d_prev, d_next]
+            written[i] = written[i].view()
+            written[i].setflags(write=False)
+            with pytest.raises(ValueError, match="writeable"):
+                step_block(written[0], 1, 4, stiff, stiff, f, *written[1:])
         assert block.tobytes() == saved.tobytes()
         assert (d_prev == 1.0).all() and not d_next.any()
 
@@ -698,6 +705,12 @@ class TestFormatCsv:
                     np.zeros((3, 4))[:, ::2]):
             with pytest.raises(ValueError, match="contiguous float64"):
                 format_csv(bad)
+        # the kernel only reads the table and the leading column
+        table, first = np.arange(6.0).reshape(3, 2), np.arange(3, dtype=np.int64)
+        expected = format_csv(table, first)
+        table.setflags(write=False)
+        first.setflags(write=False)
+        assert format_csv(table, first) == expected == b"0,0,1\n1,2,3\n2,4,5\n"
 
 
 class TestAgainstLapack:

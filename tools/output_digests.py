@@ -5,17 +5,18 @@
 
 The runs are every preset with both schemes, each with and without
 --verify-identity; an undamped explicit run at 1.05 times the stability
-bound, which diverges, in both modes; a verified run on a 2000/1000/2000
-mesh (5000 cells, 300 steps); and, in both modes, the benchmark's 16
-``sweep`` configurations and its ``dense-trace`` configuration, taken from
-``perfbench/workloads``, with that configuration once more under the
-explicit scheme (it records every step, ``observe_every = 1``, and is
-implicit in the benchmark).  Each goes through ``cli.execute`` and
-``cli.write_outputs``.  The JSON maps each run's name to the sha256 of every
-file it wrote, hashed as the benchmark hashes them
-(``perfbench/workloads.output_digests``: summary.txt without its wall-clock
-line), and of what ``kvwave fit`` prints for its energy.csv over two
-windows: the fit window of its summary, and one where both fits fail.
+bound, which diverges, in both modes, on the presets' mesh and on a
+2000/1000/2000 mesh (5000 cells), where the divergence falls in a later
+block than the first; a verified run on that mesh (300 steps); and, in
+both modes, the benchmark's 16 ``sweep`` configurations and its
+``dense-trace`` configuration, taken from ``perfbench/workloads``, with
+that configuration once more under the explicit scheme (it records every
+step, ``observe_every = 1``, and is implicit in the benchmark).  Each goes
+through ``cli.execute`` and ``cli.write_outputs``.  The JSON maps each
+run's name to the sha256 of every file it wrote, hashed as the benchmark
+hashes them (``perfbench/workloads.output_digests``: summary.txt without its
+wall-clock line), and of what ``kvwave fit`` prints for its energy.csv over
+two windows: the fit window of its summary, and one where both fits fail.
 
 The JSON also holds, under ``_environment``, the ``OPENBLAS_CORETYPE``
 setting and the CPU model name.  The step no longer depends on either: it
@@ -68,10 +69,12 @@ def configs(kvwave, steps: int | None) -> dict[str, object]:
         for scheme in ("explicit", "implicit"):
             _both_modes(runs, f"{name}-{scheme}", replace(cli.preset(name), scheme=scheme))
     undamped = cli.preset("equal-undamped")
-    params, mesh = _problem(kvwave, undamped)
-    _both_modes(runs, "diverging-explicit", replace(
-        undamped, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=5000, cfl_override=True,
-    ))
+    for name, cfg in (("diverging-explicit", undamped), ("mesh5000-diverging-explicit", replace(
+            undamped, n_alpha=2000, n_damp=1000, n_beta=2000))):
+        params, mesh = _problem(kvwave, cfg)
+        _both_modes(runs, name, replace(
+            cfg, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=5000, cfl_override=True,
+        ))
     runs["mesh5000-explicit-verified"] = replace(
         cli.preset("equal-damped"), n_alpha=2000, n_damp=1000, n_beta=2000,
         dt=None, n_steps=None, cfl_fraction=0.9, t_final=300 * 0.9 * 0.5 / 1000,
