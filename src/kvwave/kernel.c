@@ -1,6 +1,7 @@
 /* Kernels of kvwave: the tridiagonal L D L^T factor, a whole block of
-   summed-form steps, the energies and identity residuals of a block of
-   layers, and the CSV text of a table.
+   summed-form steps, each row checked against a divergence limit, the
+   energies and identity residuals of a block of layers, and the CSV text
+   of a table.
 
    Built with -ffp-contract=off, so every fused multiply-add is an explicit
    fma() and every other operation rounds on its own.  fma() is correctly
@@ -140,13 +141,29 @@ static int overlap(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb)
     return x < y + (uintptr_t)nb * sizeof *b && y < x + (uintptr_t)na * sizeof *a;
 }
 
+/* Whether fabs(x[j]) <= limit, false for a NaN, for the n doubles at x.
+   Whole chunks of LANES vectorize, with an int count. */
+static int row_within(ptrdiff_t n, const double *x, double limit)
+{
+    int within = 1;
+    ptrdiff_t j = 0;
+    for (; within && j + LANES <= n; j += LANES)
+        for (int i = 0; i < LANES; i++)
+            within &= fabs(x[j + i]) <= limit;
+    for (; within && j < n; j++)
+        within = fabs(x[j]) <= limit;
+    return within;
+}
+
 /* Rows start .. stop-1 of a row-major block of n-vectors, n >= 3, 1 <=
    start <= stop: row i becomes row i-1 plus d, where L d = stiff row[i-1]
-   + rhs_prev d_prev is solved with L's factors (d, e), in d_next; stiff is
-   (sd, so) and rhs_prev (rd, ro).  The
-   increments swap every step, so after an odd number of steps the last
-   one is in d_prev.  Returns 0, or -1 without a step when the rows start-1
-   .. stop-1 or an increment, which the step writes, overlap another array.
+   + rhs_prev d_prev is solved with L's factors (d, e); stiff is (sd, so)
+   and rhs_prev (rd, ro).  incr is 2 x n: d_prev into row start-1, then
+   scratch; the two rows take turns as d_prev and d, and the first holds
+   the increment into the last row written on return.  Each row is checked
+   by row_within once written; returns the first that fails, after which
+   no row is stepped, else stop.  Returns -1 without a step when the rows
+   start-1 .. stop-1 or incr, which the step writes, overlap another array.
 
    Each step gives the bits of serial_cells(0, n-1): band_row's rows and
    dptts2's sweeps in dptts2's order.  A cell is free when e = +-0 on both
@@ -158,14 +175,14 @@ static int overlap(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb)
    product with e = +-0 they share.  A step in which a chunk comes out
    unsafe, or serial_cells passes a value that is not finite to a chunk, is
    redone as serial_cells(0, n-1). */
-int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
-                  const double *sd, const double *so, const double *rd, const double *ro,
-                  const double *d, const double *e, double *d_prev, double *d_next)
+ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double limit,
+                        double *block, const double *sd, const double *so, const double *rd,
+                        const double *ro, const double *d, const double *e, double *incr)
 {
-    const double *arrays[9] = {block + (start - 1) * n, d_prev, d_next, sd, so, rd, ro, d, e};
-    ptrdiff_t sizes[9] = {(stop - start + 1) * n, n, n, n, n - 1, n, n - 1, n, n - 1};
-    for (int a = 0; a < 3; a++)
-        for (int b = a + 1; b < 9; b++)
+    const double *arrays[8] = {block + (start - 1) * n, incr, sd, so, rd, ro, d, e};
+    ptrdiff_t sizes[8] = {(stop - start + 1) * n, 2 * n, n, n - 1, n, n - 1, n, n - 1};
+    for (int a = 0; a < 2; a++)
+        for (int b = a + 1; b < 8; b++)
             if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
                 return -1;
     /* found once: the chunks, runs of whole chunks of free cells, cells
@@ -187,7 +204,9 @@ int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
     }
     if (edge)
         edge[0] = 0, edge[2 * runs + 1] = n;
-    for (ptrdiff_t i = start; i < stop; i++) {
+    double *d_prev = incr, *d_next = incr + n;
+    ptrdiff_t i = start;
+    for (; i < stop; i++) {
         const double *u = block + (i - 1) * n;
         double *out = block + i * n;
         int bad = 0;
@@ -203,9 +222,13 @@ int kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double *block,
         double *swap = d_prev;
         d_prev = d_next;
         d_next = swap;
+        if (!row_within(n, out, limit))
+            break;
     }
+    if (d_prev != incr)
+        memcpy(incr, d_prev, (size_t)n * sizeof *incr);
     free(edge);
-    return 0;
+    return i;
 }
 
 /* Every sum of the energies runs in SUM_LANES lanes: term i goes to lane i

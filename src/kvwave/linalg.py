@@ -15,7 +15,8 @@ as L D L^T without pivoting; any other matrix is rejected.  Products with
 the right-hand matrices read the diagonal and off-diagonal that every
 TriDiagMatrix holds, so a step costs O(n) time and the operators O(n)
 memory.  step_block forms a step's band products and solves with the
-factors, a whole block of steps per call; the bootstrap is one such step.
+factors, a whole block of steps per call, and checks each row it writes
+against a divergence limit; the bootstrap is one such step.
 
 The arithmetic runs in kernel.c, which is compiled on first import into the
 package's __pycache__ and loaded with ctypes.  Each array reaches it as a
@@ -112,8 +113,8 @@ def _load_kernel() -> ctypes.CDLL:
     size, address = ctypes.c_ssize_t, ctypes.c_void_p
     kernel.kv_factor.argtypes = [size, address, address]
     kernel.kv_factor.restype = size
-    kernel.kv_step_block.argtypes = [size, size, size, *[address] * 9]
-    kernel.kv_step_block.restype = ctypes.c_int
+    kernel.kv_step_block.argtypes = [size, size, size, ctypes.c_double, *[address] * 8]
+    kernel.kv_step_block.restype = size
     kernel.kv_energies.argtypes = [size, size, address, address, address, address,
                                    ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
                                    address]
@@ -255,18 +256,21 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
 
 def step_block(
     block: np.ndarray, start: int, stop: int, stiff: TriDiagMatrix, rhs_prev: TriDiagMatrix,
-    f: LDLFactorization, d_prev: np.ndarray, d_next: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Summed-form steps into rows start .. stop-1 of a block of layers.
+    f: LDLFactorization, incr: np.ndarray, limit: float,
+) -> int:
+    """Summed-form steps into rows start .. stop-1 of a block of layers,
+    up to the first row past limit.
 
     Each row i gets block[i-1] + d, where L d = stiff block[i-1] + rhs_prev
-    d_prev is solved with L's factors f.  d_prev is the increment into row
-    i-1, d goes into d_next, whose previous contents are never read, and
-    the two vectors then swap.  Returns (d_prev, d_next) as the next call
-    takes them.  The kernel reads the matrices' diagonals and
-    off-diagonals as they are, so they must be contiguous float64 arrays.
-    The block's rows start-1 .. stop-1 and the increments, all of which
-    the kernel writes or reads, must not overlap each other or any other
+    d_prev is solved with L's factors f and d_prev is the increment into
+    row i-1.  incr is a (2, n) array: incr[0] holds the increment into row
+    start-1 and, after the call, the one into the last row written; incr[1]
+    is scratch, never read.  The kernel checks each row as it writes it and
+    returns the first row with a value x that fails abs(x) <= limit, a NaN
+    among them, stepping no row after it; else it returns stop.  It reads
+    the matrices' diagonals and off-diagonals as they are, so they must be
+    contiguous float64 arrays.  The block's rows start-1 .. stop-1 and
+    incr, which the kernel writes, must not overlap each other or any other
     argument: the kernel compares their bounds before it steps, and an
     overlap raises ValueError.  It takes matrices of three rows or more.
     """
@@ -275,17 +279,17 @@ def step_block(
     n = block.shape[1]
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
-    if _kernel.kv_step_block(
-            n, int(start), int(stop), _address("block", block, block.shape, written=True),
-            _address("stiff.diag", stiff.diag, (n,)), _address("stiff.off", stiff.off, (n - 1,)),
-            _address("rhs_prev.diag", rhs_prev.diag, (n,)),
-            _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
-            _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
-            _address("d_prev", d_prev, (n,), written=True),
-            _address("d_next", d_next, (n,), written=True)):
+    row = _kernel.kv_step_block(
+        n, int(start), int(stop), limit, _address("block", block, block.shape, written=True),
+        _address("stiff.diag", stiff.diag, (n,)), _address("stiff.off", stiff.off, (n - 1,)),
+        _address("rhs_prev.diag", rhs_prev.diag, (n,)),
+        _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
+        _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
+        _address("incr", incr, (2, n), written=True))
+    if row < 0:
         raise ValueError("the rows a step reads and writes and the increments must not overlap "
                          "each other or any other argument")
-    return (d_next, d_prev) if (stop - start) % 2 else (d_prev, d_next)
+    return row
 
 
 # The widest field format_csv writes, as in -1.2345678901234567e-308 (an

@@ -23,9 +23,11 @@ The increment is never formed as a difference of two rounded layers, which
 keeps the per-step energy identity at round-off whatever the cell count.  L
 is positive definite, so it is factored once per run as L D L^T.
 build_operators returns the scheme's matrices, each a linalg.TriDiagMatrix,
-with the factors in one SchemeOperators, and a whole block of steps runs in
-one call of linalg's compiled kernel, which reads those matrices as they
-are and whose bits do not depend on the machine.
+with the factors in one SchemeOperators.  A whole block of steps runs in
+one linalg.step_block call of the compiled kernel, which reads those
+matrices as they are, carries the increment in one (2, n) array and checks
+each layer for divergence as it writes it; its bits do not depend on the
+machine.
 """
 
 from __future__ import annotations
@@ -87,20 +89,6 @@ class SchemeOperators:
     lhs_factor: linalg.LDLFactorization
     boot_factor: linalg.LDLFactorization
 
-    def step_block(
-        self, block: np.ndarray, start: int, stop: int, d_prev: np.ndarray, d_next: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Step rows start .. stop-1 of a block of layers in summed form.
-
-        Each row i gets block[i-1] + d, where L d = dt^2 S block[i-1] + R1 d_prev
-        is solved in d_next; d_prev is the increment into row i-1, and the
-        two vectors then swap.  Returns (d_prev, d_next) as the next call
-        takes them.  The increments must not overlap each other or the block.
-        The whole block runs in one call of the compiled kernel.
-        """
-        return linalg.step_block(block, start, stop, self.stiff, self.rhs_prev,
-                                 self.lhs_factor, d_prev, d_next)
-
 
 def build_operators(
     mesh: Mesh, params: Parameters, dt: float, scheme: str
@@ -151,19 +139,15 @@ def bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarr
     """First layer of either scheme: solves boot_lhs u1 = R2 u0 + R1 (2 dt psi).
 
     That is one block step from u0 with the bootstrap's factors, R2 in place
-    of dt^2 S and 2 dt psi as the previous increment: its increment is u1.
-    The row the step writes, u0 + u1, is scratch and discarded.
+    of dt^2 S and 2 dt psi as the previous increment, in row 0 of the
+    increments, where the step leaves its own increment, u1.  The row the
+    step writes, u0 + u1, is scratch and discarded, and so is its check
+    against an infinite limit.
     """
-    u1, _ = linalg.step_block(np.stack((u0, u0)), 1, 2, ops.rhs_curr, ops.rhs_prev,
-                              ops.boot_factor, 2.0 * ops.dt * psi, np.empty_like(u0))
-    return u1
-
-
-def _rows_within(rows: np.ndarray, limit: float) -> np.ndarray:
-    """Whether the sup norm of each row is at most limit; False for a row
-    holding NaN.  The verdict of np.abs(rows).max(axis=1) <= limit, without
-    a copy of the rows."""
-    return (rows.max(axis=1) <= limit) & (rows.min(axis=1) >= -limit)
+    incr = np.stack((2.0 * ops.dt * psi, psi))  # row 1 is scratch
+    linalg.step_block(np.stack((u0, u0)), 1, 2, ops.rhs_curr, ops.rhs_prev, ops.boot_factor,
+                      incr, math.inf)
+    return incr[0]
 
 
 @dataclass(frozen=True)
@@ -265,18 +249,18 @@ def run(
     """Run the chosen scheme for n_steps steps from the given initial data.
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
-    recurrence steps).  One step_block call per block of layers steps its
-    rows, keeping the increment in one of two vectors and writing each
-    layer straight into its row; then the run checks the new layers for
-    divergence, copies out snapshots and evaluates energies.  Energies
-    are recorded every observe_every steps plus the final step; with
-    verify_identity the energy identity is evaluated at every step and only
-    its extremes are kept, otherwise at the recorded steps only.  Either way
-    the recorded rows are the same bits.  A layer whose sup norm exceeds
-    SUP_GROWTH_LIMIT times the initial one ends the run, which then reports
-    exactly what a run stopped just before that layer would: the layers
-    stepped past it in its block are discarded.  Operators, initial layers
-    or energies that cannot be formed raise ConfigError before the first
+    recurrence steps).  One linalg.step_block call per block of layers
+    steps its rows, writing each layer straight into its row and checking
+    it for divergence as it is written; then the run copies out snapshots
+    and evaluates energies.  Energies are recorded every observe_every
+    steps plus the final step; with verify_identity the energy identity is
+    evaluated at every step and only its extremes are kept, otherwise at
+    the recorded steps only.  Either way the recorded rows are the same
+    bits.  A layer whose sup norm exceeds SUP_GROWTH_LIMIT times the
+    initial one, or that holds a NaN, ends the run: the kernel steps no
+    layer past it, and the run reports exactly what a run stopped just
+    before that layer would.  Operators, initial layers or first energies
+    that cannot be formed raise ConfigError, naming which, before the first
     step.
     """
     if n_steps < 1:
@@ -285,39 +269,42 @@ def run(
         raise ValueError("observe_every must be >= 1")
     rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
     last_step = n_steps - 1  # last step with a defined energy
-    try:
-        # e.g. an entry that overflows, a pivot lost to rounding, initial
-        # data out of floating-point range, or too little memory
-        ops = build_operators(mesh, params, dt, scheme)
-        u0 = sample_cell_averages(initial.phi, mesh)
-        psi = sample_cell_averages(initial.psi, mesh)
-    except (ArithmeticError, ValueError, MemoryError) as err:
-        raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: {err}") from err
+
+    def set_up(what, errors, build, *args):
+        """build(*args), or a ConfigError that names what it builds."""
+        try:
+            return build(*args)
+        except errors as err:
+            raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: "
+                              f"the {what}: {err}") from err
+
+    # e.g. an entry that overflows, a pivot lost to rounding, initial data
+    # out of floating-point range, or too little memory
+    errors = (ArithmeticError, ValueError, MemoryError)
+    ops = set_up("operators", errors, build_operators, mesh, params, dt, scheme)
+    u0, psi = (set_up("initial layers", errors, sample_cell_averages, f, mesh)
+               for f in (initial.phi, initial.psi))
     u1 = bootstrap(u0, psi, ops)
     block = np.zeros((rows, mesh.n_max))
     block[0], block[1] = u0, u1
-    try:
-        log = _EnergyLog(ops, observe_every, last_step, verify_identity, block)
-    except ArithmeticError as err:
-        # an energy coefficient out of floating-point range, e.g. delta / (4 dt h)
-        raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: {err}") from err
+    # an energy coefficient out of floating-point range, e.g. delta / (4 dt h)
+    log = set_up("first energies", ArithmeticError, _EnergyLog, ops, observe_every, last_step,
+                 verify_identity, block)
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = sorted({int(s) for s in snapshot_steps})
     snapshots = [Snapshot(s, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
     first = 0  # layer index of block[0]
     divergence_step: int | None = None
-    d_prev, d_next = u1 - u0, np.empty_like(u0)  # increments, swapped every step
+    incr = np.stack((u1 - u0, u0))  # the increment into block[1]; row 1 is scratch
     remaining = n_steps - 1
     while True:
         stop = min(rows, 2 + remaining)
-        d_prev, d_next = ops.step_block(block, 2, stop, d_prev, d_next)
+        # block[2:filled] are the new layers within the limit
+        filled = linalg.step_block(block, 2, stop, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr,
+                                   sup_limit)
         remaining -= stop - 2
-        # check, snapshot and record the new layers block[2:filled]
-        filled = stop
-        within = _rows_within(block[2:stop], sup_limit)
-        if not within.all():
-            filled = 2 + int(within.argmin())
+        if filled < stop:
             divergence_step = first + filled
         snapshots.extend(Snapshot(s, block[s - first].copy())
                          for s in snap_steps if first + 2 <= s < first + filled)

@@ -104,12 +104,15 @@ def band_products(a: TriDiagMatrix, x: np.ndarray, scale: float, b: TriDiagMatri
 def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve with the factors f in place, as every step solves: one
     linalg.step_block step with a zero stiffness and an identity R1, from
-    rhs as the previous increment into rhs as the next one.  rhs becomes
-    the solution; a -0.0 entry of it counts as +0.0."""
+    rhs as the previous increment, which leaves the next one, the solution,
+    in row 0 of the increments.  rhs becomes the solution; a -0.0 entry of
+    it counts as +0.0."""
     n = len(f.d)
     zero = TriDiagMatrix(n, np.zeros(n), np.zeros(n - 1))
     identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
-    step_block(np.zeros((2, n)), 1, 2, zero, identity, f, rhs.copy(), rhs)
+    incr = np.stack((rhs, rhs))
+    step_block(np.zeros((2, n)), 1, 2, zero, identity, f, incr, math.inf)
+    rhs[:] = incr[0]
     return rhs
 
 

@@ -512,10 +512,10 @@ class TestMain:
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\nc1_sq = 1e300\n"
          "c2_sq = 1e-170\nc3_sq = 1e-170\nscheme = implicit\ndt = 1e-8\nn_steps = 50\n"
          "t_final = 1e-8\n",  # the interface coefficient's denominator underflows to 0
-         "cannot set up the implicit run"),
+         "cannot set up the implicit run at dt = 1e-08: the operators: "),
         ("preset = equal-damped\nlength = 1e-100\nalpha = 3e-101\nbeta = 9e-101\n"
          "scheme = implicit\ndt = 1e-300\nn_steps = 5\n",  # 4 dt h underflows to 0
-         "cannot set up the implicit run"),
+         "cannot set up the implicit run at dt = 1e-300: the first energies: "),
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\n"
          "scheme = implicit\ndt = 1\nn_steps = 1\n",  # the arch's scale overflows
          "profile produced non-finite values"),

@@ -30,10 +30,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvwave import schemes
+from kvwave import linalg, schemes
 from kvwave.cli import main
 from kvwave.diagnostics import EnergyTrace
-from kvwave.linalg import LDLFactorization
+from kvwave.linalg import LDLFactorization, TriDiagMatrix
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import run
@@ -267,16 +267,17 @@ def assert_no_shared_memory(result) -> None:
 
 def stepwise_divergence(params, mesh, data, dt):
     """Divergence step and the two layers before it, each layer stepped by
-    its own step_block call and checked as it is stepped."""
+    its own step_block call, with no limit, and checked by np.abs as it is
+    stepped."""
     ops = schemes.build_operators(mesh, params, dt, "explicit")
     u0 = sample_cell_averages(data.phi, mesh)
     u1 = schemes.bootstrap(u0, sample_cell_averages(data.psi, mesh), ops)
     limit = schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
     block = np.stack([u0, u1, np.zeros_like(u0)])
-    d_prev, d_next = u1 - u0, np.empty_like(u0)
+    incr = np.stack((u1 - u0, u0))
     step = 2
     while True:
-        d_prev, d_next = ops.step_block(block, 2, 3, d_prev, d_next)
+        linalg.step_block(block, 2, 3, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, math.inf)
         if not np.abs(block[2]).max() <= limit:
             return step, block[0], block[1]
         block[:2] = block[1:].copy()
@@ -410,56 +411,70 @@ def test_block_rows_are_the_one_step_oracle_layers(
             expected = one_step_layers(ops, first, second, n_steps)
             block = np.empty((n_steps + 1, mesh.n_max))
             block[:2] = first, second
-            ops.step_block(block, 2, n_steps + 1, second - first, np.empty(mesh.n_max))
+            incr = np.stack((second - first, first))
+            assert linalg.step_block(block, 2, n_steps + 1, ops.stiff, ops.rhs_prev,
+                                     ops.lhs_factor, incr, math.inf) == n_steps + 1
             for step, layer in enumerate(expected):
                 assert block[step].tobytes() == layer.tobytes(), (scheme, step)
 
 
-def abs_max_within(rows, limit):
-    """The divergence check as np.abs(...).max(axis=1) <= limit."""
-    return np.abs(rows).max(axis=1) <= limit
+def kernel_within(layer, limit):
+    """The kernel's verdict on a layer: the step that writes it from a zero
+    row, with a zero stiffness, an identity R1 and identity factors and the
+    layer as the increment, is past the limit or not."""
+    n = len(layer)
+    zero, identity = (TriDiagMatrix(n, np.full(n, v), np.zeros(n - 1)) for v in (0.0, 1.0))
+    f = LDLFactorization(np.ones(n), np.zeros(n - 1))
+    scratch, incr = np.zeros((2, n)), np.stack((layer, layer))
+    return linalg.step_block(scratch, 1, 2, zero, identity, f, incr, limit) == 2
 
 
-def test_sup_check_matches_abs_max_on_extreme_rows():
-    limit = 2.0
-    rows = np.array([
-        [0.0, -0.0, 1.0], [-2.0, 2.0, 0.0], [-2.0000000000000004, 0.0, 0.0],
-        [0.0, 2.0000000000000004, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
-        [np.nan, 0.0, 0.0], [0.0, 0.0, np.nan], [-np.inf, np.nan, np.inf],
-    ])
-    np.testing.assert_array_equal(schemes._rows_within(rows, limit), abs_max_within(rows, limit))
-    assert schemes._rows_within(rows, limit).tolist() == [True, True] + [False] * 7
-
-
-def run_poisoned(layer, value, check, rows, *args, **kwargs):
-    """A run whose layer `layer` gets `value` in cell 3 as it is stepped,
-    checked for divergence by `check`, in blocks of `rows` layers."""
-    step_block, within = schemes.SchemeOperators.step_block, schemes._rows_within
+def run_poisoned(layer, value, judge, rows, *args, **kwargs):
+    """A run in blocks of `rows` layers whose layer `layer` gets `value` in
+    cell 3 as it is stepped.  judge = "kernel": the kernel checks every
+    layer, the poisoned one by kernel_within, before any layer after it is
+    stepped.  judge = "abs max": nothing is checked as it is stepped, and
+    each call returns the first of its layers that np.abs(...).max() <=
+    limit rejects, having stepped the layers after it, which the run
+    discards."""
+    step_block = linalg.step_block
     stepped = [0]  # layers stepped by earlier calls; the first call starts at layer 2
 
-    def poisoned(ops, block, start, stop, d_prev, d_next):
+    def poisoned(block, start, stop, stiff, rhs_prev, f, incr, limit):
+        if limit == math.inf:  # the bootstrap's step
+            return step_block(block, start, stop, stiff, rhs_prev, f, incr, limit)
         row = start + layer - 2 - stepped[0]  # the row of `layer`, if this call steps it
         stepped[0] += stop - start
+        by_kernel = judge == "kernel"
+        step_limit = limit if by_kernel else math.inf
         if start <= row < stop:
-            # step up to the layer, poison it, and step the rest from it
-            d_prev, d_next = step_block(ops, block, start, row + 1, d_prev, d_next)
+            # step up to and through the layer, poison it, and step the rest from it
+            end = step_block(block, start, row + 1, stiff, rhs_prev, f, incr, step_limit)
+            if end <= row:
+                return end
             block[row, 3] = value
+            if by_kernel and not kernel_within(block[row], limit):
+                return row
             start = row + 1
-        return step_block(ops, block, start, stop, d_prev, d_next)
+        end = step_block(block, start, stop, stiff, rhs_prev, f, incr, step_limit)
+        if by_kernel:
+            return end
+        within = np.abs(block[2:stop]).max(axis=1) <= limit
+        return stop if within.all() else 2 + int(within.argmin())
 
-    schemes.SchemeOperators.step_block, schemes._rows_within = poisoned, check
+    linalg.step_block = poisoned
     try:
         return run_with_block_rows(rows, *args, **kwargs)
     finally:
-        schemes.SchemeOperators.step_block, schemes._rows_within = step_block, within
+        linalg.step_block = step_block
 
 
 def test_sup_check_stops_runs_where_abs_max_does():
     # A stable run with one entry of layer 20 set past -limit, to exactly
     # +-limit, or to +-inf or NaN.  Over blocks of 3-8 rows and runs ending
     # at, just after and long after that layer (the first two end in a
-    # partial block), the check stops the run where the abs-max check does,
-    # with the same trace, statistics, last layers and snapshots.
+    # partial block), the kernel's check stops the run where the abs-max
+    # check does, with the same trace, statistics, last layers and snapshots.
     params = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
     mesh = build_mesh(params, 20, 10, 20)
     data = default_initial_data(params.length)
@@ -468,25 +483,26 @@ def test_sup_check_stops_runs_where_abs_max_does():
     layer = 20
     values = (-1.5 * limit, -limit, limit, np.inf, -np.inf, np.nan)
     for value in values:
-        for verify in (False, True):
-            kwargs = dict(scheme="explicit", observe_every=3, verify_identity=verify,
-                          snapshot_steps=range(0, 60, 4))
-            for n_steps in (layer, layer + 1, 60):
-                for rows in range(3, 9):
-                    args = (params, mesh, data, dt, n_steps)
-                    result = run_poisoned(layer, value, schemes._rows_within, rows, *args,
-                                          **kwargs)
-                    expected = run_poisoned(layer, value, abs_max_within, rows, *args, **kwargs)
-                    assert result.divergence_step == expected.divergence_step
-                    if abs(value) != limit:
-                        assert result.divergence_step == layer
-                    assert_same_trace(result.trace, expected.trace)
-                    assert_same_stats(result, expected)
-                    np.testing.assert_array_equal(result.u_prev, expected.u_prev)
-                    np.testing.assert_array_equal(result.u_curr, expected.u_curr)
-                    assert [s.step for s in result.snapshots] == [s.step for s in expected.snapshots]
-                    for a, b in zip(result.snapshots, expected.snapshots):
-                        np.testing.assert_array_equal(a.values, b.values)
+        for scheme in ("explicit", "implicit"):
+            for verify in (False, True):
+                kwargs = dict(scheme=scheme, observe_every=3, verify_identity=verify,
+                              snapshot_steps=range(0, 60, 4))
+                for n_steps in (layer, layer + 1, 60):
+                    for rows in range(3, 9):
+                        args = (params, mesh, data, dt, n_steps)
+                        result = run_poisoned(layer, value, "kernel", rows, *args, **kwargs)
+                        expected = run_poisoned(layer, value, "abs max", rows, *args, **kwargs)
+                        assert result.divergence_step == expected.divergence_step
+                        if abs(value) != limit:
+                            assert result.divergence_step == layer
+                        assert_same_trace(result.trace, expected.trace)
+                        assert_same_stats(result, expected)
+                        np.testing.assert_array_equal(result.u_prev, expected.u_prev)
+                        np.testing.assert_array_equal(result.u_curr, expected.u_curr)
+                        assert ([s.step for s in result.snapshots]
+                                == [s.step for s in expected.snapshots])
+                        for a, b in zip(result.snapshots, expected.snapshots):
+                            np.testing.assert_array_equal(a.values, b.values)
 
 
 # positive floats across the binades from 2**-1063 (about 1e-320) to 2**1023

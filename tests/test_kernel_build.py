@@ -1,19 +1,27 @@
 """The compiled kernel: built once into the package's __pycache__, loaded from
 there by later processes with no compiler, safe to build from two processes
 at once, the only numerical dependency besides numpy, free of the C
-library's locale-dependent formatting and parsing, and exporting only the
-entry points the package binds."""
+library's locale-dependent formatting and parsing, exporting only the
+entry points the package binds, and giving the same bits whatever flags it
+is built with."""
 
+import ctypes
+import math
 import os
+import platform
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kvwave
+from kvwave import diagnostics, linalg, schemes
+from kvwave.mesh import Parameters, build_mesh
+from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 
 PACKAGE = Path(kvwave.__file__).resolve().parent
 # prints the library that was loaded
@@ -117,3 +125,58 @@ def test_kernel_exports_exactly_the_entry_points_the_package_binds():
     # ctypes keeps each function it has looked up as an attribute of the library
     bound = {name for name in vars(kvwave.linalg._kernel) if name.startswith("kv_")}
     assert {name for name in defined if name.startswith("kv_")} == bound
+
+
+def block_outputs() -> list[bytes]:
+    """The bits of a block step of each scheme, with the rows it returns,
+    and of the energies of its layers.  The explicit run's side zones hold
+    whole chunks of free cells, and an inf put into a layer makes the
+    stiffness product of the next one NaN: the row where the second call
+    stops."""
+    params = Parameters(1.0, 4.0, 0.25, 1.0, 1.0, 2.0, 3.0, 10.0)
+    mesh = build_mesh(params, 40, 6, 40)
+    data = default_initial_data(params.length)
+    dt = 0.9 * cfl_max_dt(params, mesh)
+    outputs = []
+    for scheme in ("explicit", "implicit"):
+        ops = schemes.build_operators(mesh, params, dt, scheme)
+        u0 = sample_cell_averages(data.phi, mesh)
+        u1 = schemes.bootstrap(u0, sample_cell_averages(data.psi, mesh), ops)
+        block = np.zeros((40, mesh.n_max))
+        block[0], block[1] = u0, u1
+        incr = np.stack((u1 - u0, u0))
+        step = (ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, 1e6 * np.abs(u0).max())
+        rows = [linalg.step_block(block, 2, 20, *step)]
+        if scheme == "explicit":
+            block[19, 60] = math.inf
+            rows.append(linalg.step_block(block, 20, 40, *step))
+            assert rows == [20, 20] and np.isnan(block[20]).any()
+        energies = diagnostics.layer_energies(block[:rows[-1] + 1], mesh, ops.ell, params, dt,
+                                              scheme)
+        outputs += [bytes(rows), block.tobytes(), incr.tobytes(),
+                    *(e.tobytes() for e in energies)]
+    return outputs
+
+
+BUILD_FLAGS = [("-O0",), ("-O2", "-ffp-contract=off", "-march=x86-64")]
+
+
+@pytest.mark.parametrize("flags", BUILD_FLAGS, ids=" ".join)
+def test_kernel_bits_do_not_depend_on_build_flags(tmp_path, monkeypatch, flags):
+    # Without optimization, and for the baseline x86-64, whose fma() is a
+    # libm call, the factors, the step and the energies are the bits of the
+    # library the package built for this CPU.
+    if "-march=x86-64" in flags and platform.machine() != "x86_64":
+        pytest.skip("-march=x86-64 needs an x86-64 machine")
+    built = tmp_path / "kernel.so"
+    proc = subprocess.run(["cc", *flags, "-shared", "-fPIC", "-o", str(built),
+                           str(PACKAGE / "kernel.c"), "-lm"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    kernel = ctypes.CDLL(str(built))
+    for name in ("kv_factor", "kv_step_block", "kv_energies"):
+        entry, bound = getattr(kernel, name), getattr(linalg._kernel, name)
+        entry.argtypes, entry.restype = bound.argtypes, bound.restype
+    expected = block_outputs()
+    monkeypatch.setattr(linalg, "_kernel", kernel)
+    assert block_outputs() == expected

@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -210,12 +211,15 @@ class TestFactorSolve:
             solve(f, np.ones(5))
 
     def test_strided_rhs_rejected(self, rng):
+        # a step solves in its increments, rhs in row 0: a strided array of
+        # them is rejected before it is read or written
         f = factor(random_spd_tridiag(rng, 12))
-        rhs = rng.standard_normal((12, 2))[:, 1]
-        saved = rhs.copy()
+        m = TriDiagMatrix(12, np.ones(12), np.zeros(11))
+        incr = rng.standard_normal((2, 12, 2))[:, :, 1]
+        saved = incr.copy()
         with pytest.raises(ValueError, match="contiguous"):
-            solve(f, rhs)
-        assert rhs.tobytes() == saved.tobytes()
+            step_block(np.zeros((2, 12)), 1, 2, m, m, f, incr, math.inf)
+        assert incr.tobytes() == saved.tobytes()
 
 
 class TestLDLFactorization:
@@ -244,14 +248,15 @@ class TestLDLFactorization:
                 factor(m)
 
 
-def band_sum(a, x, b, y, out):
-    """a x + b y written into out by one block step from x with identity
-    factors, whose increment is then the step's band sum."""
+def band_sum(a, x, b, y, scratch):
+    """a x + b y by one block step from x with identity factors: the step's
+    increment, which it leaves in row 0 of the increments, from y there and
+    scratch in their row 1."""
     n = len(x)
     identity = LDLFactorization(np.ones(n), np.zeros(n - 1))
-    block = np.stack((x, x))
-    assert step_block(block, 1, 2, a, b, identity, y.copy(), out)[0] is out
-    return out
+    incr = np.stack((y, scratch))
+    assert step_block(np.stack((x, x)), 1, 2, a, b, identity, incr, math.inf) == 2
+    return incr[0]
 
 
 class TestBandSum:
@@ -269,8 +274,8 @@ class TestBandSum:
 
     @pytest.mark.parametrize("fill", [np.nan, np.inf, -0.0, 1e308])
     def test_writes_into_out_whatever_it_held(self, rng, fill):
-        # a step never reads d_next's old contents: the same bits whatever
-        # it held, with real factors as well as identity ones
+        # a step never reads the scratch row of the increments: the same
+        # bits whatever it held, with real factors as well as identity ones
         n = 17
         a, b = random_dd_tridiag(rng, n), random_dd_tridiag(rng, n)
         x, y = rng.standard_normal((2, n))
@@ -278,10 +283,11 @@ class TestBandSum:
         reference = band_sum(a, x, b, y, np.zeros(n))
         assert band_sum(a, x, b, y, np.full(n, fill)).tobytes() == reference.tobytes()
         f = factor(random_spd_tridiag(rng, n))
-        blocks, outs = (np.stack((x, x)), np.stack((x, x))), (np.zeros(n), np.full(n, fill))
-        for block, out in zip(blocks, outs):
-            step_block(block, 1, 2, a, b, f, y.copy(), out)
-        assert outs[1].tobytes() == outs[0].tobytes()
+        blocks = np.stack((x, x)), np.stack((x, x))
+        incrs = np.stack((y, np.zeros(n))), np.stack((y, np.full(n, fill)))
+        for block, incr in zip(blocks, incrs):
+            step_block(block, 1, 2, a, b, f, incr, math.inf)
+        assert incrs[1][0].tobytes() == incrs[0][0].tobytes()
         assert blocks[1].tobytes() == blocks[0].tobytes()
 
     def test_strided_out_rejected(self, rng):
@@ -291,8 +297,8 @@ class TestBandSum:
         block = np.stack((x, y))
         saved = block.copy()
         with pytest.raises(ValueError, match="contiguous"):
-            step_block(block, 1, 2, a, b, factor(random_spd_tridiag(rng, n)), y.copy(),
-                       np.zeros((n, 2))[:, 0])
+            step_block(block, 1, 2, a, b, factor(random_spd_tridiag(rng, n)),
+                       np.zeros((2, n, 2))[:, :, 0], math.inf)
         assert block.tobytes() == saved.tobytes()
 
 
@@ -330,9 +336,10 @@ class TestKernelBits:
             got = band_sum(a, x, b, scale * y, np.empty(n))
             assert got.tobytes() == band_products(a, x, scale, b, y).tobytes()
             f = factor(random_spd_tridiag(rng, n).scaled(float(10.0 ** rng.uniform(-3, 3))))
-            d, _ = step_block(np.stack((x, x)), 1, 2, a, b, f, scale * y, np.empty(n))
+            incr = np.stack((scale * y, y))
+            step_block(np.stack((x, x)), 1, 2, a, b, f, incr, math.inf)
             expected = ldl_solve(f.d, f.e, band_products(a, x, scale, b, y))
-            assert d.tobytes() == expected.tobytes()
+            assert incr[0].tobytes() == expected.tobytes()
 
     def test_factor_and_solve_match_oracle(self, rng):
         for _ in range(300):
@@ -371,23 +378,79 @@ class TestKernelBits:
         m = TriDiagMatrix(2, np.zeros(2), np.zeros(1))
         f = LDLFactorization(np.ones(2), np.zeros(1))
         with pytest.raises(ValueError, match="3 or more"):
-            step_block(np.zeros((3, 2)), 1, 3, m, m, f, np.zeros(2), np.zeros(2))
+            step_block(np.zeros((3, 2)), 1, 3, m, m, f, np.zeros((2, 2)), math.inf)
 
     @staticmethod
     def check_step_block(rng, rows, n):
+        # with no limit, and with each row's sup norm and the float below it
+        # as the limit: the call stops at the first row past the limit after
+        # 1 .. rows-1 steps, and leaves the increment into the last row it
+        # wrote in row 0 of the increments, after odd and even step counts
         stiff, rhs_prev = random_band(rng, n), random_band(rng, n)
         f = factor(random_spd_tridiag(rng, n))
-        block = np.zeros((rows, n))
-        block[0] = rng.standard_normal(n)
-        d0 = rng.standard_normal(n)
-        d_prev, d_next = d0.copy(), np.empty(n)
-        out = step_block(block, 1, rows, stiff, rhs_prev, f, d_prev, d_next)
-        d = d0
-        for i in range(1, rows):
-            d = ldl_solve(f.d, f.e, band_products(stiff, block[i - 1], 1.0, rhs_prev, d))
-            assert block[i].tobytes() == np.add(block[i - 1], d).tobytes(), i
-        assert out[0].tobytes() == d.tobytes()
-        assert out == ((d_next, d_prev) if (rows - 1) % 2 else (d_prev, d_next))
+        u0, d0 = rng.standard_normal((2, n))
+        layers, increments = summed_form_steps(stiff, rhs_prev, f, u0, d0, rows - 1)
+        sups = [float(np.abs(layer).max()) for layer in layers]
+        for limit in (math.inf, *sups, *np.nextafter(sups, 0.0)):
+            stop = next((i for i, sup in enumerate(sups, 1) if not sup <= limit), rows)
+            last = min(stop, rows - 1)  # the last row written
+            block = np.full((rows, n), 0.5)
+            block[0] = u0
+            incr = np.stack((d0, np.full(n, np.nan)))
+            assert step_block(block, 1, rows, stiff, rhs_prev, f, incr, limit) == stop
+            for i in range(1, last + 1):
+                assert block[i].tobytes() == layers[i - 1].tobytes(), (limit, i)
+            assert (block[last + 1:] == 0.5).all()  # no row stepped past it
+            assert incr[0].tobytes() == increments[last - 1].tobytes()
+
+    # Each step adds the same increment when the stiffness is zero and R1 and
+    # the factors are identities, so cell 5 ramps by `step`, exactly, to
+    # `value` at the first, middle or last row of a 5-row call, or at the
+    # row of a 1-row call, within the limit before it.  +-2 and the floats
+    # past them ramp by 0.25 towards a limit of 2; +-inf, the next float
+    # past a limit of MAX, is MAX + MAX / 2; NaN is what a zero stiffness
+    # makes of the inf the row before it ramped to, within an infinite
+    # limit.  Cell n - 3 is -0 in every row: its pivot of -1 turns the +0 of
+    # its band sum into a -0 increment.
+    MAX = float(np.finfo(float).max)
+    PAST = float(np.nextafter(2.0, 3.0))
+    VERDICT_CASES = [  # value, limit, step, and the value and lag of the ramp's anchor
+        (2.0, 2.0, 0.25, 2.0, 0), (-2.0, 2.0, -0.25, -2.0, 0),
+        (PAST, 2.0, 0.25, PAST, 0), (-PAST, 2.0, -0.25, -PAST, 0),
+        (np.inf, MAX, MAX / 2, MAX, 1), (-np.inf, MAX, -MAX / 2, -MAX, 1),
+        (np.nan, np.inf, MAX / 2, MAX, 2),
+    ]
+
+    # 12 cells: no chunk of the check; 32 cells: two chunks and nothing past
+    # them; 40 cells: two chunks and the -0 cell past them
+    @pytest.mark.parametrize("n", [12, 32, 40])
+    def test_step_block_returns_the_first_row_past_the_limit(self, n):
+        zero = TriDiagMatrix(n, np.zeros(n), np.zeros(n - 1))
+        identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+        pivots = np.ones(n)
+        pivots[n - 3] = -1.0
+        f = LDLFactorization(pivots, np.zeros(n - 1))
+        for value, limit, step, anchor, lag in self.VERDICT_CASES:
+            for rows, k in ((1, 1), (5, 1), (5, 3), (5, 5)):
+                start = anchor  # cell 5 of row 0, from anchor at row k - lag
+                for _ in range(k - lag):
+                    start -= step
+                for _ in range(lag - k):
+                    start += step
+                block = np.full((rows + 1, n), 0.5)
+                block[0] = 0.0
+                block[0, 5], block[0, n - 3] = start, -0.0
+                incr = np.zeros((2, n))
+                incr[0, 5] = step
+                row = step_block(block, 1, rows + 1, zero, identity, f, incr, limit)
+                case = (value, rows, k)
+                assert np.array_equal(block[k, 5], value, equal_nan=True), case
+                within = np.abs(block[1:row + 1]).max(axis=1) <= limit
+                assert row == (1 + int(within.argmin()) if not within.all() else rows + 1), case
+                assert row == k if not abs(value) <= limit else row > k, case
+                assert (block[row + 1:] == 0.5).all(), case  # no row stepped past it
+                zeros = block[1:row, n - 3]
+                assert all(np.signbit(zeros)) and not zeros.any(), case
 
     def test_step_block_rejects_bad_arguments(self, rng):
         # the kernel reads each matrix's diagonal and off-diagonal as they
@@ -398,16 +461,17 @@ class TestKernelBits:
         f = factor(random_spd_tridiag(rng, n))
         block = rng.standard_normal((4, n))
         saved = block.copy()
-        d_prev, d_next = np.ones(n), np.zeros(n)
+        incr = np.stack((np.ones(n), np.zeros(n)))
         for start, stop in ((0, 2), (2, 5), (3, 2)):
             with pytest.raises(ValueError, match="rows"):
-                step_block(block, start, stop, stiff, stiff, f, d_prev, d_next)
-        with pytest.raises(ValueError, match="length"):
-            step_block(block, 1, 4, stiff, stiff, f, np.zeros(n + 1), d_next)
+                step_block(block, start, stop, stiff, stiff, f, incr, math.inf)
+        for shape in ((2, n + 1), (n,), (3, n)):
+            with pytest.raises(ValueError, match="length"):
+                step_block(block, 1, 4, stiff, stiff, f, np.zeros(shape), math.inf)
         with pytest.raises(ValueError, match="contiguous"):
-            step_block(block, 1, 4, stiff, stiff, f, np.zeros((n, 2))[:, 0], d_next)
+            step_block(block, 1, 4, stiff, stiff, f, np.zeros((2, n, 2))[:, :, 0], math.inf)
         with pytest.raises(ValueError, match="contiguous"):
-            step_block(block[:, ::-1], 1, 4, stiff, stiff, f, d_prev, d_next)
+            step_block(block[:, ::-1], 1, 4, stiff, stiff, f, incr, math.inf)
         diag, off = stiff.diag, stiff.off
         bad = [
             (random_dd_tridiag(rng, n + 1), "dimension"),
@@ -420,44 +484,42 @@ class TestKernelBits:
         for m, reason in bad:
             for matrices in ((m, stiff), (stiff, m)):
                 with pytest.raises(ValueError, match=reason):
-                    step_block(block, 1, 4, *matrices, f, d_prev, d_next)
+                    step_block(block, 1, 4, *matrices, f, incr, math.inf)
         # a read-only view of an array the kernel writes
-        for i in range(3):
-            written = [block, d_prev, d_next]
+        for i in range(2):
+            written = [block, incr]
             written[i] = written[i].view()
             written[i].setflags(write=False)
             with pytest.raises(ValueError, match="writeable"):
-                step_block(written[0], 1, 4, stiff, stiff, f, *written[1:])
+                step_block(written[0], 1, 4, stiff, stiff, f, written[1], math.inf)
         assert block.tobytes() == saved.tobytes()
-        assert (d_prev == 1.0).all() and not d_next.any()
+        assert (incr[0] == 1.0).all() and not incr[1].any()
 
     def test_step_block_rejects_overlapping_arrays(self, rng):
-        # the kernel writes the block and both increments: none of them may
-        # overlap another argument, while the arrays it only reads may
+        # the kernel writes the block's rows 0 .. 3 and both rows of the
+        # increments: these may not overlap each other or another argument,
+        # while the arrays it only reads, and rows it never touches, may
         n = 7
         stiff = random_dd_tridiag(rng, n)
-        both = np.ones(2 * n - 1)
-        f = LDLFactorization(both[:n], both[n:])  # d and e in one buffer
-        block = np.ones((4, n))
-        spare = np.zeros(2 * n + 1)
-        d_prev, d_next = spare[:n], spare[n + 1 :]
-        for prev, next_ in [(d_prev, d_prev), (spare[:n], spare[1 : n + 1]), (block[0], d_next),
-                            (d_prev, block[3]), (f.d, d_next), (d_prev, both[n - 1 :])]:
+        buffer = np.ones(4 * n)
+        f = LDLFactorization(buffer[n : 2 * n], buffer[2 * n : 3 * n - 1])  # after a spare row
+        block = np.ones((6, n))
+        for incr in (block[:2], block[3:5], buffer[: 2 * n], buffer[2 * n :]):
             with pytest.raises(ValueError, match="overlap"):
-                step_block(block, 1, 4, stiff, stiff, f, prev, next_)
+                step_block(block, 1, 4, stiff, stiff, f, incr.reshape(2, n), math.inf)
         # a matrix whose diagonal and off-diagonal are views of one buffer,
         # the diagonal then the off-diagonal after a spare entry
-        tri = np.ones(2 * n)
-        m = TriDiagMatrix(n, tri[:n], tri[n + 1 :])
-        for prev, next_ in [(tri[:n], d_next), (d_prev, tri[:n]), (tri[n:], d_next),
-                            (d_prev, tri[n:])]:
+        tri = np.ones(4 * n)
+        m = TriDiagMatrix(n, tri[:n], tri[n + 1 : 2 * n])
+        for incr in (tri[: 2 * n], tri[2 * n - 2 : 4 * n - 2]):
             for matrices in ((m, stiff), (stiff, m)):
                 with pytest.raises(ValueError, match="overlap"):
-                    step_block(block, 1, 4, *matrices, f, prev, next_)
-        assert (block == 1.0).all() and not spare.any()
-        assert (both == 1.0).all() and (tri == 1.0).all()
-        step_block(block, 1, 4, stiff, stiff, f, d_prev, d_next)  # stiff as both matrices
-        step_block(block, 1, 4, m, m, f, d_prev, d_next)
+                    step_block(block, 1, 4, *matrices, f, incr.reshape(2, n), math.inf)
+        assert (block == 1.0).all() and (buffer == 1.0).all() and (tri == 1.0).all()
+        spare = np.zeros((2, n))
+        step_block(block, 1, 4, stiff, stiff, f, spare, math.inf)  # stiff as both matrices
+        step_block(block, 1, 4, m, m, f, spare, math.inf)
+        step_block(block, 1, 4, m, m, f, block[4:], math.inf)
 
 
 def assert_same_bits(got, expected):
@@ -510,22 +572,27 @@ class TestDecoupledStep:
 
     @staticmethod
     def check(stiff, rhs_prev, f, u0, d0, rows=4):
-        """Steps rows 1 .. rows-1 in one call, and each in a call of its own,
-        against the oracle: every row, and every increment."""
+        """Steps rows 1 .. rows-1 in one call, which stops at the first row
+        holding a NaN, and each in a call of its own, against the oracle:
+        every row, and every increment."""
         n = len(u0)
         layers, increments = summed_form_steps(stiff, rhs_prev, f, u0, d0, rows - 1)
+        stop = next((i for i, layer in enumerate(layers, 1) if np.isnan(layer).any()), rows)
+        last = min(stop, rows - 1)  # the last row written
         block = np.zeros((rows, n))
         block[0] = u0
-        d_prev, _ = step_block(block, 1, rows, stiff, rhs_prev, f, d0.copy(), np.full(n, np.nan))
+        incr = np.stack((d0, np.full(n, np.nan)))
+        assert step_block(block, 1, rows, stiff, rhs_prev, f, incr, math.inf) == stop
         assert block[0].tobytes() == u0.tobytes()
-        for i in range(1, rows):
+        for i in range(1, last + 1):
             assert_same_bits(block[i], layers[i - 1])
-        assert_same_bits(d_prev, increments[-1])
+        assert not block[last + 1:].any()
+        assert_same_bits(incr[0], increments[last - 1])
         block[1:] = np.nan
-        d_prev, d_next = d0.copy(), np.empty(n)
+        incr = np.stack((d0, np.full(n, np.nan)))
         for i in range(1, rows):
-            d_prev, d_next = step_block(block, i, i + 1, stiff, rhs_prev, f, d_prev, d_next)
-            assert_same_bits(d_prev, increments[i - 1])
+            step_block(block, i, i + 1, stiff, rhs_prev, f, incr, math.inf)
+            assert_same_bits(incr[0], increments[i - 1])
             assert_same_bits(block[i], layers[i - 1])
 
     @pytest.mark.parametrize("pattern", PATTERNS)

@@ -1,3 +1,4 @@
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -37,9 +38,10 @@ def sampled_initial(mesh, length=3.0):
 
 def next_layer(ops, u_prev, u_curr):
     """The layer after u_prev, u_curr, through one summed-form step: step_block
-    on a three-row block."""
+    on a three-row block, with no limit."""
     block = np.stack([u_prev, u_curr, np.zeros_like(u_curr)])
-    ops.step_block(block, 2, 3, u_curr - u_prev, np.empty_like(u_curr))
+    incr = np.stack((u_curr - u_prev, u_curr))
+    linalg.step_block(block, 2, 3, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, math.inf)
     return block[2]
 
 
@@ -395,12 +397,17 @@ class TestRun:
             raise MemoryError("Unable to allocate the factors")
 
         monkeypatch.setattr(linalg, "factor", no_memory)
-        with pytest.raises(ConfigError, match="cannot set up the explicit run.*allocate"):
+        with pytest.raises(ConfigError, match="cannot set up the explicit run at dt = .*: the operators: .*allocate"):
             run(base_params, base_mesh, default_initial_data(3.0), DT, 10)
 
     def test_step_fault_is_not_a_config_error(self, base_mesh, base_params, monkeypatch):
-        # only the program can make the kernel reject its arguments
-        def overlapping(*args):
+        # only the program can make the kernel reject its arguments: here
+        # the run's first block step, after the bootstrap's has passed
+        step_block = linalg.step_block
+
+        def overlapping(block, start, stop, stiff, rhs_prev, f, incr, limit):
+            if limit == math.inf:  # the bootstrap's step
+                return step_block(block, start, stop, stiff, rhs_prev, f, incr, limit)
             raise ValueError("overlap")
 
         monkeypatch.setattr(linalg, "step_block", overlapping)
