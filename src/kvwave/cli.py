@@ -21,7 +21,7 @@ import locale
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from math import ceil, isfinite
+from math import ceil, inf, isfinite
 from pathlib import Path
 
 import numpy as np
@@ -122,9 +122,7 @@ PRESET_NAMES = tuple(_PRESETS)
 def preset(name: str) -> RunConfig:
     """Named experiment configuration."""
     if name not in _PRESETS:
-        raise ConfigError(
-            f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}"
-        )
+        raise ConfigError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     return RunConfig(preset=name, **_PRESETS[name])
 
 
@@ -136,11 +134,9 @@ _MATERIAL_KEYS = {"rho1", "rho2", "rho3", "kappa1", "kappa2", "kappa3", "damping
 
 
 def _parse_bool(raw: str, key: str, lineno: int) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ConfigError(f"line {lineno}: {key} must be true or false, got {raw!r}")
+    if raw not in ("true", "false"):
+        raise ConfigError(f"line {lineno}: {key} must be true or false, got {raw!r}")
+    return raw == "true"
 
 
 def parse_config(text: str) -> RunConfig:
@@ -242,6 +238,11 @@ def validate_config(cfg: RunConfig) -> None:
         _parameters(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    # default_initial_data divides by length**2, which rounds to 0 up to
+    # 2**-537.5 and overflows from 2**512 on
+    if not 0.0 < cfg.length * cfg.length < inf:
+        raise ConfigError("length must lie between 2**-537.5 and 2**512 (about 1.57e-162 and "
+                          "1.34e154), where the initial data's 4 / length**2 can be formed")
 
 
 def _parameters(cfg: RunConfig) -> Parameters:
@@ -312,8 +313,8 @@ def _fit_items(fits: dict, errors: dict[str, str]) -> list[tuple[str, object]]:
 
 def _set_up(cfg: RunConfig, what: str, keys: tuple[str, ...], build, *args):
     """build(*args), or a ConfigError that names what it builds and the
-    configuration's values of keys, its inputs: e.g. a length whose square
-    overflows or underflows, or a mesh too large to allocate."""
+    configuration's values of keys, its inputs: e.g. a mesh too large to
+    allocate, or a step count that overflows."""
     try:
         return build(*args)
     except (ArithmeticError, ValueError, MemoryError) as err:
@@ -336,15 +337,10 @@ def execute(cfg: RunConfig) -> RunResult:
             f"explicit run refused: dt = {dt:.6g} exceeds the stability bound "
             f"{admissibility.dt_bound:.6g}; rerun with --cfl-override to force"
         )
-    snapshot_steps = sorted({0, n_steps // 2, n_steps})
     started = time.perf_counter()
-    sim = run(
-        params, mesh, initial, dt, n_steps,
-        scheme=cfg.scheme,
-        observe_every=cfg.observe_every,
-        verify_identity=cfg.verify_identity,
-        snapshot_steps=snapshot_steps,
-    )
+    sim = run(params, mesh, initial, dt, n_steps, scheme=cfg.scheme,
+              observe_every=cfg.observe_every, verify_identity=cfg.verify_identity,
+              snapshot_steps=(0, n_steps // 2, n_steps))
     wall = time.perf_counter() - started
 
     window = (cfg.fit_lo * params.t_final, cfg.fit_hi * params.t_final)
@@ -508,10 +504,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for path in written:
         print(f"wrote {path}")
     if result.sim.diverged:
-        print(
-            f"error: run diverged at step {result.sim.divergence_step}",
-            file=sys.stderr,
-        )
+        print(f"error: run diverged at step {result.sim.divergence_step}", file=sys.stderr)
         return 2
     return 0
 

@@ -6,7 +6,9 @@ both layers.  For either scheme the step-to-step energy difference equals an
 explicitly computable, nonpositive dissipation increment supported on the
 interior faces of the damped zone; the per-step residual of that identity is
 the primary correctness diagnostic of a run.  layer_energies evaluates all of
-these in one call of linalg's compiled kernel; the fits run in numpy.
+these in one call of linalg's compiled kernel, and a run's step calls
+evaluate them as they write each layer, with the same kernel routine and
+the arguments energy_arguments gives; the fits run in numpy.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "EnergyTrace",
     "DecayFit",
     "layer_energies",
+    "energy_arguments",
     "fit_exponential",
     "fit_polynomial",
 ]
@@ -85,32 +88,40 @@ def layer_energies(
     nonpositive and +0.0 when undamped, summed over the faces strictly inside
     the damped zone; residual is (E^n - E^{n-1}) - dissipation.
 
-    The arithmetic runs in linalg's compiled kernel, kv_energies, which
-    adds each sum's terms in eight lanes in a fixed order (README, "Install
-    and test").  Every entry depends only on the layers it belongs to,
-    never on the block it came in or on the selection, so any blocking of a
-    run gives the same bits.  layers must be a C-contiguous float64 array.
+    The arithmetic runs in linalg's compiled kernel, kv_energies, in eight
+    lanes in a fixed order (README, "Install and test").  Every entry
+    depends only on the layers it belongs to, never on the block or the
+    selection, so any blocking of a run gives the same bits.
     """
     if layers.ndim != 2 or len(layers) < 2:
         raise ValueError("need a block of at least two consecutive layers")
-    if variant not in ("explicit", "implicit"):
-        raise ValueError(f"unknown scheme variant {variant!r}")
+    args = energy_arguments(mesh, ell, params, dt, variant)
     m, n = len(layers), mesh.n_max
-    faces = mesh.damping_interior_faces
-    if not 1 <= faces.start <= faces.stop <= n:
-        raise ValueError("the damped zone's interior faces must lie inside the mesh")
     # the kernel reads the selection's flags as bytes, so a strided one is copied
     selected = None if selected is None else np.ascontiguousarray(selected)
     out = np.empty((5, m))
     linalg._kernel.kv_energies(
         m, n, linalg._address(f"layers of {n} cells", layers, (m, n)),
-        linalg._address("selected", selected, (m - 2,), np.bool_),
-        linalg._address("the mesh's cell widths", mesh.cell_widths, (n,)),
-        linalg._address("the flux coefficients", ell.ell, (n + 1,)), dt, variant == "implicit",
-        faces.start, faces.stop, params.delta / (4.0 * dt * mesh.h),
+        linalg._address("selected", selected, (m - 2,), np.bool_), *args,
         linalg._address("out", out, out.shape, written=True))
     e_k, e_p, e_total, dissipation, residual = out
     return e_k[:-1], e_p[:-1], e_total[:-1], dissipation[:-2], residual[:-2]
+
+
+def energy_arguments(mesh: Mesh, ell: FluxCoefficients, params: Parameters, dt: float,
+                     variant: str) -> tuple:
+    """What kv_energies and linalg.step_block take after the layers and the
+    selection: the addresses of the cell widths and flux coefficients,
+    which the caller keeps alive, dt, whether the scheme is implicit, the
+    damped zone's interior faces and the coefficient delta / (4 dt h)."""
+    if variant not in ("explicit", "implicit"):
+        raise ValueError(f"unknown scheme variant {variant!r}")
+    n, faces = mesh.n_max, mesh.damping_interior_faces
+    if not 1 <= faces.start <= faces.stop <= n:
+        raise ValueError("the damped zone's interior faces must lie inside the mesh")
+    return (linalg._address("the mesh's cell widths", mesh.cell_widths, (n,)),
+            linalg._address("the flux coefficients", ell.ell, (n + 1,)), dt,
+            variant == "implicit", faces.start, faces.stop, params.delta / (4.0 * dt * mesh.h))
 
 
 def _window_samples(

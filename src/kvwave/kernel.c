@@ -1,5 +1,6 @@
-/* Kernels of kvwave: the tridiagonal L D L^T factor, a whole block of
-   summed-form steps, each row checked against a divergence limit, the
+/* Kernels of kvwave: the tridiagonal L D L^T factor, a whole run of
+   summed-form steps through a ring of layers, each layer checked against a
+   divergence limit and its energies evaluated as it is written, the
    energies and identity residuals of a block of layers, and the CSV text
    of a table.
 
@@ -134,11 +135,11 @@ serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *ad, const do
     return bad | (lo > 0 && !isfinite(s));
 }
 
-/* Whether the na doubles at a and the nb at b share a byte. */
-static int overlap(const double *a, ptrdiff_t na, const double *b, ptrdiff_t nb)
+/* Whether the na bytes at a and the nb at b share a byte; never for NULL. */
+static int overlap(const void *a, size_t na, const void *b, size_t nb)
 {
     uintptr_t x = (uintptr_t)a, y = (uintptr_t)b;
-    return x < y + (uintptr_t)nb * sizeof *b && y < x + (uintptr_t)na * sizeof *a;
+    return a && b && x < y + nb && y < x + na;
 }
 
 /* Whether fabs(x[j]) <= limit, false for a NaN, for the n doubles at x.
@@ -153,82 +154,6 @@ static int row_within(ptrdiff_t n, const double *x, double limit)
     for (; within && j < n; j++)
         within = fabs(x[j]) <= limit;
     return within;
-}
-
-/* Rows start .. stop-1 of a row-major block of n-vectors, n >= 3, 1 <=
-   start <= stop: row i becomes row i-1 plus d, where L d = stiff row[i-1]
-   + rhs_prev d_prev is solved with L's factors (d, e); stiff is (sd, so)
-   and rhs_prev (rd, ro).  incr is 2 x n: d_prev into row start-1, then
-   scratch; the two rows take turns as d_prev and d, and the first holds
-   the increment into the last row written on return.  Each row is checked
-   by row_within once written; returns the first that fails, after which
-   no row is stepped, else stop.  Returns -1 without a step when the rows
-   start-1 .. stop-1 or incr, which the step writes, overlap another array.
-
-   Each step gives the bits of serial_cells(0, n-1): band_row's rows and
-   dptts2's sweeps in dptts2's order.  A cell is free when e = +-0 on both
-   its faces: the sweeps then leave its band_row(j) / d[j] as it is, unless
-   that is unsafe or a neighbour's value is not finite.  Runs of free cells
-   are taken LANES at a time by free_cells, in passes that vectorize, and
-   the cells between those chunks by serial_cells, from the chunks' final
-   values at their ends: those stand in for the forward values, whose
-   product with e = +-0 they share.  A step in which a chunk comes out
-   unsafe, or serial_cells passes a value that is not finite to a chunk, is
-   redone as serial_cells(0, n-1). */
-ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t start, ptrdiff_t stop, double limit,
-                        double *block, const double *sd, const double *so, const double *rd,
-                        const double *ro, const double *d, const double *e, double *incr)
-{
-    const double *arrays[8] = {block + (start - 1) * n, incr, sd, so, rd, ro, d, e};
-    ptrdiff_t sizes[8] = {(stop - start + 1) * n, 2 * n, n, n - 1, n, n - 1, n, n - 1};
-    for (int a = 0; a < 2; a++)
-        for (int b = a + 1; b < 8; b++)
-            if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
-                return -1;
-    /* found once: the chunks, runs of whole chunks of free cells, cells
-       edge[2k+1] .. edge[2k+2]-1 for k < runs, and the cells around them,
-       edge[2k] .. edge[2k+1]-1 for k <= runs; no chunks without memory */
-    ptrdiff_t runs = 0;
-    ptrdiff_t *edge = malloc((size_t)(n + 2) * sizeof *edge);
-    for (ptrdiff_t j = 1; edge && j < n - 1; j++) {
-        if (e[j - 1] != 0.0 || e[j] != 0.0)
-            continue;
-        ptrdiff_t lo = j;
-        while (j + 1 < n - 1 && e[j + 1] == 0.0)
-            j++;
-        if (j + 1 - lo >= LANES) {
-            edge[2 * runs + 1] = lo;
-            edge[2 * runs + 2] = lo + (j + 1 - lo) / LANES * LANES;
-            runs++;
-        }
-    }
-    if (edge)
-        edge[0] = 0, edge[2 * runs + 1] = n;
-    double *d_prev = incr, *d_next = incr + n;
-    ptrdiff_t i = start;
-    for (; i < stop; i++) {
-        const double *u = block + (i - 1) * n;
-        double *out = block + i * n;
-        int bad = 0;
-        for (ptrdiff_t k = 0; k < runs; k++)
-            for (ptrdiff_t j = edge[2 * k + 1]; j < edge[2 * k + 2]; j += LANES)
-                bad |= free_cells(j, sd, so, u, rd, ro, d_prev, d, d_next, out);
-        for (ptrdiff_t k = 0; runs && k <= runs; k++)
-            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, sd, so, u, rd, ro, d_prev,
-                                d, e, d_next, out);
-        /* without chunks the whole row at once, in a call whose bounds fold */
-        if (!runs || bad)
-            serial_cells(n, 0, n - 1, sd, so, u, rd, ro, d_prev, d, e, d_next, out);
-        double *swap = d_prev;
-        d_prev = d_next;
-        d_next = swap;
-        if (!row_within(n, out, limit))
-            break;
-    }
-    if (d_prev != incr)
-        memcpy(incr, d_prev, (size_t)n * sizeof *incr);
-    free(edge);
-    return i;
 }
 
 /* Every sum of the energies runs in SUM_LANES lanes: term i goes to lane i
@@ -320,6 +245,150 @@ static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t
     return !sel || (t > 0 && sel[t - 1]) || (t < m - 2 && sel[t]);
 }
 
+/* The energies of a block of m layers of n cells, as kv_energies defines
+   them; sq carries the implicit scheme's sq of the last evaluated pair's
+   second layer to the next pair. */
+struct energies {
+    ptrdiff_t m, n;
+    const unsigned char *sel;
+    const double *w, *ell;
+    double dt;
+    int implicit;
+    ptrdiff_t face_lo, face_hi;
+    double coef, *out, sq;
+};
+
+/* The entries of the pair t, from its layers u and v, and for t > 0 those
+   of the step at layer t, from p, the layer before u, as well: every entry
+   of kv_energies' out that the layers up to v determine.  The pairs are
+   taken in order, the entries before t written. */
+static void pair_entry(struct energies *en, ptrdiff_t t, const double *p, const double *u,
+                       const double *v)
+{
+    ptrdiff_t m = en->m;
+    double *e_k = en->out, *e_p = e_k + m, *e_t = e_p + m, *diss = e_t + m, *res = diss + m;
+    if (!pair_wanted(en->sel, m, t)) {
+        e_k[t] = e_p[t] = e_t[t] = NAN;
+    } else {
+        double kin, prev = en->sq;
+        if (en->implicit && (t == 0 || !pair_wanted(en->sel, m, t - 1)))
+            pair_sums(en->n, en->dt, en->w, en->ell, u, u, u, u, &kin, &prev);
+        pair_sums(en->n, en->dt, en->w, en->ell, u, v, en->implicit ? v : u, v, &kin, &en->sq);
+        e_k[t] = 0.5 * kin;
+        e_p[t] = en->implicit ? 0.25 * (en->sq + prev) : 0.5 * en->sq;
+        e_t[t] = e_k[t] + e_p[t];
+    }
+    if (t > 0) {
+        double s = en->sel && !en->sel[t - 1] ? NAN : face_sum(p, v, en->face_lo, en->face_hi);
+        diss[t - 1] = 0.0 - en->coef * s;
+        res[t - 1] = (e_t[t] - e_t[t - 1]) - diss[t - 1];
+    }
+}
+
+/* Summed-form steps of the layers start .. stop-1, 1 <= start <= stop, of
+   n cells each, n >= 3, through a ring of `rows` rows, rows >= 2: layer i
+   lives in row i % rows, so that a step overwrites the layer `rows` before
+   it.  Layer i becomes layer i-1 plus d, where L d = stiff layer[i-1] +
+   rhs_prev d_prev is solved with L's factors (d, e); stiff is (sd, so) and
+   rhs_prev (rd, ro).  incr is 2 x n: d_prev into layer start-1, then
+   scratch; the two rows take turns as d_prev and d, and the first holds
+   the increment into the last layer written on return.  Each layer is
+   checked by row_within once written; returns the first that fails, after
+   which no layer is stepped, else stop.
+
+   With out not NULL, 2 <= start and 3 <= rows, the energies of the layers
+   start-2 .. stop-1 go to out as kv_energies writes them for that block of
+   m = stop - start + 2 layers and the selection sel of its m - 2 steps,
+   with the arguments w .. coef of kv_energies: first those of layers
+   start-2 and start-1, then, as each layer passes its check, those that it
+   determines, each by pair_entry as in kv_energies.  Entries that only the
+   layers from a failing one on determine are left as they are.
+
+   Returns -1 without a step when the rows the call writes (the ring's
+   rows from layer start-1 on, or all of them when the layers wrap around
+   it), incr or out overlap another array.
+
+   Each step gives the bits of serial_cells(0, n-1): band_row's rows and
+   dptts2's sweeps in dptts2's order.  A cell is free when e = +-0 on both
+   its faces: the sweeps then leave its band_row(j) / d[j] as it is, unless
+   that is unsafe or a neighbour's value is not finite.  Runs of free cells
+   are taken LANES at a time by free_cells, in passes that vectorize, and
+   the cells between those chunks by serial_cells, from the chunks' final
+   values at their ends: those stand in for the forward values, whose
+   product with e = +-0 they share.  A step in which a chunk comes out
+   unsafe, or serial_cells passes a value that is not finite to a chunk, is
+   redone as serial_cells(0, n-1). */
+ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t stop,
+                        double limit, double *ring, const double *sd, const double *so,
+                        const double *rd, const double *ro, const double *d, const double *e,
+                        double *incr, const unsigned char *sel, const double *w,
+                        const double *ell, double dt, int implicit, ptrdiff_t face_lo,
+                        ptrdiff_t face_hi, double coef, double *out)
+{
+    ptrdiff_t m = stop - start + 2, first = (start - 1) % rows, span = stop - start + 1;
+    if (first + span > rows)
+        first = 0, span = rows;
+    size_t D = sizeof(double);
+    const void *arrays[12] = {ring + first * n, incr, out, sd, so, rd, ro, d, e, sel, w, ell};
+    size_t sizes[12] = {span * n * D, 2 * n * D, 5 * m * D, n * D, (n - 1) * D, n * D,
+                        (n - 1) * D, n * D, (n - 1) * D, m - 2, n * D, (n + 1) * D};
+    for (int a = 0; a < 3; a++)
+        for (int b = a + 1; b < 12; b++)
+            if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
+                return -1;
+    /* found once: the chunks, runs of whole chunks of free cells, cells
+       edge[2k+1] .. edge[2k+2]-1 for k < runs, and the cells around them,
+       edge[2k] .. edge[2k+1]-1 for k <= runs; no chunks without memory */
+    ptrdiff_t runs = 0;
+    ptrdiff_t *edge = malloc((size_t)(n + 2) * sizeof *edge);
+    for (ptrdiff_t j = 1; edge && j < n - 1; j++) {
+        if (e[j - 1] != 0.0 || e[j] != 0.0)
+            continue;
+        ptrdiff_t lo = j;
+        while (j + 1 < n - 1 && e[j + 1] == 0.0)
+            j++;
+        if (j + 1 - lo >= LANES) {
+            edge[2 * runs + 1] = lo;
+            edge[2 * runs + 2] = lo + (j + 1 - lo) / LANES * LANES;
+            runs++;
+        }
+    }
+    if (edge)
+        edge[0] = 0, edge[2 * runs + 1] = n;
+#define LAYER(i) (ring + (i) % rows * n)
+    struct energies en = {m, n, sel, w, ell, dt, implicit, face_lo, face_hi, coef, out, 0.0};
+    if (out)
+        pair_entry(&en, 0, NULL, LAYER(start - 2), LAYER(start - 1));
+    double *d_prev = incr, *d_next = incr + n;
+    ptrdiff_t i = start;
+    for (; i < stop; i++) {
+        const double *u = LAYER(i - 1);
+        double *v = LAYER(i);
+        int bad = 0;
+        for (ptrdiff_t k = 0; k < runs; k++)
+            for (ptrdiff_t j = edge[2 * k + 1]; j < edge[2 * k + 2]; j += LANES)
+                bad |= free_cells(j, sd, so, u, rd, ro, d_prev, d, d_next, v);
+        for (ptrdiff_t k = 0; runs && k <= runs; k++)
+            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, sd, so, u, rd, ro, d_prev,
+                                d, e, d_next, v);
+        /* without chunks the whole row at once, in a call whose bounds fold */
+        if (!runs || bad)
+            serial_cells(n, 0, n - 1, sd, so, u, rd, ro, d_prev, d, e, d_next, v);
+        double *swap = d_prev;
+        d_prev = d_next;
+        d_next = swap;
+        if (!row_within(n, v, limit))
+            break;
+        if (out)
+            pair_entry(&en, i - start + 1, LAYER(i - 2), u, v);
+    }
+#undef LAYER
+    if (d_prev != incr)
+        memcpy(incr, d_prev, (size_t)n * sizeof *incr);
+    free(edge);
+    return i;
+}
+
 /* Energies of m consecutive layers of n cells each, written to out, 5 x m:
    out[q][t] holds the kinetic, potential and total energy (q = 0, 1, 2) of
    the layer pair t, t+1 for t < m - 1, and the dissipation and identity
@@ -336,38 +405,18 @@ static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t
        over the interior faces face_lo .. face_hi-1, 1 <= face_lo <= face_hi <= n,
      residual = (total_t+1 - total_t) - dissipation.
 
-   The energy sums are pair_sums', the face sum is face_sum's.  The wanted
-   pairs are taken one at a time, each in one pass.  For the implicit
-   scheme the pass of the pair t sums sq_t+1; sq_t comes from the pass
-   before, or, for the first pair of a run of wanted pairs, from one more
-   pass over the layer t alone. */
+   The energy sums are pair_sums', the face sum is face_sum's.  pair_entry
+   takes the pairs one at a time, each wanted pair in one pass.  For the
+   implicit scheme the pass of the pair t sums sq_t+1; sq_t comes from the
+   pass before, or, for the first pair of a run of wanted pairs, from one
+   more pass over the layer t alone. */
 void kv_energies(ptrdiff_t m, ptrdiff_t n, const double *layers, const unsigned char *sel,
                  const double *w, const double *ell, double dt, int implicit,
                  ptrdiff_t face_lo, ptrdiff_t face_hi, double coef, double *out)
 {
-    double *e_k = out, *e_p = out + m, *e_t = out + 2 * m;
-    double *diss = out + 3 * m, *res = out + 4 * m;
-    double kin, pot = 0.0;
-    for (ptrdiff_t t = 0; t < m - 1; t++) {
-        if (!pair_wanted(sel, m, t)) {
-            e_k[t] = e_p[t] = e_t[t] = NAN;
-            continue;
-        }
-        const double *u = layers + t * n, *v = u + n;
-        if (implicit && (t == 0 || !pair_wanted(sel, m, t - 1)))
-            pair_sums(n, dt, w, ell, u, u, u, u, &kin, &pot);
-        double prev = pot;
-        pair_sums(n, dt, w, ell, u, v, implicit ? v : u, v, &kin, &pot);
-        e_k[t] = 0.5 * kin;
-        e_p[t] = implicit ? 0.25 * (pot + prev) : 0.5 * pot;
-        e_t[t] = e_k[t] + e_p[t];
-    }
-    for (ptrdiff_t t = 0; t < m - 2; t++) {
-        double s = sel && !sel[t] ? NAN : face_sum(layers + t * n, layers + (t + 2) * n,
-                                                   face_lo, face_hi);
-        diss[t] = 0.0 - coef * s;
-        res[t] = (e_t[t + 1] - e_t[t]) - diss[t];
-    }
+    struct energies en = {m, n, sel, w, ell, dt, implicit, face_lo, face_hi, coef, out, 0.0};
+    for (ptrdiff_t t = 0; t < m - 1; t++)
+        pair_entry(&en, t, t ? layers + (t - 1) * n : NULL, layers + t * n, layers + (t + 1) * n);
 }
 
 /* The CSV formatter writes each double as Python's '%.17g' % x does, with

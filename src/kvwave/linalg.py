@@ -9,30 +9,26 @@ The three scheme matrices are assembled here:
 * stiffness -- flux-divergence operator, negative diagonal, coupling across
                the interfaces through the interface flux coefficients.
 
-A matrix is factored once and the factors are reused for every step.
 Every matrix the schemes solve with is positive definite, so it is factored
-as L D L^T without pivoting; any other matrix is rejected.  Products with
-the right-hand matrices read the diagonal and off-diagonal that every
-TriDiagMatrix holds, so a step costs O(n) time and the operators O(n)
-memory.  step_block forms a step's band products and solves with the
-factors, a whole block of steps per call, and checks each row it writes
-against a divergence limit; the bootstrap is one such step.
+once as L D L^T without pivoting; any other matrix is rejected.  A step
+reads the diagonal and off-diagonal that every TriDiagMatrix holds, in O(n)
+time and memory.  step_block takes many steps per call through a ring of
+layers, checks each layer against a divergence limit and evaluates its
+energies as it writes it; the bootstrap is one such step.
 
-The arithmetic runs in kernel.c, which is compiled on first import into the
+The arithmetic runs in kernel.c, compiled on first import into the
 package's __pycache__ and loaded with ctypes.  Each array reaches it as a
 bare address from _address, the one check at this boundary: the array's
 exact shape, dtype and C order, and that it is writeable where the kernel
 writes.  The kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute,
-with every multiply-add of the band products an explicit correctly rounded
-fma(), so its results are the same bits on every machine.  Where the
-factor's off-diagonal is zero, as it is outside the damped zone in the
-explicit scheme, the solve's sweeps leave the cells uncoupled, and the
-kernel takes runs of them in vectorized passes with the same operations on
-each cell.  Its energy entry point, kv_energies, is bound by
-diagnostics.layer_energies and adds each sum's terms in eight lanes in a
-fixed order.  Its CSV entry point, kv_format_csv, is bound by format_csv:
-it writes each double as '%.17g' % x does, with integer arithmetic only, so
-the text depends on neither the locale nor the C library.
+every multiply-add an explicit correctly rounded fma(), so its results are
+the same bits on every machine.  Where the factor's off-diagonal is zero,
+as outside the explicit scheme's damped zone, it takes the uncoupled cells
+in vectorized passes with the same operations on each.  The energies, of
+step_block and of kv_energies (diagnostics.layer_energies), add each sum's
+terms in eight lanes in a fixed order.  kv_format_csv (format_csv) writes
+each double as '%.17g' % x does, with integer arithmetic only, so the text
+depends on neither the locale nor the C library.
 """
 
 from __future__ import annotations
@@ -113,11 +109,12 @@ def _load_kernel() -> ctypes.CDLL:
     size, address = ctypes.c_ssize_t, ctypes.c_void_p
     kernel.kv_factor.argtypes = [size, address, address]
     kernel.kv_factor.restype = size
-    kernel.kv_step_block.argtypes = [size, size, size, ctypes.c_double, *[address] * 8]
+    # after the layers: the selection, the energy arguments and out
+    energies = [*[address] * 3, ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double, address]
+    kernel.kv_step_block.argtypes = [size, size, size, size, ctypes.c_double, *[address] * 8,
+                                     *energies]
     kernel.kv_step_block.restype = size
-    kernel.kv_energies.argtypes = [size, size, address, address, address, address,
-                                   ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
-                                   address]
+    kernel.kv_energies.argtypes = [size, size, address, *energies]
     kernel.kv_energies.restype = None
     kernel.kv_format_csv.argtypes = [size, size, address, address, address]
     kernel.kv_format_csv.restype = size
@@ -256,39 +253,48 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
 
 def step_block(
     block: np.ndarray, start: int, stop: int, stiff: TriDiagMatrix, rhs_prev: TriDiagMatrix,
-    f: LDLFactorization, incr: np.ndarray, limit: float,
+    f: LDLFactorization, incr: np.ndarray, limit: float, energies: tuple | None = None,
 ) -> int:
-    """Summed-form steps into rows start .. stop-1 of a block of layers,
-    up to the first row past limit.
+    """Summed-form steps of the layers start .. stop-1, up to the first
+    layer past limit, through a ring: layer i lives in row i % len(block).
 
-    Each row i gets block[i-1] + d, where L d = stiff block[i-1] + rhs_prev
-    d_prev is solved with L's factors f and d_prev is the increment into
-    row i-1.  incr is a (2, n) array: incr[0] holds the increment into row
-    start-1 and, after the call, the one into the last row written; incr[1]
-    is scratch, never read.  The kernel checks each row as it writes it and
-    returns the first row with a value x that fails abs(x) <= limit, a NaN
-    among them, stepping no row after it; else it returns stop.  It reads
-    the matrices' diagonals and off-diagonals as they are, so they must be
-    contiguous float64 arrays.  The block's rows start-1 .. stop-1 and
-    incr, which the kernel writes, must not overlap each other or any other
-    argument: the kernel compares their bounds before it steps, and an
-    overlap raises ValueError.  It takes matrices of three rows or more.
+    Each layer i gets layer i-1 plus d, where L d = stiff layer[i-1] +
+    rhs_prev d_prev is solved with L's factors f and d_prev is the
+    increment into layer i-1.  incr is a (2, n) array: incr[0] holds the
+    increment into layer start-1 and, after the call, the one into the last
+    layer written; incr[1] is scratch.  The kernel checks each layer as it
+    writes it and returns the first with a value x that fails abs(x) <=
+    limit, a NaN among them, stepping no layer after it; else stop.
+    energies, (selected, out, args) with args from
+    diagnostics.energy_arguments, also fills out, (5, stop - start + 2), as
+    layer_energies does on the layers start-2 .. stop-1 with the selection
+    of their steps, each layer's entries once it passes its check; it needs
+    start >= 2 and three rows.  The matrices' diagonals and off-diagonals
+    are read as they are.  The rows the call writes, incr and out must not
+    overlap each other or any other argument: an overlap raises ValueError.
     """
-    if block.ndim != 2 or not 1 <= start <= stop <= len(block):
-        raise ValueError(f"rows {start} .. {stop - 1} do not follow a row of the block")
+    rows, before = len(block) if block.ndim == 2 else 0, 2 if energies else 1
+    if not before <= start <= stop or rows <= before:
+        raise ValueError(f"layers {start} .. {stop - 1}, after {before} given ones, do not fit "
+                         f"a ring of {rows} rows")
     n = block.shape[1]
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
+    selected, out, args = energies or (None, None, (None, None, 0.0, 0, 0, 0, 0.0))
+    m = stop - start + 2
     row = _kernel.kv_step_block(
-        n, int(start), int(stop), limit, _address("block", block, block.shape, written=True),
+        n, rows, int(start), int(stop), limit,
+        _address("block", block, block.shape, written=True),
         _address("stiff.diag", stiff.diag, (n,)), _address("stiff.off", stiff.off, (n - 1,)),
         _address("rhs_prev.diag", rhs_prev.diag, (n,)),
         _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
         _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
-        _address("incr", incr, (2, n), written=True))
+        _address("incr", incr, (2, n), written=True),
+        _address("selected", selected, (m - 2,), np.bool_), *args,
+        _address("out", out, (5, m), written=True))
     if row < 0:
-        raise ValueError("the rows a step reads and writes and the increments must not overlap "
-                         "each other or any other argument")
+        raise ValueError("the rows a step reads and writes, the increments and the energies "
+                         "must not overlap each other or any other argument")
     return row
 
 

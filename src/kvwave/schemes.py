@@ -23,11 +23,12 @@ The increment is never formed as a difference of two rounded layers, which
 keeps the per-step energy identity at round-off whatever the cell count.  L
 is positive definite, so it is factored once per run as L D L^T.
 build_operators returns the scheme's matrices, each a linalg.TriDiagMatrix,
-with the factors in one SchemeOperators.  A whole block of steps runs in
-one linalg.step_block call of the compiled kernel, which reads those
-matrices as they are, carries the increment in one (2, n) array and checks
-each layer for divergence as it writes it; its bits do not depend on the
-machine.
+with the factors in one SchemeOperators.  The steps up to a snapshot or the
+last step run in one linalg.step_block call of the compiled kernel, which
+reads those matrices as they are, carries the increment in one (2, n)
+array, writes each layer into a ring of three rows, checks it for
+divergence and evaluates its energies while it is in cache; its bits do
+not depend on the machine.
 """
 
 from __future__ import annotations
@@ -55,11 +56,8 @@ __all__ = [
 # initial sup norm ends the run (also catches non-finite values).
 SUP_GROWTH_LIMIT = 1.0e6
 
-# Every run steps its layers straight into one buffer of about this many
-# bytes, between 3 and _BLOCK_MAX_ROWS rows, and checks divergence, takes
-# snapshots and evaluates energies once per full buffer.
-_BLOCK_BYTES = 512 * 2**10
-_BLOCK_MAX_ROWS = 1026
+# The most steps a step call takes; its energies take 5 doubles a step.
+_CALL_STEPS = 8192
 
 
 @dataclass(frozen=True)
@@ -100,11 +98,9 @@ def build_operators(
         raise ValueError("dt must be > 0")
     ell = flux_coefficients(mesh, params)
     mass = linalg.assemble_mass(mesh)
-    damping = linalg.assemble_damping(mesh)
-    stiffness = linalg.assemble_stiffness(mesh, ell)
-
-    stiff = stiffness.scaled(dt * dt)
-    damping_scaled = damping.scaled(params.delta * dt / mesh.h)
+    # scaled as assembled, so that no unscaled copy lives on into the factoring
+    stiff = linalg.assemble_stiffness(mesh, ell).scaled(dt * dt)
+    damping_scaled = linalg.assemble_damping(mesh).scaled(params.delta * dt / mesh.h)
     if scheme == "explicit":
         lhs = mass + damping_scaled
         rhs_curr = mass.scaled(2.0) + stiff
@@ -114,7 +110,7 @@ def build_operators(
         # The averaged fluxes put half the (negative-diagonal) stiffness on
         # each outer layer, so it enters both side matrices with a minus sign
         # and the left-hand matrix is strictly diagonally dominant for any dt.
-        half_stiff = stiffness.scaled(0.5 * dt * dt)
+        half_stiff = linalg.assemble_stiffness(mesh, ell).scaled(0.5 * dt * dt)
         lhs = mass - half_stiff + damping_scaled
         rhs_curr = mass.scaled(2.0)
         rhs_prev = mass - half_stiff - damping_scaled
@@ -179,56 +175,54 @@ class SimulationResult:
 
 
 class _EnergyLog:
-    """Trace columns and identity statistics of a run, fed by layer_energies.
+    """Trace columns and identity statistics of a run, fed by its step calls.
 
-    The log is built on the run's layer block, whose first two rows hold
-    layers 0 and 1; row 0 of the trace holds their energy.  record() takes a
-    block of consecutive layers starting at layer `first`; the steps first+1
-    .. first+m-2 are the ones whose residuals the block determines.  A step's
-    row is kept when it is a multiple of observe_every or the last step.
-    The statistics cover every step with verify, otherwise the kept steps.
-    A block's steps are evaluated in one call, on the block itself, with a
-    selection of the kept steps, or of every step with verify; a block that
-    selects no step is not evaluated.  The calls go through the module
-    attribute diagnostics.layer_energies, which the benchmark's tracer wraps.
+    Row 0 of the trace holds the energy of layers 0 and 1, from
+    layer_energies.  The step call of the layers start .. stop-1 determines
+    the steps start-1 .. stop-2 and evaluates, as it writes their layers,
+    the kept ones (multiples of observe_every and the last step), or every
+    one with verify.  The statistics cover the steps it evaluates.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
-                 verify: bool, block: np.ndarray):
-        self.dt = ops.dt
-        # what every layer_energies call passes after the layers
-        self.args = (ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
-        self.observe_every = observe_every
-        self.last_step = last_step
+                 verify: bool, layers: np.ndarray):
+        self.dt, self.observe_every, self.last_step = ops.dt, observe_every, last_step
         self.verify = verify
-        e_k, e_p, e_tot, _, _ = diagnostics.layer_energies(block[:2], *self.args)
+        args = (ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
+        self.args = diagnostics.energy_arguments(*args)  # the run's ops keep their arrays
+        e_k, e_p, e_tot, _, _ = diagnostics.layer_energies(layers, *args)
         self.e_tot0 = float(e_tot[0])
-        # per block: the kept steps and their energies, dissipations and residuals
+        # per call: the kept steps and their energies, dissipations and residuals
         self.columns = [(np.zeros(1, np.int64), e_k, e_p, e_tot, np.zeros(1), np.zeros(1))]
-        self.identity_max = 0.0
-        self.drift_max = 0.0
+        self.identity_max = self.drift_max = 0.0
         self.rise_max = -math.inf
         self.verified = 0
 
-    def record(self, block: np.ndarray, first: int) -> None:
-        # entry j is the step first+1+j: the multiples of observe_every,
-        # sliced with Python ints of any size, and the last step, which no
-        # step of the block follows
-        kept = np.zeros(len(block) - 2, bool)
-        kept[-(first + 1) % self.observe_every::self.observe_every] = True
-        kept[self.last_step - first - 1:] = True
+    def kept(self, start: int, stop: int) -> np.ndarray:
+        # entry j is the step start-1+j: the multiples of observe_every,
+        # sliced with Python ints of any size, and the last step
+        kept = np.zeros(stop - start, bool)
+        kept[-(start - 1) % self.observe_every::self.observe_every] = True
+        kept[self.last_step - start + 1:] = True
+        return kept
+
+    def record(self, out: np.ndarray, start: int, end: int) -> None:
+        """Reads the energies that the step call from layer start, which
+        ended at layer `end`, evaluated into out."""
+        kept = self.kept(start, end)
         selected = kept | self.verify
         if not selected.any():
             return
-        e_k, e_p, e_tot, diss, res = diagnostics.layer_energies(block, *self.args, selected)
-        e_prev, e_next, res_sel = e_tot[:-1][selected], e_tot[1:][selected], res[selected]
+        k = end - start
+        e_k, e_p, e_tot, diss, res = out
+        e_prev, e_next, res_sel = e_tot[:k][selected], e_tot[1:k + 1][selected], res[:k][selected]
         self.identity_max = max(self.identity_max, float(np.abs(res_sel).max()))
         self.drift_max = max(self.drift_max, float(np.abs(e_next - self.e_tot0).max()))
         self.rise_max = max(self.rise_max, float((e_next - e_prev).max()))
         self.verified += len(e_next)
         j = kept.nonzero()[0]
-        pair = j + 1  # the energies of step first+1+j are entry j+1's
-        self.columns.append((j + (first + 1), e_k[pair], e_p[pair], e_tot[pair], diss[j], res[j]))
+        pair = j + 1  # the energies of step start-1+j are entry j+1's
+        self.columns.append((j + (start - 1), e_k[pair], e_p[pair], e_tot[pair], diss[j], res[j]))
 
     def trace(self) -> diagnostics.EnergyTrace:
         step, *values = (np.concatenate(column) for column in zip(*self.columns))
@@ -249,25 +243,23 @@ def run(
     """Run the chosen scheme for n_steps steps from the given initial data.
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
-    recurrence steps).  One linalg.step_block call per block of layers
-    steps its rows, writing each layer straight into its row and checking
-    it for divergence as it is written; then the run copies out snapshots
-    and evaluates energies.  Energies are recorded every observe_every
-    steps plus the final step; with verify_identity the energy identity is
-    evaluated at every step and only its extremes are kept, otherwise at
-    the recorded steps only.  Either way the recorded rows are the same
-    bits.  A layer whose sup norm exceeds SUP_GROWTH_LIMIT times the
-    initial one, or that holds a NaN, ends the run: the kernel steps no
-    layer past it, and the run reports exactly what a run stopped just
-    before that layer would.  Operators, initial layers or first energies
-    that cannot be formed raise ConfigError, naming which, before the first
-    step.
+    recurrence steps).  Each linalg.step_block call steps the layers up to
+    the next snapshot step or the last step, at most _CALL_STEPS of them,
+    through a ring of three rows, checking each layer for divergence and
+    evaluating its energies as it writes it.  Energies are recorded every
+    observe_every steps plus the final step; with verify_identity the
+    energy identity is evaluated at every step and only its extremes are
+    kept.  Either way the recorded rows are the same bits.  A layer whose
+    sup norm exceeds SUP_GROWTH_LIMIT times the initial one, or that holds
+    a NaN, ends the run: the kernel steps no layer past it, and the run
+    reports exactly what a run stopped just before that layer would.
+    Operators, initial layers or first energies that cannot be formed raise
+    ConfigError, naming which, before the first step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
-    rows = min(max(_BLOCK_BYTES // (8 * mesh.n_max), 3), _BLOCK_MAX_ROWS)
     last_step = n_steps - 1  # last step with a defined energy
 
     def set_up(what, errors, build, *args):
@@ -285,43 +277,39 @@ def run(
     u0, psi = (set_up("initial layers", errors, sample_cell_averages, f, mesh)
                for f in (initial.phi, initial.psi))
     u1 = bootstrap(u0, psi, ops)
-    block = np.zeros((rows, mesh.n_max))
-    block[0], block[1] = u0, u1
+    ring = np.zeros((3, mesh.n_max))  # layer i in row i % 3
+    ring[0], ring[1] = u0, u1
     # an energy coefficient out of floating-point range, e.g. delta / (4 dt h)
     log = set_up("first energies", ArithmeticError, _EnergyLog, ops, observe_every, last_step,
-                 verify_identity, block)
+                 verify_identity, ring[:2])
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
-    snap_steps = sorted({int(s) for s in snapshot_steps})
+    snap_steps = {int(s) for s in snapshot_steps}
     snapshots = [Snapshot(s, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
-    first = 0  # layer index of block[0]
     divergence_step: int | None = None
-    incr = np.stack((u1 - u0, u0))  # the increment into block[1]; row 1 is scratch
-    remaining = n_steps - 1
-    while True:
-        stop = min(rows, 2 + remaining)
-        # block[2:filled] are the new layers within the limit
-        filled = linalg.step_block(block, 2, stop, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr,
-                                   sup_limit)
-        remaining -= stop - 2
-        if filled < stop:
-            divergence_step = first + filled
-        snapshots.extend(Snapshot(s, block[s - first].copy())
-                         for s in snap_steps if first + 2 <= s < first + filled)
-        if filled > 2:
-            log.record(block[:filled], first)
-        if divergence_step is not None or not remaining:
-            break
-        block[:2] = block[-2:]
-        first += rows - 2
+    incr = np.stack((u1 - u0, u0))  # the increment into layer 1; row 1 is scratch
+    filled = 2  # layers 0 .. filled-1 are stepped and within the limit
+    while filled <= n_steps and divergence_step is None:
+        # a call ends at a snapshot step, whose layer the next call overwrites
+        stop = min(filled + _CALL_STEPS, n_steps + 1,
+                   *(s + 1 for s in snap_steps if filled <= s < n_steps))
+        out = np.empty((5, stop - filled + 2))
+        end = linalg.step_block(ring, filled, stop, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr,
+                                sup_limit, (log.kept(filled, stop) | verify_identity, out, log.args))
+        log.record(out, filled, end)
+        if end < stop:
+            divergence_step = end
+        elif stop - 1 in snap_steps:
+            snapshots.append(Snapshot(stop - 1, ring[(stop - 1) % 3].copy()))
+        filled = end
     diverged = divergence_step is not None
 
     return SimulationResult(
         steps_completed=divergence_step - 1 if diverged else n_steps,
         diverged=diverged,
         divergence_step=divergence_step,
-        u_prev=block[filled - 2].copy(),
-        u_curr=block[filled - 1].copy(),
+        u_prev=ring[(filled - 2) % 3].copy(),
+        u_curr=ring[(filled - 1) % 3].copy(),
         trace=log.trace(),
         snapshots=snapshots,
         energy_initial=log.e_tot0,

@@ -20,6 +20,7 @@ from kvwave.cli import (
     preset,
     resolve_time_step,
     summary_lines,
+    validate_config,
     write_energy_csv,
     write_outputs,
     write_snapshot_csv,
@@ -27,7 +28,7 @@ from kvwave.cli import (
 )
 from kvwave.diagnostics import EnergyTrace
 from kvwave.mesh import Parameters, build_mesh
-from kvwave.model import ConfigError, cfl_max_dt
+from kvwave.model import ConfigError, cfl_max_dt, default_initial_data
 from kvwave.schemes import build_operators
 
 
@@ -497,7 +498,7 @@ class TestMain:
         ("preset = case1\nt_final = inf\n", "values must be finite: t_final"),
         ("preset = equal-damped\nlength = inf\n", "values must be finite: length"),
         ("preset = equal-damped\nlength = 1e300\nbeta = 1e299\n",  # length**2 overflows
-         "cannot set up the run: the initial data for length = 1e+300: "),
+         "length must lie between 2**-537.5 and 2**512"),
         ("preset = equal-damped\ndelta = inf\n", "values must be finite: delta"),
         ("preset = equal-damped\ndelta = 1e308\n",  # L loses positive definiteness to rounding
          "matrix not positive definite"),
@@ -508,7 +509,7 @@ class TestMain:
         ("preset = case1\nt_final = 1e300\ncfl_fraction = 1e-300\n",  # the step count overflows
          "cannot set up the run: the time step for t_final = 1e+300, cfl_fraction = 1e-300: "),
         ("preset = equal-damped\nlength = 1e-170\nalpha = 1e-171\nbeta = 2e-171\n",
-         "cannot set up the run: the initial data for length = 1e-170: "),  # length**2 underflows
+         "length must lie between 2**-537.5 and 2**512"),  # length**2 underflows
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\nc1_sq = 1e300\n"
          "c2_sq = 1e-170\nc3_sq = 1e-170\nscheme = implicit\ndt = 1e-8\nn_steps = 50\n"
          "t_final = 1e-8\n",  # the interface coefficient's denominator underflows to 0
@@ -639,3 +640,22 @@ class TestRunConfigValidation:
                 "alpha = 2\nbeta = 1\nlength = 3\nt_final = 1\n"
                 "n_alpha = 2\nn_damp = 2\nn_beta = 2\ndt = 0.01\n"
             )
+
+    def test_length_range_is_where_the_initial_data_can_be_formed(self):
+        # the smallest length whose square is not 0, the largest whose square
+        # is finite, and the floats past them: validation accepts a length
+        # exactly when default_initial_data can form 4 / length**2
+        smallest, largest = 1.5717277847026288e-162, float(np.nextafter(2.0**512, 0.0))
+        for length, valid in ((smallest, True), (float(np.nextafter(smallest, 0.0)), False),
+                              (largest, True), (2.0**512, False)):
+            cfg = replace(preset("equal-damped"), length=length, alpha=length / 3,
+                          beta=2 * length / 3)
+            if valid:
+                validate_config(cfg)
+                with np.errstate(all="ignore"):  # an arch of inf at the smallest length
+                    default_initial_data(length)
+            else:
+                with pytest.raises(ConfigError, match=r"between 2\*\*-537.5 and 2\*\*512"):
+                    validate_config(cfg)
+                with pytest.raises(ArithmeticError):
+                    default_initial_data(length)

@@ -1,11 +1,14 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from kvwave.diagnostics import fit_exponential, fit_polynomial, layer_energies
+from kvwave import linalg, schemes
+from kvwave.diagnostics import energy_arguments, fit_exponential, fit_polynomial, layer_energies
+from kvwave.linalg import LDLFactorization, TriDiagMatrix
 from kvwave.mesh import Parameters, build_mesh, flux_coefficients
-from kvwave.model import sample_cell_averages
+from kvwave.model import default_initial_data, sample_cell_averages
 from oracles import block_energies, discrete_h1_seminorm, discrete_l2_norm
 
 DT = 0.025
@@ -405,6 +408,132 @@ class TestKernelEnergies:
         mesh = replace(base_mesh, n_damp=base_mesh.n_damp + base_mesh.n_beta + 1, n_beta=-1)
         with pytest.raises(ValueError, match="faces"):
             layer_energies(layers, mesh, *args[1:])
+
+
+class TestStepCallEnergies:
+    """The energies a step call evaluates as it writes each layer into its
+    ring, against layer_energies on the same layers with the same
+    selection: byte for byte, every entry of a call that ends at its stop,
+    and the entries schemes.run reads of one that ends at a failing layer."""
+
+    @staticmethod
+    def check(step, u0, u1, d1, first, steps, selected, limit, energy_args):
+        """The call of the layers first+2 .. first+steps+1, from the layers
+        first and first+1 (u0, u1) and the increment d1 into u1, in a ring
+        of three rows; layer_energies on the same steps taken in a block of
+        their own, with no energies.  Returns the steps the call took."""
+        n = len(u0)
+        start, stop = first + 2, first + 2 + steps
+        ring = np.full((3, n), np.nan)
+        ring[first % 3], ring[(first + 1) % 3] = u0, u1
+        out = np.full((5, steps + 2), 7.0)
+        args = energy_arguments(*energy_args)
+        end = linalg.step_block(ring, start, stop, *step, np.stack((d1, d1)), limit,
+                                (selected, out, args))
+        block = np.full((steps + 2, n), np.nan)
+        block[:2] = u0, u1
+        k = linalg.step_block(block, 2, steps + 2, *step, np.stack((d1, d1)), limit) - 2
+        assert end - start == k
+        last = k + 1 + (k < steps)  # the last layer written, the failing one if any
+        for i in range(max(last - 2, 0), last + 1):  # the layers the ring keeps
+            assert ring[(first + i) % 3].tobytes() == block[i].tobytes()
+        steps_read = np.ones(k, bool) if selected is None else selected[:k]
+        expected = layer_energies(block[:k + 2], *energy_args,
+                                  None if selected is None else selected[:k])
+        got = (out[0, :k + 1], out[1, :k + 1], out[2, :k + 1], out[3, :k], out[4, :k])
+        if k == steps:
+            assert_same_bits(got, expected)
+        # what schemes.run reads: each selected step's dissipation and
+        # residual, and the energies of the two pairs it reads
+        j = steps_read.nonzero()[0]
+        assert_same_bits([got[3][j], got[4][j], got[2][j]], [expected[3][j], expected[4][j],
+                                                            expected[2][j]])
+        assert_same_bits([e[j + 1] for e in got[:3]], [e[j + 1] for e in expected[:3]])
+        return k
+
+    @pytest.mark.parametrize("variant", ["explicit", "implicit"])
+    def test_run_layers_and_selections(self, base_mesh, base_ell, base_params, variant):
+        ops = schemes.build_operators(base_mesh, base_params, DT, variant)
+        data = default_initial_data(base_params.length)
+        u0, psi = (sample_cell_averages(f, base_mesh) for f in (data.phi, data.psi))
+        u1 = schemes.bootstrap(u0, psi, ops)
+        step = (ops.stiff, ops.rhs_prev, ops.lhs_factor)
+        energy_args = (base_mesh, base_ell, base_params, DT, variant)
+        for first in (0, 1, 2, 3 * 10**6 + 1):
+            for steps in (1, 2, 7, 25):
+                index = np.arange(first + 1, first + 1 + steps)
+                selections = [None, index >= 0, index < 0] + [
+                    (index % every == 0) | (index == first + steps) for every in (1, 3, 10)]
+                for selected in selections:
+                    assert self.check(step, u0, u1, u1 - u0, first, steps, selected, math.inf,
+                                      energy_args) == steps
+
+    # With a zero stiffness and identity R1 and factors each step adds the
+    # increment: layer i is u0 + i from [0, 1) cells, whose sup norm rises
+    # by 1 a step, past a limit just below the sup of the first, a middle
+    # or the last layer of a 5-step call; and cell 5 ramps by MAX / 2 to
+    # inf in the layer before that one, which a zero stiffness turns into
+    # NaN, within an infinite limit.
+    @pytest.mark.parametrize("variant", ["explicit", "implicit"])
+    @pytest.mark.parametrize("failing", [0, 2, 4])
+    def test_call_ending_at_a_failing_layer(self, base_mesh, base_ell, base_params, rng,
+                                            variant, failing):
+        n = base_mesh.n_max
+        zero, identity = (TriDiagMatrix(n, np.full(n, v), np.zeros(n - 1)) for v in (0.0, 1.0))
+        step = (zero, identity, LDLFactorization(np.ones(n), np.zeros(n - 1)))
+        energy_args = (base_mesh, base_ell, base_params, DT, variant)
+        big = float(np.finfo(float).max)
+        for first in (0, 1, 2):
+            u0 = rng.random(n)
+            u1, d1 = u0 + 1.0, np.ones(n)
+            past = float(np.nextafter(np.abs(u1 + 1.0 + failing).max(), 0.0))
+            nan_u1, nan_d1 = u1.copy(), d1.copy()
+            nan_u1[5], nan_d1[5] = (3 - failing) * (big / 2), big / 2  # inf when failing = 0
+            cases = [(u1, d1, past), (nan_u1, nan_d1, math.inf)]
+            for (layer, incr, limit), every in zip(cases * 3, (1, 1, 2, 2, 3, 3)):
+                selected = (np.arange(first + 1, first + 6) % every) == 0
+                assert self.check(step, u0, layer, incr, first, 5, selected, limit,
+                                  energy_args) == failing
+
+    def test_bad_energy_arguments_rejected(self, base_mesh, base_ell, base_params, rng):
+        n = base_mesh.n_max
+        m = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+        f = LDLFactorization(np.ones(n), np.zeros(n - 1))
+        args = energy_arguments(base_mesh, base_ell, base_params, DT, "explicit")
+        ring = rng.standard_normal((3, n))
+        saved = ring.copy()
+        selected = np.ones(4, bool)
+
+        def call(block, start, out, selected=selected, incr=np.zeros((2, n)), matrix=m):
+            return linalg.step_block(block, start, start + 4, matrix, m, f, incr, math.inf,
+                                     (selected, out, args))
+
+        out = np.zeros((5, 6))
+        # a call needs the two layers before its first, in a ring that keeps three
+        for block, start in ((ring, 1), (ring[:2], 2)):
+            with pytest.raises(ValueError, match="rows"):
+                call(block, start, out)
+        for bad in (np.zeros((5, 5)), np.zeros((4, 6)), np.zeros((6, 5)).T):
+            with pytest.raises(ValueError, match="out"):
+                call(ring, 2, bad)
+        read_only = out.view()
+        read_only.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            call(ring, 2, read_only)
+        for bad in (selected[1:], np.ones(4, np.uint8)):
+            with pytest.raises(ValueError, match="selected"):
+                call(ring, 2, out, bad)
+        # out may not share a byte with the ring, the increments or a matrix
+        buffer = np.zeros(30 + 3 * n)
+        with pytest.raises(ValueError, match="overlap"):
+            call(buffer[29:29 + 3 * n].reshape(3, n), 2, buffer[:30].reshape(5, 6))
+        with pytest.raises(ValueError, match="overlap"):
+            call(ring, 2, buffer[:30].reshape(5, 6), incr=buffer[29:29 + 2 * n].reshape(2, n))
+        shared = TriDiagMatrix(n, buffer[29:29 + n], np.zeros(n - 1))
+        with pytest.raises(ValueError, match="overlap"):
+            call(ring, 2, buffer[:30].reshape(5, 6), matrix=shared)
+        assert ring.tobytes() == saved.tobytes() and not buffer.any() and not out.any()
+        call(ring, 2, buffer[:30].reshape(5, 6), incr=buffer[30:30 + 2 * n].reshape(2, n))
 
 
 class TestFits:

@@ -3,13 +3,13 @@
 Over random speeds, damping (including none), interfaces, cell counts and
 time steps at or below the CFL bound, the recorded energy rows are the same
 bits with and without --verify-identity, and a run gives the same trace and
-statistics whatever size its layer blocks have.  Without verification the
+statistics however many steps its step calls take.  Without verification the
 statistics come from the recorded rows alone, and without damping the
 energy drifts only by round-off.  Over the same space the
 explicit bootstrap's solve gives the bits of a division by 2 M, and over it
 and far above the CFL bound every scheme matrix is factored as L D L^T and
 both bootstraps give the bits of their band products solved with their
-factors.  Over the same space every row a block step writes is the bits
+factors.  Over the same space every layer a step call writes is the bits
 of the one-step oracle.  At 1-100 times the CFL bound the implicit scheme
 stays bounded and its energy never rises beyond round-off.  Over every
 configuration that passes validation, with lengths, speeds, damping and
@@ -32,9 +32,9 @@ from hypothesis import strategies as st
 
 from kvwave import linalg, schemes
 from kvwave.cli import main
-from kvwave.diagnostics import EnergyTrace
+from kvwave.diagnostics import EnergyTrace, layer_energies
 from kvwave.linalg import LDLFactorization, TriDiagMatrix
-from kvwave.mesh import Parameters, build_mesh
+from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import run
 from oracles import band_products, explicit_bootstrap, ldl_solve, one_step_layers
@@ -64,21 +64,20 @@ def assert_stats_from_recorded_rows(result) -> None:
     assert result.verified_steps == len(trace) - 1
 
 
-def run_with_block_rows(rows, *args, **kwargs):
-    """A run whose layer blocks hold `rows` layers."""
-    n_cells = args[1].n_max
-    saved = schemes._BLOCK_BYTES
-    schemes._BLOCK_BYTES = rows * 8 * n_cells
+def run_with_call_steps(steps, *args, **kwargs):
+    """A run whose step calls take at most `steps` steps each."""
+    saved = schemes._CALL_STEPS
+    schemes._CALL_STEPS = steps
     try:
         return run(*args, **kwargs)
     finally:
-        schemes._BLOCK_BYTES = saved
+        schemes._CALL_STEPS = saved
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
 @example(  # smallest zones, undamped, at the CFL bound, every step recorded
     c_sq=(1.0, 4.0, 0.25), delta=0.0, alpha=1.0, beta=2.0, cells=(1, 2, 1),
-    cfl_fraction=1.0, n_steps=300, observe_every=1, block_rows=3,
+    cfl_fraction=1.0, n_steps=300, observe_every=1, call_steps=1,
 )
 @given(
     c_sq=st.tuples(speeds, speeds, speeds),
@@ -89,10 +88,10 @@ def run_with_block_rows(rows, *args, **kwargs):
     cfl_fraction=st.floats(0.05, 1.0),
     n_steps=st.integers(1, 300),
     observe_every=st.integers(1, 50),
-    block_rows=st.integers(3, 7),
+    call_steps=st.integers(1, 5),
 )
 def test_energy_rows_depend_only_on_the_layers(
-    c_sq, delta, alpha, beta, cells, cfl_fraction, n_steps, observe_every, block_rows
+    c_sq, delta, alpha, beta, cells, cfl_fraction, n_steps, observe_every, call_steps
 ):
     params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
     mesh = build_mesh(params, *cells)
@@ -102,9 +101,9 @@ def test_energy_rows_depend_only_on_the_layers(
         args = (params, mesh, data, dt, n_steps)
         kwargs = dict(scheme=scheme, observe_every=observe_every)
         plain = run(*args, **kwargs)
-        plain_small = run_with_block_rows(block_rows, *args, **kwargs)
+        plain_small = run_with_call_steps(call_steps, *args, **kwargs)
         verified = run(*args, verify_identity=True, **kwargs)
-        small = run_with_block_rows(block_rows, *args, verify_identity=True, **kwargs)
+        small = run_with_call_steps(call_steps, *args, verify_identity=True, **kwargs)
         assert not verified.diverged
 
         assert_same_trace(plain.trace, verified.trace)
@@ -287,9 +286,10 @@ def stepwise_divergence(params, mesh, data, dt):
 @pytest.mark.parametrize("observe_every", [1, 7, 100])
 def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
     # Undamped explicit above the CFL bound diverges at layer 42 (1.05x) or
-    # 13 (1.5x).  Over blocks of 3-12 rows that layer lands on the first, a
-    # middle and the last new row of a block; runs of exactly that many steps
-    # or one more end in a partial block at or just past it.
+    # 13 (1.5x).  Over step calls of 1-10 steps, which also end at every
+    # fifth step, a snapshot, that layer lands on the first, a middle and
+    # the last layer of a call; runs of exactly that many steps or one more
+    # end in a call that stops at or just past it.
     params = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
     mesh = build_mesh(params, 20, 10, 20)
     data = default_initial_data(params.length)
@@ -310,11 +310,11 @@ def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
             for n_steps in (5000, step, step + 1):
                 args = (params, mesh, data, dt, n_steps)
                 results[verify, None, n_steps] = run(*args, verify_identity=verify, **kwargs)
-                for rows in range(3, 13):
-                    results[verify, rows, n_steps] = run_with_block_rows(
-                        rows, *args, verify_identity=verify, **kwargs
+                for steps in range(1, 11):
+                    results[verify, steps, n_steps] = run_with_call_steps(
+                        steps, *args, verify_identity=verify, **kwargs
                     )
-        for (verify, rows, n_steps), result in results.items():
+        for (verify, steps, n_steps), result in results.items():
             assert result.divergence_step == step
             assert_same_trace(result.trace, reference.trace)
             assert_same_stats(result, results[verify, None, 5000])
@@ -328,36 +328,39 @@ def test_diverging_run_is_independent_of_mode_and_block_size(observe_every):
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_run_layers_match_one_step_oracle(scheme):
-    # Every layer of a run, over two full blocks and a partial one, is the
-    # same bits as the kernel's arithmetic done one layer at a time in
-    # Python floats (oracles.one_step_layers): at the default block size (1026 rows at 50 cells) on a damped
-    # problem, and in blocks of 18 rows on an explicit run that diverges at
-    # layer 42, in its third block.
+    # Every layer of a run is the same bits as the kernel's arithmetic done
+    # one layer at a time in Python floats (oracles.one_step_layers): with
+    # every layer a snapshot, so that each step call writes one layer, at
+    # each offset of the ring in turn, and with a snapshot every 97 steps,
+    # in calls of 97 steps.  On a damped problem over 2348 steps, and on an
+    # explicit run that diverges at layer 42.
     damped = Parameters(9.0, 1.0, 4.0, 1.0, 1.0, 2.0, 3.0, 10.0)
     undamped = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
-    cases = [(damped, 0.9, None, 2 * 1024 + 300)]
+    cases = [(damped, 0.9, 2 * 1024 + 300)]
     if scheme == "explicit":
-        cases.append((undamped, 1.05, 18, 60))
-    for params, cfl_fraction, rows, n_steps in cases:
+        cases.append((undamped, 1.05, 60))
+    for params, cfl_fraction, n_steps in cases:
         mesh = build_mesh(params, 20, 10, 20)
         data = default_initial_data(params.length)
         dt = cfl_fraction * cfl_max_dt(params, mesh)
         args = (params, mesh, data, dt, n_steps)
-        kwargs = dict(scheme=scheme, snapshot_steps=range(n_steps + 1))
-        result = run(*args, **kwargs) if rows is None else run_with_block_rows(rows, *args, **kwargs)
+        result = run(*args, scheme=scheme, snapshot_steps=range(n_steps + 1))
         ops = schemes.build_operators(mesh, params, dt, scheme)
         u0, u1 = (s.values for s in result.snapshots[:2])
         expected = one_step_layers(ops, u0, u1, n_steps)
         stored = len(result.snapshots)
-        if rows is None:
+        if params is damped:
             assert not result.diverged and stored == n_steps + 1
         else:
             assert result.divergence_step == stored == 42
             assert not np.abs(expected[42]).max() <= schemes.SUP_GROWTH_LIMIT * np.abs(u0).max()
-        for snapshot, layer in zip(result.snapshots, expected[:stored]):
-            assert snapshot.values.tobytes() == layer.tobytes(), snapshot.step
-        assert result.u_prev.tobytes() == expected[stored - 2].tobytes()
-        assert result.u_curr.tobytes() == expected[stored - 1].tobytes()
+        sparse = run(*args, scheme=scheme, snapshot_steps=range(0, n_steps + 1, 97))
+        assert [s.step for s in sparse.snapshots] == list(range(0, stored, 97))
+        for snapshot in result.snapshots + sparse.snapshots:
+            assert snapshot.values.tobytes() == expected[snapshot.step].tobytes(), snapshot.step
+        for r in (result, sparse):
+            assert r.u_prev.tobytes() == expected[stored - 2].tobytes()
+            assert r.u_curr.tobytes() == expected[stored - 1].tobytes()
 
 
 
@@ -429,51 +432,63 @@ def kernel_within(layer, limit):
     return linalg.step_block(scratch, 1, 2, zero, identity, f, incr, limit) == 2
 
 
-def run_poisoned(layer, value, judge, rows, *args, **kwargs):
-    """A run in blocks of `rows` layers whose layer `layer` gets `value` in
-    cell 3 as it is stepped.  judge = "kernel": the kernel checks every
-    layer, the poisoned one by kernel_within, before any layer after it is
-    stepped.  judge = "abs max": nothing is checked as it is stepped, and
-    each call returns the first of its layers that np.abs(...).max() <=
-    limit rejects, having stepped the layers after it, which the run
+def run_poisoned(layer, value, judge, steps, *args, **kwargs):
+    """A run in step calls of at most `steps` steps whose layer `layer` gets
+    `value` in cell 3 as it is stepped.  Each call steps its layers in a
+    block of their own, from the ring's last two layers, without energies;
+    it then evaluates, by layer_energies with the call's selection, the
+    steps that its layers within the limit determine, and leaves the last
+    three of its layers in the ring.  judge = "kernel": the kernel checks
+    every layer, the poisoned one by kernel_within, before any layer after
+    it is stepped.  judge = "abs max": nothing is checked as it is stepped,
+    and each call returns the first of its layers that np.abs(...).max()
+    <= limit rejects, having stepped the layers after it, which the run
     discards."""
     step_block = linalg.step_block
-    stepped = [0]  # layers stepped by earlier calls; the first call starts at layer 2
+    params, mesh, _, dt = args[:4]
+    energy_args = (mesh, flux_coefficients(mesh, params), params, dt, kwargs["scheme"])
 
-    def poisoned(block, start, stop, stiff, rhs_prev, f, incr, limit):
-        if limit == math.inf:  # the bootstrap's step
-            return step_block(block, start, stop, stiff, rhs_prev, f, incr, limit)
-        row = start + layer - 2 - stepped[0]  # the row of `layer`, if this call steps it
-        stepped[0] += stop - start
+    def poisoned(ring, start, stop, stiff, rhs_prev, f, incr, limit, energies=None):
+        if energies is None:  # the bootstrap's step
+            return step_block(ring, start, stop, stiff, rhs_prev, f, incr, limit)
+        block = np.empty((stop - start + 2, ring.shape[1]))  # layer start-2+i in row i
+        block[:2] = ring[(start - 2) % 3], ring[(start - 1) % 3]
+        row, rows = layer - start + 2, len(block)  # the row of `layer`, if this call steps it
         by_kernel = judge == "kernel"
         step_limit = limit if by_kernel else math.inf
-        if start <= row < stop:
+        end, first = rows, 2
+        if 2 <= row < rows:
             # step up to and through the layer, poison it, and step the rest from it
-            end = step_block(block, start, row + 1, stiff, rhs_prev, f, incr, step_limit)
-            if end <= row:
-                return end
-            block[row, 3] = value
-            if by_kernel and not kernel_within(block[row], limit):
-                return row
-            start = row + 1
-        end = step_block(block, start, stop, stiff, rhs_prev, f, incr, step_limit)
-        if by_kernel:
-            return end
-        within = np.abs(block[2:stop]).max(axis=1) <= limit
-        return stop if within.all() else 2 + int(within.argmin())
+            end = step_block(block, 2, row + 1, stiff, rhs_prev, f, incr, step_limit)
+            if end > row:
+                block[row, 3] = value
+                end = row if by_kernel and not kernel_within(block[row], limit) else rows
+                first = row + 1
+        if end == rows:
+            end = step_block(block, first, rows, stiff, rhs_prev, f, incr, step_limit)
+        if not by_kernel:
+            within = np.abs(block[2:]).max(axis=1) <= limit
+            end = rows if within.all() else 2 + int(within.argmin())
+        for i in range(max(end - 3, 0), end):
+            ring[(start - 2 + i) % 3] = block[i]
+        selected, out, _ = energies
+        e_k, e_p, e_tot, diss, res = layer_energies(block[:end], *energy_args,
+                                                     selected[:end - 2])
+        out[:3, :end - 1], out[3:, :end - 2] = (e_k, e_p, e_tot), (diss, res)
+        return start - 2 + end
 
     linalg.step_block = poisoned
     try:
-        return run_with_block_rows(rows, *args, **kwargs)
+        return run_with_call_steps(steps, *args, **kwargs)
     finally:
         linalg.step_block = step_block
 
 
 def test_sup_check_stops_runs_where_abs_max_does():
     # A stable run with one entry of layer 20 set past -limit, to exactly
-    # +-limit, or to +-inf or NaN.  Over blocks of 3-8 rows and runs ending
-    # at, just after and long after that layer (the first two end in a
-    # partial block), the kernel's check stops the run where the abs-max
+    # +-limit, or to +-inf or NaN.  Over step calls of 1-6 steps and runs
+    # ending at, just after and long after that layer (the first two end in
+    # a shorter call), the kernel's check stops the run where the abs-max
     # check does, with the same trace, statistics, last layers and snapshots.
     params = Parameters(1.0, 1.0, 1.0, 0.0, 1.0, 2.0, 3.0, 10.0)
     mesh = build_mesh(params, 20, 10, 20)
@@ -488,10 +503,10 @@ def test_sup_check_stops_runs_where_abs_max_does():
                 kwargs = dict(scheme=scheme, observe_every=3, verify_identity=verify,
                               snapshot_steps=range(0, 60, 4))
                 for n_steps in (layer, layer + 1, 60):
-                    for rows in range(3, 9):
+                    for steps in range(1, 7):
                         args = (params, mesh, data, dt, n_steps)
-                        result = run_poisoned(layer, value, "kernel", rows, *args, **kwargs)
-                        expected = run_poisoned(layer, value, "abs max", rows, *args, **kwargs)
+                        result = run_poisoned(layer, value, "kernel", steps, *args, **kwargs)
+                        expected = run_poisoned(layer, value, "abs max", steps, *args, **kwargs)
                         assert result.divergence_step == expected.divergence_step
                         if abs(value) != limit:
                             assert result.divergence_step == layer

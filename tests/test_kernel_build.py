@@ -129,10 +129,11 @@ def test_kernel_exports_exactly_the_entry_points_the_package_binds():
 
 def block_outputs() -> list[bytes]:
     """The bits of a block step of each scheme, with the rows it returns,
-    and of the energies of its layers.  The explicit run's side zones hold
-    whole chunks of free cells, and an inf put into a layer makes the
-    stiffness product of the next one NaN: the row where the second call
-    stops."""
+    and of the energies of its layers; then of a step call through a ring
+    of three rows that evaluates the energies of every third step as it
+    writes its layers.  The explicit run's side zones hold whole chunks of
+    free cells, and an inf put into a layer makes the stiffness product of
+    the next one NaN: the row where the second call stops."""
     params = Parameters(1.0, 4.0, 0.25, 1.0, 1.0, 2.0, 3.0, 10.0)
     mesh = build_mesh(params, 40, 6, 40)
     data = default_initial_data(params.length)
@@ -155,6 +156,12 @@ def block_outputs() -> list[bytes]:
                                               scheme)
         outputs += [bytes(rows), block.tobytes(), incr.tobytes(),
                     *(e.tobytes() for e in energies)]
+        ring, incr = np.stack((u0, u1, u1)), np.stack((u1 - u0, u0))
+        selected, out = np.arange(2, 40) % 3 == 0, np.zeros((5, 40))
+        args = diagnostics.energy_arguments(mesh, ops.ell, params, dt, scheme)
+        end = linalg.step_block(ring, 2, 40, *step[:3], incr, step[4], (selected, out, args))
+        assert end == 40
+        outputs += [ring.tobytes(), incr.tobytes(), np.nan_to_num(out).tobytes()]
     return outputs
 
 

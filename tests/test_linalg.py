@@ -380,6 +380,27 @@ class TestKernelBits:
         with pytest.raises(ValueError, match="3 or more"):
             step_block(np.zeros((3, 2)), 1, 3, m, m, f, np.zeros((2, 2)), math.inf)
 
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_step_block_through_a_ring(self, rng, rows):
+        # layer i in row i % rows, over one call and over two: the ring
+        # keeps the oracle's last `rows` layers, and incr[0] the increment
+        n = 11
+        stiff, rhs_prev = random_band(rng, n), random_band(rng, n)
+        f = factor(random_spd_tridiag(rng, n))
+        u0, d0 = rng.standard_normal((2, n))
+        layers, increments = summed_form_steps(stiff, rhs_prev, f, u0, d0, 12)
+        for first in range(rows + 1):  # the layer of u0
+            for split in (first + 13, first + 6):
+                ring = np.full((rows, n), np.nan)
+                ring[first % rows] = u0
+                incr = np.stack((d0, np.full(n, np.nan)))
+                for start, stop in ((first + 1, split), (split, first + 13)):
+                    assert step_block(ring, start, stop, stiff, rhs_prev, f, incr,
+                                      math.inf) == stop
+                for i in range(13 - rows, 13):
+                    assert ring[(first + i) % rows].tobytes() == layers[i - 1].tobytes()
+                assert incr[0].tobytes() == increments[-1].tobytes()
+
     @staticmethod
     def check_step_block(rng, rows, n):
         # with no limit, and with each row's sup norm and the float below it
@@ -462,9 +483,10 @@ class TestKernelBits:
         block = rng.standard_normal((4, n))
         saved = block.copy()
         incr = np.stack((np.ones(n), np.zeros(n)))
-        for start, stop in ((0, 2), (2, 5), (3, 2)):
+        # a first layer after a given one, in a ring with a row for each
+        for rows, start, stop in ((4, 0, 2), (4, 3, 2), (1, 1, 2)):
             with pytest.raises(ValueError, match="rows"):
-                step_block(block, start, stop, stiff, stiff, f, incr, math.inf)
+                step_block(block[:rows], start, stop, stiff, stiff, f, incr, math.inf)
         for shape in ((2, n + 1), (n,), (3, n)):
             with pytest.raises(ValueError, match="length"):
                 step_block(block, 1, 4, stiff, stiff, f, np.zeros(shape), math.inf)

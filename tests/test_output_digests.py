@@ -71,12 +71,13 @@ def test_runs_include_the_benchmark_sweep_and_dense_trace():
     assert all(runs[f"{name}-plain"].observe_every == 1 for name in dense)
 
 
-def test_a_diverging_run_stops_after_its_first_block():
-    # the 5000-cell run carries its block over before it diverges
+def test_a_diverging_run_stops_after_its_first_step_call():
+    # the 5000-cell run's first step call ends at its mid-run snapshot, and
+    # the run diverges in the call after it, from the layers carried over
     cfg = output_digests.configs(kvwave, None)["mesh5000-diverging-explicit-plain"]
     sim = kvwave.cli.execute(cfg).sim
-    rows = kvwave.schemes._BLOCK_BYTES // (8 * (cfg.n_alpha + cfg.n_damp + cfg.n_beta))
-    assert sim.diverged and sim.divergence_step > rows
+    assert sim.diverged and sim.divergence_step > cfg.n_steps // 2 + 1
+    assert [s.step for s in sim.snapshots] == [0, cfg.n_steps // 2]
 
 
 def test_kvwave_fit_output_is_digested_over_two_windows(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kvwave import diagnostics, linalg
+from kvwave import diagnostics, linalg, schemes
 from kvwave.cli import PRESET_NAMES
 from kvwave.diagnostics import EnergyTrace, layer_energies
 from kvwave.linalg import assemble_damping, assemble_mass, assemble_stiffness
@@ -266,32 +266,41 @@ class TestRun:
     def test_recording_every_step_evaluates_what_verifying_does(self, base_mesh, base_params,
                                                                  monkeypatch, scheme):
         # an unverified run that keeps every step makes the verified run's
-        # layer_energies calls: the initial pair, then each block itself with
-        # every step selected, and no other evaluation
-        original = diagnostics.layer_energies
+        # step calls, each with every step selected and the same energies,
+        # and no other evaluation than layer_energies on the initial pair
+        step_block, layer_energies = linalg.step_block, diagnostics.layer_energies
+        monkeypatch.setattr(schemes, "_CALL_STEPS", 1024)
 
         def calls(verify):
             seen = []
 
-            def spy(layers, *args):
-                selected = args[5] if len(args) > 5 else None
-                seen.append((layers.copy(), None if selected is None else selected.copy()))
-                return original(layers, *args)
+            def step_spy(*args):
+                end = step_block(*args)
+                if len(args) > 8:  # not the bootstrap's step
+                    selected, out, _ = args[8]
+                    seen.append((args[1], args[2], end, selected.copy(), out[:3, :-1].copy(),
+                                 out[3:, :-2].copy()))
+                return end
 
-            monkeypatch.setattr(diagnostics, "layer_energies", spy)
+            def energies_spy(layers, *args):
+                seen.append(layers.copy())
+                return layer_energies(layers, *args)
+
+            monkeypatch.setattr(linalg, "step_block", step_spy)
+            monkeypatch.setattr(diagnostics, "layer_energies", energies_spy)
             run(base_params, base_mesh, default_initial_data(3.0), DT, 2500, scheme=scheme,
                 observe_every=1, verify_identity=verify)
             return seen
 
         plain, verified = calls(False), calls(True)
-        assert [len(layers) for layers, _ in verified] == [2, 1026, 1026, 453]
+        assert len(verified[0]) == 2  # the layers 0 and 1
+        assert [call[:3] for call in verified[1:]] == [(2, 1026, 1026), (1026, 2050, 2050),
+                                                      (2050, 2501, 2501)]
         assert len(plain) == len(verified)
-        for (layers, selected), (layers_v, selected_v) in zip(plain, verified):
-            assert layers.tobytes() == layers_v.tobytes()
-            if selected_v is None:
-                assert selected is None
-            else:
-                assert selected.all() and selected.tobytes() == selected_v.tobytes()
+        for call, call_v in zip(plain, verified):
+            for a, b in zip(call, call_v):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+        assert all(call[3].all() for call in plain[1:])
 
     def test_trace_records_cadence_and_final_step(self, base_mesh, base_params):
         data = default_initial_data(3.0)
@@ -405,7 +414,7 @@ class TestRun:
         # the run's first block step, after the bootstrap's has passed
         step_block = linalg.step_block
 
-        def overlapping(block, start, stop, stiff, rhs_prev, f, incr, limit):
+        def overlapping(block, start, stop, stiff, rhs_prev, f, incr, limit, energies=None):
             if limit == math.inf:  # the bootstrap's step
                 return step_block(block, start, stop, stiff, rhs_prev, f, incr, limit)
             raise ValueError("overlap")

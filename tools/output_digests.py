@@ -5,9 +5,10 @@
 
 The runs are every preset with both schemes, each with and without
 --verify-identity; an undamped explicit run at 1.05 times the stability
-bound, which diverges, in both modes, on the presets' mesh and on a
-2000/1000/2000 mesh (5000 cells), where the divergence falls in a later
-block than the first; a verified run on that mesh (300 steps); and, in
+bound, which diverges, in both modes: on the presets' mesh (5000 steps),
+and on a 2000/1000/2000 mesh (5000 cells, 100 steps), where it diverges at
+layer 57, after the run's kernel call that stops at its mid-run snapshot;
+a verified run on that mesh (300 steps); and, in
 both modes, the benchmark's 16 ``sweep`` configurations and its
 ``dense-trace`` configuration, taken from ``perfbench/workloads``, with
 that configuration once more under the explicit scheme (it records every
@@ -69,11 +70,12 @@ def configs(kvwave, steps: int | None) -> dict[str, object]:
         for scheme in ("explicit", "implicit"):
             _both_modes(runs, f"{name}-{scheme}", replace(cli.preset(name), scheme=scheme))
     undamped = cli.preset("equal-undamped")
-    for name, cfg in (("diverging-explicit", undamped), ("mesh5000-diverging-explicit", replace(
-            undamped, n_alpha=2000, n_damp=1000, n_beta=2000))):
+    for name, cfg, n_steps in (("diverging-explicit", undamped, 5000), (
+            "mesh5000-diverging-explicit",
+            replace(undamped, n_alpha=2000, n_damp=1000, n_beta=2000), 100)):
         params, mesh = _problem(kvwave, cfg)
         _both_modes(runs, name, replace(
-            cfg, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=5000, cfl_override=True,
+            cfg, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=n_steps, cfl_override=True,
         ))
     runs["mesh5000-explicit-verified"] = replace(
         cli.preset("equal-damped"), n_alpha=2000, n_damp=1000, n_beta=2000,
