@@ -21,14 +21,15 @@ import locale
 import sys
 import time
 from dataclasses import dataclass, fields, replace
-from math import ceil, inf, isfinite
+from math import ceil, isfinite
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, linalg
 from .mesh import Mesh, Parameters, build_mesh
-from .model import Admissibility, ConfigError, cfl_max_dt, default_initial_data, validate_run
+from .model import (Admissibility, ConfigError, cfl_max_dt, default_initial_data, set_up,
+                    validate_run)
 from .schemes import SimulationResult, run
 
 __all__ = [
@@ -238,11 +239,11 @@ def validate_config(cfg: RunConfig) -> None:
         _parameters(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    # default_initial_data divides by length**2, which rounds to 0 up to
-    # 2**-537.5 and overflows from 2**512 on
-    if not 0.0 < cfg.length * cfg.length < inf:
-        raise ConfigError("length must lie between 2**-537.5 and 2**512 (about 1.57e-162 and "
-                          "1.34e154), where the initial data's 4 / length**2 can be formed")
+    # default_initial_data's scale 4 / length**2 is inf up to 2**-511, and
+    # length**2 overflows from 2**512 on
+    if not 2.0**-511 < cfg.length < 2.0**512:
+        raise ConfigError("length must lie strictly between 2**-511 and 2**512 (about 1.49e-154 "
+                          "and 1.34e154), where the initial data's scale 4 / length**2 is finite")
 
 
 def _parameters(cfg: RunConfig) -> Parameters:
@@ -311,26 +312,22 @@ def _fit_items(fits: dict, errors: dict[str, str]) -> list[tuple[str, object]]:
     return items
 
 
-def _set_up(cfg: RunConfig, what: str, keys: tuple[str, ...], build, *args):
-    """build(*args), or a ConfigError that names what it builds and the
-    configuration's values of keys, its inputs: e.g. a mesh too large to
-    allocate, or a step count that overflows."""
-    try:
-        return build(*args)
-    except (ArithmeticError, ValueError, MemoryError) as err:
-        inputs = ", ".join(f"{key} = {getattr(cfg, key)}" for key in keys
-                           if getattr(cfg, key) is not None)
-        raise ConfigError(f"cannot set up the run: the {what} for {inputs}: {err}") from err
+def _part(cfg: RunConfig, part: str, *keys: str) -> str:
+    """The part of the run that set_up names, with the configuration's
+    values of keys, its inputs: e.g. a mesh too large to allocate."""
+    inputs = ", ".join(f"{key} = {getattr(cfg, key)}" for key in keys
+                       if getattr(cfg, key) is not None)
+    return f"the run: the {part} for {inputs}"
 
 
 def execute(cfg: RunConfig) -> RunResult:
     """Run a validated configuration end to end (no file output)."""
     params = _parameters(cfg)
-    mesh = _set_up(cfg, "mesh", ("n_alpha", "n_damp", "n_beta"), build_mesh, params,
-                   cfg.n_alpha, cfg.n_damp, cfg.n_beta)
-    dt, n_steps = _set_up(cfg, "time step", ("t_final", "dt", "cfl_fraction"), resolve_time_step,
-                          cfg, params, mesh)
-    initial = _set_up(cfg, "initial data", ("length",), default_initial_data, params.length)
+    mesh = set_up(_part(cfg, "mesh", "n_alpha", "n_damp", "n_beta"), build_mesh, params,
+                  cfg.n_alpha, cfg.n_damp, cfg.n_beta)
+    dt, n_steps = set_up(_part(cfg, "time step", "t_final", "dt", "cfl_fraction"),
+                         resolve_time_step, cfg, params, mesh)
+    initial = set_up(_part(cfg, "initial data", "length"), default_initial_data, params.length)
     admissibility = validate_run(params, mesh, dt, cfg.scheme)
     if cfg.scheme == "explicit" and not admissibility.stable and not cfg.cfl_override:
         raise ConfigError(
@@ -450,11 +447,12 @@ def _build_parser() -> _Parser:
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", help="named experiment preset")
     src.add_argument("--config", help="path to a key = value config file")
+    # every dest but config's is a RunConfig field, which the flag overrides
     p_run.add_argument("--scheme", choices=("explicit", "implicit"))
     p_run.add_argument("--dt", type=float)
-    p_run.add_argument("--steps", type=int)
-    p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--observe-every", type=int, dest="observe_every")
+    p_run.add_argument("--steps", type=int, dest="n_steps")
+    p_run.add_argument("--out", dest="out_dir", help="output directory")
+    p_run.add_argument("--observe-every", type=int)
     p_run.add_argument("--verify-identity", action="store_true", default=None)
     p_run.add_argument("--cfl-override", action="store_true", default=None)
 
@@ -475,20 +473,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(f"cannot read config {args.config}: {err}") from err
         cfg = parse_config(text)
-    if args.scheme is not None:
-        cfg = replace(cfg, scheme=args.scheme)
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in _FIELD_TYPES and key != "preset" and value is not None}
     if args.dt is not None:
-        cfg = replace(cfg, dt=args.dt, cfl_fraction=None)
-    if args.steps is not None:
-        cfg = replace(cfg, n_steps=args.steps)
-    if args.observe_every is not None:
-        cfg = replace(cfg, observe_every=args.observe_every)
-    if args.verify_identity:
-        cfg = replace(cfg, verify_identity=True)
-    if args.cfl_override:
-        cfg = replace(cfg, cfl_override=True)
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
+        overrides["cfl_fraction"] = None
+    cfg = replace(cfg, **overrides)
     validate_config(cfg)
     return cfg
 

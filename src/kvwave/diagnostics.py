@@ -5,10 +5,11 @@ a forward difference in time, the potential part couples the face jumps of
 both layers.  For either scheme the step-to-step energy difference equals an
 explicitly computable, nonpositive dissipation increment supported on the
 interior faces of the damped zone; the per-step residual of that identity is
-the primary correctness diagnostic of a run.  layer_energies evaluates all of
-these in one call of linalg's compiled kernel, and a run's step calls
-evaluate them as they write each layer, with the same kernel routine and
-the arguments energy_arguments gives; the fits run in numpy.
+the primary correctness diagnostic of a run.  energy_arguments gives the
+inputs of these definitions; layer_energies evaluates them on a block of
+layers through linalg.energies, and a run's step calls, through
+linalg.step_block, as they write each layer, both in the same routine of
+linalg's compiled kernel.  The fits run in numpy.
 """
 
 from __future__ import annotations
@@ -88,40 +89,33 @@ def layer_energies(
     nonpositive and +0.0 when undamped, summed over the faces strictly inside
     the damped zone; residual is (E^n - E^{n-1}) - dissipation.
 
-    The arithmetic runs in linalg's compiled kernel, kv_energies, in eight
-    lanes in a fixed order (README, "Install and test").  Every entry
+    The arithmetic runs in linalg's compiled kernel (linalg.energies), in
+    eight lanes in a fixed order (README, "Install and test").  Every entry
     depends only on the layers it belongs to, never on the block or the
     selection, so any blocking of a run gives the same bits.
     """
     if layers.ndim != 2 or len(layers) < 2:
         raise ValueError("need a block of at least two consecutive layers")
-    args = energy_arguments(mesh, ell, params, dt, variant)
-    m, n = len(layers), mesh.n_max
     # the kernel reads the selection's flags as bytes, so a strided one is copied
     selected = None if selected is None else np.ascontiguousarray(selected)
-    out = np.empty((5, m))
-    linalg._kernel.kv_energies(
-        m, n, linalg._address(f"layers of {n} cells", layers, (m, n)),
-        linalg._address("selected", selected, (m - 2,), np.bool_), *args,
-        linalg._address("out", out, out.shape, written=True))
-    e_k, e_p, e_total, dissipation, residual = out
+    e_k, e_p, e_total, dissipation, residual = linalg.energies(
+        layers, selected, energy_arguments(mesh, ell, params, dt, variant))
     return e_k[:-1], e_p[:-1], e_total[:-1], dissipation[:-2], residual[:-2]
 
 
 def energy_arguments(mesh: Mesh, ell: FluxCoefficients, params: Parameters, dt: float,
                      variant: str) -> tuple:
-    """What kv_energies and linalg.step_block take after the layers and the
-    selection: the addresses of the cell widths and flux coefficients,
-    which the caller keeps alive, dt, whether the scheme is implicit, the
-    damped zone's interior faces and the coefficient delta / (4 dt h)."""
+    """The energy definitions' inputs, as linalg.energies and
+    linalg.step_block take them: the cell widths, the flux coefficients,
+    dt, whether the scheme is implicit, the damped zone's interior faces
+    and the coefficient delta / (4 dt h)."""
     if variant not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme variant {variant!r}")
-    n, faces = mesh.n_max, mesh.damping_interior_faces
-    if not 1 <= faces.start <= faces.stop <= n:
+    faces = mesh.damping_interior_faces
+    if not 1 <= faces.start <= faces.stop <= mesh.n_max:
         raise ValueError("the damped zone's interior faces must lie inside the mesh")
-    return (linalg._address("the mesh's cell widths", mesh.cell_widths, (n,)),
-            linalg._address("the flux coefficients", ell.ell, (n + 1,)), dt,
-            variant == "implicit", faces.start, faces.stop, params.delta / (4.0 * dt * mesh.h))
+    return (mesh.cell_widths, ell.ell, dt, variant == "implicit", faces.start, faces.stop,
+            params.delta / (4.0 * dt * mesh.h))
 
 
 def _window_samples(

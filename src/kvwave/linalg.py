@@ -17,18 +17,19 @@ layers, checks each layer against a divergence limit and evaluates its
 energies as it writes it; the bootstrap is one such step.
 
 The arithmetic runs in kernel.c, compiled on first import into the
-package's __pycache__ and loaded with ctypes.  Each array reaches it as a
-bare address from _address, the one check at this boundary: the array's
-exact shape, dtype and C order, and that it is writeable where the kernel
-writes.  The kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute,
-every multiply-add an explicit correctly rounded fma(), so its results are
-the same bits on every machine.  Where the factor's off-diagonal is zero,
-as outside the explicit scheme's damped zone, it takes the uncoupled cells
-in vectorized passes with the same operations on each.  The energies, of
-step_block and of kv_energies (diagnostics.layer_energies), add each sum's
-terms in eight lanes in a fixed order.  kv_format_csv (format_csv) writes
-each double as '%.17g' % x does, with integer arithmetic only, so the text
-depends on neither the locale nor the C library.
+package's __pycache__, loaded with ctypes and called from this module only.
+Each array reaches it as a bare address, formed inside the call that passes
+it by _address, the one check at this boundary: the array's exact shape,
+dtype and C order, and that it is writeable where the kernel writes.  The
+kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute, every
+multiply-add an explicit correctly rounded fma(), so its results are the
+same bits on every machine.  Where the factor's off-diagonal is zero, as
+outside the explicit scheme's damped zone, it takes the uncoupled cells in
+vectorized passes with the same operations on each.  The energies, of
+step_block and of kv_energies (energies, on a block of layers), add each
+sum's terms in eight lanes in a fixed order.  kv_format_csv (format_csv)
+writes each double as '%.17g' % x does, with integer arithmetic only, so
+the text depends on neither the locale nor the C library.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "assemble_stiffness",
     "factor",
     "step_block",
+    "energies",
     "format_csv",
 ]
 
@@ -289,13 +291,31 @@ def step_block(
         _address("rhs_prev.diag", rhs_prev.diag, (n,)),
         _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
         _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
-        _address("incr", incr, (2, n), written=True),
-        _address("selected", selected, (m - 2,), np.bool_), *args,
-        _address("out", out, (5, m), written=True))
+        _address("incr", incr, (2, n), written=True), *_energy_arguments(n, m, selected, out, args))
     if row < 0:
         raise ValueError("the rows a step reads and writes, the increments and the energies "
                          "must not overlap each other or any other argument")
     return row
+
+
+def energies(layers: np.ndarray, selected: np.ndarray | None, args: tuple) -> np.ndarray:
+    """The (5, m) array that step_block's energies fill, evaluated on the m
+    layers of a block by the same kernel routine; selected and args as
+    step_block takes them."""
+    m, n = len(layers), len(args[0])  # args[0] holds a width per cell
+    out = np.empty((5, m))
+    _kernel.kv_energies(m, n, _address(f"layers of {n} cells", layers, (m, n)),
+                        *_energy_arguments(n, m, selected, out, args))
+    return out
+
+
+def _energy_arguments(n: int, m: int, selected, out, args: tuple) -> tuple:
+    """kv_energies' and kv_step_block's arguments after m layers of n cells."""
+    widths, ell, *scalars = args
+    return (_address("selected", selected, (m - 2,), np.bool_),
+            _address("the mesh's cell widths", widths, (n,)),
+            _address("the flux coefficients", ell, (n + 1,)), *scalars,
+            _address("out", out, (5, m), written=True))
 
 
 # The widest field format_csv writes, as in -1.2345678901234567e-308 (an

@@ -1,4 +1,4 @@
-"""Initial data sampling and time-step admissibility.
+"""Initial data sampling, time-step admissibility and set-up errors.
 
 Initial profiles are pointwise-evaluable scalar fields on [0, L].  They are
 projected onto the mesh as cell averages with a per-cell Simpson rule, which
@@ -17,6 +17,7 @@ from .mesh import Mesh, Parameters
 
 __all__ = [
     "ConfigError",
+    "set_up",
     "InitialData",
     "Admissibility",
     "default_initial_data",
@@ -33,6 +34,15 @@ class ConfigError(ValueError):
     an input file that is not text in the locale's encoding, or a problem
     whose mesh, step count, initial data or operators cannot be built in
     floating point or in the memory available."""
+
+
+def set_up(what: str, build, *args):
+    """build(*args), or a ConfigError that names what it sets up: e.g. for an entry
+    that overflows, a pivot lost to rounding or too little memory."""
+    try:
+        return build(*args)
+    except (ArithmeticError, ValueError, MemoryError) as err:
+        raise ConfigError(f"cannot set up {what}: {err}") from err
 
 
 @dataclass(frozen=True)

@@ -22,13 +22,13 @@ d_n = u_{n+1} - u_n and each step solves
 The increment is never formed as a difference of two rounded layers, which
 keeps the per-step energy identity at round-off whatever the cell count.  L
 is positive definite, so it is factored once per run as L D L^T.
-build_operators returns the scheme's matrices, each a linalg.TriDiagMatrix,
-with the factors in one SchemeOperators.  The steps up to a snapshot or the
-last step run in one linalg.step_block call of the compiled kernel, which
-reads those matrices as they are, carries the increment in one (2, n)
-array, writes each layer into a ring of three rows, checks it for
-divergence and evaluates its energies while it is in cache; its bits do
-not depend on the machine.
+build_operators returns what the kernel reads in one SchemeOperators: the
+matrices, each a linalg.TriDiagMatrix, and the factors of L and of the
+bootstrap's matrix.  The steps up to a snapshot or the last step run in one
+linalg.step_block call of the compiled kernel, which reads those matrices
+as they are, carries the increment in one (2, n) array, writes each layer
+into a ring of three rows, checks it for divergence and evaluates its
+energies while it is in cache; its bits do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import diagnostics, linalg
 from .mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
-from .model import ConfigError, InitialData, sample_cell_averages
+from .model import InitialData, sample_cell_averages, set_up
 
 __all__ = [
     "SUP_GROWTH_LIMIT",
@@ -62,16 +62,15 @@ _CALL_STEPS = 8192
 
 @dataclass(frozen=True)
 class SchemeOperators:
-    """The tridiagonal matrices of one scheme at one time step, and the
-    factors that stepping and bootstrap solve with.
+    """What the kernel reads of one scheme at one time step: its tridiagonal
+    matrices and the factors that stepping and bootstrap solve with.
 
-    lhs, rhs_curr and rhs_prev are L, R2 and R1 of the recurrence, boot_lhs
-    the matrix of the bootstrap: 2 M for the explicit scheme and 2 M - dt^2 S
-    for the flux-averaged one, and stiff is dt^2 S, which every step
-    multiplies.  Every left-hand matrix is positive definite: M > 0, the
-    damping is positive semidefinite and the stiffness negative
-    semidefinite.  lhs_factor and boot_factor hold the L D L^T factors of
-    lhs and boot_lhs.
+    rhs_curr and rhs_prev are R2 and R1 of the recurrence, and stiff is
+    dt^2 S, which every step multiplies.  lhs_factor and boot_factor hold
+    the L D L^T factors of L and of the bootstrap's matrix, 2 M for the
+    explicit scheme and 2 M - dt^2 S for the flux-averaged one, not kept
+    themselves.  Both are positive definite: M > 0, the damping is positive
+    semidefinite and the stiffness negative semidefinite.
     """
 
     scheme: str
@@ -79,10 +78,8 @@ class SchemeOperators:
     mesh: Mesh
     params: Parameters
     ell: FluxCoefficients
-    lhs: linalg.TriDiagMatrix
     rhs_curr: linalg.TriDiagMatrix
     rhs_prev: linalg.TriDiagMatrix
-    boot_lhs: linalg.TriDiagMatrix
     stiff: linalg.TriDiagMatrix
     lhs_factor: linalg.LDLFactorization
     boot_factor: linalg.LDLFactorization
@@ -121,10 +118,8 @@ def build_operators(
         mesh=mesh,
         params=params,
         ell=ell,
-        lhs=lhs,
         rhs_curr=rhs_curr,
         rhs_prev=rhs_prev,
-        boot_lhs=boot_lhs,
         stiff=stiff,
         lhs_factor=linalg.factor(lhs),
         boot_factor=linalg.factor(boot_lhs),
@@ -132,18 +127,18 @@ def build_operators(
 
 
 def bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
-    """First layer of either scheme: solves boot_lhs u1 = R2 u0 + R1 (2 dt psi).
+    """First layer of either scheme: solves B u1 = R2 u0 + R1 (2 dt psi).
 
-    That is one block step from u0 with the bootstrap's factors, R2 in place
-    of dt^2 S and 2 dt psi as the previous increment, in row 0 of the
-    increments, where the step leaves its own increment, u1.  The row the
-    step writes, u0 + u1, is scratch and discarded, and so is its check
-    against an infinite limit.
+    That is one block step from u0 with the factors of B, the bootstrap's
+    matrix, R2 in place of dt^2 S and 2 dt psi as the previous increment,
+    in row 0 of the increments, where the step leaves its own increment,
+    u1, copied out.  The row the step writes, u0 + u1, is scratch and
+    discarded, and so is its check against an infinite limit.
     """
     incr = np.stack((2.0 * ops.dt * psi, psi))  # row 1 is scratch
     linalg.step_block(np.stack((u0, u0)), 1, 2, ops.rhs_curr, ops.rhs_prev, ops.boot_factor,
                       incr, math.inf)
-    return incr[0]
+    return incr[0].copy()
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ class _EnergyLog:
         self.dt, self.observe_every, self.last_step = ops.dt, observe_every, last_step
         self.verify = verify
         args = (ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
-        self.args = diagnostics.energy_arguments(*args)  # the run's ops keep their arrays
+        self.args = diagnostics.energy_arguments(*args)
         e_k, e_p, e_tot, _, _ = diagnostics.layer_energies(layers, *args)
         self.e_tot0 = float(e_tot[0])
         # per call: the kept steps and their energies, dissipations and residuals
@@ -262,25 +257,15 @@ def run(
         raise ValueError("observe_every must be >= 1")
     last_step = n_steps - 1  # last step with a defined energy
 
-    def set_up(what, errors, build, *args):
-        """build(*args), or a ConfigError that names what it builds."""
-        try:
-            return build(*args)
-        except errors as err:
-            raise ConfigError(f"cannot set up the {scheme} run at dt = {dt:.6g}: "
-                              f"the {what}: {err}") from err
-
-    # e.g. an entry that overflows, a pivot lost to rounding, initial data
-    # out of floating-point range, or too little memory
-    errors = (ArithmeticError, ValueError, MemoryError)
-    ops = set_up("operators", errors, build_operators, mesh, params, dt, scheme)
-    u0, psi = (set_up("initial layers", errors, sample_cell_averages, f, mesh)
+    name = f"the {scheme} run at dt = {dt:.6g}"
+    ops = set_up(f"{name}: the operators", build_operators, mesh, params, dt, scheme)
+    u0, psi = (set_up(f"{name}: the initial layers", sample_cell_averages, f, mesh)
                for f in (initial.phi, initial.psi))
     u1 = bootstrap(u0, psi, ops)
     ring = np.zeros((3, mesh.n_max))  # layer i in row i % 3
     ring[0], ring[1] = u0, u1
-    # an energy coefficient out of floating-point range, e.g. delta / (4 dt h)
-    log = set_up("first energies", ArithmeticError, _EnergyLog, ops, observe_every, last_step,
+    # e.g. an energy coefficient out of floating-point range, delta / (4 dt h)
+    log = set_up(f"{name}: the first energies", _EnergyLog, ops, observe_every, last_step,
                  verify_identity, ring[:2])
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)

@@ -6,7 +6,8 @@ import math
 
 import numpy as np
 
-from kvwave.linalg import LDLFactorization, SingularMatrixError, TriDiagMatrix, step_block
+from kvwave.linalg import (LDLFactorization, SingularMatrixError, TriDiagMatrix, assemble_damping,
+                           assemble_mass, assemble_stiffness, step_block)
 from kvwave.mesh import FluxCoefficients, Mesh
 from kvwave.schemes import SchemeOperators
 
@@ -17,6 +18,26 @@ def to_dense(m: TriDiagMatrix) -> np.ndarray:
     if m.dim > 1:
         dense += np.diag(m.off, 1) + np.diag(m.off, -1)
     return dense
+
+
+def factored(f: LDLFactorization) -> np.ndarray:
+    """The full n x n array L D L^T of the factors f."""
+    lower = np.eye(len(f.d)) + np.diag(f.e, -1)
+    return lower @ np.diag(f.d) @ lower.T
+
+
+def left_matrices(ops: SchemeOperators) -> tuple[TriDiagMatrix, TriDiagMatrix]:
+    """L and the bootstrap's matrix of ops' scheme, which build_operators
+    factors but does not keep, assembled again from the mesh as it
+    assembles them: explicit L = M + c D and 2 M, flux-averaged
+    L = M - (dt^2 / 2) S + c D and 2 M - dt^2 S, with c = delta dt / h."""
+    mesh, dt = ops.mesh, ops.dt
+    mass = assemble_mass(mesh)
+    damping = assemble_damping(mesh).scaled(ops.params.delta * dt / mesh.h)
+    if ops.scheme == "explicit":
+        return mass + damping, mass.scaled(2.0)
+    half_stiff = assemble_stiffness(mesh, ops.ell).scaled(0.5 * dt * dt)
+    return mass - half_stiff + damping, mass.scaled(2.0) - ops.stiff
 
 
 def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:

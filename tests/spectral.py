@@ -22,7 +22,7 @@ import numpy as np
 from kvwave.cli import preset, resolve_time_step
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.schemes import SchemeOperators, build_operators
-from oracles import to_dense
+from oracles import left_matrices, to_dense
 
 # Eigenvalue moduli are trusted to a thousand ulps; as a rate that is
 # 2e3 eps / dt.
@@ -35,7 +35,7 @@ CLUSTER_GAP = 2.0
 
 def companion_matrix(ops: SchemeOperators) -> np.ndarray:
     """Dense one-step matrix acting on the stacked pair (u_curr, u_prev)."""
-    lhs = to_dense(ops.lhs)
+    lhs = to_dense(left_matrices(ops)[0])
     n = lhs.shape[0]
     t = np.zeros((2 * n, 2 * n))
     t[:n, :n] = np.linalg.solve(lhs, to_dense(ops.rhs_curr))

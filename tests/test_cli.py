@@ -1,4 +1,5 @@
 import locale
+import math
 import os
 import re
 import subprocess
@@ -498,7 +499,7 @@ class TestMain:
         ("preset = case1\nt_final = inf\n", "values must be finite: t_final"),
         ("preset = equal-damped\nlength = inf\n", "values must be finite: length"),
         ("preset = equal-damped\nlength = 1e300\nbeta = 1e299\n",  # length**2 overflows
-         "length must lie between 2**-537.5 and 2**512"),
+         "length must lie strictly between 2**-511 and 2**512"),
         ("preset = equal-damped\ndelta = inf\n", "values must be finite: delta"),
         ("preset = equal-damped\ndelta = 1e308\n",  # L loses positive definiteness to rounding
          "matrix not positive definite"),
@@ -509,9 +510,9 @@ class TestMain:
         ("preset = case1\nt_final = 1e300\ncfl_fraction = 1e-300\n",  # the step count overflows
          "cannot set up the run: the time step for t_final = 1e+300, cfl_fraction = 1e-300: "),
         ("preset = equal-damped\nlength = 1e-170\nalpha = 1e-171\nbeta = 2e-171\n",
-         "length must lie between 2**-537.5 and 2**512"),  # length**2 underflows
-        ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\nc1_sq = 1e300\n"
-         "c2_sq = 1e-170\nc3_sq = 1e-170\nscheme = implicit\ndt = 1e-8\nn_steps = 50\n"
+         "length must lie strictly between 2**-511 and 2**512"),  # 4 / length**2 is inf
+        ("preset = equal-damped\nlength = 1e-150\nalpha = 1e-160\nbeta = 5e-151\nc1_sq = 1e300\n"
+         "c2_sq = 1e-175\nc3_sq = 1e-175\nscheme = implicit\ndt = 1e-8\nn_steps = 50\n"
          "t_final = 1e-8\n",  # the interface coefficient's denominator underflows to 0
          "cannot set up the implicit run at dt = 1e-08: the operators: "),
         ("preset = equal-damped\nlength = 1e-100\nalpha = 3e-101\nbeta = 9e-101\n"
@@ -519,7 +520,7 @@ class TestMain:
          "cannot set up the implicit run at dt = 1e-300: the first energies: "),
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\n"
          "scheme = implicit\ndt = 1\nn_steps = 1\n",  # the arch's scale overflows
-         "profile produced non-finite values"),
+         "length must lie strictly between 2**-511 and 2**512"),
     ], ids=["t_final-inf", "length-inf", "length-1e300", "delta-inf", "delta-1e308",
             "dt-1e200", "dt-inf", "n_damp-1", "steps-overflow", "length-1e-170",
             "interface-underflow", "dissipation-underflow", "arch-overflow"])
@@ -642,20 +643,24 @@ class TestRunConfigValidation:
             )
 
     def test_length_range_is_where_the_initial_data_can_be_formed(self):
-        # the smallest length whose square is not 0, the largest whose square
-        # is finite, and the floats past them: validation accepts a length
-        # exactly when default_initial_data can form 4 / length**2
-        smallest, largest = 1.5717277847026288e-162, float(np.nextafter(2.0**512, 0.0))
-        for length, valid in ((smallest, True), (float(np.nextafter(smallest, 0.0)), False),
-                              (largest, True), (2.0**512, False)):
+        # the smallest length whose 4 / length**2 is finite, the largest whose
+        # square is finite, and the floats past them: validation accepts a
+        # length exactly when default_initial_data forms a finite arch
+        smallest, largest = float(np.nextafter(2.0**-511, 1.0)), float(np.nextafter(2.0**512, 0.0))
+        for length, valid in ((smallest, True), (2.0**-511, False), (largest, True),
+                              (2.0**512, False)):
             cfg = replace(preset("equal-damped"), length=length, alpha=length / 3,
                           beta=2 * length / 3)
             if valid:
                 validate_config(cfg)
-                with np.errstate(all="ignore"):  # an arch of inf at the smallest length
-                    default_initial_data(length)
+                x = np.linspace(0.0, length, 5)
+                assert np.isfinite(default_initial_data(length).phi(x)).all()
             else:
-                with pytest.raises(ConfigError, match=r"between 2\*\*-537.5 and 2\*\*512"):
+                with pytest.raises(ConfigError,
+                                   match=r"strictly between 2\*\*-511 and 2\*\*512"):
                     validate_config(cfg)
-                with pytest.raises(ArithmeticError):
-                    default_initial_data(length)
+                try:
+                    scale = 4.0 / length**2
+                except OverflowError:  # of length**2
+                    scale = math.inf
+                assert scale == math.inf

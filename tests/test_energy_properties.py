@@ -208,7 +208,7 @@ def test_explicit_bootstrap_is_the_division_by_2m(c_sq, delta, alpha, beta, cell
 def test_bootstrap_is_the_oracle_solve_of_its_band_products(
     c_sq, delta, alpha, beta, cells, cfl_fraction, seed
 ):
-    # boot_lhs u1 = R2 u0 + R1 (2 dt psi), in Python floats: on the arch
+    # B u1 = R2 u0 + R1 (2 dt psi), B the bootstrap matrix, in Python floats: on the arch
     # data and on random data of magnitudes 1e-100 .. 1e100 with signed zeros
     params = Parameters(*c_sq, delta, alpha, beta, 3.0, 10.0)
     mesh = build_mesh(params, *cells)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -17,6 +18,8 @@ from oracles import (
     discrete_l2_norm,
     dominance_margin,
     explicit_bootstrap,
+    factored,
+    left_matrices,
     to_dense,
 )
 from spectral import preset_operators
@@ -47,22 +50,23 @@ def next_layer(ops, u_prev, u_curr):
 
 class TestBuildOperators:
     def test_explicit_lhs_reduces_to_mass_when_undamped(self, base_mesh):
+        # the factors of a diagonal L are its diagonal and no coupling
         m = build_operators(base_mesh, undamped_params(), DT, "explicit")
-        np.testing.assert_array_equal(m.lhs.diag, assemble_mass(base_mesh).diag)
-        assert np.all(m.lhs.off == 0.0)
+        np.testing.assert_array_equal(m.lhs_factor.d, assemble_mass(base_mesh).diag)
+        assert np.all(m.lhs_factor.e == 0.0)
 
     def test_matrix_combinations(self, base_mesh, base_params):
         m = build_operators(base_mesh, base_params, DT, "explicit")
         mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
-        np.testing.assert_allclose(to_dense(m.lhs), mass + s * damping, rtol=1e-14)
+        np.testing.assert_allclose(factored(m.lhs_factor), mass + s * damping, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.rhs_curr),
             2.0 * mass + DT**2 * to_dense(assemble_stiffness(base_mesh, m.ell)),
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_prev), mass - s * damping, rtol=1e-14)
-        np.testing.assert_array_equal(to_dense(m.boot_lhs), 2.0 * mass)
+        np.testing.assert_array_equal(factored(m.boot_factor), 2.0 * mass)
 
     def test_implicit_matrices_put_flux_average_on_outer_layers(self, base_mesh, base_params):
         m = build_operators(base_mesh, base_params, DT, "implicit")
@@ -70,22 +74,25 @@ class TestBuildOperators:
         s = base_params.delta * DT / base_mesh.h
         half = 0.5 * DT**2
         np.testing.assert_allclose(
-            to_dense(m.lhs),
+            factored(m.lhs_factor),
             mass - half * to_dense(assemble_stiffness(base_mesh, m.ell)) + s * damping,
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * mass, rtol=1e-14)
         np.testing.assert_allclose(
-            to_dense(m.boot_lhs),
+            factored(m.boot_factor),
             2.0 * mass - DT**2 * to_dense(assemble_stiffness(base_mesh, m.ell)),
             rtol=1e-14,
         )
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_left_matrices_strictly_diagonally_dominant(self, base_mesh, base_params, scheme):
+        # the oracles' L and bootstrap matrix are the ones build_operators factors
         m = build_operators(base_mesh, base_params, DT, scheme)
-        assert dominance_margin(m.lhs) > 0.0
-        assert dominance_margin(m.boot_lhs) > 0.0
+        for matrix, f in zip(left_matrices(m), (m.lhs_factor, m.boot_factor)):
+            assert dominance_margin(matrix) > 0.0
+            rebuilt = linalg.factor(matrix)
+            assert (rebuilt.d.tobytes(), rebuilt.e.tobytes()) == (f.d.tobytes(), f.e.tobytes())
 
     @pytest.mark.parametrize("delta", [0.0, 1.0])
     @pytest.mark.parametrize("counts", [(1, 2, 1), (20, 10, 20), (1, 2, 30), (30, 2, 1),
@@ -154,7 +161,7 @@ class TestBootstrap:
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap(u0, psi, ops)
         rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * DT * (to_dense(ops.rhs_prev) @ psi)
-        residual = float(np.abs(to_dense(ops.boot_lhs) @ u1 - rhs).max())
+        residual = float(np.abs(to_dense(left_matrices(ops)[1]) @ u1 - rhs).max())
         assert residual <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
 
     @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
@@ -167,7 +174,7 @@ class TestBootstrap:
         u0, psi = rng.standard_normal((2, mesh.n_max))
         u1 = bootstrap(u0, psi, ops)
         rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * dt * (to_dense(ops.rhs_prev) @ psi)
-        expected = dense_solve_oracle(to_dense(ops.boot_lhs), rhs)
+        expected = dense_solve_oracle(to_dense(left_matrices(ops)[1]), rhs)
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -195,7 +202,7 @@ class TestSteps:
         u_prev, u_curr = rng.standard_normal((2, mesh.n_max))
         u_next = next_layer(ops, u_prev, u_curr)
         rhs = to_dense(ops.rhs_curr) @ u_curr - to_dense(ops.rhs_prev) @ u_prev
-        expected = dense_solve_oracle(to_dense(ops.lhs), rhs)
+        expected = dense_solve_oracle(to_dense(left_matrices(ops)[0]), rhs)
         np.testing.assert_allclose(u_next, expected, rtol=1e-12, atol=1e-14)
 
     def test_undamped_explicit_step_conserves_energy(self, base_mesh):
@@ -371,7 +378,7 @@ class TestRun:
                      snapshot_steps=range(n_steps + 1))
         u = np.array([s.values for s in result.snapshots])
         ops = build_operators(mesh, p, dt, scheme)
-        lhs, r2, r1 = (to_dense(a) for a in (ops.lhs, ops.rhs_curr, ops.rhs_prev))
+        lhs, r2, r1 = (to_dense(a) for a in (left_matrices(ops)[0], ops.rhs_curr, ops.rhs_prev))
         residual = u[2:] @ lhs.T - u[1:-1] @ r2.T + u[:-2] @ r1.T
         size = np.abs(u[2:]) @ np.abs(lhs).T + np.abs(u[1:-1]) @ np.abs(r2).T
         size += np.abs(u[:-2]) @ np.abs(r1).T
@@ -392,6 +399,26 @@ class TestRun:
             for name in ("identity_residual_max", "energy_drift_max", "energy_rise_max",
                          "verified_steps"):
                 assert getattr(huge, name) == getattr(plain, name)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    def test_five_thousand_cell_verified_run_peaks_below_one_mib(self, scheme):
+        # The operators keep the three matrices and two factors the kernel
+        # reads, and the bootstrap pins no increments: about 0.93 MiB of
+        # traced memory at 5000 cells, 25 vectors; keeping L, the bootstrap
+        # matrix and the bootstrap's increments as well took 1.125 MiB.
+        params = Parameters(1, 1, 1, 1, 1, 2, 3, 10000.0)
+        mesh = build_mesh(params, 2000, 1000, 2000)
+        dt = 0.9 * cfl_max_dt(params, mesh)
+        args = (params, mesh, default_initial_data(3.0), dt, 300, scheme, 100, True, (0, 150, 300))
+        run(*args)  # warm-up: caches filled on a first run are not the run's
+        tracemalloc.start()
+        try:
+            result = run(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.verified_steps == 299 and not result.diverged
+        assert peak < 2**20
 
     def test_bad_arguments(self, base_mesh, base_params):
         data = default_initial_data(3.0)

@@ -23,6 +23,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bench_pairs import run_once  # tools/, the script's own directory, is on the path
+
 ROOT = Path(__file__).resolve().parents[1]
 SECONDS = 50
 SEED = 1
@@ -53,14 +55,7 @@ def cpu_model() -> str | None:
 
 def run_workload(checkout: Path, workload: str) -> tuple[dict, dict]:
     """(last JSON line, recorded environment) of one benchmark run."""
-    proc = subprocess.run(
-        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(SEED), "--seconds", str(SECONDS), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=4 * SECONDS + 600,
-    )
-    if proc.returncode != 0:
-        raise RuntimeError(f"{workload}: perfbench/run.py exited {proc.returncode}:\n{proc.stderr}")
-    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    line = run_once(checkout, workload, SECONDS, SEED)
     details = checkout / ".perfbench-out" / "results" / f"{workload}-seed{SEED}-trace0.json"
     return line, json.loads(details.read_text())["env"]
 
