@@ -6,10 +6,9 @@ both layers.  For either scheme the step-to-step energy difference equals an
 explicitly computable, nonpositive dissipation increment supported on the
 interior faces of the damped zone; the per-step residual of that identity is
 the primary correctness diagnostic of a run.  energy_arguments gives the
-inputs of these definitions; layer_energies evaluates them on a block of
-layers through linalg.energies, and a run's step calls, through
-linalg.step_block, as they write each layer, both in the same routine of
-linalg's compiled kernel.  The fits run in numpy.
+inputs of these definitions, and linalg.step_block evaluates them in
+linalg's compiled kernel: a run's step calls as they write each layer, and
+a call of no steps on its first two layers.  The fits run in numpy.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .mesh import FluxCoefficients, Mesh, Parameters
 
 __all__ = [
     "EnergyTrace",
     "DecayFit",
-    "layer_energies",
     "energy_arguments",
     "fit_exponential",
     "fit_polynomial",
@@ -61,54 +58,21 @@ class DecayFit:
     n_samples: int
 
 
-def layer_energies(
-    layers: np.ndarray,
-    mesh: Mesh,
-    ell: FluxCoefficients,
-    params: Parameters,
-    dt: float,
-    variant: str,
-    selected: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Energies and the dissipation identity for a block of consecutive layers.
-
-    layers has shape (m, n_cells) holding layers k .. k+m-1 of a run.
-    Returns (e_kinetic, e_potential, e_total, dissipation, residual); the
-    energy arrays have length m-1 (entry j belongs to step k+j, the layer
-    pair k+j, k+j+1), the dissipation and residual arrays have length m-2
-    (entry j belongs to step k+j+1).  selected, a boolean vector of length
-    m-2 like the residual, asks for some steps only: their dissipation and
-    residual and the energies of the two pairs each reads are evaluated,
-    and every other entry is NaN.  Without it every entry is evaluated.
-
-    The kinetic energy is half the width-weighted sum of squared forward time
-    differences.  The explicit potential energy is half the flux-weighted
-    cross product of the pair's face jumps (not sign-definite); the implicit
-    one is a quarter of the flux-weighted squared jumps of both layers
-    (nonnegative).  The dissipation is the identity's predicted energy change,
-    nonpositive and +0.0 when undamped, summed over the faces strictly inside
-    the damped zone; residual is (E^n - E^{n-1}) - dissipation.
-
-    The arithmetic runs in linalg's compiled kernel (linalg.energies), in
-    eight lanes in a fixed order (README, "Install and test").  Every entry
-    depends only on the layers it belongs to, never on the block or the
-    selection, so any blocking of a run gives the same bits.
-    """
-    if layers.ndim != 2 or len(layers) < 2:
-        raise ValueError("need a block of at least two consecutive layers")
-    # the kernel reads the selection's flags as bytes, so a strided one is copied
-    selected = None if selected is None else np.ascontiguousarray(selected)
-    e_k, e_p, e_total, dissipation, residual = linalg.energies(
-        layers, selected, energy_arguments(mesh, ell, params, dt, variant))
-    return e_k[:-1], e_p[:-1], e_total[:-1], dissipation[:-2], residual[:-2]
-
-
 def energy_arguments(mesh: Mesh, ell: FluxCoefficients, params: Parameters, dt: float,
                      variant: str) -> tuple:
-    """The energy definitions' inputs, as linalg.energies and
-    linalg.step_block take them: the cell widths, the flux coefficients,
-    dt, whether the scheme is implicit, the damped zone's interior faces
-    and the coefficient delta / (4 dt h)."""
+    """The energy definitions' inputs, as linalg.step_block takes them: the
+    cell widths, the flux coefficients, dt, whether the scheme is implicit,
+    the damped zone's interior faces and the coefficient delta / (4 dt h).
+
+    The kinetic energy of a layer pair is half the width-weighted sum of
+    squared forward time differences.  The explicit potential energy is
+    half the flux-weighted cross product of the pair's face jumps (not
+    sign-definite); the implicit one is a quarter of the flux-weighted
+    squared jumps of both layers (nonnegative).  The dissipation of a step
+    is the identity's predicted energy change, nonpositive and +0.0 when
+    undamped, summed over the faces strictly inside the damped zone; its
+    residual is (E^n - E^{n-1}) - dissipation.
+    """
     if variant not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme variant {variant!r}")
     faces = mesh.damping_interior_faces

@@ -1,8 +1,7 @@
 /* Kernels of kvwave: the tridiagonal L D L^T factor, a whole run of
    summed-form steps through a ring of layers, each layer checked against a
-   divergence limit and its energies evaluated as it is written, the
-   energies and identity residuals of a block of layers, and the CSV text
-   of a table.
+   divergence limit and its energies and identity residuals evaluated as it
+   is written, and the CSV text of a table.
 
    Built with -ffp-contract=off, so every fused multiply-add is an explicit
    fma() and every other operation rounds on its own.  fma() is correctly
@@ -245,9 +244,25 @@ static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t
     return !sel || (t > 0 && sel[t - 1]) || (t < m - 2 && sel[t]);
 }
 
-/* The energies of a block of m layers of n cells, as kv_energies defines
-   them; sq carries the implicit scheme's sq of the last evaluated pair's
-   second layer to the next pair. */
+/* The energies of a block of m consecutive layers of n cells, in out,
+   5 x m: out[q][t] holds the kinetic, potential and total energy (q = 0, 1,
+   2) of the layer pair t, t+1 for t < m - 1, and the dissipation and
+   identity residual (q = 3, 4) of the step at layer t+1 for t < m - 2; the
+   other entries are scratch.  sel, NULL or m - 2 flags, selects those
+   steps: only the selected steps' dissipation and residual and the pairs
+   they read are evaluated, and every other entry is NaN.
+
+     e_k = 0.5 sum_j ((u_t+1[j] - u_t[j]) / dt)^2 w[j],
+     e_p = 0.5 sum_f J(u_t+1)[f] J(u_t)[f] ell[f]               (explicit)
+         = 0.25 (sq_t+1 + sq_t),  sq_t = sum_f J(u_t)[f]^2 ell[f]  (implicit),
+     total = e_k + e_p,
+     dissipation = 0.0 - coef sum_f (J(u_t+2)[f] - J(u_t)[f])^2
+       over the interior faces face_lo .. face_hi-1, 1 <= face_lo <= face_hi <= n,
+     residual = (total_t+1 - total_t) - dissipation.
+
+   The energy sums are pair_sums', the face sum is face_sum's.  sq carries
+   the implicit scheme's sq of the last evaluated pair's second layer to the
+   next pair. */
 struct energies {
     ptrdiff_t m, n;
     const unsigned char *sel;
@@ -260,8 +275,11 @@ struct energies {
 
 /* The entries of the pair t, from its layers u and v, and for t > 0 those
    of the step at layer t, from p, the layer before u, as well: every entry
-   of kv_energies' out that the layers up to v determine.  The pairs are
-   taken in order, the entries before t written. */
+   of out that the layers up to v determine.  The pairs are taken in order,
+   the entries before t written, each wanted pair in one pass.  For the
+   implicit scheme the pass of the pair t sums sq_t+1; sq_t comes from the
+   pass before, or, for the first pair of a run of wanted pairs, from one
+   more pass over the layer t alone. */
 static void pair_entry(struct energies *en, ptrdiff_t t, const double *p, const double *u,
                        const double *v)
 {
@@ -296,13 +314,14 @@ static void pair_entry(struct energies *en, ptrdiff_t t, const double *p, const 
    checked by row_within once written; returns the first that fails, after
    which no layer is stepped, else stop.
 
-   With out not NULL, 2 <= start and 3 <= rows, the energies of the layers
-   start-2 .. stop-1 go to out as kv_energies writes them for that block of
-   m = stop - start + 2 layers and the selection sel of its m - 2 steps,
-   with the arguments w .. coef of kv_energies: first those of layers
-   start-2 and start-1, then, as each layer passes its check, those that it
-   determines, each by pair_entry as in kv_energies.  Entries that only the
-   layers from a failing one on determine are left as they are.
+   With out not NULL, 2 <= start and 3 <= rows, the energies of the block
+   of layers start-2 .. stop-1, m = stop - start + 2 of them, with the
+   selection sel of its m - 2 steps, go to out as struct energies defines
+   them, each by pair_entry: first those of the pair start-2, start-1,
+   before any step, so that start = stop with sel NULL evaluates that pair
+   alone, then, as each layer passes its check, those that it determines.
+   Entries that only the layers from a failing one on determine are left
+   as they are.
 
    Returns -1 without a step when the rows the call writes (the ring's
    rows from layer start-1 on, or all of them when the layers wrap around
@@ -387,36 +406,6 @@ ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t 
         memcpy(incr, d_prev, (size_t)n * sizeof *incr);
     free(edge);
     return i;
-}
-
-/* Energies of m consecutive layers of n cells each, written to out, 5 x m:
-   out[q][t] holds the kinetic, potential and total energy (q = 0, 1, 2) of
-   the layer pair t, t+1 for t < m - 1, and the dissipation and identity
-   residual (q = 3, 4) of the step at layer t+1 for t < m - 2; the other
-   entries are scratch.  sel, NULL or m - 2 flags, selects those steps: only
-   the selected steps' dissipation and residual and the pairs they read are
-   evaluated, and every other entry is NaN.
-
-     e_k = 0.5 sum_j ((u_t+1[j] - u_t[j]) / dt)^2 w[j],
-     e_p = 0.5 sum_f J(u_t+1)[f] J(u_t)[f] ell[f]               (explicit)
-         = 0.25 (sq_t+1 + sq_t),  sq_t = sum_f J(u_t)[f]^2 ell[f]  (implicit),
-     total = e_k + e_p,
-     dissipation = 0.0 - coef sum_f (J(u_t+2)[f] - J(u_t)[f])^2
-       over the interior faces face_lo .. face_hi-1, 1 <= face_lo <= face_hi <= n,
-     residual = (total_t+1 - total_t) - dissipation.
-
-   The energy sums are pair_sums', the face sum is face_sum's.  pair_entry
-   takes the pairs one at a time, each wanted pair in one pass.  For the
-   implicit scheme the pass of the pair t sums sq_t+1; sq_t comes from the
-   pass before, or, for the first pair of a run of wanted pairs, from one
-   more pass over the layer t alone. */
-void kv_energies(ptrdiff_t m, ptrdiff_t n, const double *layers, const unsigned char *sel,
-                 const double *w, const double *ell, double dt, int implicit,
-                 ptrdiff_t face_lo, ptrdiff_t face_hi, double coef, double *out)
-{
-    struct energies en = {m, n, sel, w, ell, dt, implicit, face_lo, face_hi, coef, out, 0.0};
-    for (ptrdiff_t t = 0; t < m - 1; t++)
-        pair_entry(&en, t, t ? layers + (t - 1) * n : NULL, layers + t * n, layers + (t + 1) * n);
 }
 
 /* The CSV formatter writes each double as Python's '%.17g' % x does, with

@@ -14,7 +14,8 @@ once as L D L^T without pivoting; any other matrix is rejected.  A step
 reads the diagonal and off-diagonal that every TriDiagMatrix holds, in O(n)
 time and memory.  step_block takes many steps per call through a ring of
 layers, checks each layer against a divergence limit and evaluates its
-energies as it writes it; the bootstrap is one such step.
+energies as it writes it; the bootstrap is one such step, and a call of no
+steps evaluates the energies of a run's first two layers.
 
 The arithmetic runs in kernel.c, compiled on first import into the
 package's __pycache__, loaded with ctypes and called from this module only.
@@ -25,11 +26,11 @@ kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute, every
 multiply-add an explicit correctly rounded fma(), so its results are the
 same bits on every machine.  Where the factor's off-diagonal is zero, as
 outside the explicit scheme's damped zone, it takes the uncoupled cells in
-vectorized passes with the same operations on each.  The energies, of
-step_block and of kv_energies (energies, on a block of layers), add each
-sum's terms in eight lanes in a fixed order.  kv_format_csv (format_csv)
-writes each double as '%.17g' % x does, with integer arithmetic only, so
-the text depends on neither the locale nor the C library.
+vectorized passes with the same operations on each.  The energies, which
+step_block evaluates and no other call, add each sum's terms in eight lanes
+in a fixed order.  kv_format_csv (format_csv) writes each double as
+'%.17g' % x does, with integer arithmetic only, so the text depends on
+neither the locale nor the C library.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "assemble_stiffness",
     "factor",
     "step_block",
-    "energies",
     "format_csv",
 ]
 
@@ -111,13 +111,11 @@ def _load_kernel() -> ctypes.CDLL:
     size, address = ctypes.c_ssize_t, ctypes.c_void_p
     kernel.kv_factor.argtypes = [size, address, address]
     kernel.kv_factor.restype = size
-    # after the layers: the selection, the energy arguments and out
-    energies = [*[address] * 3, ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double, address]
-    kernel.kv_step_block.argtypes = [size, size, size, size, ctypes.c_double, *[address] * 8,
-                                     *energies]
+    # after the increments: the selection, the energy arguments and out
+    kernel.kv_step_block.argtypes = [size, size, size, size, ctypes.c_double, *[address] * 11,
+                                     ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
+                                     address]
     kernel.kv_step_block.restype = size
-    kernel.kv_energies.argtypes = [size, size, address, *energies]
-    kernel.kv_energies.restype = None
     kernel.kv_format_csv.argtypes = [size, size, address, address, address]
     kernel.kv_format_csv.restype = size
     return kernel
@@ -267,13 +265,22 @@ def step_block(
     layer written; incr[1] is scratch.  The kernel checks each layer as it
     writes it and returns the first with a value x that fails abs(x) <=
     limit, a NaN among them, stepping no layer after it; else stop.
+
     energies, (selected, out, args) with args from
-    diagnostics.energy_arguments, also fills out, (5, stop - start + 2), as
-    layer_energies does on the layers start-2 .. stop-1 with the selection
-    of their steps, each layer's entries once it passes its check; it needs
-    start >= 2 and three rows.  The matrices' diagonals and off-diagonals
-    are read as they are.  The rows the call writes, incr and out must not
-    overlap each other or any other argument: an overlap raises ValueError.
+    diagnostics.energy_arguments, also evaluates into out, (5, m), the
+    energies of the m = stop - start + 2 layers start-2 .. stop-1, laid out
+    as kernel.c's struct energies defines them: the kinetic, potential and
+    total energy of each layer pair and the dissipation and identity
+    residual of each step.  selected, None or a flag per step, asks for some
+    steps only, and the entries that they do not read are NaN.  The first
+    pair comes before any step, so start == stop with selected None
+    evaluates it alone; every other entry once the layers it reads pass
+    their check.  An evaluated entry depends only on its layers, never on
+    the call or the selection.  Energies need start >= 2 and three rows.
+
+    The matrices' diagonals and off-diagonals are read as they are.  The
+    rows the call writes, incr and out must not overlap each other or any
+    other argument: an overlap raises ValueError.
     """
     rows, before = len(block) if block.ndim == 2 else 0, 2 if energies else 1
     if not before <= start <= stop or rows <= before:
@@ -283,6 +290,7 @@ def step_block(
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
     selected, out, args = energies or (None, None, (None, None, 0.0, 0, 0, 0, 0.0))
+    widths, ell, *scalars = args
     m = stop - start + 2
     row = _kernel.kv_step_block(
         n, rows, int(start), int(stop), limit,
@@ -291,31 +299,15 @@ def step_block(
         _address("rhs_prev.diag", rhs_prev.diag, (n,)),
         _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
         _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
-        _address("incr", incr, (2, n), written=True), *_energy_arguments(n, m, selected, out, args))
+        _address("incr", incr, (2, n), written=True),
+        _address("selected", selected, (m - 2,), np.bool_),
+        _address("the mesh's cell widths", widths, (n,)),
+        _address("the flux coefficients", ell, (n + 1,)), *scalars,
+        _address("out", out, (5, m), written=True))
     if row < 0:
         raise ValueError("the rows a step reads and writes, the increments and the energies "
                          "must not overlap each other or any other argument")
     return row
-
-
-def energies(layers: np.ndarray, selected: np.ndarray | None, args: tuple) -> np.ndarray:
-    """The (5, m) array that step_block's energies fill, evaluated on the m
-    layers of a block by the same kernel routine; selected and args as
-    step_block takes them."""
-    m, n = len(layers), len(args[0])  # args[0] holds a width per cell
-    out = np.empty((5, m))
-    _kernel.kv_energies(m, n, _address(f"layers of {n} cells", layers, (m, n)),
-                        *_energy_arguments(n, m, selected, out, args))
-    return out
-
-
-def _energy_arguments(n: int, m: int, selected, out, args: tuple) -> tuple:
-    """kv_energies' and kv_step_block's arguments after m layers of n cells."""
-    widths, ell, *scalars = args
-    return (_address("selected", selected, (m - 2,), np.bool_),
-            _address("the mesh's cell widths", widths, (n,)),
-            _address("the flux coefficients", ell, (n + 1,)), *scalars,
-            _address("out", out, (5, m), written=True))
 
 
 # The widest field format_csv writes, as in -1.2345678901234567e-308 (an

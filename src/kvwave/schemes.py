@@ -172,20 +172,24 @@ class SimulationResult:
 class _EnergyLog:
     """Trace columns and identity statistics of a run, fed by its step calls.
 
-    Row 0 of the trace holds the energy of layers 0 and 1, from
-    layer_energies.  The step call of the layers start .. stop-1 determines
-    the steps start-1 .. stop-2 and evaluates, as it writes their layers,
-    the kept ones (multiples of observe_every and the last step), or every
-    one with verify.  The statistics cover the steps it evaluates.
+    Row 0 of the trace holds the energy of layers 0 and 1, in rows 0 and 1
+    of the ring, from a step call of no steps.  The step call of the layers
+    start .. stop-1 determines the steps start-1 .. stop-2 and evaluates, as
+    it writes their layers, the kept ones (multiples of observe_every and
+    the last step), or every one with verify.  The statistics cover the
+    steps it evaluates.
     """
 
     def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
-                 verify: bool, layers: np.ndarray):
+                 verify: bool, ring: np.ndarray, incr: np.ndarray):
         self.dt, self.observe_every, self.last_step = ops.dt, observe_every, last_step
         self.verify = verify
-        args = (ops.mesh, ops.ell, ops.params, ops.dt, ops.scheme)
-        self.args = diagnostics.energy_arguments(*args)
-        e_k, e_p, e_tot, _, _ = diagnostics.layer_energies(layers, *args)
+        self.args = diagnostics.energy_arguments(ops.mesh, ops.ell, ops.params, ops.dt,
+                                                 ops.scheme)
+        out = np.empty((5, 2))
+        linalg.step_block(ring, 2, 2, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, math.inf,
+                          (None, out, self.args))
+        e_k, e_p, e_tot = out[:3, :1]
         self.e_tot0 = float(e_tot[0])
         # per call: the kept steps and their energies, dissipations and residuals
         self.columns = [(np.zeros(1, np.int64), e_k, e_p, e_tot, np.zeros(1), np.zeros(1))]
@@ -264,15 +268,15 @@ def run(
     u1 = bootstrap(u0, psi, ops)
     ring = np.zeros((3, mesh.n_max))  # layer i in row i % 3
     ring[0], ring[1] = u0, u1
+    incr = np.stack((u1 - u0, u0))  # the increment into layer 1; row 1 is scratch
     # e.g. an energy coefficient out of floating-point range, delta / (4 dt h)
     log = set_up(f"{name}: the first energies", _EnergyLog, ops, observe_every, last_step,
-                 verify_identity, ring[:2])
+                 verify_identity, ring, incr)
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = {int(s) for s in snapshot_steps}
     snapshots = [Snapshot(s, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
     divergence_step: int | None = None
-    incr = np.stack((u1 - u0, u0))  # the increment into layer 1; row 1 is scratch
     filled = 2  # layers 0 .. filled-1 are stepped and within the limit
     while filled <= n_steps and divergence_step is None:
         # a call ends at a snapshot step, whose layer the next call overwrites

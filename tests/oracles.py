@@ -8,7 +8,7 @@ import numpy as np
 
 from kvwave.linalg import (LDLFactorization, SingularMatrixError, TriDiagMatrix, assemble_damping,
                            assemble_mass, assemble_stiffness, step_block)
-from kvwave.mesh import FluxCoefficients, Mesh
+from kvwave.mesh import FluxCoefficients, Mesh, Parameters
 from kvwave.schemes import SchemeOperators
 
 
@@ -209,16 +209,18 @@ def lane_sum(terms: list[float]) -> float:
     return lanes[0]
 
 
-def block_energies(layers: np.ndarray, widths: np.ndarray, ell: np.ndarray, dt: float,
-                   variant: str, faces: slice, coef: float) -> tuple[list[float], ...]:
+def block_energies(layers: np.ndarray, mesh: Mesh, ell: FluxCoefficients, params: Parameters,
+                   dt: float, variant: str) -> tuple[np.ndarray, ...]:
     """(e_kinetic, e_potential, e_total, dissipation, residual) of one m x n
     block of layers in Python floats, in the kernel's order: products
     (a b) c, lane_sum for the kinetic sum and for the dissipation's faces,
     and for a potential sum the boundary faces' terms around the lane_sum
     of the interior faces', ((0.0 + t_0) + lanes) + t_n, whose jumps take
-    zero ghosts at both ends."""
+    zero ghosts at both ends.  The energies have an entry per layer pair,
+    m - 1, and the dissipation and residual one per step, m - 2."""
     rows = layers.tolist()
-    w, c = widths.tolist(), ell.tolist()
+    w, c = mesh.cell_widths.tolist(), ell.ell.tolist()
+    faces, coef = mesh.damping_interior_faces, params.delta / (4.0 * dt * mesh.h)
     n = len(w)
     jumps = [[u[0]] + [u[f] - u[f - 1] for f in range(1, n)] + [0.0 - u[n - 1]] for u in rows]
 
@@ -241,4 +243,32 @@ def block_energies(layers: np.ndarray, widths: np.ndarray, ell: np.ndarray, dt: 
         changes = [b - a for a, b in zip(ju[faces], jw[faces])]
         dissipation.append(0.0 - coef * lane_sum([d * d for d in changes]))
     residual = [(e1 - e0) - d for e0, e1, d in zip(e_total, e_total[1:], dissipation)]
-    return e_k, e_p, e_total, dissipation, residual
+    return tuple(np.array(column, dtype=float)
+                 for column in (e_k, e_p, e_total, dissipation, residual))
+
+
+def step_energies(args: tuple, u: np.ndarray, v: np.ndarray, d: np.ndarray | None = None,
+                  steps: int = 0, selected: np.ndarray | None = None,
+                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The energies that one step_block call evaluates of the layers u, v
+    and `steps` more, each the one before plus the increment d: steps with
+    a zero stiffness and an identity R1 and factors, through a ring that
+    keeps every layer.  steps = 0 is the call of no steps that gives a
+    run's first energies.  args and selected as step_block takes them.
+
+    Returns the m = steps + 2 layers that the ring holds after the call,
+    to which the energies belong (a step turns a -0.0 of d into +0.0), and
+    (e_kinetic, e_potential, e_total, dissipation, residual) as
+    block_energies lays them out.  The call must step every layer: d and
+    the layers from v on must be finite, as a zero stiffness or a zero
+    off-diagonal turns an infinite entry into NaN, which no limit passes."""
+    n, m = len(u), steps + 2
+    out = np.empty((5, m))
+    zero, identity = (TriDiagMatrix(n, np.full(n, x), np.zeros(n - 1)) for x in (0.0, 1.0))
+    ring = np.empty((max(m, 3), n))
+    ring[0], ring[1] = u, v
+    incr = np.zeros((2, n)) if d is None else np.stack((d, d))
+    end = step_block(ring, 2, m, zero, identity, LDLFactorization(np.ones(n), np.zeros(n - 1)),
+                     incr, math.inf, (selected, out, args))
+    assert end == m, f"the call stopped at the layer {end} that holds a NaN"
+    return ring[:m], (*out[:3, :m - 1], *out[3:, :m - 2])

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from kvwave import linalg, schemes
-from kvwave.diagnostics import energy_arguments, fit_exponential, fit_polynomial, layer_energies
+from kvwave.diagnostics import energy_arguments, fit_exponential, fit_polynomial
 from kvwave.linalg import LDLFactorization, TriDiagMatrix
 from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import default_initial_data, sample_cell_averages
-from oracles import block_energies, discrete_h1_seminorm, discrete_l2_norm
+from oracles import block_energies, discrete_h1_seminorm, discrete_l2_norm, step_energies
 
 DT = 0.025
 
@@ -53,24 +53,25 @@ def dissipation_oracle(u_prev, u_next, mesh, delta, dt):
 
 
 def pair_energies(u_curr, u_next, mesh, ell, params, variant):
-    """(kinetic, potential, total) of one layer pair, from a 2-row block."""
-    e_k, e_p, e_tot, diss, res = layer_energies(
-        np.stack((u_curr, u_next)), mesh, ell, params, DT, variant
-    )
+    """(kinetic, potential, total) of one layer pair, from a step call of
+    no steps, as a run's first energies are evaluated."""
+    args = energy_arguments(mesh, ell, params, DT, variant)
+    _, (e_k, e_p, e_tot, diss, res) = step_energies(args, u_curr, u_next)
     assert len(e_k) == 1 and len(diss) == 0 and len(res) == 0
     return float(e_k[0]), float(e_p[0]), float(e_tot[0])
 
 
-def step_identity(u_prev, u_curr, u_next, mesh, ell, params, variant):
-    """(dissipation, residual) of the step at u_curr, from a 3-row block."""
-    _, _, _, diss, res = layer_energies(
-        np.stack((u_prev, u_curr, u_next)), mesh, ell, params, DT, variant
-    )
-    return float(diss[0]), float(res[0])
+def step_identity(u_prev, u_curr, d, mesh, ell, params, variant):
+    """(dissipation, residual, layers) of the step at u_curr, from a step
+    call of one step that writes u_curr + d; layers are the three the
+    entries belong to."""
+    args = energy_arguments(mesh, ell, params, DT, variant)
+    layers, (_, _, _, diss, res) = step_energies(args, u_prev, u_curr, d, 1)
+    return float(diss[0]), float(res[0]), layers
 
 
 def allocating_layer_energies(layers, mesh, ell, params, dt, variant):
-    """An independent numpy formulation of layer_energies: einsum for the
+    """An independent numpy formulation of the kernel's energies: einsum for the
     energies, add.reduce for the dissipation's faces.  It adds the same
     terms in another order, so it agrees with the kernel within
     rounding_bounds, not bit for bit."""
@@ -93,7 +94,7 @@ def allocating_layer_energies(layers, mesh, ell, params, dt, variant):
 
 
 def rounding_bounds(layers, mesh, ell, params, dt, variant):
-    """Bounds on |layer_energies - allocating_layer_energies|, entry by
+    """Bounds on |kernel energies - allocating_layer_energies|, entry by
     entry.  The two add the same terms in other orders.  A sum of at most
     n + 1 terms, in any order, lies within n u times the sum of its terms'
     magnitudes of the exact sum (u = eps / 2, to first order), so two
@@ -126,13 +127,6 @@ def assert_within_rounding(got, expected, bounds):
         assert x.shape == y.shape and (finite == np.isfinite(y)).all()
         assert_same_bits([x[~finite]], [y[~finite]])
         assert (np.abs(x - y)[finite] <= bound[finite]).all()
-
-
-def loop_layer_energies(layers, mesh, ell, params, dt, variant):
-    """oracles.block_energies of a block, as arrays."""
-    coef = params.delta / (4.0 * dt * mesh.h)
-    return tuple(np.array(column) for column in block_energies(
-        layers, mesh.cell_widths, ell.ell, dt, variant, mesh.damping_interior_faces, coef))
 
 
 def assert_same_bits(a, b):
@@ -202,37 +196,40 @@ class TestPotentialEnergy:
 
 class TestDissipation:
     def test_undamped_is_zero(self, base_mesh, base_ell, rng):
-        u, w, v = rng.standard_normal((3, base_mesh.n_max))
-        diss, _ = step_identity(u, w, v, base_mesh, base_ell, undamped_params(), "explicit")
+        u, w, d = rng.standard_normal((3, base_mesh.n_max))
+        diss, _, _ = step_identity(u, w, d, base_mesh, base_ell, undamped_params(), "explicit")
         assert diss == 0.0
         assert not np.signbit(diss)  # written as 0, not -0
 
     def test_equal_outer_layers_cancel(self, base_mesh, base_ell, base_params, rng):
-        u, w = rng.standard_normal((2, base_mesh.n_max))
-        diss, _ = step_identity(u, w, u.copy(), base_mesh, base_ell, base_params, "explicit")
+        # w = 2 u and d = -u add up to u exactly
+        u = rng.standard_normal(base_mesh.n_max)
+        diss, _, layers = step_identity(u, 2.0 * u, -u, base_mesh, base_ell, base_params,
+                                        "explicit")
+        assert layers[2].tobytes() == u.tobytes()
         assert diss == 0.0
 
     def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
-        u, w, v = rng.standard_normal((3, base_mesh.n_max))
-        expected = dissipation_oracle(u, v, base_mesh, base_params.delta, DT)
+        u, w, d = rng.standard_normal((3, base_mesh.n_max))
         for variant in ("explicit", "implicit"):
-            diss, _ = step_identity(u, w, v, base_mesh, base_ell, base_params, variant)
+            diss, _, layers = step_identity(u, w, d, base_mesh, base_ell, base_params, variant)
+            expected = dissipation_oracle(u, layers[2], base_mesh, base_params.delta, DT)
             assert diss == pytest.approx(expected, rel=1e-12)
             assert diss <= 0.0
 
 
 class TestIdentityResidual:
     def test_value(self, base_mesh, base_ell, base_params, rng):
-        u, w, v = rng.standard_normal((3, base_mesh.n_max))
+        u, w, d = rng.standard_normal((3, base_mesh.n_max))
         widths, ell = base_mesh.cell_widths, base_ell.ell
         for variant, oracle in (
             ("explicit", potential_explicit_oracle),
             ("implicit", potential_implicit_oracle),
         ):
+            _, res, (_, _, v) = step_identity(u, w, d, base_mesh, base_ell, base_params, variant)
             before = kinetic_oracle(u, w, widths, DT) + oracle(u, w, ell)
             after = kinetic_oracle(w, v, widths, DT) + oracle(w, v, ell)
             expected = (after - before) - dissipation_oracle(u, v, base_mesh, base_params.delta, DT)
-            _, res = step_identity(u, w, v, base_mesh, base_ell, base_params, variant)
             assert res == pytest.approx(expected, rel=1e-10, abs=1e-12 * abs(before))
 
 
@@ -263,57 +260,73 @@ class TestNorms:
 
 
 class TestLayerEnergies:
+    """The energies of a step call, the way every energy of a run is
+    evaluated, on layers that steps with a zero stiffness and an identity
+    R1 and factors write (oracles.step_energies)."""
+
     def test_matches_scalar_functions(self, base_mesh, base_ell, base_params, rng):
-        # a block's entries are the brute-force energies of its layer pairs,
-        # and the same bits as the 2- and 3-row blocks of those layers
-        layers = rng.standard_normal((6, base_mesh.n_max))
-        widths, ell = base_mesh.cell_widths, base_ell.ell
+        # a call's entries are the brute-force energies of its layer pairs,
+        # and the same bits as the calls of no steps and of one step on
+        # those layers
+        u, v, d = rng.standard_normal((3, base_mesh.n_max))
         for variant, oracle in (
             ("explicit", potential_explicit_oracle),
             ("implicit", potential_implicit_oracle),
         ):
-            e_k, e_p, e_tot, diss, res = layer_energies(
-                layers, base_mesh, base_ell, base_params, DT, variant
-            )
+            args = energy_arguments(base_mesh, base_ell, base_params, DT, variant)
+            layers, (e_k, e_p, e_tot, diss, res) = step_energies(args, u, v, d, 4)
+            widths, ell = base_mesh.cell_widths, base_ell.ell
             assert len(e_k) == 5 and len(diss) == 4
             for j in range(5):
-                u, v = layers[j], layers[j + 1]
-                assert e_k[j] == pytest.approx(kinetic_oracle(u, v, widths, DT), rel=1e-13)
-                assert e_p[j] == pytest.approx(oracle(u, v, ell), rel=1e-12)
-                pair = pair_energies(u, v, base_mesh, base_ell, base_params, variant)
+                u_j, v_j = layers[j], layers[j + 1]
+                assert e_k[j] == pytest.approx(kinetic_oracle(u_j, v_j, widths, DT), rel=1e-13)
+                assert e_p[j] == pytest.approx(oracle(u_j, v_j, ell), rel=1e-12)
+                pair = pair_energies(u_j, v_j, base_mesh, base_ell, base_params, variant)
                 assert (e_k[j], e_p[j], e_tot[j]) == pair
             for j in range(4):
                 expected = dissipation_oracle(
                     layers[j], layers[j + 2], base_mesh, base_params.delta, DT
                 )
                 assert diss[j] == pytest.approx(expected, rel=1e-12)
-                step = step_identity(*layers[j : j + 3], base_mesh, base_ell, base_params, variant)
-                assert (diss[j], res[j]) == step
+                *step, three = step_identity(*layers[j:j + 2], d, base_mesh, base_ell,
+                                             base_params, variant)
+                assert three.tobytes() == layers[j:j + 3].tobytes()
+                assert (diss[j], res[j]) == tuple(step)
                 assert res[j] == (e_tot[j + 1] - e_tot[j]) - diss[j]
 
     def test_reused_work_gives_fresh_bits(self, base_mesh, base_ell, base_params, rng):
-        # the kernel writes every entry of its result array, which np.empty
-        # may take from an array just freed: each call follows the freeing
-        # of an array of the same size filled with NaN or inf, for a full
-        # block and the shorter blocks after it, and gives the bits of fresh
-        # temporaries
-        layers = rng.standard_normal((9, base_mesh.n_max))
-        blocks = (layers, layers[2:7], layers[4:7], layers[:2], layers[1:9])
+        # the kernel writes every entry that a call's out returns, which
+        # np.empty may take from an array just freed: each call follows the
+        # freeing of an array of the size of its out filled with NaN or inf,
+        # for a long call and the shorter ones after it, down to the call of
+        # no steps that gives a run's first energies, and gives the bits of
+        # fresh temporaries
+        u, v, d = rng.standard_normal((3, base_mesh.n_max))
         for params in (base_params, undamped_params()):
             for variant in ("explicit", "implicit"):
+                args = energy_arguments(base_mesh, base_ell, params, DT, variant)
                 for fill in (np.nan, np.inf, -np.inf):
-                    for block in blocks:
-                        args = (block, base_mesh, base_ell, params, DT, variant)
-                        expected = loop_layer_energies(*args)
-                        np.full(5 * len(block), fill)
-                        assert_same_bits(layer_energies(*args), expected)
+                    for steps in (7, 3, 1, 0, 6):
+                        np.full(5 * (steps + 2), fill)
+                        layers, got = step_energies(args, u, v, d, steps)
+                        expected = block_energies(layers, base_mesh, base_ell, params, DT,
+                                                  variant)
+                        assert_same_bits(got, expected)
 
     def test_bad_blocks_rejected(self, base_mesh, base_ell, base_params, rng):
-        layers = rng.standard_normal((3, base_mesh.n_max))
+        # an unknown variant, and rings that cannot hold a run's first pair
         with pytest.raises(ValueError, match="variant"):
-            layer_energies(layers, base_mesh, base_ell, base_params, DT, "leapfrog")
-        with pytest.raises(ValueError, match="two"):
-            layer_energies(layers[:1], base_mesh, base_ell, base_params, DT, "explicit")
+            energy_arguments(base_mesh, base_ell, base_params, DT, "leapfrog")
+        n = base_mesh.n_max
+        args = energy_arguments(base_mesh, base_ell, base_params, DT, "explicit")
+        identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+        step = (identity, identity, LDLFactorization(np.ones(n), np.zeros(n - 1)),
+                np.zeros((2, n)), math.inf)
+        ring = rng.standard_normal((3, n))
+        for bad, message in ((ring[:2], "rows"), (np.asfortranarray(ring), "contiguous"),
+                             (ring.astype(np.float32), "float64")):
+            with pytest.raises(ValueError, match=message):
+                linalg.step_block(bad, 2, 2, *step, (None, np.empty((5, 2)), args))
 
 
 # (n_alpha, n_damp, n_beta) around the chunks of the kernel's 8 lanes: 4,
@@ -326,8 +339,17 @@ KERNEL_MESHES = [(1, 2, 1), (2, 3, 2), (3, 8, 3), (3, 8, 4), (3, 9, 4), (3, 10, 
 
 
 class TestKernelEnergies:
-    """The compiled kernel against the Python-float loops in its order, bit
-    for bit, and against the numpy formulation, within rounding_bounds."""
+    """The compiled kernel's energies, from step calls (oracles.step_energies),
+    against the Python-float loops in its order on the layers the ring
+    holds, bit for bit, and against the numpy formulation, within
+    rounding_bounds."""
+
+    @staticmethod
+    def check(layers, got, mesh, ell, params, variant):
+        args = (layers, mesh, ell, params, DT, variant)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_within_rounding(got, allocating_layer_energies(*args), rounding_bounds(*args))
+            assert_same_bits(got, block_energies(*args))
 
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     @pytest.mark.parametrize("cells", KERNEL_MESHES, ids=lambda c: "-".join(map(str, c)))
@@ -336,17 +358,19 @@ class TestKernelEnergies:
             params = Parameters(1.0, 4.0, 2.0, delta, 1.0, 2.0, 3.0, 10.0)
             mesh = build_mesh(params, *cells)
             ell = flux_coefficients(mesh, params)
-            layers = rng.standard_normal((8, mesh.n_max)) * 10.0 ** rng.uniform(-3, 3, (8, 1))
-            args = (layers, mesh, ell, params, DT, variant)
-            got = layer_energies(*args)
-            assert_same_bits(got, loop_layer_energies(*args))
-            assert_within_rounding(got, allocating_layer_energies(*args), rounding_bounds(*args))
+            u, v, d = rng.standard_normal((3, mesh.n_max)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
+            args = energy_arguments(mesh, ell, params, DT, variant)
+            layers, got = step_energies(args, u, v, d, 6)
+            self.check(layers, got, mesh, ell, params, variant)
             if delta == 0.0:
                 assert got[3].tobytes() == np.zeros(6).tobytes()  # +0.0, never -0.0
 
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     def test_signed_zeros_infinities_and_nan(self, base_mesh, base_ell, base_params, rng,
                                              variant):
+        # every pair of consecutive rows by a call of no steps, whose layers
+        # may hold anything; and every row as the first of three layers by a
+        # call of one step, whose later layers must be finite
         n = base_mesh.n_max
         rows = [np.zeros(n), np.full(n, -0.0), rng.choice([0.0, -0.0], n)]
         for value in (np.inf, -np.inf, np.nan):
@@ -354,22 +378,23 @@ class TestKernelEnergies:
             row[rng.integers(0, n, 3)] = value
             rows += [row, rng.standard_normal(n)]
         rows += [np.full(n, np.inf), np.full(n, -np.inf), np.full(n, np.nan)]
-        args = (np.array(rows), base_mesh, base_ell, base_params, DT, variant)
-        got = layer_energies(*args)
-        with np.errstate(invalid="ignore", over="ignore"):
-            assert_within_rounding(got, allocating_layer_energies(*args), rounding_bounds(*args))
-            assert_same_bits(got, loop_layer_energies(*args))
+        args = energy_arguments(base_mesh, base_ell, base_params, DT, variant)
+        oracle = (base_mesh, base_ell, base_params, variant)
+        for u, v in zip(rows, rows[1:]):
+            self.check(*step_energies(args, u, v), *oracle)
+        for u in rows:
+            self.check(*step_energies(args, u, rows[2], rng.standard_normal(n), 1), *oracle)
 
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     def test_selected_steps_are_the_bits_of_the_whole_block(self, base_mesh, base_ell,
                                                             base_params, rng, variant):
         # a selected step's dissipation and residual, and the energies of the
-        # two pairs it reads, are the bits of the unselected call; every other
-        # entry is NaN, whatever the result array held before
+        # two pairs it reads, are the bits of the call without a selection;
+        # every other entry is NaN, whatever the result array held before
+        args = energy_arguments(base_mesh, base_ell, base_params, DT, variant)
         for m in range(2, 10):
-            layers = rng.standard_normal((m, base_mesh.n_max))
-            args = (layers, base_mesh, base_ell, base_params, DT, variant)
-            whole = layer_energies(*args)
+            u, v, d = rng.standard_normal((3, base_mesh.n_max))
+            layers, whole = step_energies(args, u, v, d, m - 2)
             index = np.arange(m - 2)
             for selected in (index < 0, index >= 0, index == 0, index == m - 3, index % 2 == 0,
                              index % 2 == 1, rng.random(m - 2) < 0.5):
@@ -377,7 +402,8 @@ class TestKernelEnergies:
                 pairs[:-1] |= selected
                 pairs[1:] |= selected
                 np.full(5 * m, 1.0)
-                got = layer_energies(*args, selected)
+                again, got = step_energies(args, u, v, d, m - 2, selected)
+                assert again.tobytes() == layers.tobytes()
                 for q, (values, expected) in enumerate(zip(got, whole)):
                     wanted = pairs if q < 3 else selected
                     assert values.shape == expected.shape
@@ -385,42 +411,32 @@ class TestKernelEnergies:
                     assert np.isnan(values[~wanted]).all()
 
     def test_bad_arrays_rejected(self, base_mesh, base_ell, base_params, rng):
-        layers = rng.standard_normal((3, base_mesh.n_max))
-        args = (base_mesh, base_ell, base_params, DT, "explicit")
-        with pytest.raises(ValueError, match="contiguous"):
-            layer_energies(np.asfortranarray(layers), *args)
-        with pytest.raises(ValueError, match="float64"):
-            layer_energies(layers.astype(np.float32), *args)
-        with pytest.raises(ValueError, match="cells"):
-            layer_energies(layers[:, 1:], *args)
-        with pytest.raises(ValueError, match="two"):
-            layer_energies(layers[None], *args)  # a batch of blocks
-        block = rng.standard_normal((4, base_mesh.n_max))
-        for selected in (np.ones(3, bool), np.ones(2, np.uint8), np.ones((2, 1), bool)):
+        # a selection is one C-ordered boolean flag per step, never copied
+        # into one: a strided selection is rejected
+        u, v, d = rng.standard_normal((3, base_mesh.n_max))
+        args = energy_arguments(base_mesh, base_ell, base_params, DT, "explicit")
+        for selected in (np.ones(3, bool), np.ones(2, np.uint8), np.ones((2, 1), bool),
+                         np.array([True, True, False, False])[::2]):
             with pytest.raises(ValueError, match="selected"):
-                layer_energies(block, *args, selected)
-        # a strided selection is read as its contiguous copy
-        strided = np.array([True, True, False, False])[::2]
-        assert_same_bits(layer_energies(block, *args, strided),
-                         layer_energies(block, *args, strided.copy()))
-        assert np.isnan(layer_energies(block, *args, strided)[4][1])
+                step_energies(args, u, v, d, 2, selected)
         # counts that build_mesh would refuse: a damped zone past the last cell
         mesh = replace(base_mesh, n_damp=base_mesh.n_damp + base_mesh.n_beta + 1, n_beta=-1)
         with pytest.raises(ValueError, match="faces"):
-            layer_energies(layers, mesh, *args[1:])
+            energy_arguments(mesh, base_ell, base_params, DT, "explicit")
 
 
 class TestStepCallEnergies:
     """The energies a step call evaluates as it writes each layer into its
-    ring, against layer_energies on the same layers with the same
-    selection: byte for byte, every entry of a call that ends at its stop,
-    and the entries schemes.run reads of one that ends at a failing layer."""
+    ring, against oracles.block_energies on the same layers: byte for
+    byte, every entry that the selection reads of a call that ends at its
+    stop, with NaN in every other, and the entries schemes.run reads of one
+    that ends at a failing layer."""
 
     @staticmethod
     def check(step, u0, u1, d1, first, steps, selected, limit, energy_args):
         """The call of the layers first+2 .. first+steps+1, from the layers
         first and first+1 (u0, u1) and the increment d1 into u1, in a ring
-        of three rows; layer_energies on the same steps taken in a block of
+        of three rows; block_energies on the same steps taken in a block of
         their own, with no energies.  Returns the steps the call took."""
         n = len(u0)
         start, stop = first + 2, first + 2 + steps
@@ -438,11 +454,16 @@ class TestStepCallEnergies:
         for i in range(max(last - 2, 0), last + 1):  # the layers the ring keeps
             assert ring[(first + i) % 3].tobytes() == block[i].tobytes()
         steps_read = np.ones(k, bool) if selected is None else selected[:k]
-        expected = layer_energies(block[:k + 2], *energy_args,
-                                  None if selected is None else selected[:k])
+        expected = block_energies(block[:k + 2], *energy_args)
         got = (out[0, :k + 1], out[1, :k + 1], out[2, :k + 1], out[3, :k], out[4, :k])
         if k == steps:
-            assert_same_bits(got, expected)
+            pairs = np.zeros(k + 1, bool)
+            pairs[:-1] |= steps_read
+            pairs[1:] |= steps_read
+            for q, (values, oracle) in enumerate(zip(got, expected)):
+                wanted = pairs if q < 3 else steps_read
+                assert_same_bits([values[wanted]], [oracle[wanted]])
+                assert np.isnan(values[~wanted]).all()
         # what schemes.run reads: each selected step's dissipation and
         # residual, and the energies of the two pairs it reads
         j = steps_read.nonzero()[0]

@@ -32,12 +32,13 @@ from hypothesis import strategies as st
 
 from kvwave import linalg, schemes
 from kvwave.cli import main
-from kvwave.diagnostics import EnergyTrace, layer_energies
+from kvwave.diagnostics import EnergyTrace
 from kvwave.linalg import LDLFactorization, TriDiagMatrix
 from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import run
-from oracles import band_products, explicit_bootstrap, ldl_solve, one_step_layers
+from oracles import (band_products, block_energies, explicit_bootstrap, ldl_solve,
+                     one_step_layers)
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
 
@@ -436,9 +437,10 @@ def run_poisoned(layer, value, judge, steps, *args, **kwargs):
     """A run in step calls of at most `steps` steps whose layer `layer` gets
     `value` in cell 3 as it is stepped.  Each call steps its layers in a
     block of their own, from the ring's last two layers, without energies;
-    it then evaluates, by layer_energies with the call's selection, the
-    steps that its layers within the limit determine, and leaves the last
-    three of its layers in the ring.  judge = "kernel": the kernel checks
+    it then evaluates, by oracles.block_energies, the steps that its layers
+    within the limit determine, and leaves the last three of its layers in
+    the ring.  The bootstrap's step and the call of no steps on the first
+    pair go to the kernel as they are.  judge = "kernel": the kernel checks
     every layer, the poisoned one by kernel_within, before any layer after
     it is stepped.  judge = "abs max": nothing is checked as it is stepped,
     and each call returns the first of its layers that np.abs(...).max()
@@ -449,8 +451,8 @@ def run_poisoned(layer, value, judge, steps, *args, **kwargs):
     energy_args = (mesh, flux_coefficients(mesh, params), params, dt, kwargs["scheme"])
 
     def poisoned(ring, start, stop, stiff, rhs_prev, f, incr, limit, energies=None):
-        if energies is None:  # the bootstrap's step
-            return step_block(ring, start, stop, stiff, rhs_prev, f, incr, limit)
+        if energies is None or start == stop:
+            return step_block(ring, start, stop, stiff, rhs_prev, f, incr, limit, energies)
         block = np.empty((stop - start + 2, ring.shape[1]))  # layer start-2+i in row i
         block[:2] = ring[(start - 2) % 3], ring[(start - 1) % 3]
         row, rows = layer - start + 2, len(block)  # the row of `layer`, if this call steps it
@@ -471,9 +473,8 @@ def run_poisoned(layer, value, judge, steps, *args, **kwargs):
             end = rows if within.all() else 2 + int(within.argmin())
         for i in range(max(end - 3, 0), end):
             ring[(start - 2 + i) % 3] = block[i]
-        selected, out, _ = energies
-        e_k, e_p, e_tot, diss, res = layer_energies(block[:end], *energy_args,
-                                                     selected[:end - 2])
+        e_k, e_p, e_tot, diss, res = block_energies(block[:end], *energy_args)
+        out = energies[1]
         out[:3, :end - 1], out[3:, :end - 2] = (e_k, e_p, e_tot), (diss, res)
         return start - 2 + end
 

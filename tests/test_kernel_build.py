@@ -22,6 +22,7 @@ import kvwave
 from kvwave import diagnostics, linalg, schemes
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
+from oracles import step_energies
 
 PACKAGE = Path(kvwave.__file__).resolve().parent
 # prints the library that was loaded
@@ -127,13 +128,36 @@ def test_kernel_exports_exactly_the_entry_points_the_package_binds():
     assert {name for name in defined if name.startswith("kv_")} == bound
 
 
+def test_package_binds_the_factor_the_step_and_the_formatter():
+    # every energy, a run's first pair included, is evaluated by the step
+    # call, so the package binds three entry points and diagnostics exports
+    # the energies' inputs, not an evaluation of its own
+    bound = {name for name in vars(kvwave.linalg._kernel) if name.startswith("kv_")}
+    assert bound == {"kv_factor", "kv_step_block", "kv_format_csv"}
+    assert sorted(diagnostics.__all__) == ["DecayFit", "EnergyTrace", "energy_arguments",
+                                           "fit_exponential", "fit_polynomial"]
+
+
+# Doubles whose text depends on every branch of the formatter: signed
+# zeros, the smallest subnormal, the largest double, infinities and NaN,
+# exact ties of '%.17g' (18 significant digits ending in 5), positional and
+# with an exponent, each rounded half to even, and the first values written
+# with an exponent, 1e17 and 1e-5
+EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max, np.inf,
+                -np.inf, np.nan, 1234567890123456.25, 1234567890123456.75, 123456789012345.125,
+                2.0**-25, -(2.0**-25) * 3, 1e17, 1e-5]
+INT64_EXTREMES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]
+
+
 def block_outputs() -> list[bytes]:
     """The bits of a block step of each scheme, with the rows it returns,
-    and of the energies of its layers; then of a step call through a ring
-    of three rows that evaluates the energies of every third step as it
-    writes its layers.  The explicit run's side zones hold whole chunks of
-    free cells, and an inf put into a layer makes the stiffness product of
-    the next one NaN: the row where the second call stops."""
+    and of the energies of its layers, evaluated by step calls of no steps
+    on each pair of them and of one step after each of them; then of a step
+    call through a ring of three rows that evaluates the energies of every
+    third step as it writes its layers.  The explicit run's side zones hold
+    whole chunks of free cells, and an inf put into a layer makes the
+    stiffness product of the next one NaN: the row where the second call
+    stops.  Last, the CSV text of EDGE_DOUBLES, led by INT64_EXTREMES."""
     params = Parameters(1.0, 4.0, 0.25, 1.0, 1.0, 2.0, 3.0, 10.0)
     mesh = build_mesh(params, 40, 6, 40)
     data = default_initial_data(params.length)
@@ -152,17 +176,23 @@ def block_outputs() -> list[bytes]:
             block[19, 60] = math.inf
             rows.append(linalg.step_block(block, 20, 40, *step))
             assert rows == [20, 20] and np.isnan(block[20]).any()
-        energies = diagnostics.layer_energies(block[:rows[-1] + 1], mesh, ops.ell, params, dt,
-                                              scheme)
-        outputs += [bytes(rows), block.tobytes(), incr.tobytes(),
-                    *(e.tobytes() for e in energies)]
+        outputs += [bytes(rows), block.tobytes(), incr.tobytes()]
+        args = diagnostics.energy_arguments(mesh, ops.ell, params, dt, scheme)
+        written = block[:rows[-1] + 1]
+        for u, v in zip(written, written[1:]):
+            outputs += [e.tobytes() for e in step_energies(args, u, v)[1]]
+        for u in written:
+            outputs += [e.tobytes() for e in step_energies(args, u, u1, u1 - u0, 1)[1]]
         ring, incr = np.stack((u0, u1, u1)), np.stack((u1 - u0, u0))
         selected, out = np.arange(2, 40) % 3 == 0, np.zeros((5, 40))
-        args = diagnostics.energy_arguments(mesh, ops.ell, params, dt, scheme)
         end = linalg.step_block(ring, 2, 40, *step[:3], incr, step[4], (selected, out, args))
         assert end == 40
         outputs += [ring.tobytes(), incr.tobytes(), np.nan_to_num(out).tobytes()]
-    return outputs
+    table = np.array(EDGE_DOUBLES).reshape(len(INT64_EXTREMES), -1)
+    text = linalg.format_csv(table, np.array(INT64_EXTREMES, np.int64))
+    assert text.splitlines() == [",".join([str(i), *("%.17g" % x for x in row)]).encode()
+                                 for i, row in zip(INT64_EXTREMES, table.tolist())]
+    return outputs + [text]
 
 
 BUILD_FLAGS = [("-O0",), ("-O2", "-ffp-contract=off", "-march=x86-64")]
@@ -171,8 +201,8 @@ BUILD_FLAGS = [("-O0",), ("-O2", "-ffp-contract=off", "-march=x86-64")]
 @pytest.mark.parametrize("flags", BUILD_FLAGS, ids=" ".join)
 def test_kernel_bits_do_not_depend_on_build_flags(tmp_path, monkeypatch, flags):
     # Without optimization, and for the baseline x86-64, whose fma() is a
-    # libm call, the factors, the step and the energies are the bits of the
-    # library the package built for this CPU.
+    # libm call, the factors, the step, the energies and the CSV text are
+    # the bits of the library the package built for this CPU.
     if "-march=x86-64" in flags and platform.machine() != "x86_64":
         pytest.skip("-march=x86-64 needs an x86-64 machine")
     built = tmp_path / "kernel.so"
@@ -181,7 +211,7 @@ def test_kernel_bits_do_not_depend_on_build_flags(tmp_path, monkeypatch, flags):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     kernel = ctypes.CDLL(str(built))
-    for name in ("kv_factor", "kv_step_block", "kv_energies"):
+    for name in ("kv_factor", "kv_step_block", "kv_format_csv"):
         entry, bound = getattr(kernel, name), getattr(linalg._kernel, name)
         entry.argtypes, entry.restype = bound.argtypes, bound.restype
     expected = block_outputs()

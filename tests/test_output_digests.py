@@ -95,3 +95,19 @@ def test_kvwave_fit_output_is_digested_over_two_windows(tmp_path, monkeypatch):
     monkeypatch.setattr(output_digests, "configs", lambda kvwave, steps: {"wide": cfg})
     digests = output_digests.digest_runs(kvwave, None)["wide"]
     assert {"energy.csv", "summary.txt", "fit:summary-window", "fit:failing-window"} <= digests.keys()
+
+
+def test_cflags_digest_with_a_kernel_built_outside_the_package(tmp_path, monkeypatch):
+    # the -O0 build is loaded in place of the package's, whose __pycache__
+    # it leaves alone, and gives the same digests
+    linalg = kvwave.linalg
+    monkeypatch.setattr(linalg, "_kernel", linalg._kernel)  # restored after the test
+    monkeypatch.setattr(output_digests, "configs",
+                        lambda kvwave, steps: {"wide": kvwave.cli.preset("wide-damping")})
+    cache = sorted(Path(linalg.__file__).with_name("__pycache__").glob("kernel*"))
+    package, rebuilt = tmp_path / "package.json", tmp_path / "rebuilt.json"
+    assert output_digests.main([str(package)]) == 0
+    assert output_digests.main([str(rebuilt), "--cflags=-O0"]) == 0
+    assert "__pycache__" not in linalg._kernel._name
+    assert sorted(Path(linalg.__file__).with_name("__pycache__").glob("kernel*")) == cache
+    assert json.loads(package.read_text()) == json.loads(rebuilt.read_text())

@@ -5,14 +5,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kvwave import diagnostics, linalg, schemes
+from kvwave import linalg, schemes
 from kvwave.cli import PRESET_NAMES
-from kvwave.diagnostics import EnergyTrace, layer_energies
+from kvwave.diagnostics import EnergyTrace
 from kvwave.linalg import assemble_damping, assemble_mass, assemble_stiffness
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import ConfigError, cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import bootstrap, build_operators, run
 from oracles import (
+    block_energies,
     dense_solve_oracle,
     discrete_h1_seminorm,
     discrete_l2_norm,
@@ -211,7 +212,7 @@ class TestSteps:
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap(u0, psi, ops)
         u2 = next_layer(ops, u0, u1)
-        _, _, e_tot, _, _ = layer_energies(
+        _, _, e_tot, _, _ = block_energies(
             np.stack((u0, u1, u2)), base_mesh, ops.ell, p, DT, "explicit"
         )
         before, after = e_tot
@@ -237,15 +238,28 @@ class TestSteps:
 
 class TestRun:
     def test_single_step_returns_bootstrap(self, base_mesh, base_params):
+        # a one-step run makes no step call after the bootstrap: its one
+        # trace row and initial energy come from the call of no steps on
+        # layers 0 and 1, the bits of the oracle
         data = default_initial_data(3.0)
-        result = run(base_params, base_mesh, data, DT, 1, scheme="explicit")
-        ops = build_operators(base_mesh, base_params, DT, "explicit")
         u0, psi = sampled_initial(base_mesh)
-        np.testing.assert_array_equal(result.u_curr, bootstrap(u0, psi, ops))
-        np.testing.assert_array_equal(result.u_prev, u0)
-        assert result.steps_completed == 1
-        assert len(result.trace) == 1
-        assert result.trace.step[0] == 0
+        for scheme in ("explicit", "implicit"):
+            result = run(base_params, base_mesh, data, DT, 1, scheme=scheme)
+            ops = build_operators(base_mesh, base_params, DT, scheme)
+            u1 = bootstrap(u0, psi, ops)
+            np.testing.assert_array_equal(result.u_curr, u1)
+            np.testing.assert_array_equal(result.u_prev, u0)
+            assert result.steps_completed == 1
+            assert len(result.trace) == 1
+            assert result.trace.step[0] == 0
+            e_k, e_p, e_tot, _, _ = block_energies(np.stack((u0, u1)), base_mesh, ops.ell,
+                                                   base_params, DT, scheme)
+            trace = result.trace
+            row = (trace.e_kinetic, trace.e_potential, trace.e_total, trace.dissipation,
+                   trace.residual)
+            assert [c.tobytes() for c in row] == [c.tobytes() for c in (e_k, e_p, e_tot,
+                                                                         np.zeros(1), np.zeros(1))]
+            assert np.float64(result.energy_initial).tobytes() == e_tot.tobytes()
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_identity_residual_small(self, base_mesh, base_params, scheme):
@@ -274,8 +288,8 @@ class TestRun:
                                                                  monkeypatch, scheme):
         # an unverified run that keeps every step makes the verified run's
         # step calls, each with every step selected and the same energies,
-        # and no other evaluation than layer_energies on the initial pair
-        step_block, layer_energies = linalg.step_block, diagnostics.layer_energies
+        # after the same call of no steps on the initial pair
+        step_block = linalg.step_block
         monkeypatch.setattr(schemes, "_CALL_STEPS", 1024)
 
         def calls(verify):
@@ -285,24 +299,19 @@ class TestRun:
                 end = step_block(*args)
                 if len(args) > 8:  # not the bootstrap's step
                     selected, out, _ = args[8]
-                    seen.append((args[1], args[2], end, selected.copy(), out[:3, :-1].copy(),
-                                 out[3:, :-2].copy()))
+                    seen.append((args[1], args[2], end, None if selected is None else
+                                 selected.copy(), out[:3, :-1].copy(), out[3:, :-2].copy()))
                 return end
 
-            def energies_spy(layers, *args):
-                seen.append(layers.copy())
-                return layer_energies(layers, *args)
-
             monkeypatch.setattr(linalg, "step_block", step_spy)
-            monkeypatch.setattr(diagnostics, "layer_energies", energies_spy)
             run(base_params, base_mesh, default_initial_data(3.0), DT, 2500, scheme=scheme,
                 observe_every=1, verify_identity=verify)
             return seen
 
         plain, verified = calls(False), calls(True)
-        assert len(verified[0]) == 2  # the layers 0 and 1
-        assert [call[:3] for call in verified[1:]] == [(2, 1026, 1026), (1026, 2050, 2050),
-                                                      (2050, 2501, 2501)]
+        assert [call[:3] for call in verified] == [(2, 2, 2), (2, 1026, 1026),
+                                                   (1026, 2050, 2050), (2050, 2501, 2501)]
+        assert verified[0][3] is None  # the first pair, wanted without a selection
         assert len(plain) == len(verified)
         for call, call_v in zip(plain, verified):
             for a, b in zip(call, call_v):

@@ -1,6 +1,6 @@
 """sha256 digests of kvwave's output files over a fixed set of runs.
 
-    python tools/output_digests.py DIGESTS.json [--steps N] [--src DIR]
+    python tools/output_digests.py DIGESTS.json [--steps N] [--src DIR] [--cflags=FLAGS]
     python tools/output_digests.py --compare BEFORE.json AFTER.json
 
 The runs are every preset with both schemes, each with and without
@@ -31,7 +31,12 @@ same kernel and CPU.
 
 --steps caps every run at N steps and keeps its time step.  --src imports
 kvwave from another checkout's ``src`` directory, so one copy of this tool
-digests two revisions.  --compare prints any difference of the two
+digests two revisions.  --cflags builds the package's kernel.c with these
+compiler flags (and -shared -fPIC) into a temporary directory, never the
+package's ``__pycache__``, and digests with that library in place of the
+package's build, each entry point typed as ``linalg._kernel`` types it:
+the output bits must not depend on the flags.  Write --cflags=-O0, with
+``=``, when FLAGS is one flag.  --compare prints any difference of the two
 environments first, then every run and file whose digest differs or is
 missing on one side, and exits 1 if there is any such run or file.
 """
@@ -40,11 +45,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
 import os
 import re
+import shlex
+import subprocess
 import sys
 import tempfile
 from dataclasses import fields, replace
@@ -143,6 +151,23 @@ def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
     return out
 
 
+def build_kernel(linalg, flags: list[str], directory: Path):
+    """linalg's kernel.c built with flags into directory and loaded, with
+    the argtypes and restype of every entry point that linalg._kernel binds."""
+    lib = directory / "kernel.so"
+    proc = subprocess.run(["cc", *flags, "-shared", "-fPIC", "-o", str(lib),
+                           str(Path(linalg.__file__).with_name("kernel.c")), "-lm"],
+                          capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"cc {shlex.join(flags)} cannot build the kernel:\n{proc.stderr}")
+    kernel = ctypes.CDLL(str(lib))
+    # ctypes keeps each function it has looked up as an attribute of the library
+    for name in [name for name in vars(linalg._kernel) if name.startswith("kv_")]:
+        entry, bound = getattr(kernel, name), getattr(linalg._kernel, name)
+        entry.argtypes, entry.restype = bound.argtypes, bound.restype
+    return kernel
+
+
 def environment() -> dict[str, str | None]:
     """What selects the OpenBLAS kernel and numpy's CPU loops, and with them
     the bits of the fits; the step's bits depend on neither."""
@@ -186,6 +211,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--steps", type=int, help="cap every run at this many steps")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the kvwave package to run")
+    parser.add_argument("--cflags", help="build kernel.c with these compiler flags and digest "
+                        "with that build")
     parser.add_argument("--compare", nargs=2, metavar=("BEFORE", "AFTER"),
                         help="compare two digest files instead of running")
     args = parser.parse_args(argv)
@@ -204,7 +231,12 @@ def main(argv: list[str] | None = None) -> int:
     import kvwave
 
     print(f"kvwave from {Path(kvwave.__file__).parent}", file=sys.stderr)
-    digests = {ENVIRONMENT: environment(), **digest_runs(kvwave, args.steps)}
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.cflags is not None:
+            kvwave.linalg._kernel = build_kernel(kvwave.linalg, shlex.split(args.cflags),
+                                                 Path(tmp))
+            print(f"kernel built with {args.cflags}", file=sys.stderr)
+        digests = {ENVIRONMENT: environment(), **digest_runs(kvwave, args.steps)}
     Path(args.output).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     return 0
 
