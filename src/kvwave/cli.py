@@ -231,6 +231,17 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("fit window fractions must satisfy 0 <= fit_lo < fit_hi <= 1")
     if cfg.observe_every < 1:
         raise ConfigError("observe_every must be >= 1")
+    # the summary echoes out_dir as a line that parse_config must read back
+    out = cfg.out_dir
+    try:
+        out.encode(locale.getpreferredencoding(False))
+        echoable = "#" not in out and out == out.strip() and len(out.splitlines()) <= 1
+    except UnicodeEncodeError:
+        echoable = False
+    if not echoable:
+        raise ConfigError(f"out_dir {out!r} cannot be echoed in summary.txt: it must be text in "
+                          f"the locale's encoding with no '#', no line break and no leading or "
+                          f"trailing whitespace")
     infinite = [name for name, value in vars(cfg).items()
                 if isinstance(value, float) and not isfinite(value)]
     if infinite:
@@ -411,8 +422,8 @@ def summary_lines(result: RunResult) -> list[str]:
 
 def write_summary(result: RunResult, path: str | Path) -> None:
     """Flat key = value summary; config echo plus result_* keys.  Its text is
-    encoded as Path.write_text would, in the locale's encoding, since the
-    echoed out_dir may hold any character."""
+    encoded as Path.write_text would, in the locale's encoding, in which
+    validate_config requires the echoed out_dir to be text."""
     text = "\n".join(summary_lines(result)) + "\n"
     Path(path).write_bytes(text.encode(locale.getpreferredencoding(False)))
 

@@ -5,10 +5,11 @@ a forward difference in time, the potential part couples the face jumps of
 both layers.  For either scheme the step-to-step energy difference equals an
 explicitly computable, nonpositive dissipation increment supported on the
 interior faces of the damped zone; the per-step residual of that identity is
-the primary correctness diagnostic of a run.  energy_arguments gives the
-inputs of these definitions, and linalg.step_block evaluates them in
+the primary correctness diagnostic of a run.  schemes.build_operators forms
+the inputs of these definitions, and linalg.step_block evaluates them in
 linalg's compiled kernel: a run's step calls as they write each layer, and
-a call of no steps on its first two layers.  The fits run in numpy.
+a call of no steps on its first two layers.  This module holds the trace
+they fill and the decay-rate fits, which run in numpy.
 """
 
 from __future__ import annotations
@@ -17,12 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import FluxCoefficients, Mesh, Parameters
-
 __all__ = [
     "EnergyTrace",
     "DecayFit",
-    "energy_arguments",
     "fit_exponential",
     "fit_polynomial",
 ]
@@ -56,30 +54,6 @@ class DecayFit:
     intercept: float
     residual: float
     n_samples: int
-
-
-def energy_arguments(mesh: Mesh, ell: FluxCoefficients, params: Parameters, dt: float,
-                     variant: str) -> tuple:
-    """The energy definitions' inputs, as linalg.step_block takes them: the
-    cell widths, the flux coefficients, dt, whether the scheme is implicit,
-    the damped zone's interior faces and the coefficient delta / (4 dt h).
-
-    The kinetic energy of a layer pair is half the width-weighted sum of
-    squared forward time differences.  The explicit potential energy is
-    half the flux-weighted cross product of the pair's face jumps (not
-    sign-definite); the implicit one is a quarter of the flux-weighted
-    squared jumps of both layers (nonnegative).  The dissipation of a step
-    is the identity's predicted energy change, nonpositive and +0.0 when
-    undamped, summed over the faces strictly inside the damped zone; its
-    residual is (E^n - E^{n-1}) - dissipation.
-    """
-    if variant not in ("explicit", "implicit"):
-        raise ValueError(f"unknown scheme variant {variant!r}")
-    faces = mesh.damping_interior_faces
-    if not 1 <= faces.start <= faces.stop <= mesh.n_max:
-        raise ValueError("the damped zone's interior faces must lie inside the mesh")
-    return (mesh.cell_widths, ell.ell, dt, variant == "implicit", faces.start, faces.stop,
-            params.delta / (4.0 * dt * mesh.h))
 
 
 def _window_samples(

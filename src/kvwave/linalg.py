@@ -149,12 +149,11 @@ class SingularMatrixError(ValueError):
 class TriDiagMatrix:
     """Symmetric tridiagonal matrix stored as main diagonal and one off-diagonal."""
 
-    dim: int
     diag: np.ndarray
     off: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.diag.shape != (self.dim,) or self.off.shape != (max(self.dim - 1, 0),):
+        if self.diag.ndim != 1 or self.off.shape != (max(len(self.diag) - 1, 0),):
             raise ValueError("inconsistent tridiagonal storage shapes")
         if not (np.isfinite(self.diag).all() and np.isfinite(self.off).all()):
             raise ValueError("matrix entries must be finite")
@@ -163,17 +162,17 @@ class TriDiagMatrix:
 
     def __add__(self, other: "TriDiagMatrix") -> "TriDiagMatrix":
         self._check_same_dim(other)
-        return TriDiagMatrix(self.dim, self.diag + other.diag, self.off + other.off)
+        return TriDiagMatrix(self.diag + other.diag, self.off + other.off)
 
     def __sub__(self, other: "TriDiagMatrix") -> "TriDiagMatrix":
         self._check_same_dim(other)
-        return TriDiagMatrix(self.dim, self.diag - other.diag, self.off - other.off)
+        return TriDiagMatrix(self.diag - other.diag, self.off - other.off)
 
     def scaled(self, c: float) -> "TriDiagMatrix":
-        return TriDiagMatrix(self.dim, c * self.diag, c * self.off)
+        return TriDiagMatrix(c * self.diag, c * self.off)
 
     def _check_same_dim(self, other: "TriDiagMatrix") -> None:
-        if self.dim != other.dim:
+        if len(self.diag) != len(other.diag):
             raise ValueError("dimension mismatch")
 
 
@@ -185,50 +184,40 @@ class LDLFactorization:
     d: np.ndarray
     e: np.ndarray
 
-    def __post_init__(self) -> None:
-        # the kernel reads len(d) entries of d and one fewer of e
-        if self.d.ndim != 1 or not len(self.d) or self.e.shape != (len(self.d) - 1,):
-            raise ValueError("inconsistent factor shapes")
-
 
 def assemble_mass(mesh: Mesh) -> TriDiagMatrix:
     """Diagonal mass matrix of cell widths."""
-    n = mesh.n_max
-    return TriDiagMatrix(n, mesh.cell_widths.copy(), np.zeros(max(n - 1, 0)))
+    return TriDiagMatrix(mesh.cell_widths.copy(), np.zeros(max(mesh.n_max - 1, 0)))
 
 
 def assemble_damping(mesh: Mesh) -> TriDiagMatrix:
     """Damped-zone coupling matrix: half the path-graph Laplacian.
 
-    Nonzero only on the damped-zone block; its quadratic form is half the sum
-    of squared jumps across the interior faces of that zone.
+    Nonzero only on the block of the cells on either side of the damped
+    zone's interior faces, the faces the dissipation sums over; its
+    quadratic form is half the sum of squared jumps across those faces.
     """
-    n = mesh.n_max
-    first = mesh.n_alpha
-    last = first + mesh.n_damp - 1
-    diag = np.zeros(n)
-    off = np.zeros(max(n - 1, 0))
+    faces = mesh.damping_interior_faces  # face f lies between the cells f - 1 and f
+    first, last = faces.start - 1, faces.stop - 1
+    diag = np.zeros(mesh.n_max)
+    off = np.zeros(max(mesh.n_max - 1, 0))
     diag[first : last + 1] = 1.0
     diag[first] = 0.5
     diag[last] = 0.5
     off[first:last] = -0.5
-    return TriDiagMatrix(n, diag, off)
+    return TriDiagMatrix(diag, off)
 
 
-def assemble_stiffness(mesh: Mesh, ell: FluxCoefficients) -> TriDiagMatrix:
-    """Flux-divergence operator with negative diagonal.
+def assemble_stiffness(ell: FluxCoefficients) -> TriDiagMatrix:
+    """Flux-divergence operator with negative diagonal, one row per cell
+    between the n + 1 faces of ell.
 
     Row i carries -(ell[i] + ell[i+1]) on the diagonal and ell at the
     couplings, with the zero-ghost boundary convention folded into the first
     and last rows.
     """
     values = ell.ell
-    n = mesh.n_max
-    if values.shape != (n + 1,):
-        raise ValueError("flux coefficient vector does not match the mesh")
-    diag = -(values[:-1] + values[1:])
-    off = values[1:n].copy()
-    return TriDiagMatrix(n, diag, off)
+    return TriDiagMatrix(-(values[:-1] + values[1:]), values[1:-1].copy())
 
 
 def factor(m: TriDiagMatrix) -> LDLFactorization:
@@ -239,11 +228,12 @@ def factor(m: TriDiagMatrix) -> LDLFactorization:
     pivot, that is when m is not positive definite.  Like step_block, it
     takes matrices of three rows or more; every mesh has four or more.
     """
-    if m.dim < 3:
+    n = len(m.diag)
+    if n < 3:
         raise ValueError("factorization needs a matrix of dimension 3 or more")
     d, e = np.array(m.diag, dtype=float), np.array(m.off, dtype=float)
-    info = _kernel.kv_factor(m.dim, _address("d", d, (m.dim,), written=True),
-                             _address("e", e, (m.dim - 1,), written=True))
+    info = _kernel.kv_factor(n, _address("d", d, (n,), written=True),
+                             _address("e", e, (n - 1,), written=True))
     if info:
         raise SingularMatrixError(f"matrix not positive definite: pivot {info} is not positive")
     d.setflags(write=False)
@@ -266,8 +256,8 @@ def step_block(
     writes it and returns the first with a value x that fails abs(x) <=
     limit, a NaN among them, stepping no layer after it; else stop.
 
-    energies, (selected, out, args) with args from
-    diagnostics.energy_arguments, also evaluates into out, (5, m), the
+    energies, (selected, out, args) with args a SchemeOperators'
+    energy_args, also evaluates into out, (5, m), the
     energies of the m = stop - start + 2 layers start-2 .. stop-1, laid out
     as kernel.c's struct energies defines them: the kinetic, potential and
     total energy of each layer pair and the dissipation and identity

@@ -23,12 +23,13 @@ The increment is never formed as a difference of two rounded layers, which
 keeps the per-step energy identity at round-off whatever the cell count.  L
 is positive definite, so it is factored once per run as L D L^T.
 build_operators returns what the kernel reads in one SchemeOperators: the
-matrices, each a linalg.TriDiagMatrix, and the factors of L and of the
-bootstrap's matrix.  The steps up to a snapshot or the last step run in one
-linalg.step_block call of the compiled kernel, which reads those matrices
-as they are, carries the increment in one (2, n) array, writes each layer
-into a ring of three rows, checks it for divergence and evaluates its
-energies while it is in cache; its bits do not depend on the machine.
+matrices, each a linalg.TriDiagMatrix, the factors of L and of the
+bootstrap's matrix, and the inputs of the energies.  The steps up to a
+snapshot or the last step run in one linalg.step_block call of the
+compiled kernel, which reads those matrices as they are, carries the
+increment in one (2, n) array, writes each layer into a ring of three rows,
+checks it for divergence and evaluates its energies while it is in cache;
+its bits do not depend on the machine.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import diagnostics, linalg
-from .mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
+from .mesh import Mesh, Parameters, flux_coefficients
 from .model import InitialData, sample_cell_averages, set_up
 
 __all__ = [
@@ -63,7 +64,8 @@ _CALL_STEPS = 8192
 @dataclass(frozen=True)
 class SchemeOperators:
     """What the kernel reads of one scheme at one time step: its tridiagonal
-    matrices and the factors that stepping and bootstrap solve with.
+    matrices, the factors that stepping and bootstrap solve with, and the
+    inputs of the energies.
 
     rhs_curr and rhs_prev are R2 and R1 of the recurrence, and stiff is
     dt^2 S, which every step multiplies.  lhs_factor and boot_factor hold
@@ -71,33 +73,50 @@ class SchemeOperators:
     explicit scheme and 2 M - dt^2 S for the flux-averaged one, not kept
     themselves.  Both are positive definite: M > 0, the damping is positive
     semidefinite and the stiffness negative semidefinite.
+
+    energy_args are the inputs of the energy definitions, as
+    linalg.step_block takes them: the cell widths, the flux coefficients,
+    dt, whether the scheme is implicit, the start and stop of the damped
+    zone's interior faces (mesh.damping_interior_faces) and the coefficient
+    delta / (4 dt h).  The kinetic energy of a layer pair is half the
+    width-weighted sum of squared forward time differences.  The explicit
+    potential energy is half the flux-weighted cross product of the pair's
+    face jumps (not sign-definite); the implicit one is a quarter of the
+    flux-weighted squared jumps of both layers (nonnegative).  The
+    dissipation of a step is the identity's predicted energy change,
+    nonpositive and +0.0 when undamped, summed over the damped zone's
+    interior faces; its residual is (E^n - E^{n-1}) - dissipation.
     """
 
-    scheme: str
     dt: float
-    mesh: Mesh
-    params: Parameters
-    ell: FluxCoefficients
     rhs_curr: linalg.TriDiagMatrix
     rhs_prev: linalg.TriDiagMatrix
     stiff: linalg.TriDiagMatrix
     lhs_factor: linalg.LDLFactorization
     boot_factor: linalg.LDLFactorization
+    energy_args: tuple
 
 
 def build_operators(
     mesh: Mesh, params: Parameters, dt: float, scheme: str
 ) -> SchemeOperators:
-    """Assemble the matrices of the requested scheme and factor them."""
+    """Assemble the matrices of the requested scheme, factor them and form
+    the energies' inputs: the one place where the damped zone and delta
+    become kernel inputs."""
     if scheme not in ("explicit", "implicit"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if not dt > 0.0:
         raise ValueError("dt must be > 0")
+    faces = mesh.damping_interior_faces
+    if not 1 <= faces.start <= faces.stop <= mesh.n_max:  # the kernel indexes with them
+        raise ValueError("the damped zone's interior faces must lie inside the mesh")
     ell = flux_coefficients(mesh, params)
     mass = linalg.assemble_mass(mesh)
     # scaled as assembled, so that no unscaled copy lives on into the factoring
-    stiff = linalg.assemble_stiffness(mesh, ell).scaled(dt * dt)
+    stiff = linalg.assemble_stiffness(ell).scaled(dt * dt)
     damping_scaled = linalg.assemble_damping(mesh).scaled(params.delta * dt / mesh.h)
+    energy_args = (mesh.cell_widths, ell.ell, dt, scheme == "implicit", faces.start, faces.stop,
+                   params.delta / (4.0 * dt * mesh.h))
     if scheme == "explicit":
         lhs = mass + damping_scaled
         rhs_curr = mass.scaled(2.0) + stiff
@@ -107,22 +126,19 @@ def build_operators(
         # The averaged fluxes put half the (negative-diagonal) stiffness on
         # each outer layer, so it enters both side matrices with a minus sign
         # and the left-hand matrix is strictly diagonally dominant for any dt.
-        half_stiff = linalg.assemble_stiffness(mesh, ell).scaled(0.5 * dt * dt)
+        half_stiff = linalg.assemble_stiffness(ell).scaled(0.5 * dt * dt)
         lhs = mass - half_stiff + damping_scaled
         rhs_curr = mass.scaled(2.0)
         rhs_prev = mass - half_stiff - damping_scaled
         boot_lhs = mass.scaled(2.0) - stiff
     return SchemeOperators(
-        scheme=scheme,
         dt=dt,
-        mesh=mesh,
-        params=params,
-        ell=ell,
         rhs_curr=rhs_curr,
         rhs_prev=rhs_prev,
         stiff=stiff,
         lhs_factor=linalg.factor(lhs),
         boot_factor=linalg.factor(boot_lhs),
+        energy_args=energy_args,
     )
 
 
@@ -184,11 +200,9 @@ class _EnergyLog:
                  verify: bool, ring: np.ndarray, incr: np.ndarray):
         self.dt, self.observe_every, self.last_step = ops.dt, observe_every, last_step
         self.verify = verify
-        self.args = diagnostics.energy_arguments(ops.mesh, ops.ell, ops.params, ops.dt,
-                                                 ops.scheme)
         out = np.empty((5, 2))
         linalg.step_block(ring, 2, 2, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, math.inf,
-                          (None, out, self.args))
+                          (None, out, ops.energy_args))
         e_k, e_p, e_tot = out[:3, :1]
         self.e_tot0 = float(e_tot[0])
         # per call: the kept steps and their energies, dissipations and residuals
@@ -269,7 +283,6 @@ def run(
     ring = np.zeros((3, mesh.n_max))  # layer i in row i % 3
     ring[0], ring[1] = u0, u1
     incr = np.stack((u1 - u0, u0))  # the increment into layer 1; row 1 is scratch
-    # e.g. an energy coefficient out of floating-point range, delta / (4 dt h)
     log = set_up(f"{name}: the first energies", _EnergyLog, ops, observe_every, last_step,
                  verify_identity, ring, incr)
 
@@ -283,8 +296,9 @@ def run(
         stop = min(filled + _CALL_STEPS, n_steps + 1,
                    *(s + 1 for s in snap_steps if filled <= s < n_steps))
         out = np.empty((5, stop - filled + 2))
+        selected = log.kept(filled, stop) | verify_identity
         end = linalg.step_block(ring, filled, stop, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr,
-                                sup_limit, (log.kept(filled, stop) | verify_identity, out, log.args))
+                                sup_limit, (selected, out, ops.energy_args))
         log.record(out, filled, end)
         if end < stop:
             divergence_step = end

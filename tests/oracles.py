@@ -8,14 +8,14 @@ import numpy as np
 
 from kvwave.linalg import (LDLFactorization, SingularMatrixError, TriDiagMatrix, assemble_damping,
                            assemble_mass, assemble_stiffness, step_block)
-from kvwave.mesh import FluxCoefficients, Mesh, Parameters
+from kvwave.mesh import FluxCoefficients, Mesh, Parameters, flux_coefficients
 from kvwave.schemes import SchemeOperators
 
 
 def to_dense(m: TriDiagMatrix) -> np.ndarray:
     """The full n x n array of a symmetric tridiagonal matrix."""
     dense = np.diag(m.diag)
-    if m.dim > 1:
+    if len(m.diag) > 1:
         dense += np.diag(m.off, 1) + np.diag(m.off, -1)
     return dense
 
@@ -26,18 +26,20 @@ def factored(f: LDLFactorization) -> np.ndarray:
     return lower @ np.diag(f.d) @ lower.T
 
 
-def left_matrices(ops: SchemeOperators) -> tuple[TriDiagMatrix, TriDiagMatrix]:
-    """L and the bootstrap's matrix of ops' scheme, which build_operators
-    factors but does not keep, assembled again from the mesh as it
-    assembles them: explicit L = M + c D and 2 M, flux-averaged
-    L = M - (dt^2 / 2) S + c D and 2 M - dt^2 S, with c = delta dt / h."""
-    mesh, dt = ops.mesh, ops.dt
+def left_matrices(mesh: Mesh, params: Parameters, dt: float,
+                  scheme: str) -> tuple[TriDiagMatrix, TriDiagMatrix]:
+    """L and the bootstrap's matrix of the scheme, which build_operators
+    factors but does not keep, assembled again from build_operators'
+    arguments as it assembles them: explicit L = M + c D and 2 M,
+    flux-averaged L = M - (dt^2 / 2) S + c D and 2 M - dt^2 S, with
+    c = delta dt / h."""
     mass = assemble_mass(mesh)
-    damping = assemble_damping(mesh).scaled(ops.params.delta * dt / mesh.h)
-    if ops.scheme == "explicit":
+    damping = assemble_damping(mesh).scaled(params.delta * dt / mesh.h)
+    if scheme == "explicit":
         return mass + damping, mass.scaled(2.0)
-    half_stiff = assemble_stiffness(mesh, ops.ell).scaled(0.5 * dt * dt)
-    return mass - half_stiff + damping, mass.scaled(2.0) - ops.stiff
+    stiffness = assemble_stiffness(flux_coefficients(mesh, params))
+    half_stiff = stiffness.scaled(0.5 * dt * dt)
+    return mass - half_stiff + damping, mass.scaled(2.0) - stiffness.scaled(dt * dt)
 
 
 def dense_solve_oracle(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -129,8 +131,8 @@ def solve(f: LDLFactorization, rhs: np.ndarray) -> np.ndarray:
     in row 0 of the increments.  rhs becomes the solution; a -0.0 entry of
     it counts as +0.0."""
     n = len(f.d)
-    zero = TriDiagMatrix(n, np.zeros(n), np.zeros(n - 1))
-    identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+    zero = TriDiagMatrix(np.zeros(n), np.zeros(n - 1))
+    identity = TriDiagMatrix(np.ones(n), np.zeros(n - 1))
     incr = np.stack((rhs, rhs))
     step_block(np.zeros((2, n)), 1, 2, zero, identity, f, incr, math.inf)
     rhs[:] = incr[0]
@@ -189,11 +191,13 @@ def one_step_layers(ops: SchemeOperators, u0: np.ndarray, u1: np.ndarray,
     return [u0, u1, *layers]
 
 
-def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators) -> np.ndarray:
-    """First layer of the explicit scheme as a componentwise division: its
-    bootstrap matrix 2 M is diagonal, so u1 = (R2 u0 + 2 dt R1 psi) / (2 M)."""
+def explicit_bootstrap(u0: np.ndarray, psi: np.ndarray, ops: SchemeOperators,
+                       mesh: Mesh) -> np.ndarray:
+    """First layer of the explicit scheme on mesh as a componentwise
+    division: its bootstrap matrix 2 M is diagonal, so
+    u1 = (R2 u0 + 2 dt R1 psi) / (2 M)."""
     rhs = band_products(ops.rhs_curr, u0, 2.0 * ops.dt, ops.rhs_prev, psi)
-    return rhs / (2.0 * ops.mesh.cell_widths)
+    return rhs / (2.0 * mesh.cell_widths)
 
 
 def lane_sum(terms: list[float]) -> float:
@@ -264,7 +268,7 @@ def step_energies(args: tuple, u: np.ndarray, v: np.ndarray, d: np.ndarray | Non
     off-diagonal turns an infinite entry into NaN, which no limit passes."""
     n, m = len(u), steps + 2
     out = np.empty((5, m))
-    zero, identity = (TriDiagMatrix(n, np.full(n, x), np.zeros(n - 1)) for x in (0.0, 1.0))
+    zero, identity = (TriDiagMatrix(np.full(n, x), np.zeros(n - 1)) for x in (0.0, 1.0))
     ring = np.empty((max(m, 3), n))
     ring[0], ring[1] = u, v
     incr = np.zeros((2, n)) if d is None else np.stack((d, d))

@@ -20,8 +20,8 @@ from dataclasses import fields
 import numpy as np
 
 from kvwave.cli import preset, resolve_time_step
-from kvwave.mesh import Parameters, build_mesh
-from kvwave.schemes import SchemeOperators, build_operators
+from kvwave.mesh import Mesh, Parameters, build_mesh
+from kvwave.schemes import build_operators
 from oracles import left_matrices, to_dense
 
 # Eigenvalue moduli are trusted to a thousand ulps; as a rate that is
@@ -33,9 +33,11 @@ ROUND_OFF_ULPS = 1.0e3
 CLUSTER_GAP = 2.0
 
 
-def companion_matrix(ops: SchemeOperators) -> np.ndarray:
-    """Dense one-step matrix acting on the stacked pair (u_curr, u_prev)."""
-    lhs = to_dense(left_matrices(ops)[0])
+def companion_matrix(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> np.ndarray:
+    """Dense one-step matrix acting on the stacked pair (u_curr, u_prev), of
+    the operators that build_operators forms from the same arguments."""
+    ops = build_operators(mesh, params, dt, scheme)
+    lhs = to_dense(left_matrices(mesh, params, dt, scheme)[0])
     n = lhs.shape[0]
     t = np.zeros((2 * n, 2 * n))
     t[:n, :n] = np.linalg.solve(lhs, to_dense(ops.rhs_curr))
@@ -44,10 +46,10 @@ def companion_matrix(ops: SchemeOperators) -> np.ndarray:
     return t
 
 
-def decay_rates(ops: SchemeOperators) -> np.ndarray:
+def decay_rates(mesh: Mesh, params: Parameters, dt: float, scheme: str) -> np.ndarray:
     """Energy decay rates -2 ln|z| / dt of every eigenvalue z, ascending."""
-    moduli = np.abs(np.linalg.eigvals(companion_matrix(ops)))
-    return np.sort(-2.0 * np.log(moduli) / ops.dt)
+    moduli = np.abs(np.linalg.eigvals(companion_matrix(mesh, params, dt, scheme)))
+    return np.sort(-2.0 * np.log(moduli) / dt)
 
 
 def round_off_rate(dt: float) -> float:
@@ -61,10 +63,12 @@ def next_cluster_rate(rates: np.ndarray) -> float:
     return float(rates[jumps[0] + 1])
 
 
-def preset_operators(name: str, scheme: str = "explicit") -> SchemeOperators:
-    """The operators a run of the named preset steps with."""
+def preset_setup(name: str, scheme: str = "explicit") -> tuple[Mesh, Parameters, float, str]:
+    """The mesh, parameters, time step and scheme of a run of the named
+    preset: the arguments of build_operators, companion_matrix and
+    decay_rates."""
     cfg = preset(name)
     params = Parameters(**{f.name: getattr(cfg, f.name) for f in fields(Parameters)})
     mesh = build_mesh(params, cfg.n_alpha, cfg.n_damp, cfg.n_beta)
     dt, _ = resolve_time_step(cfg, params, mesh)
-    return build_operators(mesh, params, dt, scheme)
+    return mesh, params, dt, scheme

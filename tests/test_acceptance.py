@@ -25,7 +25,7 @@ from kvwave.linalg import (
 )
 from kvwave.mesh import Parameters
 from kvwave.model import default_initial_data
-from kvwave.schemes import run
+from kvwave.schemes import build_operators, run
 
 
 from conftest import ACCEPTANCE_LINES
@@ -34,7 +34,7 @@ from spectral import (
     companion_matrix,
     decay_rates,
     next_cluster_rate,
-    preset_operators,
+    preset_setup,
     round_off_rate,
 )
 
@@ -119,11 +119,12 @@ class TestCriterion3ExponentialRateEqualSpeeds:
 
     def test_fitted_rate_in_band(self):
         result, wall = plain_run("equal-damped", "explicit")
-        ops = preset_operators("equal-damped")
-        assert ops.dt == result.dt
-        rates = decay_rates(ops)
+        setup = preset_setup("equal-damped")
+        dt = setup[2]
+        assert dt == result.dt
+        rates = decay_rates(*setup)
         slowest, next_cluster = float(rates[0]), next_cluster_rate(rates)
-        floor = round_off_rate(ops.dt)
+        floor = round_off_rate(dt)
         fit = result.fits["exponential"]
         ok_contracting = slowest >= 1e3 * floor
         ok_rate = fit is not None and slowest <= fit.rate <= next_cluster
@@ -165,22 +166,23 @@ class TestSpectralOracle:
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_companion_matrix_steps_like_advance(self, scheme):
-        ops = preset_operators("case1", scheme)
+        setup = preset_setup("case1", scheme)
+        ops, n = build_operators(*setup), setup[0].n_max
         rng = np.random.default_rng(14142135)
-        u_prev, u_curr = rng.standard_normal((2, ops.mesh.n_max))
-        stacked = companion_matrix(ops) @ np.concatenate([u_curr, u_prev])
+        u_prev, u_curr = rng.standard_normal((2, n))
+        stacked = companion_matrix(*setup) @ np.concatenate([u_curr, u_prev])
         block = np.stack([u_prev, u_curr, np.zeros_like(u_curr)])
         incr = np.stack((u_curr - u_prev, u_curr))
         step_block(block, 2, 3, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, math.inf)
         u_next = block[2]
-        np.testing.assert_allclose(stacked[: ops.mesh.n_max], u_next, rtol=1e-12, atol=1e-12)
-        np.testing.assert_array_equal(stacked[ops.mesh.n_max:], u_curr)
+        np.testing.assert_allclose(stacked[:n], u_next, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(stacked[n:], u_curr)
 
     @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
     def test_undamped_rates_vanish(self, scheme):
-        ops = preset_operators("equal-undamped", scheme)
-        worst = float(np.abs(decay_rates(ops)).max())
-        floor = round_off_rate(ops.dt)
+        setup = preset_setup("equal-undamped", scheme)
+        worst = float(np.abs(decay_rates(*setup)).max())
+        floor = round_off_rate(setup[2])
         ok = worst <= floor
         report(
             f"spectral-oracle undamped[{scheme}]", ok,
@@ -190,9 +192,9 @@ class TestSpectralOracle:
 
     def test_wide_damping_rate_matches_fit(self):
         result, _ = plain_run("wide-damping", "explicit")
-        ops = preset_operators("wide-damping")
-        assert ops.dt == result.dt
-        slowest = float(decay_rates(ops)[0])
+        setup = preset_setup("wide-damping")
+        assert setup[2] == result.dt
+        slowest = float(decay_rates(*setup)[0])
         fit = result.fits["exponential"]
         rate = fit.rate if fit else float("nan")
         gap = abs(rate - slowest) / slowest
@@ -247,9 +249,9 @@ class TestCriterion6SolverOracle:
             # positive-diagonal counterpart is solved
             if (sign < 0.0).any():
                 with pytest.raises(SingularMatrixError):
-                    factor(TriDiagMatrix(n, sign * diag, off))
+                    factor(TriDiagMatrix(sign * diag, off))
                 rejected += 1
-            m = TriDiagMatrix(n, diag, off)
+            m = TriDiagMatrix(diag, off)
             rhs = rng.standard_normal(n)
             x = solve(factor(m), rhs.copy())
             x_ref = dense_solve_oracle(to_dense(m), rhs)
@@ -265,7 +267,7 @@ class TestCriterion7QuadraticFormOracles:
     def test_hundred_random_vectors(self, base_mesh, base_params, base_ell):
         rng = np.random.default_rng(27182818)
         a = assemble_damping(base_mesh)
-        b = assemble_stiffness(base_mesh, base_ell)
+        b = assemble_stiffness(base_ell)
         first, last = base_mesh.n_alpha, base_mesh.n_alpha + base_mesh.n_damp - 1
         worst = 0.0
         for _ in range(100):

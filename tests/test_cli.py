@@ -318,10 +318,12 @@ class TestOutputs:
         assert snapshot.read_bytes() == expected.encode()
 
     def test_summary_round_trips_to_identical_config(self, short_wide_result, tmp_path):
+        # an out_dir with spaces and '=' inside is echoed as it reads back
         path = tmp_path / "summary.txt"
-        write_summary(short_wide_result, path)
-        reparsed = parse_config(path.read_text())
-        assert reparsed == short_wide_result.config
+        for out_dir in (short_wide_result.config.out_dir, "runs/damped run = 2"):
+            cfg = replace(short_wide_result.config, out_dir=out_dir)
+            write_summary(replace(short_wide_result, config=cfg), path)
+            assert parse_config(path.read_text()) == cfg
 
     def test_summary_contains_results(self, short_wide_result):
         text = "\n".join(summary_lines(short_wide_result))
@@ -517,7 +519,7 @@ class TestMain:
          "cannot set up the implicit run at dt = 1e-08: the operators: "),
         ("preset = equal-damped\nlength = 1e-100\nalpha = 3e-101\nbeta = 9e-101\n"
          "scheme = implicit\ndt = 1e-300\nn_steps = 5\n",  # 4 dt h underflows to 0
-         "cannot set up the implicit run at dt = 1e-300: the first energies: "),
+         "cannot set up the implicit run at dt = 1e-300: the operators: "),
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\n"
          "scheme = implicit\ndt = 1\nn_steps = 1\n",  # the arch's scale overflows
          "length must lie strictly between 2**-511 and 2**512"),
@@ -534,6 +536,22 @@ class TestMain:
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and reason in err
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    # the undecodable argv byte 0xff arrives as the surrogate \udcff
+    @pytest.mark.parametrize("out_dir", ["o\udcff", "a#b", "b\nscheme = implicit", " c"],
+                             ids=["unencodable", "comment", "line-break", "leading-space"])
+    def test_out_dir_the_summary_cannot_echo_exits_1(self, tmp_path, monkeypatch, capsys,
+                                                     out_dir):
+        # summary.txt echoes out_dir as a configuration line: a value that the
+        # locale's encoding cannot write, or that parse_config would read back
+        # as another value or as more keys, is refused before anything is
+        # written
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--preset", "wide-damping", "--steps", "10", "--out", out_dir]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: out_dir ")
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_config_not_in_the_locale_encoding_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

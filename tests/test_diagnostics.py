@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from kvwave import linalg, schemes
-from kvwave.diagnostics import energy_arguments, fit_exponential, fit_polynomial
+from kvwave.diagnostics import fit_exponential, fit_polynomial
 from kvwave.linalg import LDLFactorization, TriDiagMatrix
 from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import default_initial_data, sample_cell_averages
@@ -52,20 +51,20 @@ def dissipation_oracle(u_prev, u_next, mesh, delta, dt):
     return total
 
 
-def pair_energies(u_curr, u_next, mesh, ell, params, variant):
+def pair_energies(u_curr, u_next, mesh, params, variant):
     """(kinetic, potential, total) of one layer pair, from a step call of
     no steps, as a run's first energies are evaluated."""
-    args = energy_arguments(mesh, ell, params, DT, variant)
+    args = schemes.build_operators(mesh, params, DT, variant).energy_args
     _, (e_k, e_p, e_tot, diss, res) = step_energies(args, u_curr, u_next)
     assert len(e_k) == 1 and len(diss) == 0 and len(res) == 0
     return float(e_k[0]), float(e_p[0]), float(e_tot[0])
 
 
-def step_identity(u_prev, u_curr, d, mesh, ell, params, variant):
+def step_identity(u_prev, u_curr, d, mesh, params, variant):
     """(dissipation, residual, layers) of the step at u_curr, from a step
     call of one step that writes u_curr + d; layers are the three the
     entries belong to."""
-    args = energy_arguments(mesh, ell, params, DT, variant)
+    args = schemes.build_operators(mesh, params, DT, variant).energy_args
     layers, (_, _, _, diss, res) = step_energies(args, u_prev, u_curr, d, 1)
     return float(diss[0]), float(res[0]), layers
 
@@ -143,37 +142,37 @@ def undamped_params():
 
 
 class TestKineticEnergy:
-    def test_equal_layers(self, base_mesh, base_ell, base_params, rng):
+    def test_equal_layers(self, base_mesh, base_params, rng):
         u = rng.standard_normal(base_mesh.n_max)
         for variant in ("explicit", "implicit"):
-            e_k, _, _ = pair_energies(u, u.copy(), base_mesh, base_ell, base_params, variant)
+            e_k, _, _ = pair_energies(u, u.copy(), base_mesh, base_params, variant)
             assert e_k == 0.0
 
-    def test_unit_rate_gives_half_length(self, base_mesh, base_ell, base_params, rng):
+    def test_unit_rate_gives_half_length(self, base_mesh, base_params, rng):
         u = rng.standard_normal(base_mesh.n_max)
-        e_k, _, _ = pair_energies(u, u + DT, base_mesh, base_ell, base_params, "explicit")
+        e_k, _, _ = pair_energies(u, u + DT, base_mesh, base_params, "explicit")
         assert e_k == pytest.approx(1.5, rel=1e-12)
 
-    def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
+    def test_matches_brute_force(self, base_mesh, base_params, rng):
         u, v = rng.standard_normal((2, base_mesh.n_max))
         expected = kinetic_oracle(u, v, base_mesh.cell_widths, DT)
         for variant in ("explicit", "implicit"):
-            e_k, _, _ = pair_energies(u, v, base_mesh, base_ell, base_params, variant)
+            e_k, _, _ = pair_energies(u, v, base_mesh, base_params, variant)
             assert e_k == pytest.approx(expected, rel=1e-13)
 
 
 class TestPotentialEnergy:
-    def test_zero_layers(self, base_mesh, base_ell, base_params):
+    def test_zero_layers(self, base_mesh, base_params):
         z = np.zeros(base_mesh.n_max)
         for variant in ("explicit", "implicit"):
-            _, e_p, _ = pair_energies(z, z, base_mesh, base_ell, base_params, variant)
+            _, e_p, _ = pair_energies(z, z, base_mesh, base_params, variant)
             assert e_p == 0.0
 
     def test_equal_layers_give_half_squared_seminorm(self, base_mesh, base_ell, base_params, rng):
         u = rng.standard_normal(base_mesh.n_max)
         half_sq = 0.5 * discrete_h1_seminorm(u, base_ell) ** 2
         for variant in ("explicit", "implicit"):
-            _, e_p, _ = pair_energies(u, u, base_mesh, base_ell, base_params, variant)
+            _, e_p, _ = pair_energies(u, u, base_mesh, base_params, variant)
             assert e_p == pytest.approx(half_sq, rel=1e-13)
 
     def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
@@ -182,37 +181,36 @@ class TestPotentialEnergy:
             ("explicit", potential_explicit_oracle),
             ("implicit", potential_implicit_oracle),
         ):
-            _, e_p, e_tot = pair_energies(u, v, base_mesh, base_ell, base_params, variant)
+            _, e_p, e_tot = pair_energies(u, v, base_mesh, base_params, variant)
             assert e_p == pytest.approx(oracle(u, v, base_ell.ell), rel=1e-12)
             e_k = kinetic_oracle(u, v, base_mesh.cell_widths, DT)
             assert e_tot == pytest.approx(e_k + oracle(u, v, base_ell.ell), rel=1e-12)
 
-    def test_implicit_nonnegative(self, base_mesh, base_ell, base_params, rng):
+    def test_implicit_nonnegative(self, base_mesh, base_params, rng):
         for _ in range(25):
             u, v = rng.standard_normal((2, base_mesh.n_max))
-            _, e_p, _ = pair_energies(u, v, base_mesh, base_ell, base_params, "implicit")
+            _, e_p, _ = pair_energies(u, v, base_mesh, base_params, "implicit")
             assert e_p >= 0.0
 
 
 class TestDissipation:
-    def test_undamped_is_zero(self, base_mesh, base_ell, rng):
+    def test_undamped_is_zero(self, base_mesh, rng):
         u, w, d = rng.standard_normal((3, base_mesh.n_max))
-        diss, _, _ = step_identity(u, w, d, base_mesh, base_ell, undamped_params(), "explicit")
+        diss, _, _ = step_identity(u, w, d, base_mesh, undamped_params(), "explicit")
         assert diss == 0.0
         assert not np.signbit(diss)  # written as 0, not -0
 
-    def test_equal_outer_layers_cancel(self, base_mesh, base_ell, base_params, rng):
+    def test_equal_outer_layers_cancel(self, base_mesh, base_params, rng):
         # w = 2 u and d = -u add up to u exactly
         u = rng.standard_normal(base_mesh.n_max)
-        diss, _, layers = step_identity(u, 2.0 * u, -u, base_mesh, base_ell, base_params,
-                                        "explicit")
+        diss, _, layers = step_identity(u, 2.0 * u, -u, base_mesh, base_params, "explicit")
         assert layers[2].tobytes() == u.tobytes()
         assert diss == 0.0
 
-    def test_matches_brute_force(self, base_mesh, base_ell, base_params, rng):
+    def test_matches_brute_force(self, base_mesh, base_params, rng):
         u, w, d = rng.standard_normal((3, base_mesh.n_max))
         for variant in ("explicit", "implicit"):
-            diss, _, layers = step_identity(u, w, d, base_mesh, base_ell, base_params, variant)
+            diss, _, layers = step_identity(u, w, d, base_mesh, base_params, variant)
             expected = dissipation_oracle(u, layers[2], base_mesh, base_params.delta, DT)
             assert diss == pytest.approx(expected, rel=1e-12)
             assert diss <= 0.0
@@ -226,7 +224,7 @@ class TestIdentityResidual:
             ("explicit", potential_explicit_oracle),
             ("implicit", potential_implicit_oracle),
         ):
-            _, res, (_, _, v) = step_identity(u, w, d, base_mesh, base_ell, base_params, variant)
+            _, res, (_, _, v) = step_identity(u, w, d, base_mesh, base_params, variant)
             before = kinetic_oracle(u, w, widths, DT) + oracle(u, w, ell)
             after = kinetic_oracle(w, v, widths, DT) + oracle(w, v, ell)
             expected = (after - before) - dissipation_oracle(u, v, base_mesh, base_params.delta, DT)
@@ -273,7 +271,7 @@ class TestLayerEnergies:
             ("explicit", potential_explicit_oracle),
             ("implicit", potential_implicit_oracle),
         ):
-            args = energy_arguments(base_mesh, base_ell, base_params, DT, variant)
+            args = schemes.build_operators(base_mesh, base_params, DT, variant).energy_args
             layers, (e_k, e_p, e_tot, diss, res) = step_energies(args, u, v, d, 4)
             widths, ell = base_mesh.cell_widths, base_ell.ell
             assert len(e_k) == 5 and len(diss) == 4
@@ -281,15 +279,14 @@ class TestLayerEnergies:
                 u_j, v_j = layers[j], layers[j + 1]
                 assert e_k[j] == pytest.approx(kinetic_oracle(u_j, v_j, widths, DT), rel=1e-13)
                 assert e_p[j] == pytest.approx(oracle(u_j, v_j, ell), rel=1e-12)
-                pair = pair_energies(u_j, v_j, base_mesh, base_ell, base_params, variant)
+                pair = pair_energies(u_j, v_j, base_mesh, base_params, variant)
                 assert (e_k[j], e_p[j], e_tot[j]) == pair
             for j in range(4):
                 expected = dissipation_oracle(
                     layers[j], layers[j + 2], base_mesh, base_params.delta, DT
                 )
                 assert diss[j] == pytest.approx(expected, rel=1e-12)
-                *step, three = step_identity(*layers[j:j + 2], d, base_mesh, base_ell,
-                                             base_params, variant)
+                *step, three = step_identity(*layers[j:j + 2], d, base_mesh, base_params, variant)
                 assert three.tobytes() == layers[j:j + 3].tobytes()
                 assert (diss[j], res[j]) == tuple(step)
                 assert res[j] == (e_tot[j + 1] - e_tot[j]) - diss[j]
@@ -304,7 +301,7 @@ class TestLayerEnergies:
         u, v, d = rng.standard_normal((3, base_mesh.n_max))
         for params in (base_params, undamped_params()):
             for variant in ("explicit", "implicit"):
-                args = energy_arguments(base_mesh, base_ell, params, DT, variant)
+                args = schemes.build_operators(base_mesh, params, DT, variant).energy_args
                 for fill in (np.nan, np.inf, -np.inf):
                     for steps in (7, 3, 1, 0, 6):
                         np.full(5 * (steps + 2), fill)
@@ -313,13 +310,11 @@ class TestLayerEnergies:
                                                   variant)
                         assert_same_bits(got, expected)
 
-    def test_bad_blocks_rejected(self, base_mesh, base_ell, base_params, rng):
-        # an unknown variant, and rings that cannot hold a run's first pair
-        with pytest.raises(ValueError, match="variant"):
-            energy_arguments(base_mesh, base_ell, base_params, DT, "leapfrog")
+    def test_bad_blocks_rejected(self, base_mesh, base_params, rng):
+        # rings that cannot hold a run's first pair
         n = base_mesh.n_max
-        args = energy_arguments(base_mesh, base_ell, base_params, DT, "explicit")
-        identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+        args = schemes.build_operators(base_mesh, base_params, DT, "explicit").energy_args
+        identity = TriDiagMatrix(np.ones(n), np.zeros(n - 1))
         step = (identity, identity, LDLFactorization(np.ones(n), np.zeros(n - 1)),
                 np.zeros((2, n)), math.inf)
         ring = rng.standard_normal((3, n))
@@ -359,7 +354,7 @@ class TestKernelEnergies:
             mesh = build_mesh(params, *cells)
             ell = flux_coefficients(mesh, params)
             u, v, d = rng.standard_normal((3, mesh.n_max)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
-            args = energy_arguments(mesh, ell, params, DT, variant)
+            args = schemes.build_operators(mesh, params, DT, variant).energy_args
             layers, got = step_energies(args, u, v, d, 6)
             self.check(layers, got, mesh, ell, params, variant)
             if delta == 0.0:
@@ -378,7 +373,7 @@ class TestKernelEnergies:
             row[rng.integers(0, n, 3)] = value
             rows += [row, rng.standard_normal(n)]
         rows += [np.full(n, np.inf), np.full(n, -np.inf), np.full(n, np.nan)]
-        args = energy_arguments(base_mesh, base_ell, base_params, DT, variant)
+        args = schemes.build_operators(base_mesh, base_params, DT, variant).energy_args
         oracle = (base_mesh, base_ell, base_params, variant)
         for u, v in zip(rows, rows[1:]):
             self.check(*step_energies(args, u, v), *oracle)
@@ -386,12 +381,12 @@ class TestKernelEnergies:
             self.check(*step_energies(args, u, rows[2], rng.standard_normal(n), 1), *oracle)
 
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
-    def test_selected_steps_are_the_bits_of_the_whole_block(self, base_mesh, base_ell,
-                                                            base_params, rng, variant):
+    def test_selected_steps_are_the_bits_of_the_whole_block(self, base_mesh, base_params, rng,
+                                                            variant):
         # a selected step's dissipation and residual, and the energies of the
         # two pairs it reads, are the bits of the call without a selection;
         # every other entry is NaN, whatever the result array held before
-        args = energy_arguments(base_mesh, base_ell, base_params, DT, variant)
+        args = schemes.build_operators(base_mesh, base_params, DT, variant).energy_args
         for m in range(2, 10):
             u, v, d = rng.standard_normal((3, base_mesh.n_max))
             layers, whole = step_energies(args, u, v, d, m - 2)
@@ -410,19 +405,15 @@ class TestKernelEnergies:
                     assert values[wanted].tobytes() == expected[wanted].tobytes()
                     assert np.isnan(values[~wanted]).all()
 
-    def test_bad_arrays_rejected(self, base_mesh, base_ell, base_params, rng):
+    def test_bad_arrays_rejected(self, base_mesh, base_params, rng):
         # a selection is one C-ordered boolean flag per step, never copied
         # into one: a strided selection is rejected
         u, v, d = rng.standard_normal((3, base_mesh.n_max))
-        args = energy_arguments(base_mesh, base_ell, base_params, DT, "explicit")
+        args = schemes.build_operators(base_mesh, base_params, DT, "explicit").energy_args
         for selected in (np.ones(3, bool), np.ones(2, np.uint8), np.ones((2, 1), bool),
                          np.array([True, True, False, False])[::2]):
             with pytest.raises(ValueError, match="selected"):
                 step_energies(args, u, v, d, 2, selected)
-        # counts that build_mesh would refuse: a damped zone past the last cell
-        mesh = replace(base_mesh, n_damp=base_mesh.n_damp + base_mesh.n_beta + 1, n_beta=-1)
-        with pytest.raises(ValueError, match="faces"):
-            energy_arguments(mesh, base_ell, base_params, DT, "explicit")
 
 
 class TestStepCallEnergies:
@@ -433,7 +424,7 @@ class TestStepCallEnergies:
     that ends at a failing layer."""
 
     @staticmethod
-    def check(step, u0, u1, d1, first, steps, selected, limit, energy_args):
+    def check(step, u0, u1, d1, first, steps, selected, limit, problem):
         """The call of the layers first+2 .. first+steps+1, from the layers
         first and first+1 (u0, u1) and the increment d1 into u1, in a ring
         of three rows; block_energies on the same steps taken in a block of
@@ -443,7 +434,8 @@ class TestStepCallEnergies:
         ring = np.full((3, n), np.nan)
         ring[first % 3], ring[(first + 1) % 3] = u0, u1
         out = np.full((5, steps + 2), 7.0)
-        args = energy_arguments(*energy_args)
+        mesh, _, params, dt, variant = problem
+        args = schemes.build_operators(mesh, params, dt, variant).energy_args
         end = linalg.step_block(ring, start, stop, *step, np.stack((d1, d1)), limit,
                                 (selected, out, args))
         block = np.full((steps + 2, n), np.nan)
@@ -454,7 +446,7 @@ class TestStepCallEnergies:
         for i in range(max(last - 2, 0), last + 1):  # the layers the ring keeps
             assert ring[(first + i) % 3].tobytes() == block[i].tobytes()
         steps_read = np.ones(k, bool) if selected is None else selected[:k]
-        expected = block_energies(block[:k + 2], *energy_args)
+        expected = block_energies(block[:k + 2], *problem)
         got = (out[0, :k + 1], out[1, :k + 1], out[2, :k + 1], out[3, :k], out[4, :k])
         if k == steps:
             pairs = np.zeros(k + 1, bool)
@@ -479,7 +471,7 @@ class TestStepCallEnergies:
         u0, psi = (sample_cell_averages(f, base_mesh) for f in (data.phi, data.psi))
         u1 = schemes.bootstrap(u0, psi, ops)
         step = (ops.stiff, ops.rhs_prev, ops.lhs_factor)
-        energy_args = (base_mesh, base_ell, base_params, DT, variant)
+        problem = (base_mesh, base_ell, base_params, DT, variant)
         for first in (0, 1, 2, 3 * 10**6 + 1):
             for steps in (1, 2, 7, 25):
                 index = np.arange(first + 1, first + 1 + steps)
@@ -487,7 +479,7 @@ class TestStepCallEnergies:
                     (index % every == 0) | (index == first + steps) for every in (1, 3, 10)]
                 for selected in selections:
                     assert self.check(step, u0, u1, u1 - u0, first, steps, selected, math.inf,
-                                      energy_args) == steps
+                                      problem) == steps
 
     # With a zero stiffness and identity R1 and factors each step adds the
     # increment: layer i is u0 + i from [0, 1) cells, whose sup norm rises
@@ -500,9 +492,9 @@ class TestStepCallEnergies:
     def test_call_ending_at_a_failing_layer(self, base_mesh, base_ell, base_params, rng,
                                             variant, failing):
         n = base_mesh.n_max
-        zero, identity = (TriDiagMatrix(n, np.full(n, v), np.zeros(n - 1)) for v in (0.0, 1.0))
+        zero, identity = (TriDiagMatrix(np.full(n, v), np.zeros(n - 1)) for v in (0.0, 1.0))
         step = (zero, identity, LDLFactorization(np.ones(n), np.zeros(n - 1)))
-        energy_args = (base_mesh, base_ell, base_params, DT, variant)
+        problem = (base_mesh, base_ell, base_params, DT, variant)
         big = float(np.finfo(float).max)
         for first in (0, 1, 2):
             u0 = rng.random(n)
@@ -514,13 +506,13 @@ class TestStepCallEnergies:
             for (layer, incr, limit), every in zip(cases * 3, (1, 1, 2, 2, 3, 3)):
                 selected = (np.arange(first + 1, first + 6) % every) == 0
                 assert self.check(step, u0, layer, incr, first, 5, selected, limit,
-                                  energy_args) == failing
+                                  problem) == failing
 
-    def test_bad_energy_arguments_rejected(self, base_mesh, base_ell, base_params, rng):
+    def test_bad_energy_arguments_rejected(self, base_mesh, base_params, rng):
         n = base_mesh.n_max
-        m = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+        m = TriDiagMatrix(np.ones(n), np.zeros(n - 1))
         f = LDLFactorization(np.ones(n), np.zeros(n - 1))
-        args = energy_arguments(base_mesh, base_ell, base_params, DT, "explicit")
+        args = schemes.build_operators(base_mesh, base_params, DT, "explicit").energy_args
         ring = rng.standard_normal((3, n))
         saved = ring.copy()
         selected = np.ones(4, bool)
@@ -550,7 +542,7 @@ class TestStepCallEnergies:
             call(buffer[29:29 + 3 * n].reshape(3, n), 2, buffer[:30].reshape(5, 6))
         with pytest.raises(ValueError, match="overlap"):
             call(ring, 2, buffer[:30].reshape(5, 6), incr=buffer[29:29 + 2 * n].reshape(2, n))
-        shared = TriDiagMatrix(n, buffer[29:29 + n], np.zeros(n - 1))
+        shared = TriDiagMatrix(buffer[29:29 + n], np.zeros(n - 1))
         with pytest.raises(ValueError, match="overlap"):
             call(ring, 2, buffer[:30].reshape(5, 6), matrix=shared)
         assert ring.tobytes() == saved.tobytes() and not buffer.any() and not out.any()

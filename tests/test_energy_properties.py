@@ -189,7 +189,8 @@ def test_explicit_bootstrap_is_the_division_by_2m(c_sq, delta, alpha, beta, cell
     ops = schemes.build_operators(mesh, params, cfl_fraction * cfl_max_dt(params, mesh), "explicit")
     data = default_initial_data(params.length)
     u0, psi = (sample_cell_averages(f, mesh) for f in (data.phi, data.psi))
-    assert schemes.bootstrap(u0, psi, ops).tobytes() == explicit_bootstrap(u0, psi, ops).tobytes()
+    assert (schemes.bootstrap(u0, psi, ops).tobytes()
+            == explicit_bootstrap(u0, psi, ops, mesh).tobytes())
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -427,7 +428,7 @@ def kernel_within(layer, limit):
     row, with a zero stiffness, an identity R1 and identity factors and the
     layer as the increment, is past the limit or not."""
     n = len(layer)
-    zero, identity = (TriDiagMatrix(n, np.full(n, v), np.zeros(n - 1)) for v in (0.0, 1.0))
+    zero, identity = (TriDiagMatrix(np.full(n, v), np.zeros(n - 1)) for v in (0.0, 1.0))
     f = LDLFactorization(np.ones(n), np.zeros(n - 1))
     scratch, incr = np.zeros((2, n)), np.stack((layer, layer))
     return linalg.step_block(scratch, 1, 2, zero, identity, f, incr, limit) == 2

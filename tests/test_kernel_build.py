@@ -130,12 +130,12 @@ def test_kernel_exports_exactly_the_entry_points_the_package_binds():
 
 def test_package_binds_the_factor_the_step_and_the_formatter():
     # every energy, a run's first pair included, is evaluated by the step
-    # call, so the package binds three entry points and diagnostics exports
-    # the energies' inputs, not an evaluation of its own
+    # call, so the package binds three entry points; build_operators forms
+    # the energies' inputs, and diagnostics exports the trace and the fits
     bound = {name for name in vars(kvwave.linalg._kernel) if name.startswith("kv_")}
     assert bound == {"kv_factor", "kv_step_block", "kv_format_csv"}
-    assert sorted(diagnostics.__all__) == ["DecayFit", "EnergyTrace", "energy_arguments",
-                                           "fit_exponential", "fit_polynomial"]
+    assert sorted(diagnostics.__all__) == ["DecayFit", "EnergyTrace", "fit_exponential",
+                                           "fit_polynomial"]
 
 
 # Doubles whose text depends on every branch of the formatter: signed
@@ -177,7 +177,7 @@ def block_outputs() -> list[bytes]:
             rows.append(linalg.step_block(block, 20, 40, *step))
             assert rows == [20, 20] and np.isnan(block[20]).any()
         outputs += [bytes(rows), block.tobytes(), incr.tobytes()]
-        args = diagnostics.energy_arguments(mesh, ops.ell, params, dt, scheme)
+        args = ops.energy_args
         written = block[:rows[-1] + 1]
         for u, v in zip(written, written[1:]):
             outputs += [e.tobytes() for e in step_energies(args, u, v)[1]]

@@ -59,13 +59,13 @@ def random_dd_tridiag(rng, n):
     row_off[:-1] += np.abs(off)
     row_off[1:] += np.abs(off)
     diag = (row_off + rng.uniform(0.1, 2.0, size=n)) * rng.choice([-1.0, 1.0], size=n)
-    return TriDiagMatrix(n, diag, off)
+    return TriDiagMatrix(diag, off)
 
 
 def random_spd_tridiag(rng, n):
     """Symmetric, strictly diagonally dominant, positive diagonal."""
     m = random_dd_tridiag(rng, n)
-    return TriDiagMatrix(n, np.abs(m.diag), m.off)
+    return TriDiagMatrix(np.abs(m.diag), m.off)
 
 
 class TestAssembleMass:
@@ -104,12 +104,22 @@ class TestAssembleDamping:
         block = to_dense(assemble_damping(mesh))[1:3, 1:3]
         np.testing.assert_array_equal(block, [[0.5, -0.5], [-0.5, 0.5]])
 
-    def test_quadratic_form_matches_face_sum(self, base_mesh, rng):
-        a = assemble_damping(base_mesh)
-        for _ in range(20):
-            x = rng.standard_normal(base_mesh.n_max)
-            expected = damping_form_oracle(base_mesh, x)
-            assert quadratic_form(a, x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
+    def test_quadratic_form_matches_face_sum(self, rng):
+        # on the smallest zones and random splits; its couplings, the nonzero
+        # off-diagonal entries, sit exactly on the faces that the kernel's
+        # dissipation sums over (entry i couples the cells of face i + 1)
+        p = Parameters(1, 1, 1, 1.0, 1.0, 2.0, 3.0, 1.0)
+        splits = [(1, 2, 1), (1, 5, 7), (6, 2, 4), (3, 4, 1), (20, 10, 20)]
+        splits += [tuple(rng.integers([1, 2, 1], 40).tolist()) for _ in range(10)]
+        for counts in splits:
+            mesh = build_mesh(p, *counts)
+            a = assemble_damping(mesh)
+            faces = mesh.damping_interior_faces
+            assert (np.flatnonzero(a.off) + 1).tolist() == list(range(faces.start, faces.stop))
+            for _ in range(20):
+                x = rng.standard_normal(mesh.n_max)
+                expected = damping_form_oracle(mesh, x)
+                assert quadratic_form(a, x) == pytest.approx(expected, rel=1e-13, abs=1e-15)
 
     def test_positive_semidefinite(self, base_mesh, rng):
         a = assemble_damping(base_mesh)
@@ -120,14 +130,14 @@ class TestAssembleDamping:
 
 class TestAssembleStiffness:
     def test_quadratic_form_matches_face_sum(self, base_mesh, base_ell, rng):
-        b = assemble_stiffness(base_mesh, base_ell)
+        b = assemble_stiffness(base_ell)
         for _ in range(20):
             x = rng.standard_normal(base_mesh.n_max)
             expected = stiffness_form_oracle(base_ell.ell, x)
             assert quadratic_form(b, x) == pytest.approx(expected, rel=1e-12)
 
     def test_constant_vector_telescopes(self, base_mesh, base_ell):
-        b = assemble_stiffness(base_mesh, base_ell)
+        b = assemble_stiffness(base_ell)
         y = to_dense(b) @ np.ones(base_mesh.n_max)
         scale = float(np.abs(base_ell.ell).max())
         # interior rows see equal and opposite fluxes
@@ -144,12 +154,12 @@ class TestAssembleStiffness:
             face_spacings=np.array([0.5, 1.0, 1.0, 0.5]),
         )
         ell = FluxCoefficients(ell=np.array([2.0, 1.0, 1.0, 2.0]))
-        b = assemble_stiffness(mesh, ell)
+        b = assemble_stiffness(ell)
         np.testing.assert_array_equal(b.diag, [-3.0, -2.0, -3.0])
         np.testing.assert_array_equal(b.off, [1.0, 1.0])
 
     def test_negative_definite(self, base_mesh, base_ell, rng):
-        b = assemble_stiffness(base_mesh, base_ell)
+        b = assemble_stiffness(base_ell)
         assert quadratic_form(b, np.zeros(base_mesh.n_max)) == 0.0
         for _ in range(50):
             x = rng.standard_normal(base_mesh.n_max)
@@ -158,7 +168,7 @@ class TestAssembleStiffness:
 
 class TestFactorSolve:
     def test_identity(self):
-        m = TriDiagMatrix(5, np.ones(5), np.zeros(4))
+        m = TriDiagMatrix(np.ones(5), np.zeros(4))
         rhs = np.arange(5.0)
         np.testing.assert_array_equal(solve(factor(m), rhs.copy()), rhs)
 
@@ -196,7 +206,7 @@ class TestFactorSolve:
             )
 
     def test_singular_matrix_raises(self):
-        m = TriDiagMatrix(3, np.zeros(3), np.zeros(2))
+        m = TriDiagMatrix(np.zeros(3), np.zeros(2))
         with pytest.raises(SingularMatrixError):
             factor(m)
 
@@ -214,7 +224,7 @@ class TestFactorSolve:
         # a step solves in its increments, rhs in row 0: a strided array of
         # them is rejected before it is read or written
         f = factor(random_spd_tridiag(rng, 12))
-        m = TriDiagMatrix(12, np.ones(12), np.zeros(11))
+        m = TriDiagMatrix(np.ones(12), np.zeros(11))
         incr = rng.standard_normal((2, 12, 2))[:, :, 1]
         saved = incr.copy()
         with pytest.raises(ValueError, match="contiguous"):
@@ -242,7 +252,7 @@ class TestLDLFactorization:
         diag = m.diag.copy()
         diag[17] = -diag[17]  # still nonsingular, no longer positive definite
         with pytest.raises(SingularMatrixError, match="pivot 18 is not positive"):
-            factor(TriDiagMatrix(30, diag, m.off))
+            factor(TriDiagMatrix(diag, m.off))
         for m in (random_dd_tridiag(rng, 30), random_spd_tridiag(rng, 30).scaled(-1.0)):
             with pytest.raises(SingularMatrixError):
                 factor(m)
@@ -375,7 +385,7 @@ class TestKernelBits:
         self.check_step_block(rng, 9, n)
 
     def test_step_block_rejects_fewer_than_three_cells(self):
-        m = TriDiagMatrix(2, np.zeros(2), np.zeros(1))
+        m = TriDiagMatrix(np.zeros(2), np.zeros(1))
         f = LDLFactorization(np.ones(2), np.zeros(1))
         with pytest.raises(ValueError, match="3 or more"):
             step_block(np.zeros((3, 2)), 1, 3, m, m, f, np.zeros((2, 2)), math.inf)
@@ -446,8 +456,8 @@ class TestKernelBits:
     # them; 40 cells: two chunks and the -0 cell past them
     @pytest.mark.parametrize("n", [12, 32, 40])
     def test_step_block_returns_the_first_row_past_the_limit(self, n):
-        zero = TriDiagMatrix(n, np.zeros(n), np.zeros(n - 1))
-        identity = TriDiagMatrix(n, np.ones(n), np.zeros(n - 1))
+        zero = TriDiagMatrix(np.zeros(n), np.zeros(n - 1))
+        identity = TriDiagMatrix(np.ones(n), np.zeros(n - 1))
         pivots = np.ones(n)
         pivots[n - 3] = -1.0
         f = LDLFactorization(pivots, np.zeros(n - 1))
@@ -498,10 +508,10 @@ class TestKernelBits:
         bad = [
             (random_dd_tridiag(rng, n + 1), "dimension"),
             (random_dd_tridiag(rng, n - 1), "dimension"),
-            (TriDiagMatrix(n, diag.astype(np.float32), off), "contiguous float64"),
-            (TriDiagMatrix(n, diag, off.astype(np.float32)), "contiguous float64"),
-            (TriDiagMatrix(n, np.repeat(diag, 2)[::2], off), "contiguous float64"),
-            (TriDiagMatrix(n, diag, np.repeat(off, 2)[::2]), "contiguous float64"),
+            (TriDiagMatrix(diag.astype(np.float32), off), "contiguous float64"),
+            (TriDiagMatrix(diag, off.astype(np.float32)), "contiguous float64"),
+            (TriDiagMatrix(np.repeat(diag, 2)[::2], off), "contiguous float64"),
+            (TriDiagMatrix(diag, np.repeat(off, 2)[::2]), "contiguous float64"),
         ]
         for m, reason in bad:
             for matrices in ((m, stiff), (stiff, m)):
@@ -532,7 +542,7 @@ class TestKernelBits:
         # a matrix whose diagonal and off-diagonal are views of one buffer,
         # the diagonal then the off-diagonal after a spare entry
         tri = np.ones(4 * n)
-        m = TriDiagMatrix(n, tri[:n], tri[n + 1 : 2 * n])
+        m = TriDiagMatrix(tri[:n], tri[n + 1 : 2 * n])
         for incr in (tri[: 2 * n], tri[2 * n - 2 : 4 * n - 2]):
             for matrices in ((m, stiff), (stiff, m)):
                 with pytest.raises(ValueError, match="overlap"):
@@ -660,7 +670,7 @@ class TestDecoupledStep:
             d0[j + 1], off[j], f.d[j] = -1e-300, 1.0, 1e300
             # row j+1 is -1e-300 over a d of 1: the backward sweep reads it
             diag[j + 1], f.d[j + 1] = 1.0, 1.0
-        return stiff, TriDiagMatrix(n, diag, off), f, u0, d0
+        return stiff, TriDiagMatrix(diag, off), f, u0, d0
 
     # With 50 cells the chunks are cells 1-16, 17-32 and 33-48, and the
     # first and last cells are stepped serially; with 34 cells the chunks
@@ -849,7 +859,7 @@ class TestDenseOracle:
         full = rng.standard_normal((50, 50))
         diag = np.diag(full).copy() + 25.0  # make the restriction well conditioned
         off = np.diag(full, 1).copy()
-        m = TriDiagMatrix(50, diag, off)
+        m = TriDiagMatrix(diag, off)
         rhs = rng.standard_normal(50)
         np.testing.assert_allclose(
             dense_solve_oracle(to_dense(m), rhs), solve(factor(m), rhs),
@@ -875,13 +885,13 @@ class TestTriDiagMatrix:
         np.testing.assert_allclose(to_dense(a.scaled(2.5)), 2.5 * to_dense(a), rtol=1e-14)
 
     def test_dominance_margin(self):
-        strict = TriDiagMatrix(3, np.array([3.0, 3.0, 3.0]), np.array([-1.0, 1.0]))
+        strict = TriDiagMatrix(np.array([3.0, 3.0, 3.0]), np.array([-1.0, 1.0]))
         assert dominance_margin(strict) == pytest.approx(1.0)
-        weak = TriDiagMatrix(2, np.array([1.0, 1.0]), np.array([1.0]))
+        weak = TriDiagMatrix(np.array([1.0, 1.0]), np.array([1.0]))
         assert dominance_margin(weak) == pytest.approx(0.0)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            TriDiagMatrix(3, np.ones(3), np.ones(3))
+            TriDiagMatrix(np.ones(3), np.ones(3))
         with pytest.raises(ValueError):
-            TriDiagMatrix(3, np.array([1.0, np.nan, 1.0]), np.zeros(2))
+            TriDiagMatrix(np.array([1.0, np.nan, 1.0]), np.zeros(2))

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from kvwave import linalg, schemes
 from kvwave.cli import PRESET_NAMES
 from kvwave.diagnostics import EnergyTrace
 from kvwave.linalg import assemble_damping, assemble_mass, assemble_stiffness
-from kvwave.mesh import Parameters, build_mesh
+from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import ConfigError, cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import bootstrap, build_operators, run
 from oracles import (
@@ -23,7 +23,7 @@ from oracles import (
     left_matrices,
     to_dense,
 )
-from spectral import preset_operators
+from spectral import preset_setup
 
 DT = 0.025
 ORACLE_MESHES = [(1, 2, 1), (20, 10, 20), (200, 100, 200)]
@@ -56,33 +56,34 @@ class TestBuildOperators:
         np.testing.assert_array_equal(m.lhs_factor.d, assemble_mass(base_mesh).diag)
         assert np.all(m.lhs_factor.e == 0.0)
 
-    def test_matrix_combinations(self, base_mesh, base_params):
+    def test_matrix_combinations(self, base_mesh, base_params, base_ell):
         m = build_operators(base_mesh, base_params, DT, "explicit")
         mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
         np.testing.assert_allclose(factored(m.lhs_factor), mass + s * damping, rtol=1e-14)
         np.testing.assert_allclose(
             to_dense(m.rhs_curr),
-            2.0 * mass + DT**2 * to_dense(assemble_stiffness(base_mesh, m.ell)),
+            2.0 * mass + DT**2 * to_dense(assemble_stiffness(base_ell)),
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_prev), mass - s * damping, rtol=1e-14)
         np.testing.assert_array_equal(factored(m.boot_factor), 2.0 * mass)
 
-    def test_implicit_matrices_put_flux_average_on_outer_layers(self, base_mesh, base_params):
+    def test_implicit_matrices_put_flux_average_on_outer_layers(self, base_mesh, base_params,
+                                                                base_ell):
         m = build_operators(base_mesh, base_params, DT, "implicit")
         mass, damping = to_dense(assemble_mass(base_mesh)), to_dense(assemble_damping(base_mesh))
         s = base_params.delta * DT / base_mesh.h
         half = 0.5 * DT**2
         np.testing.assert_allclose(
             factored(m.lhs_factor),
-            mass - half * to_dense(assemble_stiffness(base_mesh, m.ell)) + s * damping,
+            mass - half * to_dense(assemble_stiffness(base_ell)) + s * damping,
             rtol=1e-14,
         )
         np.testing.assert_allclose(to_dense(m.rhs_curr), 2.0 * mass, rtol=1e-14)
         np.testing.assert_allclose(
             factored(m.boot_factor),
-            2.0 * mass - DT**2 * to_dense(assemble_stiffness(base_mesh, m.ell)),
+            2.0 * mass - DT**2 * to_dense(assemble_stiffness(base_ell)),
             rtol=1e-14,
         )
 
@@ -90,7 +91,8 @@ class TestBuildOperators:
     def test_left_matrices_strictly_diagonally_dominant(self, base_mesh, base_params, scheme):
         # the oracles' L and bootstrap matrix are the ones build_operators factors
         m = build_operators(base_mesh, base_params, DT, scheme)
-        for matrix, f in zip(left_matrices(m), (m.lhs_factor, m.boot_factor)):
+        for matrix, f in zip(left_matrices(base_mesh, base_params, DT, scheme),
+                             (m.lhs_factor, m.boot_factor)):
             assert dominance_margin(matrix) > 0.0
             rebuilt = linalg.factor(matrix)
             assert (rebuilt.d.tobytes(), rebuilt.e.tobytes()) == (f.d.tobytes(), f.e.tobytes())
@@ -113,6 +115,34 @@ class TestBuildOperators:
         assert e[~damped].tobytes() == bytes(8 * int((~damped).sum()))
         assert (build_operators(mesh, params, dt, "implicit").lhs_factor.e != 0.0).all()
 
+    def test_operators_hold_only_what_the_kernel_reads(self):
+        assert [f.name for f in fields(schemes.SchemeOperators)] == [
+            "dt", "rhs_curr", "rhs_prev", "stiff", "lhs_factor", "boot_factor", "energy_args"]
+
+    @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_energy_args_sum_over_the_damped_faces(self, name, scheme):
+        # the dissipation's faces and coefficient are the damping matrix's:
+        # the damped zone's interior faces and delta / (4 dt h)
+        mesh, params, dt, _ = preset_setup(name, scheme)
+        args = build_operators(mesh, params, dt, scheme).energy_args
+        widths, ell, args_dt, implicit, face_lo, face_hi, coef = args
+        assert widths is mesh.cell_widths
+        assert ell.tobytes() == flux_coefficients(mesh, params).ell.tobytes()
+        assert (args_dt, implicit) == (dt, scheme == "implicit")
+        assert slice(face_lo, face_hi) == mesh.damping_interior_faces
+        assert coef == params.delta / (4.0 * dt * mesh.h)
+
+    def test_damped_faces_outside_the_mesh_rejected(self, base_mesh, base_params):
+        # hand-built meshes that build_mesh would refuse, whose damped zone's
+        # interior faces start before face 1, end before they start or end
+        # past the last cell: the kernel indexes with them
+        for counts in ((-1, 11, 40), (20, 0, 30), (20, 31, -1)):
+            mesh = replace(base_mesh, **dict(zip(("n_alpha", "n_damp", "n_beta"), counts)))
+            assert mesh.n_max == base_mesh.n_max
+            with pytest.raises(ValueError, match="faces"):
+                build_operators(mesh, base_params, DT, "explicit")
+
     def test_bad_scheme_rejected(self, base_mesh, base_params):
         with pytest.raises(ValueError):
             build_operators(base_mesh, base_params, DT, "midpoint")
@@ -127,13 +157,13 @@ class TestBootstrap:
         z = np.zeros(base_mesh.n_max)
         np.testing.assert_array_equal(bootstrap(z, z, ops), z)
 
-    def test_explicit_zero_velocity_drops_damping(self, base_mesh, base_params):
+    def test_explicit_zero_velocity_drops_damping(self, base_mesh, base_params, base_ell):
         # with zero initial velocity: u1 = u0 + (dt^2 / 2) M^{-1} B u0
         ops = build_operators(base_mesh, base_params, DT, "explicit")
         u0, _ = sampled_initial(base_mesh)
         zero = np.zeros_like(u0)
         u1 = bootstrap(u0, zero, ops)
-        stiffness = to_dense(assemble_stiffness(base_mesh, ops.ell))
+        stiffness = to_dense(assemble_stiffness(base_ell))
         expected = u0 + 0.5 * DT**2 * (stiffness @ u0) / base_mesh.cell_widths
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-15)
 
@@ -162,7 +192,8 @@ class TestBootstrap:
         u0, psi = sampled_initial(base_mesh)
         u1 = bootstrap(u0, psi, ops)
         rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * DT * (to_dense(ops.rhs_prev) @ psi)
-        residual = float(np.abs(to_dense(left_matrices(ops)[1]) @ u1 - rhs).max())
+        boot = left_matrices(base_mesh, base_params, DT, scheme)[1]
+        residual = float(np.abs(to_dense(boot) @ u1 - rhs).max())
         assert residual <= 1e-12 * max(1.0, float(np.abs(rhs).max()))
 
     @pytest.mark.parametrize("counts", ORACLE_MESHES, ids=lambda c: "-".join(map(str, c)))
@@ -175,16 +206,18 @@ class TestBootstrap:
         u0, psi = rng.standard_normal((2, mesh.n_max))
         u1 = bootstrap(u0, psi, ops)
         rhs = to_dense(ops.rhs_curr) @ u0 + 2.0 * dt * (to_dense(ops.rhs_prev) @ psi)
-        expected = dense_solve_oracle(to_dense(left_matrices(ops)[1]), rhs)
+        expected = dense_solve_oracle(to_dense(left_matrices(mesh, p, dt, scheme)[1]), rhs)
         np.testing.assert_allclose(u1, expected, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_explicit_bootstrap_is_the_division_by_2m(self, name):
         # the solve with the factors of the diagonal 2 M gives the bits of
         # the componentwise division, so explicit runs keep their outputs
-        ops = preset_operators(name, "explicit")
-        u0, psi = sampled_initial(ops.mesh, ops.params.length)
-        assert bootstrap(u0, psi, ops).tobytes() == explicit_bootstrap(u0, psi, ops).tobytes()
+        mesh, params, dt, scheme = preset_setup(name, "explicit")
+        ops = build_operators(mesh, params, dt, scheme)
+        u0, psi = sampled_initial(mesh, params.length)
+        assert (bootstrap(u0, psi, ops).tobytes()
+                == explicit_bootstrap(u0, psi, ops, mesh).tobytes())
 
 
 class TestSteps:
@@ -203,7 +236,7 @@ class TestSteps:
         u_prev, u_curr = rng.standard_normal((2, mesh.n_max))
         u_next = next_layer(ops, u_prev, u_curr)
         rhs = to_dense(ops.rhs_curr) @ u_curr - to_dense(ops.rhs_prev) @ u_prev
-        expected = dense_solve_oracle(to_dense(left_matrices(ops)[0]), rhs)
+        expected = dense_solve_oracle(to_dense(left_matrices(mesh, p, 0.01, scheme)[0]), rhs)
         np.testing.assert_allclose(u_next, expected, rtol=1e-12, atol=1e-14)
 
     def test_undamped_explicit_step_conserves_energy(self, base_mesh):
@@ -213,7 +246,7 @@ class TestSteps:
         u1 = bootstrap(u0, psi, ops)
         u2 = next_layer(ops, u0, u1)
         _, _, e_tot, _, _ = block_energies(
-            np.stack((u0, u1, u2)), base_mesh, ops.ell, p, DT, "explicit"
+            np.stack((u0, u1, u2)), base_mesh, flux_coefficients(base_mesh, p), p, DT, "explicit"
         )
         before, after = e_tot
         assert after == pytest.approx(before, rel=1e-12)
@@ -237,7 +270,7 @@ class TestSteps:
 
 
 class TestRun:
-    def test_single_step_returns_bootstrap(self, base_mesh, base_params):
+    def test_single_step_returns_bootstrap(self, base_mesh, base_params, base_ell):
         # a one-step run makes no step call after the bootstrap: its one
         # trace row and initial energy come from the call of no steps on
         # layers 0 and 1, the bits of the oracle
@@ -252,7 +285,7 @@ class TestRun:
             assert result.steps_completed == 1
             assert len(result.trace) == 1
             assert result.trace.step[0] == 0
-            e_k, e_p, e_tot, _, _ = block_energies(np.stack((u0, u1)), base_mesh, ops.ell,
+            e_k, e_p, e_tot, _, _ = block_energies(np.stack((u0, u1)), base_mesh, base_ell,
                                                    base_params, DT, scheme)
             trace = result.trace
             row = (trace.e_kinetic, trace.e_potential, trace.e_total, trace.dissipation,
@@ -351,7 +384,7 @@ class TestRun:
         tol = 1e-11 * max(result.energy_initial, 1.0)
         assert result.energy_rise_max <= tol
 
-    def test_stability_quantity_stays_bounded(self, base_mesh, base_params):
+    def test_stability_quantity_stays_bounded(self, base_mesh, base_params, base_ell):
         # velocity + value + gradient norms stay within a fixed multiple of
         # their first-step value along an implicit run
         ops = build_operators(base_mesh, base_params, DT, "implicit")
@@ -363,7 +396,7 @@ class TestRun:
             return (
                 discrete_l2_norm(d1, base_mesh) ** 2
                 + discrete_l2_norm(curr, base_mesh) ** 2
-                + discrete_h1_seminorm(curr, ops.ell) ** 2
+                + discrete_h1_seminorm(curr, base_ell) ** 2
             )
 
         s1 = quantity(u0, u1)
@@ -387,7 +420,8 @@ class TestRun:
                      snapshot_steps=range(n_steps + 1))
         u = np.array([s.values for s in result.snapshots])
         ops = build_operators(mesh, p, dt, scheme)
-        lhs, r2, r1 = (to_dense(a) for a in (left_matrices(ops)[0], ops.rhs_curr, ops.rhs_prev))
+        lhs, r2, r1 = (to_dense(a) for a in (left_matrices(mesh, p, dt, scheme)[0], ops.rhs_curr,
+                                             ops.rhs_prev))
         residual = u[2:] @ lhs.T - u[1:-1] @ r2.T + u[:-2] @ r1.T
         size = np.abs(u[2:]) @ np.abs(lhs).T + np.abs(u[1:-1]) @ np.abs(r2).T
         size += np.abs(u[:-2]) @ np.abs(r1).T
