@@ -223,8 +223,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError("n_steps cannot be combined with cfl_fraction")
     if cfg.dt is not None and not cfg.dt > 0.0:
         raise ConfigError("dt must be > 0")
-    if cfg.n_steps is not None and cfg.n_steps < 1:
-        raise ConfigError("n_steps must be >= 1")
+    if cfg.n_steps is not None and not 1 <= cfg.n_steps < linalg.INDEX_MAX:
+        raise ConfigError(f"n_steps = {cfg.n_steps:.6g} lies outside 1 .. {linalg.INDEX_MAX - 1}, "
+                          f"the step counts whose last layer the kernel can index")
     if cfg.scheme not in ("explicit", "implicit"):
         raise ConfigError(f"scheme must be explicit or implicit, got {cfg.scheme!r}")
     if not 0.0 <= cfg.fit_lo < cfg.fit_hi <= 1.0:
@@ -265,15 +266,20 @@ def _parameters(cfg: RunConfig) -> Parameters:
 
 
 def resolve_time_step(cfg: RunConfig, params: Parameters, mesh: Mesh) -> tuple[float, int]:
-    """Concrete (dt, n_steps) for a validated configuration."""
+    """Concrete (dt, n_steps) for a validated configuration; ValueError for
+    a step count derived from t_final whose last layer the kernel cannot
+    index, as validate_config refuses a given one."""
+    if cfg.dt is not None and cfg.n_steps is not None:
+        return cfg.dt, int(cfg.n_steps)
     if cfg.dt is not None:
-        n_steps = cfg.n_steps if cfg.n_steps is not None else max(
-            1, round(params.t_final / cfg.dt)
-        )
-        return cfg.dt, int(n_steps)
-    target = cfg.cfl_fraction * cfl_max_dt(params, mesh)
-    n_steps = max(1, ceil(params.t_final / target))
-    return params.t_final / n_steps, n_steps
+        dt, n_steps = cfg.dt, max(1, round(params.t_final / cfg.dt))
+    else:
+        n_steps = max(1, ceil(params.t_final / (cfg.cfl_fraction * cfl_max_dt(params, mesh))))
+        dt = params.t_final / n_steps
+    if n_steps >= linalg.INDEX_MAX:
+        raise ValueError(f"t_final gives n_steps = {n_steps:.6g}, more than "
+                         f"{linalg.INDEX_MAX - 1}, the most whose last layer the kernel can index")
+    return dt, n_steps
 
 
 @dataclass

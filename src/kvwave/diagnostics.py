@@ -7,9 +7,11 @@ explicitly computable, nonpositive dissipation increment supported on the
 interior faces of the damped zone; the per-step residual of that identity is
 the primary correctness diagnostic of a run.  schemes.build_operators forms
 the inputs of these definitions, and linalg.step_block evaluates them in
-linalg's compiled kernel: a run's step calls as they write each layer, and
-a call of no steps on its first two layers.  This module holds the trace
-they fill and the decay-rate fits, which run in numpy.
+linalg's compiled kernel as a run's step calls write each layer: the
+steps the run keeps, or with verification every step, from its first
+pair on.  The kernel writes the kept steps' rows and the run's maxima;
+this module holds the trace that schemes.run forms of those rows, and the
+decay-rate fits, which run in numpy.
 """
 
 from __future__ import annotations

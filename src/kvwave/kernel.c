@@ -1,7 +1,8 @@
 /* Kernels of kvwave: the tridiagonal L D L^T factor, a whole run of
    summed-form steps through a ring of layers, each layer checked against a
-   divergence limit and its energies and identity residuals evaluated as it
-   is written, and the CSV text of a table.
+   divergence limit and its step's energies and identity residual evaluated
+   as it is written, into the run's energy trace and maxima, and the CSV
+   text of a table.
 
    Built with -ffp-contract=off, so every fused multiply-add is an explicit
    fma() and every other operation rounds on its own.  fma() is correctly
@@ -236,70 +237,75 @@ static double face_sum(const double *u0, const double *u2, ptrdiff_t lo, ptrdiff
     return fold(s);
 }
 
-/* Whether the layer pair t of a block of m layers is evaluated: every pair
-   without a selection, else the pairs a selected step reads.  sel[j]
-   selects the step at layer j+1, which reads the pairs j and j+1. */
-static inline int pair_wanted(const unsigned char *sel, ptrdiff_t m, ptrdiff_t t)
-{
-    return !sel || (t > 0 && sel[t - 1]) || (t < m - 2 && sel[t]);
-}
+/* The energies of a run's steps, evaluated as each step's last layer is
+   written.  The step s reads the layers s-1, s and s+1:
 
-/* The energies of a block of m consecutive layers of n cells, in out,
-   5 x m: out[q][t] holds the kinetic, potential and total energy (q = 0, 1,
-   2) of the layer pair t, t+1 for t < m - 1, and the dissipation and
-   identity residual (q = 3, 4) of the step at layer t+1 for t < m - 2; the
-   other entries are scratch.  sel, NULL or m - 2 flags, selects those
-   steps: only the selected steps' dissipation and residual and the pairs
-   they read are evaluated, and every other entry is NaN.
-
-     e_k = 0.5 sum_j ((u_t+1[j] - u_t[j]) / dt)^2 w[j],
-     e_p = 0.5 sum_f J(u_t+1)[f] J(u_t)[f] ell[f]               (explicit)
-         = 0.25 (sq_t+1 + sq_t),  sq_t = sum_f J(u_t)[f]^2 ell[f]  (implicit),
+     e_k = 0.5 sum_j ((u_s+1[j] - u_s[j]) / dt)^2 w[j],
+     e_p = 0.5 sum_f J(u_s+1)[f] J(u_s)[f] ell[f]               (explicit)
+         = 0.25 (sq_s+1 + sq_s),  sq_s = sum_f J(u_s)[f]^2 ell[f]  (implicit),
      total = e_k + e_p,
-     dissipation = 0.0 - coef sum_f (J(u_t+2)[f] - J(u_t)[f])^2
+     dissipation = 0.0 - coef sum_f (J(u_s+1)[f] - J(u_s-1)[f])^2
        over the interior faces face_lo .. face_hi-1, 1 <= face_lo <= face_hi <= n,
-     residual = (total_t+1 - total_t) - dissipation.
+     residual = (total_s - total_s-1) - dissipation,
 
-   The energy sums are pair_sums', the face sum is face_sum's.  sq carries
-   the implicit scheme's sq of the last evaluated pair's second layer to the
-   next pair. */
+   with e_k, e_p and total those of the layer pair s, s+1.  The energy sums
+   are pair_sums', the face sum is face_sum's.  A step s >= 1 is kept when
+   every divides it or it is the last, and selected when it is kept or
+   verify is set.  Each selected step moves the maxima, where larger: the
+   identity residual's magnitude, the drift |total_s - E0| and the rise
+   total_s - total_s-1, in this order; a NaN is never larger.  Each kept
+   step writes its e_k, e_p, total, dissipation and residual to the row
+   ceil(s / every) of the trace, rows x 5 with rows = ceil(last / every) +
+   1.  Row 0 holds the pair 0, 1 with dissipation and residual +0.0, and
+   its total is E0.  pair is the last pair evaluated, whose sq of its
+   second layer and total the next pair may take over. */
 struct energies {
-    ptrdiff_t m, n;
-    const unsigned char *sel;
+    ptrdiff_t n, every, last, face_lo, face_hi, pair;
+    int verify, implicit;
     const double *w, *ell;
-    double dt;
-    int implicit;
-    ptrdiff_t face_lo, face_hi;
-    double coef, *out, sq;
+    double dt, coef, *trace, *maxima, sq, total;
 };
 
-/* The entries of the pair t, from its layers u and v, and for t > 0 those
-   of the step at layer t, from p, the layer before u, as well: every entry
-   of out that the layers up to v determine.  The pairs are taken in order,
-   the entries before t written, each wanted pair in one pass.  For the
-   implicit scheme the pass of the pair t sums sq_t+1; sq_t comes from the
-   pass before, or, for the first pair of a run of wanted pairs, from one
-   more pass over the layer t alone. */
-static void pair_entry(struct energies *en, ptrdiff_t t, const double *p, const double *u,
+/* The kinetic, potential and total energy of the layer pair s, from its
+   layers u and v, into e.  For the implicit scheme the pass sums sq_s+1;
+   sq_s comes from the pass of the pair s-1 when that was the last
+   evaluated, else from one more pass over u alone: the same terms in the
+   same order. */
+static void pair_energies(struct energies *en, ptrdiff_t s, const double *u, const double *v,
+                          double e[3])
+{
+    double kin, prev = en->sq;
+    if (en->implicit && en->pair != s - 1)
+        pair_sums(en->n, en->dt, en->w, en->ell, u, u, u, u, &kin, &prev);
+    pair_sums(en->n, en->dt, en->w, en->ell, u, v, en->implicit ? v : u, v, &kin, &en->sq);
+    e[0] = 0.5 * kin;
+    e[1] = en->implicit ? 0.25 * (en->sq + prev) : 0.5 * en->sq;
+    e[2] = e[0] + e[1];
+    en->pair = s;
+    en->total = e[2];
+}
+
+/* The step s, s >= 1, from its layers p, u and v, if it is selected. */
+static void step_entry(struct energies *en, ptrdiff_t s, const double *p, const double *u,
                        const double *v)
 {
-    ptrdiff_t m = en->m;
-    double *e_k = en->out, *e_p = e_k + m, *e_t = e_p + m, *diss = e_t + m, *res = diss + m;
-    if (!pair_wanted(en->sel, m, t)) {
-        e_k[t] = e_p[t] = e_t[t] = NAN;
-    } else {
-        double kin, prev = en->sq;
-        if (en->implicit && (t == 0 || !pair_wanted(en->sel, m, t - 1)))
-            pair_sums(en->n, en->dt, en->w, en->ell, u, u, u, u, &kin, &prev);
-        pair_sums(en->n, en->dt, en->w, en->ell, u, v, en->implicit ? v : u, v, &kin, &en->sq);
-        e_k[t] = 0.5 * kin;
-        e_p[t] = en->implicit ? 0.25 * (en->sq + prev) : 0.5 * en->sq;
-        e_t[t] = e_k[t] + e_p[t];
-    }
-    if (t > 0) {
-        double s = en->sel && !en->sel[t - 1] ? NAN : face_sum(p, v, en->face_lo, en->face_hi);
-        diss[t - 1] = 0.0 - en->coef * s;
-        res[t - 1] = (e_t[t] - e_t[t - 1]) - diss[t - 1];
+    int kept = s % en->every == 0 || s == en->last;
+    if (!kept && !en->verify)
+        return;
+    double e[3];
+    if (en->pair != s - 1)
+        pair_energies(en, s - 1, p, u, e);
+    double before = en->total;
+    pair_energies(en, s, u, v, e);
+    double diss = 0.0 - en->coef * face_sum(p, v, en->face_lo, en->face_hi);
+    double res = (e[2] - before) - diss;
+    double moves[3] = {fabs(res), fabs(e[2] - en->trace[2]), e[2] - before};
+    for (int k = 0; k < 3; k++)
+        if (moves[k] > en->maxima[k])
+            en->maxima[k] = moves[k];
+    if (kept) {
+        double *row = en->trace + 5 * (s / en->every + (s % en->every != 0));
+        row[0] = e[0], row[1] = e[1], row[2] = e[2], row[3] = diss, row[4] = res;
     }
 }
 
@@ -314,18 +320,14 @@ static void pair_entry(struct energies *en, ptrdiff_t t, const double *p, const 
    checked by row_within once written; returns the first that fails, after
    which no layer is stepped, else stop.
 
-   With out not NULL, 2 <= start and 3 <= rows, the energies of the block
-   of layers start-2 .. stop-1, m = stop - start + 2 of them, with the
-   selection sel of its m - 2 steps, go to out as struct energies defines
-   them, each by pair_entry: first those of the pair start-2, start-1,
-   before any step, so that start = stop with sel NULL evaluates that pair
-   alone, then, as each layer passes its check, those that it determines.
-   Entries that only the layers from a failing one on determine are left
-   as they are.
+   With trace not NULL, 2 <= start, 3 <= rows and stop - 2 <= last, the
+   steps go to trace and maxima as struct energies defines them: the step
+   i-1 by step_entry as the layer i passes its check, and, when start is 2,
+   the run's first call, the row 0 before any step, whatever stop is.
 
    Returns -1 without a step when the rows the call writes (the ring's
    rows from layer start-1 on, or all of them when the layers wrap around
-   it), incr or out overlap another array.
+   it), incr, trace or maxima overlap another array.
 
    Each step gives the bits of serial_cells(0, n-1): band_row's rows and
    dptts2's sweeps in dptts2's order.  A cell is free when e = +-0 on both
@@ -340,18 +342,20 @@ static void pair_entry(struct energies *en, ptrdiff_t t, const double *p, const 
 ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t stop,
                         double limit, double *ring, const double *sd, const double *so,
                         const double *rd, const double *ro, const double *d, const double *e,
-                        double *incr, const unsigned char *sel, const double *w,
-                        const double *ell, double dt, int implicit, ptrdiff_t face_lo,
-                        ptrdiff_t face_hi, double coef, double *out)
+                        double *incr, ptrdiff_t every, ptrdiff_t last, int verify,
+                        const double *w, const double *ell, double dt, int implicit,
+                        ptrdiff_t face_lo, ptrdiff_t face_hi, double coef, double *trace,
+                        double *maxima)
 {
-    ptrdiff_t m = stop - start + 2, first = (start - 1) % rows, span = stop - start + 1;
+    ptrdiff_t first = (start - 1) % rows, span = stop - start + 1;
     if (first + span > rows)
         first = 0, span = rows;
     size_t D = sizeof(double);
-    const void *arrays[12] = {ring + first * n, incr, out, sd, so, rd, ro, d, e, sel, w, ell};
-    size_t sizes[12] = {span * n * D, 2 * n * D, 5 * m * D, n * D, (n - 1) * D, n * D,
-                        (n - 1) * D, n * D, (n - 1) * D, m - 2, n * D, (n + 1) * D};
-    for (int a = 0; a < 3; a++)
+    size_t kept = trace ? (size_t)(last / every + (last % every != 0) + 1) : 0;
+    const void *arrays[12] = {ring + first * n, incr, trace, maxima, sd, so, rd, ro, d, e, w, ell};
+    size_t sizes[12] = {span * n * D, 2 * n * D, 5 * kept * D, 3 * D, n * D, (n - 1) * D,
+                        n * D, (n - 1) * D, n * D, (n - 1) * D, n * D, (n + 1) * D};
+    for (int a = 0; a < 4; a++)
         for (int b = a + 1; b < 12; b++)
             if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
                 return -1;
@@ -375,9 +379,12 @@ ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t 
     if (edge)
         edge[0] = 0, edge[2 * runs + 1] = n;
 #define LAYER(i) (ring + (i) % rows * n)
-    struct energies en = {m, n, sel, w, ell, dt, implicit, face_lo, face_hi, coef, out, 0.0};
-    if (out)
-        pair_entry(&en, 0, NULL, LAYER(start - 2), LAYER(start - 1));
+    struct energies en = {n, every, last, face_lo, face_hi, PTRDIFF_MIN, verify, implicit, w, ell,
+                          dt, coef, trace, maxima, 0.0, 0.0};  /* PTRDIFF_MIN: no pair yet */
+    if (trace && start == 2) {
+        pair_energies(&en, 0, LAYER(0), LAYER(1), trace);
+        trace[3] = trace[4] = 0.0;
+    }
     double *d_prev = incr, *d_next = incr + n;
     ptrdiff_t i = start;
     for (; i < stop; i++) {
@@ -398,8 +405,8 @@ ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t 
         d_next = swap;
         if (!row_within(n, v, limit))
             break;
-        if (out)
-            pair_entry(&en, i - start + 1, LAYER(i - 2), u, v);
+        if (trace)
+            step_entry(&en, i - 1, LAYER(i - 2), u, v);
     }
 #undef LAYER
     if (d_prev != incr)

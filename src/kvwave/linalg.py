@@ -13,15 +13,18 @@ Every matrix the schemes solve with is positive definite, so it is factored
 once as L D L^T without pivoting; any other matrix is rejected.  A step
 reads the diagonal and off-diagonal that every TriDiagMatrix holds, in O(n)
 time and memory.  step_block takes many steps per call through a ring of
-layers, checks each layer against a divergence limit and evaluates its
-energies as it writes it; the bootstrap is one such step, and a call of no
-steps evaluates the energies of a run's first two layers.
+layers and checks each layer against a divergence limit as it writes it;
+the bootstrap is one such step.  A run's calls also evaluate, as they write
+the layers, the energies of the steps it keeps or verifies: the kernel
+alone applies that rule, writes the kept steps' rows into the run's energy
+trace and folds every evaluated step into the run's three maxima.
 
 The arithmetic runs in kernel.c, compiled on first import into the
 package's __pycache__, loaded with ctypes and called from this module only.
 Each array reaches it as a bare address, formed inside the call that passes
-it by _address, the one check at this boundary: the array's exact shape,
-dtype and C order, and that it is writeable where the kernel writes.  The
+it by _address, the one check of an array at this boundary: its exact
+shape, dtype and C order, and that it is writeable where the kernel writes.
+Each integer passes _indices, which refuses one outside ptrdiff_t.  The
 kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute, every
 multiply-add an explicit correctly rounded fma(), so its results are the
 same bits on every machine.  Where the factor's off-diagonal is zero, as
@@ -49,6 +52,7 @@ import numpy as np
 from .mesh import FluxCoefficients, Mesh
 
 __all__ = [
+    "INDEX_MAX",
     "SingularMatrixError",
     "TriDiagMatrix",
     "LDLFactorization",
@@ -111,10 +115,10 @@ def _load_kernel() -> ctypes.CDLL:
     size, address = ctypes.c_ssize_t, ctypes.c_void_p
     kernel.kv_factor.argtypes = [size, address, address]
     kernel.kv_factor.restype = size
-    # after the increments: the selection, the energy arguments and out
-    kernel.kv_step_block.argtypes = [size, size, size, size, ctypes.c_double, *[address] * 11,
-                                     ctypes.c_double, ctypes.c_int, size, size, ctypes.c_double,
-                                     address]
+    # after the increments: the kept-step rule, the energy arguments, the trace and maxima
+    kernel.kv_step_block.argtypes = [size, size, size, size, ctypes.c_double, *[address] * 8,
+                                     size, size, ctypes.c_int, address, address, ctypes.c_double,
+                                     ctypes.c_int, size, size, ctypes.c_double, address, address]
     kernel.kv_step_block.restype = size
     kernel.kv_format_csv.argtypes = [size, size, address, address, address]
     kernel.kv_format_csv.restype = size
@@ -122,6 +126,21 @@ def _load_kernel() -> ctypes.CDLL:
 
 
 _kernel = _load_kernel()
+
+
+# The largest value of the kernel's ptrdiff_t, into which ctypes would wrap
+# a larger int silently
+INDEX_MAX = 2 ** (8 * ctypes.sizeof(ctypes.c_ssize_t) - 1) - 1
+
+
+def _indices(**values: int) -> list[int]:
+    """The values as the kernel's ptrdiff_t arguments, in order.  Raises
+    ValueError, naming the first, unless each lies within ptrdiff_t."""
+    for name, value in values.items():
+        if not -INDEX_MAX - 1 <= value <= INDEX_MAX:
+            raise ValueError(f"{name} = {value} lies outside the kernel's index range, "
+                             f"{-INDEX_MAX - 1} .. {INDEX_MAX}")
+    return [int(value) for value in values.values()]
 
 
 def _address(name: str, a: np.ndarray | None, shape: tuple[int, ...], dtype=np.float64,
@@ -256,21 +275,25 @@ def step_block(
     writes it and returns the first with a value x that fails abs(x) <=
     limit, a NaN among them, stepping no layer after it; else stop.
 
-    energies, (selected, out, args) with args a SchemeOperators'
-    energy_args, also evaluates into out, (5, m), the
-    energies of the m = stop - start + 2 layers start-2 .. stop-1, laid out
-    as kernel.c's struct energies defines them: the kinetic, potential and
-    total energy of each layer pair and the dissipation and identity
-    residual of each step.  selected, None or a flag per step, asks for some
-    steps only, and the entries that they do not read are NaN.  The first
-    pair comes before any step, so start == stop with selected None
-    evaluates it alone; every other entry once the layers it reads pass
-    their check.  An evaluated entry depends only on its layers, never on
-    the call or the selection.  Energies need start >= 2 and three rows.
+    energies, (every, last, verify, trace, maxima, args) with args a
+    SchemeOperators' energy_args, also evaluates the step i-1 as the layer
+    i passes its check, as kernel.c's struct energies defines it.  The step
+    s >= 1 is kept when every divides it or it is last, the run's last
+    step, and selected when it is kept or verify is true.  Each kept step's
+    kinetic, potential and total energy, dissipation and identity residual
+    go to the row ceil(s / every) of trace, a (ceil(last / every) + 1, 5)
+    array, and each selected step raises, where it is larger, the run's
+    identity residual, drift and rise maxima in maxima, 3 doubles that
+    start at 0, 0 and -inf.  A call from start = 2, a run's first, writes
+    row 0 before any step: the energies of layers 0 and 1 with dissipation
+    and residual +0.0, its total E0 the drift's reference.  An evaluated
+    entry depends only on its layers, never on the call.  Energies need
+    start >= 2, three rows and stop - 2 <= last.
 
     The matrices' diagonals and off-diagonals are read as they are.  The
-    rows the call writes, incr and out must not overlap each other or any
-    other argument: an overlap raises ValueError.
+    rows the call writes, incr, trace and maxima must not overlap each
+    other or any other argument: an overlap raises ValueError, and so does
+    an integer that the kernel's ptrdiff_t cannot hold.
     """
     rows, before = len(block) if block.ndim == 2 else 0, 2 if energies else 1
     if not before <= start <= stop or rows <= before:
@@ -279,24 +302,28 @@ def step_block(
     n = block.shape[1]
     if n < 3:  # the kernel peels off a step's first and last rows
         raise ValueError("steps need matrices of dimension 3 or more")
-    selected, out, args = energies or (None, None, (None, None, 0.0, 0, 0, 0, 0.0))
-    widths, ell, *scalars = args
-    m = stop - start + 2
+    every, last, verify, trace, maxima, args = energies or (
+        1, 0, False, None, None, (None, None, 0.0, 0, 0, 0, 0.0))
+    if energies and not (every >= 1 and stop - 2 <= last):
+        raise ValueError(f"every = {every} must be >= 1 and last = {last} >= stop - 2 = "
+                         f"{stop - 2}")
+    widths, ell, dt, implicit, face_lo, face_hi, coef = args
     row = _kernel.kv_step_block(
-        n, rows, int(start), int(stop), limit,
+        *_indices(n=n, rows=rows, start=start, stop=stop), limit,
         _address("block", block, block.shape, written=True),
         _address("stiff.diag", stiff.diag, (n,)), _address("stiff.off", stiff.off, (n - 1,)),
         _address("rhs_prev.diag", rhs_prev.diag, (n,)),
         _address("rhs_prev.off", rhs_prev.off, (n - 1,)),
         _address("f.d", f.d, (n,)), _address("f.e", f.e, (n - 1,)),
-        _address("incr", incr, (2, n), written=True),
-        _address("selected", selected, (m - 2,), np.bool_),
+        _address("incr", incr, (2, n), written=True), *_indices(every=every, last=last), verify,
         _address("the mesh's cell widths", widths, (n,)),
-        _address("the flux coefficients", ell, (n + 1,)), *scalars,
-        _address("out", out, (5, m), written=True))
+        _address("the flux coefficients", ell, (n + 1,)), dt, implicit,
+        *_indices(face_lo=face_lo, face_hi=face_hi), coef,
+        _address("trace", trace, (-(-last // every) + 1, 5), written=True),
+        _address("maxima", maxima, (3,), written=True))
     if row < 0:
-        raise ValueError("the rows a step reads and writes, the increments and the energies "
-                         "must not overlap each other or any other argument")
+        raise ValueError("the rows a step reads and writes, the increments, the trace and the "
+                         "maxima must not overlap each other or any other argument")
     return row
 
 

@@ -19,17 +19,20 @@ d_n = u_{n+1} - u_n and each step solves
 
     L d_n = dt^2 S u_n + R1 d_{n-1},    u_{n+1} = u_n + d_n.
 
-The increment is never formed as a difference of two rounded layers, which
-keeps the per-step energy identity at round-off whatever the cell count.  L
-is positive definite, so it is factored once per run as L D L^T.
-build_operators returns what the kernel reads in one SchemeOperators: the
-matrices, each a linalg.TriDiagMatrix, the factors of L and of the
-bootstrap's matrix, and the inputs of the energies.  The steps up to a
-snapshot or the last step run in one linalg.step_block call of the
-compiled kernel, which reads those matrices as they are, carries the
-increment in one (2, n) array, writes each layer into a ring of three rows,
-checks it for divergence and evaluates its energies while it is in cache;
-its bits do not depend on the machine.
+The bootstrap's increment d_0, into layer 1, is the difference u_1 - u_0
+of its two rounded layers; every later increment is solved for, never
+formed as such a difference, which keeps the per-step energy identity at
+round-off whatever the cell count.  L is positive definite, so it is
+factored once per run as L D L^T.  build_operators returns what the kernel
+reads in one SchemeOperators: the matrices, each a linalg.TriDiagMatrix,
+the factors of L and of the bootstrap's matrix, and the inputs of the
+energies.  The steps up to a snapshot or the last step run in one
+linalg.step_block call of the compiled kernel, which reads those matrices
+as they are, carries the increment in one (2, n) array, writes each layer
+into a ring of three rows, checks it for divergence and, while it is in
+cache, evaluates the energies of the step it closes if the run keeps or
+verifies that step, into the run's energy trace and maxima; its bits do
+not depend on the machine.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ __all__ = [
 # Divergence threshold: a layer whose sup norm exceeds this multiple of the
 # initial sup norm ends the run (also catches non-finite values).
 SUP_GROWTH_LIMIT = 1.0e6
-
-# The most steps a step call takes; its energies take 5 doubles a step.
-_CALL_STEPS = 8192
-
 
 @dataclass(frozen=True)
 class SchemeOperators:
@@ -185,63 +184,6 @@ class SimulationResult:
     verified_steps: int
 
 
-class _EnergyLog:
-    """Trace columns and identity statistics of a run, fed by its step calls.
-
-    Row 0 of the trace holds the energy of layers 0 and 1, in rows 0 and 1
-    of the ring, from a step call of no steps.  The step call of the layers
-    start .. stop-1 determines the steps start-1 .. stop-2 and evaluates, as
-    it writes their layers, the kept ones (multiples of observe_every and
-    the last step), or every one with verify.  The statistics cover the
-    steps it evaluates.
-    """
-
-    def __init__(self, ops: SchemeOperators, observe_every: int, last_step: int,
-                 verify: bool, ring: np.ndarray, incr: np.ndarray):
-        self.dt, self.observe_every, self.last_step = ops.dt, observe_every, last_step
-        self.verify = verify
-        out = np.empty((5, 2))
-        linalg.step_block(ring, 2, 2, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, math.inf,
-                          (None, out, ops.energy_args))
-        e_k, e_p, e_tot = out[:3, :1]
-        self.e_tot0 = float(e_tot[0])
-        # per call: the kept steps and their energies, dissipations and residuals
-        self.columns = [(np.zeros(1, np.int64), e_k, e_p, e_tot, np.zeros(1), np.zeros(1))]
-        self.identity_max = self.drift_max = 0.0
-        self.rise_max = -math.inf
-        self.verified = 0
-
-    def kept(self, start: int, stop: int) -> np.ndarray:
-        # entry j is the step start-1+j: the multiples of observe_every,
-        # sliced with Python ints of any size, and the last step
-        kept = np.zeros(stop - start, bool)
-        kept[-(start - 1) % self.observe_every::self.observe_every] = True
-        kept[self.last_step - start + 1:] = True
-        return kept
-
-    def record(self, out: np.ndarray, start: int, end: int) -> None:
-        """Reads the energies that the step call from layer start, which
-        ended at layer `end`, evaluated into out."""
-        kept = self.kept(start, end)
-        selected = kept | self.verify
-        if not selected.any():
-            return
-        k = end - start
-        e_k, e_p, e_tot, diss, res = out
-        e_prev, e_next, res_sel = e_tot[:k][selected], e_tot[1:k + 1][selected], res[:k][selected]
-        self.identity_max = max(self.identity_max, float(np.abs(res_sel).max()))
-        self.drift_max = max(self.drift_max, float(np.abs(e_next - self.e_tot0).max()))
-        self.rise_max = max(self.rise_max, float((e_next - e_prev).max()))
-        self.verified += len(e_next)
-        j = kept.nonzero()[0]
-        pair = j + 1  # the energies of step start-1+j are entry j+1's
-        self.columns.append((j + (start - 1), e_k[pair], e_p[pair], e_tot[pair], diss[j], res[j]))
-
-    def trace(self) -> diagnostics.EnergyTrace:
-        step, *values = (np.concatenate(column) for column in zip(*self.columns))
-        return diagnostics.EnergyTrace(step, step * self.dt, *values)
-
-
 def run(
     params: Parameters,
     mesh: Mesh,
@@ -257,55 +199,63 @@ def run(
 
     The run produces layers 0 .. n_steps (bootstrap plus n_steps - 1
     recurrence steps).  Each linalg.step_block call steps the layers up to
-    the next snapshot step or the last step, at most _CALL_STEPS of them,
-    through a ring of three rows, checking each layer for divergence and
-    evaluating its energies as it writes it.  Energies are recorded every
-    observe_every steps plus the final step; with verify_identity the
+    the next snapshot step or the last step through a ring of three rows,
+    checking each layer for divergence and evaluating its step's energies
+    as it writes it; the first call, from layer 2, makes even when it steps
+    no layer the trace's row 0, from layers 0 and 1.  Energies are recorded
+    every observe_every steps plus the final step; with verify_identity the
     energy identity is evaluated at every step and only its extremes are
-    kept.  Either way the recorded rows are the same bits.  A layer whose
-    sup norm exceeds SUP_GROWTH_LIMIT times the initial one, or that holds
-    a NaN, ends the run: the kernel steps no layer past it, and the run
-    reports exactly what a run stopped just before that layer would.
-    Operators, initial layers or first energies that cannot be formed raise
+    kept.  Either way the recorded rows are the same bits.  The kernel
+    writes the recorded rows into one trace and the extremes into three
+    maxima, so only those cross into Python.  A layer whose sup norm
+    exceeds SUP_GROWTH_LIMIT times the initial one, or that holds a NaN,
+    ends the run: the kernel steps no layer past it, and the run reports
+    exactly what a run stopped just before that layer would.  Operators,
+    initial layers or an energy trace that cannot be formed raise
     ConfigError, naming which, before the first step.
     """
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if not 1 <= n_steps < linalg.INDEX_MAX:
+        raise ValueError(f"n_steps must lie in 1 .. {linalg.INDEX_MAX - 1}, the step counts "
+                         f"whose last layer the kernel can index")
     if observe_every < 1:
         raise ValueError("observe_every must be >= 1")
     last_step = n_steps - 1  # last step with a defined energy
+    every = min(observe_every, n_steps)  # keeps the same steps: 0 and the last beyond it
 
     name = f"the {scheme} run at dt = {dt:.6g}"
     ops = set_up(f"{name}: the operators", build_operators, mesh, params, dt, scheme)
     u0, psi = (set_up(f"{name}: the initial layers", sample_cell_averages, f, mesh)
                for f in (initial.phi, initial.psi))
+    trace = set_up(f"{name}: the energy trace", np.empty, (-(-last_step // every) + 1, 5))
+    maxima = np.array([0.0, 0.0, -math.inf])  # identity residual, drift, rise
+    energies = (every, last_step, verify_identity, trace, maxima, ops.energy_args)
     u1 = bootstrap(u0, psi, ops)
     ring = np.zeros((3, mesh.n_max))  # layer i in row i % 3
     ring[0], ring[1] = u0, u1
     incr = np.stack((u1 - u0, u0))  # the increment into layer 1; row 1 is scratch
-    log = set_up(f"{name}: the first energies", _EnergyLog, ops, observe_every, last_step,
-                 verify_identity, ring, incr)
 
     sup_limit = SUP_GROWTH_LIMIT * max(float(np.abs(u0).max()), np.finfo(float).tiny)
     snap_steps = {int(s) for s in snapshot_steps}
     snapshots = [Snapshot(s, u.copy()) for s, u in ((0, u0), (1, u1)) if s in snap_steps]
     divergence_step: int | None = None
     filled = 2  # layers 0 .. filled-1 are stepped and within the limit
-    while filled <= n_steps and divergence_step is None:
+    while divergence_step is None:
         # a call ends at a snapshot step, whose layer the next call overwrites
-        stop = min(filled + _CALL_STEPS, n_steps + 1,
-                   *(s + 1 for s in snap_steps if filled <= s < n_steps))
-        out = np.empty((5, stop - filled + 2))
-        selected = log.kept(filled, stop) | verify_identity
+        stop = min((s + 1 for s in snap_steps if filled <= s < n_steps), default=n_steps + 1)
         end = linalg.step_block(ring, filled, stop, ops.stiff, ops.rhs_prev, ops.lhs_factor, incr,
-                                sup_limit, (selected, out, ops.energy_args))
-        log.record(out, filled, end)
+                                sup_limit, energies)
         if end < stop:
             divergence_step = end
-        elif stop - 1 in snap_steps:
+        elif filled < stop and stop - 1 in snap_steps:
             snapshots.append(Snapshot(stop - 1, ring[(stop - 1) % 3].copy()))
         filled = end
+        if filled > n_steps:
+            break
     diverged = divergence_step is not None
+    evaluated = filled - 2  # the last step whose layers passed
+    rows = evaluated // every + 1 if diverged else len(trace)
+    step = np.minimum(np.arange(rows) * every, last_step)
+    verified = evaluated if verify_identity else rows - 1
 
     return SimulationResult(
         steps_completed=divergence_step - 1 if diverged else n_steps,
@@ -313,11 +263,11 @@ def run(
         divergence_step=divergence_step,
         u_prev=ring[(filled - 2) % 3].copy(),
         u_curr=ring[(filled - 1) % 3].copy(),
-        trace=log.trace(),
+        trace=diagnostics.EnergyTrace(step, step * dt, *trace[:rows].T),
         snapshots=snapshots,
-        energy_initial=log.e_tot0,
-        identity_residual_max=log.identity_max,
-        energy_drift_max=log.drift_max,
-        energy_rise_max=log.rise_max if log.verified else 0.0,
-        verified_steps=log.verified,
+        energy_initial=float(trace[0, 2]),
+        identity_residual_max=float(maxima[0]),
+        energy_drift_max=float(maxima[1]),
+        energy_rise_max=float(maxima[2]) if verified else 0.0,
+        verified_steps=verified,
     )

@@ -252,27 +252,57 @@ def block_energies(layers: np.ndarray, mesh: Mesh, ell: FluxCoefficients, params
 
 
 def step_energies(args: tuple, u: np.ndarray, v: np.ndarray, d: np.ndarray | None = None,
-                  steps: int = 0, selected: np.ndarray | None = None,
-                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """The energies that one step_block call evaluates of the layers u, v
-    and `steps` more, each the one before plus the increment d: steps with
-    a zero stiffness and an identity R1 and factors, through a ring that
-    keeps every layer.  steps = 0 is the call of no steps that gives a
-    run's first energies.  args and selected as step_block takes them.
+                  steps: int = 0) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The energies that a run's first step_block call evaluates of the
+    layers u, v and `steps` more, each the one before plus the increment d,
+    when it keeps every step: steps with a zero stiffness and an identity
+    R1 and factors, through a ring that keeps every layer, with every = 1
+    and last = steps.  steps = 0 is a call of no steps, which evaluates the
+    first pair alone.  args as step_block takes them.
 
     Returns the m = steps + 2 layers that the ring holds after the call,
     to which the energies belong (a step turns a -0.0 of d into +0.0), and
     (e_kinetic, e_potential, e_total, dissipation, residual) as
-    block_energies lays them out.  The call must step every layer: d and
-    the layers from v on must be finite, as a zero stiffness or a zero
+    block_energies lays them out: the trace's columns, without row 0's
+    dissipation and residual.  The call must step every layer: d and the
+    layers from v on must be finite, as a zero stiffness or a zero
     off-diagonal turns an infinite entry into NaN, which no limit passes."""
     n, m = len(u), steps + 2
-    out = np.empty((5, m))
+    trace, maxima = np.empty((m - 1, 5)), np.array([0.0, 0.0, -math.inf])
     zero, identity = (TriDiagMatrix(np.full(n, x), np.zeros(n - 1)) for x in (0.0, 1.0))
     ring = np.empty((max(m, 3), n))
     ring[0], ring[1] = u, v
     incr = np.zeros((2, n)) if d is None else np.stack((d, d))
     end = step_block(ring, 2, m, zero, identity, LDLFactorization(np.ones(n), np.zeros(n - 1)),
-                     incr, math.inf, (selected, out, args))
+                     incr, math.inf, (1, steps, False, trace, maxima, args))
     assert end == m, f"the call stopped at the layer {end} that holds a NaN"
-    return ring[:m], (*out[:3, :m - 1], *out[3:, :m - 2])
+    e_k, e_p, e_tot, diss, res = trace.T
+    return ring[:m], (e_k, e_p, e_tot, diss[1:], res[1:])
+
+
+def record(energies: tuple[np.ndarray, ...], start: int, end: int, every: int, last: int,
+           verify: bool, trace: np.ndarray, maxima: np.ndarray) -> None:
+    """What the step_block call of a run from the layer start, which
+    returned end, writes into trace and maxima, in numpy, from the
+    block_energies of its layers start-2 .. end-1: the call evaluates the
+    steps start-1 .. end-2, the step s from the pairs s-1 and s, which are
+    the block's pairs s-start+1 and s-start+2.  A step is kept when every
+    divides it or it is last, and selected when kept or verify; each kept
+    step's row goes to trace[ceil(s / every)], and the identity residual,
+    drift and rise maxima over the selected steps raise maxima where they
+    are larger (np.fmax: a NaN is never larger).  The run's first call,
+    start = 2, writes row 0 from the pair 0, with dissipation and residual
+    +0.0; its total, trace[0, 2], is E0."""
+    e_k, e_p, e_tot, diss, res = energies
+    if start == 2:
+        trace[0] = e_k[0], e_p[0], e_tot[0], 0.0, 0.0
+    steps = np.arange(start - 1, end - 1)
+    kept = (steps % every == 0) | (steps == last)
+    j = np.nonzero(kept | verify)[0]
+    before, after = e_tot[j], e_tot[j + 1]
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for k, values in enumerate((np.abs(res[j]), np.abs(after - trace[0, 2]), after - before)):
+            maxima[k] = np.fmax.reduce(values, initial=maxima[k])
+    j = np.nonzero(kept)[0]
+    trace[-(-steps[j] // every)] = np.column_stack((e_k[j + 1], e_p[j + 1], e_tot[j + 1], diss[j],
+                                                    res[j]))

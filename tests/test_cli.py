@@ -523,9 +523,21 @@ class TestMain:
         ("preset = equal-damped\nlength = 1e-160\nalpha = 1e-170\nbeta = 5e-161\n"
          "scheme = implicit\ndt = 1\nn_steps = 1\n",  # the arch's scale overflows
          "length must lie strictly between 2**-511 and 2**512"),
+        # step counts whose last layer the kernel cannot index, and a trace
+        # of a row per step that no memory holds
+        ("preset = equal-damped\nn_steps = 1000000000000000000000000000000\n",
+         "n_steps = 1e+30 lies outside 1 .. 9223372036854775806, the step counts whose last "
+         "layer the kernel can index"),
+        ("c1_sq = 1\nc2_sq = 1\nc3_sq = 1\ndelta = 1\nalpha = 1\nbeta = 2\nlength = 3\n"
+         "n_alpha = 20\nn_damp = 10\nn_beta = 20\ndt = 0.025\nt_final = 1e300\n",
+         "cannot set up the run: the time step for t_final = 1e+300, dt = 0.025: t_final gives "
+         "n_steps = 4e+301, more than 9223372036854775806"),
+        ("preset = equal-damped\nn_steps = 1000000000000000\nobserve_every = 1\n",
+         "cannot set up the explicit run at dt = 0.025: the energy trace: Unable to allocate"),
     ], ids=["t_final-inf", "length-inf", "length-1e300", "delta-inf", "delta-1e308",
             "dt-1e200", "dt-inf", "n_damp-1", "steps-overflow", "length-1e-170",
-            "interface-underflow", "dissipation-underflow", "arch-overflow"])
+            "interface-underflow", "dissipation-underflow", "arch-overflow",
+            "steps-beyond-index", "derived-steps-beyond-index", "trace-beyond-memory"])
     def test_unusable_config_exits_1_with_one_error_line(self, tmp_path, capsys, text, reason):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)

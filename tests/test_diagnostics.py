@@ -8,7 +8,7 @@ from kvwave.diagnostics import fit_exponential, fit_polynomial
 from kvwave.linalg import LDLFactorization, TriDiagMatrix
 from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import default_initial_data, sample_cell_averages
-from oracles import block_energies, discrete_h1_seminorm, discrete_l2_norm, step_energies
+from oracles import block_energies, discrete_h1_seminorm, discrete_l2_norm, record, step_energies
 
 DT = 0.025
 
@@ -292,19 +292,19 @@ class TestLayerEnergies:
                 assert res[j] == (e_tot[j + 1] - e_tot[j]) - diss[j]
 
     def test_reused_work_gives_fresh_bits(self, base_mesh, base_ell, base_params, rng):
-        # the kernel writes every entry that a call's out returns, which
-        # np.empty may take from an array just freed: each call follows the
-        # freeing of an array of the size of its out filled with NaN or inf,
-        # for a long call and the shorter ones after it, down to the call of
-        # no steps that gives a run's first energies, and gives the bits of
-        # fresh temporaries
+        # a call that keeps every step writes every entry of its trace,
+        # which np.empty may take from an array just freed: each call
+        # follows the freeing of an array of the size of its trace filled
+        # with NaN or inf, for a long call and the shorter ones after it,
+        # down to the call of no steps that gives a run's first energies,
+        # and gives the bits of fresh temporaries
         u, v, d = rng.standard_normal((3, base_mesh.n_max))
         for params in (base_params, undamped_params()):
             for variant in ("explicit", "implicit"):
                 args = schemes.build_operators(base_mesh, params, DT, variant).energy_args
                 for fill in (np.nan, np.inf, -np.inf):
                     for steps in (7, 3, 1, 0, 6):
-                        np.full(5 * (steps + 2), fill)
+                        np.full(5 * (steps + 1), fill)
                         layers, got = step_energies(args, u, v, d, steps)
                         expected = block_energies(layers, base_mesh, base_ell, params, DT,
                                                   variant)
@@ -321,7 +321,8 @@ class TestLayerEnergies:
         for bad, message in ((ring[:2], "rows"), (np.asfortranarray(ring), "contiguous"),
                              (ring.astype(np.float32), "float64")):
             with pytest.raises(ValueError, match=message):
-                linalg.step_block(bad, 2, 2, *step, (None, np.empty((5, 2)), args))
+                linalg.step_block(bad, 2, 2, *step, (1, 0, False, np.empty((1, 5)), np.zeros(3),
+                                                     args))
 
 
 # (n_alpha, n_damp, n_beta) around the chunks of the kernel's 8 lanes: 4,
@@ -383,89 +384,104 @@ class TestKernelEnergies:
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     def test_selected_steps_are_the_bits_of_the_whole_block(self, base_mesh, base_params, rng,
                                                             variant):
-        # a selected step's dissipation and residual, and the energies of the
-        # two pairs it reads, are the bits of the call without a selection;
-        # every other entry is NaN, whatever the result array held before
+        # a first call of m - 2 steps that keeps every `every`-th step, and
+        # the last when it is the run's, writes those steps' rows and the
+        # maxima over the kept, or with verify every, step: the bits of
+        # oracles.record from the call that keeps every step, and no other
+        # entry of the trace, whatever it held before
         args = schemes.build_operators(base_mesh, base_params, DT, variant).energy_args
         for m in range(2, 10):
             u, v, d = rng.standard_normal((3, base_mesh.n_max))
             layers, whole = step_energies(args, u, v, d, m - 2)
-            index = np.arange(m - 2)
-            for selected in (index < 0, index >= 0, index == 0, index == m - 3, index % 2 == 0,
-                             index % 2 == 1, rng.random(m - 2) < 0.5):
-                pairs = np.zeros(m - 1, bool)
-                pairs[:-1] |= selected
-                pairs[1:] |= selected
-                np.full(5 * m, 1.0)
-                again, got = step_energies(args, u, v, d, m - 2, selected)
-                assert again.tobytes() == layers.tobytes()
-                for q, (values, expected) in enumerate(zip(got, whole)):
-                    wanted = pairs if q < 3 else selected
-                    assert values.shape == expected.shape
-                    assert values[wanted].tobytes() == expected[wanted].tobytes()
-                    assert np.isnan(values[~wanted]).all()
+            for every in (1, 2, 3, m, m + 5):
+                for last in (m - 2, m, 2 * m + 3):
+                    for verify in (False, True):
+                        rows = -(-last // every) + 1
+                        np.full(5 * rows, 1.0)
+                        trace = np.full((rows, 5), 7.0)
+                        maxima = np.array([0.0, 0.0, -math.inf])
+                        expected, expected_max = trace.copy(), maxima.copy()
+                        record(whole, 2, m, every, last, verify, expected, expected_max)
+                        again = step_call(args, u, v, d, m - 2, (every, last, verify, trace,
+                                                                 maxima))
+                        assert again.tobytes() == layers.tobytes()
+                        assert_same_bits([trace, maxima], [expected, expected_max])
 
     def test_bad_arrays_rejected(self, base_mesh, base_params, rng):
-        # a selection is one C-ordered boolean flag per step, never copied
-        # into one: a strided selection is rejected
+        # a trace holds a C-ordered float64 row of 5 per kept step and the
+        # first pair, and the maxima are 3 doubles; neither is copied into
+        # one of those: a strided one is rejected
         u, v, d = rng.standard_normal((3, base_mesh.n_max))
         args = schemes.build_operators(base_mesh, base_params, DT, "explicit").energy_args
-        for selected in (np.ones(3, bool), np.ones(2, np.uint8), np.ones((2, 1), bool),
-                         np.array([True, True, False, False])[::2]):
-            with pytest.raises(ValueError, match="selected"):
-                step_energies(args, u, v, d, 2, selected)
+        maxima = np.zeros(3)
+        for trace in (np.zeros((2, 5)), np.zeros((3, 4)), np.zeros((5, 3)).T,
+                      np.zeros((3, 5), np.float32), np.zeros((6, 5))[::2]):
+            with pytest.raises(ValueError, match="trace"):
+                step_call(args, u, v, d, 2, (1, 2, False, trace, maxima))
+        for bad in (np.zeros(4), np.zeros((1, 3)), np.zeros(6)[::2], np.zeros(3, np.float32)):
+            with pytest.raises(ValueError, match="maxima"):
+                step_call(args, u, v, d, 2, (1, 2, False, np.zeros((3, 5)), bad))
+
+
+def step_call(args, u, v, d, steps, rule):
+    """The layers after a run's first step_block call from u and v, with
+    steps more, each the one before plus d, as oracles.step_energies takes
+    them, and energies (*rule, args): rule is (every, last, verify, trace,
+    maxima)."""
+    n, m = len(u), steps + 2
+    zero, identity = (TriDiagMatrix(np.full(n, x), np.zeros(n - 1)) for x in (0.0, 1.0))
+    ring = np.empty((max(m, 3), n))
+    ring[0], ring[1] = u, v
+    assert linalg.step_block(ring, 2, m, zero, identity,
+                             LDLFactorization(np.ones(n), np.zeros(n - 1)), np.stack((d, d)),
+                             math.inf, (*rule, args)) == m
+    return ring[:m]
 
 
 class TestStepCallEnergies:
-    """The energies a step call evaluates as it writes each layer into its
-    ring, against oracles.block_energies on the same layers: byte for
-    byte, every entry that the selection reads of a call that ends at its
-    stop, with NaN in every other, and the entries schemes.run reads of one
-    that ends at a failing layer."""
+    """The trace rows and maxima that a run's step calls write as they
+    write each layer into their ring, against oracles.record over
+    oracles.block_energies on the same layers, byte for byte: of calls
+    that end at their stop, of calls that end at a failing layer, and of
+    the calls of a run."""
 
     @staticmethod
-    def check(step, u0, u1, d1, first, steps, selected, limit, problem):
+    def check(step, u0, u1, d1, first, steps, rule, limit, problem):
         """The call of the layers first+2 .. first+steps+1, from the layers
         first and first+1 (u0, u1) and the increment d1 into u1, in a ring
-        of three rows; block_energies on the same steps taken in a block of
-        their own, with no energies.  Returns the steps the call took."""
+        of three rows, with rule = (every, last, verify), into a trace of
+        7.0, whose row 0 holds E0 = 7.0 unless the call is a run's first;
+        oracles.record on the same steps taken in a block of their own,
+        with no energies.  Returns the steps the call took."""
+        every, last, verify = rule
         n = len(u0)
         start, stop = first + 2, first + 2 + steps
         ring = np.full((3, n), np.nan)
         ring[first % 3], ring[(first + 1) % 3] = u0, u1
-        out = np.full((5, steps + 2), 7.0)
+        trace = np.full((-(-last // every) + 1, 5), 7.0)
+        maxima = np.array([0.0, 0.0, -math.inf])
+        expected, expected_max = trace.copy(), maxima.copy()
         mesh, _, params, dt, variant = problem
         args = schemes.build_operators(mesh, params, dt, variant).energy_args
         end = linalg.step_block(ring, start, stop, *step, np.stack((d1, d1)), limit,
-                                (selected, out, args))
+                                (*rule, trace, maxima, args))
         block = np.full((steps + 2, n), np.nan)
         block[:2] = u0, u1
         k = linalg.step_block(block, 2, steps + 2, *step, np.stack((d1, d1)), limit) - 2
         assert end - start == k
-        last = k + 1 + (k < steps)  # the last layer written, the failing one if any
-        for i in range(max(last - 2, 0), last + 1):  # the layers the ring keeps
+        written = k + 1 + (k < steps)  # the last layer written, the failing one if any
+        for i in range(max(written - 2, 0), written + 1):  # the layers the ring keeps
             assert ring[(first + i) % 3].tobytes() == block[i].tobytes()
-        steps_read = np.ones(k, bool) if selected is None else selected[:k]
-        expected = block_energies(block[:k + 2], *problem)
-        got = (out[0, :k + 1], out[1, :k + 1], out[2, :k + 1], out[3, :k], out[4, :k])
-        if k == steps:
-            pairs = np.zeros(k + 1, bool)
-            pairs[:-1] |= steps_read
-            pairs[1:] |= steps_read
-            for q, (values, oracle) in enumerate(zip(got, expected)):
-                wanted = pairs if q < 3 else steps_read
-                assert_same_bits([values[wanted]], [oracle[wanted]])
-                assert np.isnan(values[~wanted]).all()
-        # what schemes.run reads: each selected step's dissipation and
-        # residual, and the energies of the two pairs it reads
-        j = steps_read.nonzero()[0]
-        assert_same_bits([got[3][j], got[4][j], got[2][j]], [expected[3][j], expected[4][j],
-                                                            expected[2][j]])
-        assert_same_bits([e[j + 1] for e in got[:3]], [e[j + 1] for e in expected[:3]])
+        record(block_energies(block[:k + 2], *problem), start, end, *rule, expected, expected_max)
+        assert_same_bits([trace, maxima], [expected, expected_max])
         return k
 
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     def test_run_layers_and_selections(self, base_mesh, base_ell, base_params, variant):
+        # calls from a run's first two layers, as its first call and as
+        # later ones, far into a run too, keeping steps at several
+        # cadences, with the call's last step the run's or not, verified
+        # or not
         ops = schemes.build_operators(base_mesh, base_params, DT, variant)
         data = default_initial_data(base_params.length)
         u0, psi = (sample_cell_averages(f, base_mesh) for f in (data.phi, data.psi))
@@ -473,20 +489,21 @@ class TestStepCallEnergies:
         step = (ops.stiff, ops.rhs_prev, ops.lhs_factor)
         problem = (base_mesh, base_ell, base_params, DT, variant)
         for first in (0, 1, 2, 3 * 10**6 + 1):
+            everies = (1, 3, 10) if first < 3 else (10**6, first + 3)
             for steps in (1, 2, 7, 25):
-                index = np.arange(first + 1, first + 1 + steps)
-                selections = [None, index >= 0, index < 0] + [
-                    (index % every == 0) | (index == first + steps) for every in (1, 3, 10)]
-                for selected in selections:
-                    assert self.check(step, u0, u1, u1 - u0, first, steps, selected, math.inf,
-                                      problem) == steps
+                for every in everies:
+                    for last in (first + steps, first + steps + 2):
+                        for verify in (False, True):
+                            assert self.check(step, u0, u1, u1 - u0, first, steps,
+                                              (every, last, verify), math.inf, problem) == steps
 
     # With a zero stiffness and identity R1 and factors each step adds the
     # increment: layer i is u0 + i from [0, 1) cells, whose sup norm rises
     # by 1 a step, past a limit just below the sup of the first, a middle
     # or the last layer of a 5-step call; and cell 5 ramps by MAX / 2 to
     # inf in the layer before that one, which a zero stiffness turns into
-    # NaN, within an infinite limit.
+    # NaN, within an infinite limit: its energies are inf and its
+    # residuals NaN, which moves no maximum.
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     @pytest.mark.parametrize("failing", [0, 2, 4])
     def test_call_ending_at_a_failing_layer(self, base_mesh, base_ell, base_params, rng,
@@ -504,9 +521,51 @@ class TestStepCallEnergies:
             nan_u1[5], nan_d1[5] = (3 - failing) * (big / 2), big / 2  # inf when failing = 0
             cases = [(u1, d1, past), (nan_u1, nan_d1, math.inf)]
             for (layer, incr, limit), every in zip(cases * 3, (1, 1, 2, 2, 3, 3)):
-                selected = (np.arange(first + 1, first + 6) % every) == 0
-                assert self.check(step, u0, layer, incr, first, 5, selected, limit,
-                                  problem) == failing
+                for verify in (False, True):
+                    assert self.check(step, u0, layer, incr, first, 5, (every, first + 6, verify),
+                                      limit, problem) == failing
+
+    @pytest.mark.parametrize("variant", ["explicit", "implicit"])
+    def test_calls_of_a_run_fill_its_trace_and_maxima(self, base_mesh, base_ell, base_params,
+                                                      rng, variant):
+        # a run's calls through one ring, ending at random layers, a call
+        # of no steps among them, with a random every, last step and
+        # verify, and a limit that every layer passes or one that a random
+        # layer fails: the trace and maxima are oracles.record's of one
+        # call over the same steps, taken in a block of their own.  The
+        # run goes back in time from the arch data's layers 1 and 0, so
+        # that the damping raises its energy and, for 30 steps, its sup.
+        ops = schemes.build_operators(base_mesh, base_params, DT, variant)
+        data = default_initial_data(base_params.length)
+        u1, psi = (sample_cell_averages(f, base_mesh) for f in (data.phi, data.psi))
+        u0 = schemes.bootstrap(u1, psi, ops)
+        step = (ops.stiff, ops.rhs_prev, ops.lhs_factor)
+        problem = (base_mesh, base_ell, base_params, DT, variant)
+        block = np.empty((62, base_mesh.n_max))
+        block[:2] = u0, u1
+        linalg.step_block(block, 2, len(block), *step, np.stack((u1 - u0, u0)), math.inf)
+        sup = np.abs(block).max(axis=1)
+        for _ in range(40):
+            last = int(rng.integers(0, 60))  # layers 0 .. last + 1
+            rule = (int(rng.integers(1, last + 3)), last, bool(rng.integers(2)))
+            limit = float(rng.choice([math.inf, *sup[2:last + 2]]))
+            over = np.nonzero(sup[2:last + 2] > limit)[0]
+            end = 2 + int(over[0]) if len(over) else last + 2
+            stops = sorted({last + 2, *rng.integers(2, last + 3, 3).tolist()})
+            ring = np.stack((u0, u1, u1))
+            incr = np.stack((u1 - u0, u0))
+            trace = np.full((-(-last // rule[0]) + 1, 5), 7.0)
+            maxima = np.array([0.0, 0.0, -math.inf])
+            expected, expected_max = trace.copy(), maxima.copy()
+            filled = 2
+            for stop in stops:
+                filled = linalg.step_block(ring, filled, stop, *step, incr, limit,
+                                           (*rule, trace, maxima, ops.energy_args))
+                if filled < stop:
+                    break
+            assert filled == end
+            record(block_energies(block[:end], *problem), 2, end, *rule, expected, expected_max)
+            assert_same_bits([trace, maxima], [expected, expected_max])
 
     def test_bad_energy_arguments_rejected(self, base_mesh, base_params, rng):
         n = base_mesh.n_max
@@ -515,38 +574,48 @@ class TestStepCallEnergies:
         args = schemes.build_operators(base_mesh, base_params, DT, "explicit").energy_args
         ring = rng.standard_normal((3, n))
         saved = ring.copy()
-        selected = np.ones(4, bool)
 
-        def call(block, start, out, selected=selected, incr=np.zeros((2, n)), matrix=m):
+        def call(block, start, trace, maxima=np.zeros(3), every=1, last=9, incr=np.zeros((2, n)),
+                 matrix=m):
             return linalg.step_block(block, start, start + 4, matrix, m, f, incr, math.inf,
-                                     (selected, out, args))
+                                     (every, last, False, trace, maxima, args))
 
-        out = np.zeros((5, 6))
+        trace = np.zeros((10, 5))  # ceil(last / every) + 1 rows
         # a call needs the two layers before its first, in a ring that keeps three
         for block, start in ((ring, 1), (ring[:2], 2)):
             with pytest.raises(ValueError, match="rows"):
-                call(block, start, out)
-        for bad in (np.zeros((5, 5)), np.zeros((4, 6)), np.zeros((6, 5)).T):
-            with pytest.raises(ValueError, match="out"):
-                call(ring, 2, bad)
-        read_only = out.view()
-        read_only.setflags(write=False)
-        with pytest.raises(ValueError, match="writeable"):
-            call(ring, 2, read_only)
-        for bad in (selected[1:], np.ones(4, np.uint8)):
-            with pytest.raises(ValueError, match="selected"):
-                call(ring, 2, out, bad)
-        # out may not share a byte with the ring, the increments or a matrix
-        buffer = np.zeros(30 + 3 * n)
+                call(block, start, trace)
+        # a cadence of 1 or more, and a last step no earlier than the call's
+        for every, last in ((0, 9), (-3, 9), (1, 3)):
+            with pytest.raises(ValueError, match="every"):
+                call(ring, 2, trace, every=every, last=last)
+        for bad, every in ((np.zeros((9, 5)), 1), (np.zeros((10, 5)), 3), (np.zeros((5, 10)).T, 1)):
+            with pytest.raises(ValueError, match="trace"):
+                call(ring, 2, bad, every=every)
+        for i in range(2):
+            written = [trace, np.zeros(3)]
+            written[i] = written[i].view()
+            written[i].setflags(write=False)
+            with pytest.raises(ValueError, match="writeable"):
+                call(ring, 2, *written)
+        # the trace and the maxima may not share a byte with the ring, the
+        # increments, a matrix or each other
+        buffer = np.zeros(50 + 3 * n)
+        shared = buffer[:50].reshape(10, 5)
         with pytest.raises(ValueError, match="overlap"):
-            call(buffer[29:29 + 3 * n].reshape(3, n), 2, buffer[:30].reshape(5, 6))
+            call(buffer[49:49 + 3 * n].reshape(3, n), 2, shared)
         with pytest.raises(ValueError, match="overlap"):
-            call(ring, 2, buffer[:30].reshape(5, 6), incr=buffer[29:29 + 2 * n].reshape(2, n))
-        shared = TriDiagMatrix(buffer[29:29 + n], np.zeros(n - 1))
+            call(ring, 2, shared, incr=buffer[49:49 + 2 * n].reshape(2, n))
         with pytest.raises(ValueError, match="overlap"):
-            call(ring, 2, buffer[:30].reshape(5, 6), matrix=shared)
-        assert ring.tobytes() == saved.tobytes() and not buffer.any() and not out.any()
-        call(ring, 2, buffer[:30].reshape(5, 6), incr=buffer[30:30 + 2 * n].reshape(2, n))
+            call(ring, 2, shared, matrix=TriDiagMatrix(buffer[49:49 + n], np.zeros(n - 1)))
+        for maxima in (buffer[48:51], buffer[50:53]):
+            with pytest.raises(ValueError, match="overlap"):
+                call(ring, 2, shared, maxima, incr=buffer[50:50 + 2 * n].reshape(2, n))
+        with pytest.raises(ValueError, match="overlap"):
+            call(ring, 2, trace, ring[2, :3])
+        assert ring.tobytes() == saved.tobytes() and not buffer.any() and not trace.any()
+        call(ring, 2, shared, incr=buffer[50:50 + 2 * n].reshape(2, n))
+        call(ring, 2, np.zeros((4, 5)), every=3)
 
 
 class TestFits:

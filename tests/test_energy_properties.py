@@ -22,7 +22,7 @@ import io
 import math
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from kvwave.mesh import Parameters, build_mesh, flux_coefficients
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 from kvwave.schemes import run
 from oracles import (band_products, block_energies, explicit_bootstrap, ldl_solve,
-                     one_step_layers)
+                     one_step_layers, record)
 
 STATS = ("identity_residual_max", "energy_drift_max", "energy_rise_max", "verified_steps")
 
@@ -65,14 +65,13 @@ def assert_stats_from_recorded_rows(result) -> None:
     assert result.verified_steps == len(trace) - 1
 
 
-def run_with_call_steps(steps, *args, **kwargs):
-    """A run whose step calls take at most `steps` steps each."""
-    saved = schemes._CALL_STEPS
-    schemes._CALL_STEPS = steps
-    try:
-        return run(*args, **kwargs)
-    finally:
-        schemes._CALL_STEPS = saved
+def run_with_call_steps(steps, *args, snapshot_steps=(), **kwargs):
+    """A run whose step calls take at most `steps` steps each: it makes one
+    call per snapshot interval, so it takes a snapshot every `steps` steps
+    as well, and returns only the snapshots asked for."""
+    asked = set(snapshot_steps)
+    result = run(*args, snapshot_steps=asked | set(range(0, args[4], steps)), **kwargs)
+    return replace(result, snapshots=[s for s in result.snapshots if s.step in asked])
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
@@ -439,9 +438,10 @@ def run_poisoned(layer, value, judge, steps, *args, **kwargs):
     `value` in cell 3 as it is stepped.  Each call steps its layers in a
     block of their own, from the ring's last two layers, without energies;
     it then evaluates, by oracles.block_energies, the steps that its layers
-    within the limit determine, and leaves the last three of its layers in
-    the ring.  The bootstrap's step and the call of no steps on the first
-    pair go to the kernel as they are.  judge = "kernel": the kernel checks
+    within the limit determine, writes them into the run's trace and
+    maxima by oracles.record, and leaves the last three of its layers in
+    the ring.  The bootstrap's step and a call of no steps go to the kernel
+    as they are.  judge = "kernel": the kernel checks
     every layer, the poisoned one by kernel_within, before any layer after
     it is stepped.  judge = "abs max": nothing is checked as it is stepped,
     and each call returns the first of its layers that np.abs(...).max()
@@ -474,9 +474,9 @@ def run_poisoned(layer, value, judge, steps, *args, **kwargs):
             end = rows if within.all() else 2 + int(within.argmin())
         for i in range(max(end - 3, 0), end):
             ring[(start - 2 + i) % 3] = block[i]
-        e_k, e_p, e_tot, diss, res = block_energies(block[:end], *energy_args)
-        out = energies[1]
-        out[:3, :end - 1], out[3:, :end - 2] = (e_k, e_p, e_tot), (diss, res)
+        *rule, trace, maxima, _ = energies
+        record(block_energies(block[:end], *energy_args), start, start - 2 + end, *rule, trace,
+               maxima)
         return start - 2 + end
 
     linalg.step_block = poisoned

@@ -152,9 +152,10 @@ INT64_EXTREMES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]
 def block_outputs() -> list[bytes]:
     """The bits of a block step of each scheme, with the rows it returns,
     and of the energies of its layers, evaluated by step calls of no steps
-    on each pair of them and of one step after each of them; then of a step
-    call through a ring of three rows that evaluates the energies of every
-    third step as it writes its layers.  The explicit run's side zones hold
+    on each pair of them and of one step after each of them; then of a
+    run's first step call through a ring of three rows that keeps every
+    third step, with and without verifying the others, as it writes its
+    layers: its trace and maxima.  The explicit run's side zones hold
     whole chunks of free cells, and an inf put into a layer makes the
     stiffness product of the next one NaN: the row where the second call
     stops.  Last, the CSV text of EDGE_DOUBLES, led by INT64_EXTREMES."""
@@ -183,11 +184,13 @@ def block_outputs() -> list[bytes]:
             outputs += [e.tobytes() for e in step_energies(args, u, v)[1]]
         for u in written:
             outputs += [e.tobytes() for e in step_energies(args, u, u1, u1 - u0, 1)[1]]
-        ring, incr = np.stack((u0, u1, u1)), np.stack((u1 - u0, u0))
-        selected, out = np.arange(2, 40) % 3 == 0, np.zeros((5, 40))
-        end = linalg.step_block(ring, 2, 40, *step[:3], incr, step[4], (selected, out, args))
-        assert end == 40
-        outputs += [ring.tobytes(), incr.tobytes(), np.nan_to_num(out).tobytes()]
+        for verify in (False, True):
+            ring, incr = np.stack((u0, u1, u1)), np.stack((u1 - u0, u0))
+            trace, maxima = np.zeros((14, 5)), np.array([0.0, 0.0, -math.inf])
+            end = linalg.step_block(ring, 2, 40, *step[:3], incr, step[4],
+                                    (3, 38, verify, trace, maxima, args))
+            assert end == 40
+            outputs += [ring.tobytes(), incr.tobytes(), trace.tobytes(), maxima.tobytes()]
     table = np.array(EDGE_DOUBLES).reshape(len(INT64_EXTREMES), -1)
     text = linalg.format_csv(table, np.array(INT64_EXTREMES, np.int64))
     assert text.splitlines() == [",".join([str(i), *("%.17g" % x for x in row)]).encode()

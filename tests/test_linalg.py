@@ -527,6 +527,34 @@ class TestKernelBits:
         assert block.tobytes() == saved.tobytes()
         assert (incr[0] == 1.0).all() and not incr[1].any()
 
+    def test_step_block_rejects_integers_beyond_the_kernel_index(self, rng):
+        # ctypes wraps an int beyond ptrdiff_t into its range without a
+        # word: a stop of 2**64 + 5 reached the kernel as 5, which then
+        # returned 5, as if layer 5 had failed its check.  Each integer is
+        # checked, and its name and value reported, before any step.
+        n = 7
+        m = TriDiagMatrix(np.ones(n), np.zeros(n - 1))
+        f = LDLFactorization(np.ones(n), np.zeros(n - 1))
+        ring = rng.standard_normal((3, n))
+        saved = ring.copy()
+        incr = np.zeros((2, n))
+        for start, stop, name in ((2, 2**64 + 5, "stop"), (2, 2**63, "stop"),
+                                  (2**63, 2**63 + 1, "start")):
+            with pytest.raises(ValueError, match=f"{name} = {stop if name == 'stop' else start} "
+                                                 f"lies outside the kernel's index range"):
+                step_block(ring, start, stop, m, m, f, incr, math.inf)
+
+        def energies(every=1, last=9, face_hi=3):
+            args = (np.ones(n), np.ones(n + 1), 1.0, False, 2, face_hi, 1.0)
+            return every, last, False, np.zeros((10, 5)), np.zeros(3), args
+
+        for bad, name in ((energies(every=2**64 + 1), "every"), (energies(last=2**63), "last"),
+                          (energies(face_hi=2**64 + 3), "face_hi")):
+            with pytest.raises(ValueError, match=f"{name} = .* lies outside"):
+                step_block(ring, 2, 4, m, m, f, incr, math.inf, bad)
+        assert ring.tobytes() == saved.tobytes() and not incr.any()
+        assert step_block(ring, 2, 4, m, m, f, incr, math.inf, energies()) == 4
+
     def test_step_block_rejects_overlapping_arrays(self, rng):
         # the kernel writes the block's rows 0 .. 3 and both rows of the
         # increments: these may not overlap each other or another argument,

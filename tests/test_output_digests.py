@@ -71,6 +71,21 @@ def test_runs_include_the_benchmark_sweep_and_dense_trace():
     assert all(runs[f"{name}-plain"].observe_every == 1 for name in dense)
 
 
+def test_runs_include_the_edges_of_the_kept_step_rule():
+    # one step; a last step on a multiple of observe_every; observe_every
+    # far beyond n_steps; and the diverging run, which stops at layer 42,
+    # keeping steps 10 .. 40, or only 41, which it never reaches
+    runs = output_digests.configs(kvwave, None)
+    for mode in ("plain", "verified"):
+        assert runs[f"one-step-{mode}"].n_steps == 1
+        cfg = runs[f"wide-damping-4001-steps-{mode}"]
+        assert (cfg.n_steps - 1) % cfg.observe_every == 0
+        assert runs[f"wide-damping-every-1e30-{mode}"].observe_every == 10**30
+        for every, last_kept in ((10, 40), (41, 0)):
+            sim = kvwave.cli.execute(runs[f"diverging-explicit-every{every}-{mode}"]).sim
+            assert sim.divergence_step == 42 and sim.trace.step[-1] == last_kept
+
+
 def test_a_diverging_run_stops_after_its_first_step_call():
     # the 5000-cell run's first step call ends at its mid-run snapshot, and
     # the run diverges in the call after it, from the layers carried over

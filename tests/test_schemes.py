@@ -271,9 +271,9 @@ class TestSteps:
 
 class TestRun:
     def test_single_step_returns_bootstrap(self, base_mesh, base_params, base_ell):
-        # a one-step run makes no step call after the bootstrap: its one
-        # trace row and initial energy come from the call of no steps on
-        # layers 0 and 1, the bits of the oracle
+        # a one-step run's step call after the bootstrap steps no layer:
+        # its one trace row and initial energy are what that call, a run's
+        # first, evaluates of layers 0 and 1, the bits of the oracle
         data = default_initial_data(3.0)
         u0, psi = sampled_initial(base_mesh)
         for scheme in ("explicit", "implicit"):
@@ -320,10 +320,9 @@ class TestRun:
     def test_recording_every_step_evaluates_what_verifying_does(self, base_mesh, base_params,
                                                                  monkeypatch, scheme):
         # an unverified run that keeps every step makes the verified run's
-        # step calls, each with every step selected and the same energies,
-        # after the same call of no steps on the initial pair
+        # step calls, one per snapshot interval, and each leaves the same
+        # trace and maxima
         step_block = linalg.step_block
-        monkeypatch.setattr(schemes, "_CALL_STEPS", 1024)
 
         def calls(verify):
             seen = []
@@ -331,25 +330,22 @@ class TestRun:
             def step_spy(*args):
                 end = step_block(*args)
                 if len(args) > 8:  # not the bootstrap's step
-                    selected, out, _ = args[8]
-                    seen.append((args[1], args[2], end, None if selected is None else
-                                 selected.copy(), out[:3, :-1].copy(), out[3:, :-2].copy()))
+                    every, last, verified, trace, maxima, _ = args[8]
+                    assert (every, last, verified) == (1, 2499, verify)
+                    # the rows of the steps 0 .. end-2, written by now
+                    seen.append((args[1], args[2], end, trace[:end - 1].tobytes(),
+                                 maxima.tobytes()))
                 return end
 
             monkeypatch.setattr(linalg, "step_block", step_spy)
             run(base_params, base_mesh, default_initial_data(3.0), DT, 2500, scheme=scheme,
-                observe_every=1, verify_identity=verify)
+                observe_every=1, verify_identity=verify, snapshot_steps=(0, 1, 1024, 2048, 2500))
             return seen
 
         plain, verified = calls(False), calls(True)
-        assert [call[:3] for call in verified] == [(2, 2, 2), (2, 1026, 1026),
-                                                   (1026, 2050, 2050), (2050, 2501, 2501)]
-        assert verified[0][3] is None  # the first pair, wanted without a selection
-        assert len(plain) == len(verified)
-        for call, call_v in zip(plain, verified):
-            for a, b in zip(call, call_v):
-                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
-        assert all(call[3].all() for call in plain[1:])
+        assert [call[:3] for call in verified] == [(2, 1025, 1025), (1025, 2049, 2049),
+                                                   (2049, 2501, 2501)]
+        assert plain == verified
 
     def test_trace_records_cadence_and_final_step(self, base_mesh, base_params):
         data = default_initial_data(3.0)
@@ -469,6 +465,9 @@ class TestRun:
             run(base_params, base_mesh, data, DT, 0)
         with pytest.raises(ValueError):
             run(base_params, base_mesh, data, DT, 10, observe_every=0)
+        # the kernel's stop, n_steps + 1, must fit its ptrdiff_t
+        with pytest.raises(ValueError, match="whose last layer the kernel can index"):
+            run(base_params, base_mesh, data, DT, linalg.INDEX_MAX)
 
     def test_operators_out_of_memory_are_a_config_error(self, base_mesh, base_params,
                                                          monkeypatch):

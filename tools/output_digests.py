@@ -8,11 +8,16 @@ The runs are every preset with both schemes, each with and without
 bound, which diverges, in both modes: on the presets' mesh (5000 steps),
 and on a 2000/1000/2000 mesh (5000 cells, 100 steps), where it diverges at
 layer 57, after the run's kernel call that stops at its mid-run snapshot;
-a verified run on that mesh (300 steps); and, in
-both modes, the benchmark's 16 ``sweep`` configurations and its
-``dense-trace`` configuration, taken from ``perfbench/workloads``, with
-that configuration once more under the explicit scheme (it records every
-step, ``observe_every = 1``, and is implicit in the benchmark).  Each goes
+a verified run on that mesh (300 steps); in both modes, the first of
+those diverging runs once more at ``observe_every`` 10 and 41 (it stops at
+layer 42, so step 40 is kept and written and step 41 is kept but never
+evaluated), and three edges of the kept-step rule on the wide-damping
+preset: one step, 4001 steps (a last step on a multiple of
+``observe_every``) and ``observe_every = 10**30``; and, in both modes, the
+benchmark's 16 ``sweep`` configurations and its ``dense-trace``
+configuration, taken from ``perfbench/workloads``, with that configuration
+once more under the explicit scheme (it records every step,
+``observe_every = 1``, and is implicit in the benchmark).  Each goes
 through ``cli.execute`` and ``cli.write_outputs``.  The JSON maps each
 run's name to the sha256 of every file it wrote, hashed as the benchmark
 hashes them (``perfbench/workloads.output_digests``: summary.txt without its
@@ -85,6 +90,14 @@ def configs(kvwave, steps: int | None) -> dict[str, object]:
         _both_modes(runs, name, replace(
             cfg, dt=1.05 * kvwave.cfl_max_dt(params, mesh), n_steps=n_steps, cfl_override=True,
         ))
+    for every in (10, 41):
+        _both_modes(runs, f"diverging-explicit-every{every}",
+                    replace(runs["diverging-explicit-plain"], observe_every=every))
+    wide = cli.preset("wide-damping")
+    for name, cfg in (("one-step", replace(wide, n_steps=1)),
+                      ("wide-damping-4001-steps", replace(wide, n_steps=4001)),
+                      ("wide-damping-every-1e30", replace(wide, observe_every=10**30))):
+        _both_modes(runs, name, cfg)
     runs["mesh5000-explicit-verified"] = replace(
         cli.preset("equal-damped"), n_alpha=2000, n_damp=1000, n_beta=2000,
         dt=None, n_steps=None, cfl_fraction=0.9, t_final=300 * 0.9 * 0.5 / 1000,
