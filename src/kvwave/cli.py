@@ -272,14 +272,18 @@ def resolve_time_step(cfg: RunConfig, params: Parameters, mesh: Mesh) -> tuple[f
     if cfg.dt is not None and cfg.n_steps is not None:
         return cfg.dt, int(cfg.n_steps)
     if cfg.dt is not None:
-        dt, n_steps = cfg.dt, max(1, round(params.t_final / cfg.dt))
+        steps = params.t_final / cfg.dt
     else:
-        n_steps = max(1, ceil(params.t_final / (cfg.cfl_fraction * cfl_max_dt(params, mesh))))
-        dt = params.t_final / n_steps
-    if n_steps >= linalg.INDEX_MAX:
-        raise ValueError(f"t_final gives n_steps = {n_steps:.6g}, more than "
+        steps = params.t_final / (cfg.cfl_fraction * cfl_max_dt(params, mesh))
+    # the doubles next to INDEX_MAX = 2**63 - 1 are 2**63 - 1024 and 2**63,
+    # so rounding cannot carry steps across it; inf lies beyond it too
+    if steps >= linalg.INDEX_MAX:
+        raise ValueError(f"t_final gives n_steps = {steps:.6g}, more than "
                          f"{linalg.INDEX_MAX - 1}, the most whose last layer the kernel can index")
-    return dt, n_steps
+    if cfg.dt is not None:
+        return cfg.dt, max(1, round(steps))
+    n_steps = max(1, ceil(steps))
+    return params.t_final / n_steps, n_steps
 
 
 @dataclass
@@ -381,8 +385,8 @@ _ENERGY_COLUMNS = ("step", "t", "e_kinetic", "e_potential", "e_total", "dissipat
 def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
     """Energy history, one row per recorded step."""
     table = np.column_stack([getattr(trace, name) for name in _ENERGY_COLUMNS[1:]])
-    text = linalg.format_csv(table, np.ascontiguousarray(trace.step, dtype=np.int64))
-    Path(path).write_bytes(",".join(_ENERGY_COLUMNS).encode("ascii") + b"\n" + text)
+    Path(path).write_bytes(linalg.format_csv(table, np.ascontiguousarray(trace.step, np.int64),
+                                             ",".join(_ENERGY_COLUMNS).encode("ascii") + b"\n"))
 
 
 def write_snapshot_csv(values: np.ndarray, path: str | Path, centers: np.ndarray) -> None:
@@ -390,7 +394,7 @@ def write_snapshot_csv(values: np.ndarray, path: str | Path, centers: np.ndarray
     if np.shape(values) != np.shape(centers):
         raise ValueError(f"a snapshot needs a vector of values per cell center, got "
                          f"{np.shape(values)} values for {np.shape(centers)} centers")
-    Path(path).write_bytes(b"x,u\n" + linalg.format_csv(np.column_stack([centers, values])))
+    Path(path).write_bytes(linalg.format_csv(np.column_stack([centers, values]), None, b"x,u\n"))
 
 
 def summary_lines(result: RunResult) -> list[str]:

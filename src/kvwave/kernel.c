@@ -15,6 +15,14 @@
    the bits too.  The energies add their terms in eight lanes in a fixed
    order (SUM_LANES), which fixes their bits as well.
 
+   Two measures speed up large meshes, and the bits depend on neither.
+   The backward sweep over coupled cells, each of which waits for the one
+   before, takes decoupled passes along, one after every OVERLAP of its
+   cells, wherever a run of decoupled cells holds more than two passes
+   (run_steps).  Meshes of WIDE_CELLS cells or more step in 512-bit vectors
+   where the CPU has them (steps_wide): each lane holds one cell or one
+   SUM_LANES lane, whatever the width.
+
    A symmetric tridiagonal matrix a is passed as its diagonal and its
    off-diagonal, n and n - 1 doubles: diag[j] holds a[j, j] and off[j]
    holds a[j, j + 1] = a[j + 1, j]. */
@@ -27,13 +35,17 @@
 
 /* LAPACK dpttrf without its 4-way unroll: d and e become D and the
    subdiagonal of L.  Returns LAPACK's info: k > 0 if pivot k is not
-   positive, else 0. */
+   positive, else 0.  A row whose e[i] is +-0 is left as it is: with d[i] >
+   0, e[i] / d[i] is that same zero and d[i+1] - (+0) is d[i+1], so only the
+   coupled rows wait on the division before them. */
 ptrdiff_t kv_factor(ptrdiff_t n, double *d, double *e)
 {
     for (ptrdiff_t i = 0; i < n - 1; i++) {
         if (d[i] <= 0.0)
             return i + 1;
         double ei = e[i];
+        if (ei == 0.0)
+            continue;
         e[i] = ei / d[i];
         d[i + 1] = d[i + 1] - e[i] * ei;
     }
@@ -96,16 +108,26 @@ free_cells(ptrdiff_t j, const double *restrict ad, const double *restrict ao,
     return bad;
 }
 
+/* Cells of the backward sweep per chunk of free cells that it takes along:
+   each cell of a sweep waits for the one before, and a chunk's cells, which
+   wait for none, fill that latency.  The forward sweep takes none: its rows
+   keep the core busy enough that a chunk there slowed the step. */
+#define OVERLAP 8
+
 /* LAPACK dptts2's two sweeps over the cells lo .. hi, fused with band_row's
    rows and with the add into the row, from x[lo-1] when lo > 0 and x[hi+1]
    when hi < n - 1: first x[j] = band_row(j) - x[j-1] e[j-1], then x[j] =
-   x[j] / d[j] - x[j+1] e[j] and out[j] = u[j] + x[j].  Returns whether the
-   forward value of x[hi] when hi < n - 1, or the final x[lo] when lo > 0,
-   is not finite. */
+   x[j] / d[j] - x[j+1] e[j] and out[j] = u[j] + x[j].  After every OVERLAP
+   cells of the second sweep it takes the chunk that starts at **next, and
+   moves *next on, while *next < end: free_cells(**next), into the same x
+   and out, with none of the sweeps' cells.  Returns whether the forward
+   value of x[hi] when hi < n - 1, or the final x[lo] when lo > 0, is not
+   finite, or a chunk it took is unsafe. */
 static inline __attribute__((always_inline)) int
 serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *ad, const double *ao,
              const double *u, const double *bd, const double *bo, const double *y,
-             const double *d, const double *e, double *x, double *out)
+             const double *d, const double *e, double *x, double *out, const ptrdiff_t **next,
+             const ptrdiff_t *end)
 {
     int bad = 0;
     double s = band_row(lo, lo > 0, lo < n - 1, ad, ao, u, bd, bo, y);
@@ -118,7 +140,7 @@ serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *ad, const do
         x[j] = s;
     }
     if (hi < n - 1) {
-        bad = !isfinite(s);
+        bad |= !isfinite(s);
         s = s / d[hi] - x[hi + 1] * e[hi];
     } else {
         if (hi > lo)
@@ -131,6 +153,8 @@ serial_cells(ptrdiff_t n, ptrdiff_t lo, ptrdiff_t hi, const double *ad, const do
         s = x[j] / d[j] - s * e[j];
         x[j] = s;
         out[j] = u[j] + s;
+        if (*next < end && (hi - j) % OVERLAP == 0)
+            bad |= free_cells(*(*next)++, ad, ao, u, bd, bo, y, d, x, out);
     }
     return bad | (lo > 0 && !isfinite(s));
 }
@@ -253,7 +277,8 @@ static double face_sum(const double *u0, const double *u2, ptrdiff_t lo, ptrdiff
    every divides it or it is the last, and selected when it is kept or
    verify is set.  Each selected step moves the maxima, where larger: the
    identity residual's magnitude, the drift |total_s - E0| and the rise
-   total_s - total_s-1, in this order; a NaN is never larger.  Each kept
+   total_s - total_s-1, in this order; a NaN move, and every move after
+   it, leaves the maximum NAN, whatever its order.  Each kept
    step writes its e_k, e_p, total, dissipation and residual to the row
    ceil(s / every) of the trace, rows x 5 with rows = ceil(last / every) +
    1.  Row 0 holds the pair 0, 1 with dissipation and residual +0.0, and
@@ -301,12 +326,91 @@ static void step_entry(struct energies *en, ptrdiff_t s, const double *p, const 
     double res = (e[2] - before) - diss;
     double moves[3] = {fabs(res), fabs(e[2] - en->trace[2]), e[2] - before};
     for (int k = 0; k < 3; k++)
-        if (moves[k] > en->maxima[k])
+        if (isnan(moves[k]))
+            en->maxima[k] = NAN;
+        else if (moves[k] > en->maxima[k])
             en->maxima[k] = moves[k];
     if (kept) {
         double *row = en->trace + 5 * (s / en->every + (s % en->every != 0));
         row[0] = e[0], row[1] = e[1], row[2] = e[2], row[3] = diss, row[4] = res;
     }
+}
+
+/* What the steps of a call read and write besides their energies: the
+   arguments of kv_step_block, and the cells that it finds once.  The chunks,
+   runs of whole chunks of free cells, are the cells edge[2k+1] ..
+   edge[2k+2]-1 for k < runs, and the serial spans around them the cells
+   edge[2k] .. edge[2k+1]-1 for k <= runs.  chunk holds the starts of the
+   chunks, the `border` next to a span first, then the others in order. */
+struct steps {
+    ptrdiff_t n, rows, runs, border, chunks;
+    const ptrdiff_t *edge, *chunk;
+    double limit, *ring, *incr;
+    const double *sd, *so, *rd, *ro, *d, *e;
+};
+
+/* The steps of the layers start .. stop-1 (kv_step_block).  A step takes
+   the border chunks, then the spans in order, each of which takes the
+   other chunks along, as many as its backward sweep has room for, and last
+   the chunks left over. */
+static inline __attribute__((always_inline)) ptrdiff_t
+run_steps(const struct steps *st, ptrdiff_t start, ptrdiff_t stop, struct energies *en)
+{
+    ptrdiff_t n = st->n, rows = st->rows, runs = st->runs;
+    const ptrdiff_t *edge = st->edge, *border = st->chunk + st->border,
+                    *end = st->chunk + st->chunks;
+    const double *sd = st->sd, *so = st->so, *rd = st->rd, *ro = st->ro, *d = st->d, *e = st->e;
+    double *ring = st->ring, *d_prev = st->incr, *d_next = st->incr + n;
+#define LAYER(i) (ring + (i) % rows * n)
+    ptrdiff_t i = start;
+    for (; i < stop; i++) {
+        const double *u = LAYER(i - 1);
+        double *v = LAYER(i);
+        const ptrdiff_t *next = st->chunk;
+        int bad = 0;
+        for (; next < border; next++)
+            bad |= free_cells(*next, sd, so, u, rd, ro, d_prev, d, d_next, v);
+        for (ptrdiff_t k = 0; runs && k <= runs; k++)
+            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, sd, so, u, rd, ro, d_prev,
+                                d, e, d_next, v, &next, end);
+        for (; next < end; next++)
+            bad |= free_cells(*next, sd, so, u, rd, ro, d_prev, d, d_next, v);
+        /* without chunks the whole row at once, in a call whose bounds fold */
+        if (!runs || bad)
+            serial_cells(n, 0, n - 1, sd, so, u, rd, ro, d_prev, d, e, d_next, v, &end, end);
+        double *swap = d_prev;
+        d_prev = d_next;
+        d_next = swap;
+        if (!row_within(n, v, st->limit))
+            break;
+        if (en->trace)
+            step_entry(en, i - 1, LAYER(i - 2), u, v);
+    }
+#undef LAYER
+    if (d_prev != st->incr)
+        memcpy(st->incr, d_prev, (size_t)n * sizeof *d_prev);
+    return i;
+}
+
+/* Meshes of WIDE_CELLS cells or more step in 512-bit vectors where the CPU
+   has them: their passes over the row outweigh what such vectors cost the
+   small meshes, whose steps take longer with them.  The steps, their
+   energies included, are compiled once for each width, from the same
+   source, and each lane of a vector has the operations of one cell or of
+   one SUM_LANES lane, so the bits do not depend on the width.  GCC 8 and
+   later take the width per function; other compilers build steps_wide as
+   they build the narrow steps. */
+#define WIDE_CELLS 1024
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 8 && defined(__x86_64__)
+#define WIDE __attribute__((target("prefer-vector-width=512"), flatten, noinline))
+#else
+#define WIDE
+#endif
+
+WIDE static ptrdiff_t steps_wide(const struct steps *st, ptrdiff_t start, ptrdiff_t stop,
+                                 struct energies *en)
+{
+    return run_steps(st, start, stop, en);
 }
 
 /* Summed-form steps of the layers start .. stop-1, 1 <= start <= stop, of
@@ -336,9 +440,12 @@ static void step_entry(struct energies *en, ptrdiff_t s, const double *p, const 
    are taken LANES at a time by free_cells, in passes that vectorize, and
    the cells between those chunks by serial_cells, from the chunks' final
    values at their ends: those stand in for the forward values, whose
-   product with e = +-0 they share.  A step in which a chunk comes out
-   unsafe, or serial_cells passes a value that is not finite to a chunk, is
-   redone as serial_cells(0, n-1). */
+   product with e = +-0 they share.  The chunks next to a span are taken
+   before it, and the others as the spans' sweeps take them along
+   (run_steps), which moves no bit: each cell has its own operations,
+   whichever order the cells are taken in.  A step in which a chunk comes
+   out unsafe, or serial_cells passes a value that is not finite to a
+   chunk, is redone as serial_cells(0, n-1). */
 ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t stop,
                         double limit, double *ring, const double *sd, const double *so,
                         const double *rd, const double *ro, const double *d, const double *e,
@@ -359,11 +466,11 @@ ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t 
         for (int b = a + 1; b < 12; b++)
             if (overlap(arrays[a], sizes[a], arrays[b], sizes[b]))
                 return -1;
-    /* found once: the chunks, runs of whole chunks of free cells, cells
-       edge[2k+1] .. edge[2k+2]-1 for k < runs, and the cells around them,
-       edge[2k] .. edge[2k+1]-1 for k <= runs; no chunks without memory */
-    ptrdiff_t runs = 0;
-    ptrdiff_t *edge = malloc((size_t)(n + 2) * sizeof *edge);
+    /* found once, with no chunks without memory: the runs' edges, then the
+       chunks' starts, at most n / LANES */
+    ptrdiff_t runs = 0, chunks = 0;
+    ptrdiff_t *edge = malloc((size_t)(n + 2 + n / LANES) * sizeof *edge);
+    ptrdiff_t *chunk = edge ? edge + n + 2 : NULL;
     for (ptrdiff_t j = 1; edge && j < n - 1; j++) {
         if (e[j - 1] != 0.0 || e[j] != 0.0)
             continue;
@@ -378,39 +485,25 @@ ptrdiff_t kv_step_block(ptrdiff_t n, ptrdiff_t rows, ptrdiff_t start, ptrdiff_t 
     }
     if (edge)
         edge[0] = 0, edge[2 * runs + 1] = n;
-#define LAYER(i) (ring + (i) % rows * n)
+    for (ptrdiff_t k = 0; k < runs; k++) {
+        chunk[chunks++] = edge[2 * k + 1];
+        if (edge[2 * k + 2] - edge[2 * k + 1] > LANES)
+            chunk[chunks++] = edge[2 * k + 2] - LANES;
+    }
+    ptrdiff_t border = chunks;
+    for (ptrdiff_t k = 0; k < runs; k++)
+        for (ptrdiff_t j = edge[2 * k + 1] + LANES; j < edge[2 * k + 2] - LANES; j += LANES)
+            chunk[chunks++] = j;
+    struct steps st = {n, rows, runs, border, chunks, edge, chunk, limit, ring, incr,
+                       sd, so, rd, ro, d, e};
     struct energies en = {n, every, last, face_lo, face_hi, PTRDIFF_MIN, verify, implicit, w, ell,
                           dt, coef, trace, maxima, 0.0, 0.0};  /* PTRDIFF_MIN: no pair yet */
     if (trace && start == 2) {
-        pair_energies(&en, 0, LAYER(0), LAYER(1), trace);
+        pair_energies(&en, 0, ring, ring + n, trace);
         trace[3] = trace[4] = 0.0;
     }
-    double *d_prev = incr, *d_next = incr + n;
-    ptrdiff_t i = start;
-    for (; i < stop; i++) {
-        const double *u = LAYER(i - 1);
-        double *v = LAYER(i);
-        int bad = 0;
-        for (ptrdiff_t k = 0; k < runs; k++)
-            for (ptrdiff_t j = edge[2 * k + 1]; j < edge[2 * k + 2]; j += LANES)
-                bad |= free_cells(j, sd, so, u, rd, ro, d_prev, d, d_next, v);
-        for (ptrdiff_t k = 0; runs && k <= runs; k++)
-            bad |= serial_cells(n, edge[2 * k], edge[2 * k + 1] - 1, sd, so, u, rd, ro, d_prev,
-                                d, e, d_next, v);
-        /* without chunks the whole row at once, in a call whose bounds fold */
-        if (!runs || bad)
-            serial_cells(n, 0, n - 1, sd, so, u, rd, ro, d_prev, d, e, d_next, v);
-        double *swap = d_prev;
-        d_prev = d_next;
-        d_next = swap;
-        if (!row_within(n, v, limit))
-            break;
-        if (trace)
-            step_entry(&en, i - 1, LAYER(i - 2), u, v);
-    }
-#undef LAYER
-    if (d_prev != incr)
-        memcpy(incr, d_prev, (size_t)n * sizeof *incr);
+    ptrdiff_t i = n >= WIDE_CELLS ? steps_wide(&st, start, stop, &en)
+                                  : run_steps(&st, start, stop, &en);
     free(edge);
     return i;
 }
@@ -540,10 +633,50 @@ static char *put(char *o, const char *s, int len)
     return o;
 }
 
+/* "00" .. "99" */
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324252627282930313233343536373839"
+    "40414243444546474849505152535455565758596061626364656667686970717273747576777879"
+    "8081828384858687888990919293949596979899";
+
+/* The 8 decimal digits of v < 10^8, two at a time, in four independent
+   chains. */
+static inline __attribute__((always_inline)) void put8(char *o, uint32_t v)
+{
+    uint32_t a = v / 10000, b = v % 10000, pairs[4] = {a / 100, a % 100, b / 100, b % 100};
+    for (int i = 0; i < 4; i++)
+        memcpy(o + 2 * i, DIGIT_PAIRS + 2 * pairs[i], 2);
+}
+
+/* The number of '0's that end the 16 digits d[1..16]: each 8 of them are
+   read as one word with '0' taken off every byte, whose zero bytes at the
+   end are the zeros. */
+static int trailing_zeros(const char d[17])
+{
+    uint64_t w[2];
+    memcpy(w, d + 1, 16);
+    for (int k = 1; k >= 0; k--) {
+        uint64_t z = w[k] ^ 0x3030303030303030ull;
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+        int end = z ? __builtin_ctzll(z) / 8 : 8;
+#else
+        int end = z ? __builtin_clzll(z) / 8 : 8;
+#endif
+        if (end < 8)
+            return 8 * (1 - k) + end;
+    }
+    return 16;
+}
+
+/* The bytes format_double may write: its text, at most 24 bytes, and
+   scratch after it. */
+#define FIELD_ROOM 40
+
 /* x as '%.17g' % x writes it: 17 significant digits with trailing zeros
    dropped, positional when -4 <= X < 17 and else with an exponent of at
    least two digits; nan whatever the sign and payload, inf, -inf, -0.
-   At most 24 bytes, as in -1.2345678901234567e-308. */
+   At most 24 bytes, as in -1.2345678901234567e-308, and scratch after
+   them: it writes up to FIELD_ROOM bytes. */
 static char *format_double(char *o, double x)
 {
     uint64_t bits;
@@ -573,47 +706,58 @@ static char *format_double(char *o, double x)
     }
     unsigned last = (unsigned)(digits % 10);
     digits /= 10;
-    if (last > 5 || (last == 5 && (inexact || digits % 2)))
-        digits++;
+    digits += last > 5 || (last == 5 && (inexact || digits % 2));
     if (digits == POW10[17]) {
         digits = POW10[16];
         X++;
     }
-    /* two independent 32-bit chains of digits */
-    char d[17];
-    uint32_t hi = (uint32_t)(digits / 100000000), lo = (uint32_t)(digits % 100000000);
-    for (int i = 16; i >= 9; i--, hi /= 10, lo /= 10) {
-        d[i] = (char)('0' + lo % 10);
-        d[i - 8] = (char)('0' + hi % 10);
-    }
-    d[0] = (char)('0' + hi);
-    int len = 17;
-    while (d[len - 1] == '0')
-        len--;
+    char d[32] = {0};  /* 17 digits, and room for the fixed-length copies' reads */
+    uint32_t hi = (uint32_t)(digits / 100000000);
+    d[0] = (char)('0' + hi / 100000000);
+    put8(d + 1, hi % 100000000);
+    put8(d + 9, (uint32_t)(digits % 100000000));
+    int len = 17 - trailing_zeros(d);
+    /* fixed-length copies, which may write scratch up to FIELD_ROOM bytes
+       past o, then o moves on by the text's length */
     if (X >= 17 || X < -4) {
-        *o++ = d[0];
-        if (len > 1) {
-            *o++ = '.';
-            o = put(o, d + 1, len - 1);
-        }
+        o[0] = d[0];
+        o[1] = '.';
+        memcpy(o + 2, d + 1, 16);
+        o += len > 1 ? len + 1 : 1;
         *o++ = 'e';
         *o++ = X < 0 ? '-' : '+';
         int a = X < 0 ? -X : X;
         if (a >= 100)
             *o++ = (char)('0' + a / 100);
-        *o++ = (char)('0' + a / 10 % 10);
-        *o++ = (char)('0' + a % 10);
+        memcpy(o, DIGIT_PAIRS + 2 * (a % 100), 2);
+        o += 2;
     } else if (X < 0) {
-        o = put(o, "0.0000", 1 - X);
-        o = put(o, d, len);
+        memcpy(o, "0.000", 5);
+        memcpy(o + 1 - X, d, 17);
+        o += 1 - X + len;
     } else {
-        o = put(o, d, X + 1);
+        memcpy(o, d, 17);
         if (len > X + 1) {
-            *o++ = '.';
-            o = put(o, d + X + 1, len - X - 1);
+            memcpy(o + X + 2, d + X + 1, 16);
+            o[X + 1] = '.';
+            o += len + 1;
+        } else {
+            o += X + 1;
         }
     }
     return o;
+}
+
+/* format_double(x) at o, which has room for FIELD_ROOM bytes when o <=
+   end - FIELD_ROOM, else only for the text itself. */
+static char *format_field(char *o, const char *end, double x)
+{
+    if (end - o >= FIELD_ROOM)
+        return format_double(o, x);
+    char t[FIELD_ROOM];
+    ptrdiff_t len = format_double(t, x) - t;
+    memcpy(o, t, (size_t)len);
+    return o + len;
 }
 
 static char *format_int(char *o, int64_t v)
@@ -633,11 +777,13 @@ static char *format_int(char *o, int64_t v)
 /* The CSV lines of a row-major rows x cols table of doubles, each as
    format_double writes it, led by first[i] in row i when first is not
    NULL.  Writes at most 25 bytes per field, separator included, and
-   returns the number written. */
+   returns the number written; the room after the text, up to that bound,
+   is scratch. */
 ptrdiff_t kv_format_csv(ptrdiff_t rows, ptrdiff_t cols, const double *table,
                         const int64_t *first, char *out)
 {
     char *o = out;
+    const char *end = out + rows * (cols + (first != NULL)) * 25;
     for (ptrdiff_t i = 0; i < rows; i++) {
         const double *row = table + i * cols;
         if (first)
@@ -645,7 +791,7 @@ ptrdiff_t kv_format_csv(ptrdiff_t rows, ptrdiff_t cols, const double *table,
         for (ptrdiff_t j = 0; j < cols; j++) {
             if (first || j)
                 *o++ = ',';
-            o = format_double(o, row[j]);
+            o = format_field(o, end, row[j]);
         }
         *o++ = '\n';
     }

@@ -29,11 +29,17 @@ kernel computes what LAPACK pttrf/pttrs and BLAS gbmv compute, every
 multiply-add an explicit correctly rounded fma(), so its results are the
 same bits on every machine.  Where the factor's off-diagonal is zero, as
 outside the explicit scheme's damped zone, it takes the uncoupled cells in
-vectorized passes with the same operations on each.  The energies, which
-step_block evaluates and no other call, add each sum's terms in eight lanes
-in a fixed order.  kv_format_csv (format_csv) writes each double as
-'%.17g' % x does, with integer arithmetic only, so the text depends on
-neither the locale nor the C library.
+vectorized passes with the same operations on each; the backward sweep of
+the coupled cells between them takes those passes along, which fills the
+wait of each coupled cell for the one before.  Meshes of 1024 cells or
+more (kernel.c's WIDE_CELLS) step in 512-bit vectors where the CPU has
+them.  Neither moves a bit: each cell, and each lane of a sum, keeps its
+own operations in its own order, whatever the order of the cells or the
+width of the vectors.  The energies, which step_block evaluates and no
+other call, add each sum's terms in eight lanes in a fixed order.
+kv_format_csv (format_csv) writes each double as '%.17g' % x does, with
+integer arithmetic only, so the text depends on neither the locale nor the
+C library, into the buffer that holds the file's header.
 """
 
 from __future__ import annotations
@@ -284,11 +290,12 @@ def step_block(
     go to the row ceil(s / every) of trace, a (ceil(last / every) + 1, 5)
     array, and each selected step raises, where it is larger, the run's
     identity residual, drift and rise maxima in maxima, 3 doubles that
-    start at 0, 0 and -inf.  A call from start = 2, a run's first, writes
-    row 0 before any step: the energies of layers 0 and 1 with dissipation
-    and residual +0.0, its total E0 the drift's reference.  An evaluated
-    entry depends only on its layers, never on the call.  Energies need
-    start >= 2, three rows and stop - 2 <= last.
+    start at 0, 0 and -inf; a NaN value makes its maximum NaN for good.  A
+    call from start = 2, a run's first, writes row 0 before any step: the
+    energies of layers 0 and 1 with dissipation and residual +0.0, its
+    total E0 the drift's reference.  An evaluated entry depends only on its
+    layers, never on the call.  Energies need start >= 2, three rows and
+    stop - 2 <= last.
 
     The matrices' diagonals and off-diagonals are read as they are.  The
     rows the call writes, incr, trace and maxima must not overlap each
@@ -332,15 +339,21 @@ def step_block(
 _CSV_FIELD_BYTES = 24 + 1
 
 
-def format_csv(table: np.ndarray, first: np.ndarray | None = None) -> bytes:
-    """CSV lines of a C-ordered float64 table, one per row, each value
-    written exactly as '%.17g' % value writes it, whatever the locale.
-    first, an int64 vector with an entry per row, leads each line."""
+def format_csv(table: np.ndarray, first: np.ndarray | None = None,
+               header: bytes = b"") -> memoryview:
+    """header, then CSV lines of a C-ordered float64 table, one per row,
+    each value written exactly as '%.17g' % value writes it, whatever the
+    locale.  first, an int64 vector with an entry per row, leads each line.
+    The kernel writes the lines into the buffer that holds the header, and
+    the view of the text that this returns is that buffer: the text is
+    never copied."""
     if table.ndim != 2 or table.shape[1] < 1:
         raise ValueError("the table must be two-dimensional with one column or more")
     rows, cols = table.shape
-    out = np.empty(rows * (cols + (first is not None)) * _CSV_FIELD_BYTES, np.uint8)
+    out = np.empty(len(header) + rows * (cols + (first is not None)) * _CSV_FIELD_BYTES, np.uint8)
+    out[:len(header)] = np.frombuffer(header, np.uint8)
+    lines = out[len(header):]
     size = _kernel.kv_format_csv(rows, cols, _address("table", table, table.shape),
                                  _address("first", first, (rows,), np.int64),
-                                 _address("out", out, out.shape, np.uint8, written=True))
-    return bytes(out[:size])
+                                 _address("out", lines, lines.shape, np.uint8, written=True))
+    return memoryview(out)[:len(header) + size]

@@ -290,7 +290,8 @@ def record(energies: tuple[np.ndarray, ...], start: int, end: int, every: int, l
     divides it or it is last, and selected when kept or verify; each kept
     step's row goes to trace[ceil(s / every)], and the identity residual,
     drift and rise maxima over the selected steps raise maxima where they
-    are larger (np.fmax: a NaN is never larger).  The run's first call,
+    are larger, and a NaN among them, or already in maxima, leaves np.nan
+    (the bits of C's NAN) there.  The run's first call,
     start = 2, writes row 0 from the pair 0, with dissipation and residual
     +0.0; its total, trace[0, 2], is E0."""
     e_k, e_p, e_tot, diss, res = energies
@@ -302,7 +303,8 @@ def record(energies: tuple[np.ndarray, ...], start: int, end: int, every: int, l
     before, after = e_tot[j], e_tot[j + 1]
     with np.errstate(invalid="ignore"):  # inf - inf
         for k, values in enumerate((np.abs(res[j]), np.abs(after - trace[0, 2]), after - before)):
-            maxima[k] = np.fmax.reduce(values, initial=maxima[k])
+            nan = np.isnan(maxima[k]) or np.isnan(values).any()
+            maxima[k] = np.nan if nan else np.fmax.reduce(values, initial=maxima[k])
     j = np.nonzero(kept)[0]
     trace[-(-steps[j] // every)] = np.column_stack((e_k[j + 1], e_p[j + 1], e_tot[j + 1], diss[j],
                                                     res[j]))

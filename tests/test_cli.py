@@ -335,6 +335,18 @@ class TestOutputs:
         # short run leaves the default window empty, so fit errors are echoed
         assert "result_exponential_error" in text or "result_exponential_rate" in text
 
+    def test_overflowing_energies_report_no_clean_identity(self, tmp_path):
+        # at dt = 1e-310 the kinetic rate (u1 - u0) / dt overflows: every
+        # energy is inf and every residual NaN, and the maxima keep the NaN
+        path = tmp_path / "run.cfg"
+        path.write_text("preset = equal-damped\nscheme = implicit\ndt = 1e-310\nn_steps = 5\n"
+                        "verify_identity = true\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        summary = (tmp_path / "out" / "summary.txt").read_text().splitlines()
+        assert {"result_energy_initial = inf", "result_energy_drift_max = nan",
+                "result_energy_rise_max = nan", "result_identity_residual_max = nan",
+                "result_verified_steps = 4"} <= set(summary)
+
     def test_write_outputs_set(self, short_wide_result, tmp_path):
         written = write_outputs(short_wide_result, tmp_path / "out")
         names = sorted(p.name for p in written)
@@ -510,7 +522,8 @@ class TestMain:
         ("preset = equal-damped\nscheme = implicit\ndt = inf\n", "values must be finite: dt"),
         ("preset = equal-damped\nn_damp = 1\n", "n_damp must be >= 2"),
         ("preset = case1\nt_final = 1e300\ncfl_fraction = 1e-300\n",  # the step count overflows
-         "cannot set up the run: the time step for t_final = 1e+300, cfl_fraction = 1e-300: "),
+         "cannot set up the run: the time step for t_final = 1e+300, cfl_fraction = 1e-300: "
+         "t_final gives n_steps = inf, more than 9223372036854775806"),
         ("preset = equal-damped\nlength = 1e-170\nalpha = 1e-171\nbeta = 2e-171\n",
          "length must lie strictly between 2**-511 and 2**512"),  # 4 / length**2 is inf
         ("preset = equal-damped\nlength = 1e-150\nalpha = 1e-160\nbeta = 5e-151\nc1_sq = 1e300\n"
@@ -532,12 +545,17 @@ class TestMain:
          "n_alpha = 20\nn_damp = 10\nn_beta = 20\ndt = 0.025\nt_final = 1e300\n",
          "cannot set up the run: the time step for t_final = 1e+300, dt = 0.025: t_final gives "
          "n_steps = 4e+301, more than 9223372036854775806"),
+        ("c1_sq = 1\nc2_sq = 1\nc3_sq = 1\ndelta = 1\nalpha = 1\nbeta = 2\nlength = 3\n"
+         "n_alpha = 20\nn_damp = 10\nn_beta = 20\ndt = 1e-300\nt_final = 1e300\n",
+         "cannot set up the run: the time step for t_final = 1e+300, dt = 1e-300: t_final gives "
+         "n_steps = inf, more than 9223372036854775806"),
         ("preset = equal-damped\nn_steps = 1000000000000000\nobserve_every = 1\n",
          "cannot set up the explicit run at dt = 0.025: the energy trace: Unable to allocate"),
     ], ids=["t_final-inf", "length-inf", "length-1e300", "delta-inf", "delta-1e308",
             "dt-1e200", "dt-inf", "n_damp-1", "steps-overflow", "length-1e-170",
             "interface-underflow", "dissipation-underflow", "arch-overflow",
-            "steps-beyond-index", "derived-steps-beyond-index", "trace-beyond-memory"])
+            "steps-beyond-index", "derived-steps-beyond-index", "derived-steps-infinite",
+            "trace-beyond-memory"])
     def test_unusable_config_exits_1_with_one_error_line(self, tmp_path, capsys, text, reason):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(text)

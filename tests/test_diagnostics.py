@@ -503,7 +503,7 @@ class TestStepCallEnergies:
     # or the last layer of a 5-step call; and cell 5 ramps by MAX / 2 to
     # inf in the layer before that one, which a zero stiffness turns into
     # NaN, within an infinite limit: its energies are inf and its
-    # residuals NaN, which moves no maximum.
+    # residuals NaN, which leaves the maxima NaN.
     @pytest.mark.parametrize("variant", ["explicit", "implicit"])
     @pytest.mark.parametrize("failing", [0, 2, 4])
     def test_call_ending_at_a_failing_layer(self, base_mesh, base_ell, base_params, rng,

@@ -155,44 +155,50 @@ def block_outputs() -> list[bytes]:
     on each pair of them and of one step after each of them; then of a
     run's first step call through a ring of three rows that keeps every
     third step, with and without verifying the others, as it writes its
-    layers: its trace and maxima.  The explicit run's side zones hold
+    layers: its trace and maxima.  The explicit runs' side zones hold
     whole chunks of free cells, and an inf put into a layer makes the
     stiffness product of the next one NaN: the row where the second call
-    stops.  Last, the CSV text of EDGE_DOUBLES, led by INT64_EXTREMES."""
+    stops.  All of it on two meshes: one of 86 cells, and one of 1500,
+    which steps in wide vectors (WIDE_CELLS in kernel.c) and whose damped
+    zone, a serial span of 307 cells, takes 38 of the side zones' 74
+    chunks along in its backward sweep, the cells 17 .. 576 and 916 .. 963;
+    the inf goes into one of those.  Last, the CSV text of EDGE_DOUBLES,
+    led by INT64_EXTREMES."""
     params = Parameters(1.0, 4.0, 0.25, 1.0, 1.0, 2.0, 3.0, 10.0)
-    mesh = build_mesh(params, 40, 6, 40)
     data = default_initial_data(params.length)
-    dt = 0.9 * cfl_max_dt(params, mesh)
     outputs = []
-    for scheme in ("explicit", "implicit"):
-        ops = schemes.build_operators(mesh, params, dt, scheme)
-        u0 = sample_cell_averages(data.phi, mesh)
-        u1 = schemes.bootstrap(u0, sample_cell_averages(data.psi, mesh), ops)
-        block = np.zeros((40, mesh.n_max))
-        block[0], block[1] = u0, u1
-        incr = np.stack((u1 - u0, u0))
-        step = (ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, 1e6 * np.abs(u0).max())
-        rows = [linalg.step_block(block, 2, 20, *step)]
-        if scheme == "explicit":
-            block[19, 60] = math.inf
-            rows.append(linalg.step_block(block, 20, 40, *step))
-            assert rows == [20, 20] and np.isnan(block[20]).any()
-        outputs += [bytes(rows), block.tobytes(), incr.tobytes()]
-        args = ops.energy_args
-        written = block[:rows[-1] + 1]
-        for u, v in zip(written, written[1:]):
-            outputs += [e.tobytes() for e in step_energies(args, u, v)[1]]
-        for u in written:
-            outputs += [e.tobytes() for e in step_energies(args, u, u1, u1 - u0, 1)[1]]
-        for verify in (False, True):
-            ring, incr = np.stack((u0, u1, u1)), np.stack((u1 - u0, u0))
-            trace, maxima = np.zeros((14, 5)), np.array([0.0, 0.0, -math.inf])
-            end = linalg.step_block(ring, 2, 40, *step[:3], incr, step[4],
-                                    (3, 38, verify, trace, maxima, args))
-            assert end == 40
-            outputs += [ring.tobytes(), incr.tobytes(), trace.tobytes(), maxima.tobytes()]
+    for cells, inf_cell in (((40, 6, 40), 60), ((600, 300, 600), 300)):
+        mesh = build_mesh(params, *cells)
+        dt = 0.9 * cfl_max_dt(params, mesh)
+        for scheme in ("explicit", "implicit"):
+            ops = schemes.build_operators(mesh, params, dt, scheme)
+            u0 = sample_cell_averages(data.phi, mesh)
+            u1 = schemes.bootstrap(u0, sample_cell_averages(data.psi, mesh), ops)
+            block = np.zeros((40, mesh.n_max))
+            block[0], block[1] = u0, u1
+            incr = np.stack((u1 - u0, u0))
+            step = (ops.stiff, ops.rhs_prev, ops.lhs_factor, incr, 1e6 * np.abs(u0).max())
+            rows = [linalg.step_block(block, 2, 20, *step)]
+            if scheme == "explicit":
+                block[19, inf_cell] = math.inf
+                rows.append(linalg.step_block(block, 20, 40, *step))
+                assert rows == [20, 20] and np.isnan(block[20]).any()
+            outputs += [bytes(rows), block.tobytes(), incr.tobytes()]
+            args = ops.energy_args
+            written = block[:rows[-1] + 1]
+            for u, v in zip(written, written[1:]):
+                outputs += [e.tobytes() for e in step_energies(args, u, v)[1]]
+            for u in written:
+                outputs += [e.tobytes() for e in step_energies(args, u, u1, u1 - u0, 1)[1]]
+            for verify in (False, True):
+                ring, incr = np.stack((u0, u1, u1)), np.stack((u1 - u0, u0))
+                trace, maxima = np.zeros((14, 5)), np.array([0.0, 0.0, -math.inf])
+                end = linalg.step_block(ring, 2, 40, *step[:3], incr, step[4],
+                                        (3, 38, verify, trace, maxima, args))
+                assert end == 40
+                outputs += [ring.tobytes(), incr.tobytes(), trace.tobytes(), maxima.tobytes()]
     table = np.array(EDGE_DOUBLES).reshape(len(INT64_EXTREMES), -1)
-    text = linalg.format_csv(table, np.array(INT64_EXTREMES, np.int64))
+    text = bytes(linalg.format_csv(table, np.array(INT64_EXTREMES, np.int64)))
     assert text.splitlines() == [",".join([str(i), *("%.17g" % x for x in row)]).encode()
                                  for i, row in zip(INT64_EXTREMES, table.tolist())]
     return outputs + [text]

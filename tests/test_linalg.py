@@ -362,6 +362,26 @@ class TestKernelBits:
             rhs = rng.standard_normal(n)
             assert solve(f, rhs.copy()).tobytes() == ldl_solve(d, e, rhs).tobytes()
 
+    def test_factor_of_uncoupled_rows_matches_oracle(self, rng):
+        # off-diagonals with runs of +0 and -0, as outside the damped zone of
+        # the explicit scheme's L and in the bootstrap's 2M: the kernel skips
+        # those rows' pivot updates, which the oracle makes, with the same
+        # bits, each zero's sign included, and the same first bad pivot
+        for _ in range(300):
+            n = int(rng.integers(3, 120))
+            m = random_dd_tridiag(rng, n)
+            off = np.where(rng.random(n - 1) < rng.uniform(0.2, 1.0), 0.0, m.off)
+            off = np.where(off == 0.0, rng.choice([0.0, -0.0], n - 1), off)
+            for diag in (np.abs(m.diag), m.diag):
+                d, e, info = ldl_factor(diag, off)
+                if info:
+                    with pytest.raises(SingularMatrixError) as err:
+                        factor(TriDiagMatrix(diag, off))
+                    assert pivot_of(err.value) == info
+                    continue
+                f = factor(TriDiagMatrix(diag, off))
+                assert f.d.tobytes() == d.tobytes() and f.e.tobytes() == e.tobytes()
+
     def test_factor_rejects_at_oracle_pivot(self, rng):
         for _ in range(300):
             n = int(rng.integers(3, 60))
