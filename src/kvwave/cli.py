@@ -383,10 +383,13 @@ _ENERGY_COLUMNS = ("step", "t", "e_kinetic", "e_potential", "e_total", "dissipat
 
 
 def write_energy_csv(trace: diagnostics.EnergyTrace, path: str | Path) -> None:
-    """Energy history, one row per recorded step."""
-    table = np.column_stack([getattr(trace, name) for name in _ENERGY_COLUMNS[1:]])
-    Path(path).write_bytes(linalg.format_csv(table, np.ascontiguousarray(trace.step, np.int64),
-                                             ",".join(_ENERGY_COLUMNS).encode("ascii") + b"\n"))
+    """Energy history, one row per recorded step, every field a double: a
+    step beyond 2^53 in magnitude, which a double may not hold exactly,
+    raises ValueError and writes no file."""
+    if ((trace.step < -2**53) | (trace.step > 2**53)).any():
+        raise ValueError(f"steps {trace.step.min()} .. {trace.step.max()} exceed +-2^53")
+    table = np.column_stack([getattr(trace, name) for name in _ENERGY_COLUMNS])
+    Path(path).write_bytes(linalg.format_csv(table, ",".join(_ENERGY_COLUMNS).encode() + b"\n"))
 
 
 def write_snapshot_csv(values: np.ndarray, path: str | Path, centers: np.ndarray) -> None:
@@ -394,7 +397,7 @@ def write_snapshot_csv(values: np.ndarray, path: str | Path, centers: np.ndarray
     if np.shape(values) != np.shape(centers):
         raise ValueError(f"a snapshot needs a vector of values per cell center, got "
                          f"{np.shape(values)} values for {np.shape(centers)} centers")
-    Path(path).write_bytes(linalg.format_csv(np.column_stack([centers, values]), None, b"x,u\n"))
+    Path(path).write_bytes(linalg.format_csv(np.column_stack([centers, values]), b"x,u\n"))
 
 
 def summary_lines(result: RunResult) -> list[str]:
@@ -416,13 +419,13 @@ def summary_lines(result: RunResult) -> list[str]:
     items += [
         ("result_steps_completed", sim.steps_completed),
         ("result_energy_initial", sim.energy_initial),
-        ("result_energy_final", float(sim.trace.e_total[-1]) if len(sim.trace) else 0.0),
+        ("result_energy_final", float(sim.trace.e_total[-1])),
         ("result_energy_drift_max", sim.energy_drift_max),
         ("result_energy_rise_max", sim.energy_rise_max),
         ("result_identity_residual_max", sim.identity_residual_max),
         ("result_verified_steps", sim.verified_steps),
-        ("result_fit_window_lo", cfg.fit_lo * (cfg.t_final or 0.0)),
-        ("result_fit_window_hi", cfg.fit_hi * (cfg.t_final or 0.0)),
+        ("result_fit_window_lo", cfg.fit_lo * cfg.t_final),
+        ("result_fit_window_hi", cfg.fit_hi * cfg.t_final),
     ]
     items += [(f"result_{key}", value) for key, value in _fit_items(result.fits, result.fit_errors)]
     items.append(("result_wall_clock_s", result.wall_clock))

@@ -126,7 +126,7 @@ def _load_kernel() -> ctypes.CDLL:
                                      size, size, ctypes.c_int, address, address, ctypes.c_double,
                                      ctypes.c_int, size, size, ctypes.c_double, address, address]
     kernel.kv_step_block.restype = size
-    kernel.kv_format_csv.argtypes = [size, size, address, address, address]
+    kernel.kv_format_csv.argtypes = [size, size, address, address]
     kernel.kv_format_csv.restype = size
     return kernel
 
@@ -334,26 +334,23 @@ def step_block(
     return row
 
 
-# The widest field format_csv writes, as in -1.2345678901234567e-308 (an
-# int64 takes at most 20 bytes), and its separator.
-_CSV_FIELD_BYTES = 24 + 1
+# The widest field, as in -1.2345678901234567e-308, with its separator, and
+# kernel.c's FIELD_ROOM, the scratch that it may write past the last field
+_CSV_FIELD_BYTES, _FIELD_ROOM = 24 + 1, 40
 
 
-def format_csv(table: np.ndarray, first: np.ndarray | None = None,
-               header: bytes = b"") -> memoryview:
+def format_csv(table: np.ndarray, header: bytes = b"") -> memoryview:
     """header, then CSV lines of a C-ordered float64 table, one per row,
     each value written exactly as '%.17g' % value writes it, whatever the
-    locale.  first, an int64 vector with an entry per row, leads each line.
-    The kernel writes the lines into the buffer that holds the header, and
-    the view of the text that this returns is that buffer: the text is
-    never copied."""
+    locale.  The kernel writes the lines into the buffer that holds the
+    header, and the view of the text that this returns is that buffer: the
+    text is never copied."""
     if table.ndim != 2 or table.shape[1] < 1:
         raise ValueError("the table must be two-dimensional with one column or more")
     rows, cols = table.shape
-    out = np.empty(len(header) + rows * (cols + (first is not None)) * _CSV_FIELD_BYTES, np.uint8)
+    out = np.empty(len(header) + rows * cols * _CSV_FIELD_BYTES + _FIELD_ROOM, np.uint8)
     out[:len(header)] = np.frombuffer(header, np.uint8)
     lines = out[len(header):]
     size = _kernel.kv_format_csv(rows, cols, _address("table", table, table.shape),
-                                 _address("first", first, (rows,), np.int64),
                                  _address("out", lines, lines.shape, np.uint8, written=True))
     return memoryview(out)[:len(header) + size]

@@ -246,6 +246,20 @@ class TestOutputs:
         assert len(lines) == 3
         assert lines[1].startswith("0,0,")
 
+    def test_energy_csv_steps_up_to_2_to_the_53_exactly_and_none_beyond(self, tmp_path):
+        # every column is written as a double, which holds each integer up
+        # to 2^53 in magnitude, and not 2^53 + 1
+        path, cols = tmp_path / "energy.csv", [np.zeros(3)] * 6
+        steps = np.array([-2**53, 0, 2**53])
+        write_energy_csv(EnergyTrace(steps, *cols), path)
+        assert [line.split(",")[0] for line in path.read_text().splitlines()[1:]] == [
+            str(step) for step in steps.tolist()]
+        path.unlink()
+        for beyond in (2**53 + 1, -2**53 - 1, np.iinfo(np.int64).max, np.iinfo(np.int64).min):
+            with pytest.raises(ValueError, match="2\\^53"):
+                write_energy_csv(EnergyTrace(np.array([0, 1, beyond]), *cols), path)
+            assert not path.exists()
+
     def test_snapshot_csv_header(self, tmp_path, base_mesh, rng):
         path = tmp_path / "snap.csv"
         values = rng.standard_normal(base_mesh.n_max)

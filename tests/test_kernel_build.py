@@ -2,10 +2,9 @@
 there by later processes with no compiler, safe to build from two processes
 at once, the only numerical dependency besides numpy, free of the C
 library's locale-dependent formatting and parsing, exporting only the
-entry points the package binds, and giving the same bits whatever flags it
-is built with."""
+entry points the package binds, giving the same bits whatever flags it is
+built with, and reading and writing only within its arrays."""
 
-import ctypes
 import math
 import os
 import platform
@@ -23,6 +22,10 @@ from kvwave import diagnostics, linalg, schemes
 from kvwave.mesh import Parameters, build_mesh
 from kvwave.model import cfl_max_dt, default_initial_data, sample_cell_averages
 from oracles import step_energies
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+sys.path.insert(0, str(TOOLS))
+from output_digests import build_kernel  # noqa: E402
 
 PACKAGE = Path(kvwave.__file__).resolve().parent
 # prints the library that was loaded
@@ -146,7 +149,10 @@ def test_package_binds_the_factor_the_step_and_the_formatter():
 EDGE_DOUBLES = [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max, np.inf,
                 -np.inf, np.nan, 1234567890123456.25, 1234567890123456.75, 123456789012345.125,
                 2.0**-25, -(2.0**-25) * 3, 1e17, 1e-5]
-INT64_EXTREMES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]
+# A field of the widest text, 24 bytes, and the field whose fixed-length
+# copies reach furthest past its start, 34 bytes: tables of the first that
+# end in the second write furthest into the scratch after the output bound
+WIDEST_FIELD, FURTHEST_FIELD = -1.2345678901234567e-308, -1234567890123456.7
 
 
 def block_outputs() -> list[bytes]:
@@ -163,7 +169,7 @@ def block_outputs() -> list[bytes]:
     zone, a serial span of 307 cells, takes 38 of the side zones' 74
     chunks along in its backward sweep, the cells 17 .. 576 and 916 .. 963;
     the inf goes into one of those.  Last, the CSV text of EDGE_DOUBLES,
-    led by INT64_EXTREMES."""
+    and of tables of WIDEST_FIELD that end in FURTHEST_FIELD."""
     params = Parameters(1.0, 4.0, 0.25, 1.0, 1.0, 2.0, 3.0, 10.0)
     data = default_initial_data(params.length)
     outputs = []
@@ -197,11 +203,17 @@ def block_outputs() -> list[bytes]:
                                         (3, 38, verify, trace, maxima, args))
                 assert end == 40
                 outputs += [ring.tobytes(), incr.tobytes(), trace.tobytes(), maxima.tobytes()]
-    table = np.array(EDGE_DOUBLES).reshape(len(INT64_EXTREMES), -1)
-    text = bytes(linalg.format_csv(table, np.array(INT64_EXTREMES, np.int64)))
-    assert text.splitlines() == [",".join([str(i), *("%.17g" % x for x in row)]).encode()
-                                 for i, row in zip(INT64_EXTREMES, table.tolist())]
-    return outputs + [text]
+    tables = [np.array(EDGE_DOUBLES).reshape(4, -1)]
+    for shape in ((1, 1), (3, 7), (100, 2)):
+        table = np.full(shape, WIDEST_FIELD)
+        table[-1, -1] = FURTHEST_FIELD
+        tables.append(table)
+    for table in tables:
+        text = bytes(linalg.format_csv(table))
+        assert text.splitlines() == [",".join("%.17g" % x for x in row).encode()
+                                     for row in table.tolist()]
+        outputs.append(text)
+    return outputs
 
 
 BUILD_FLAGS = [("-O0",), ("-O2", "-ffp-contract=off", "-march=x86-64")]
@@ -214,15 +226,43 @@ def test_kernel_bits_do_not_depend_on_build_flags(tmp_path, monkeypatch, flags):
     # the bits of the library the package built for this CPU.
     if "-march=x86-64" in flags and platform.machine() != "x86_64":
         pytest.skip("-march=x86-64 needs an x86-64 machine")
-    built = tmp_path / "kernel.so"
-    proc = subprocess.run(["cc", *flags, "-shared", "-fPIC", "-o", str(built),
-                           str(PACKAGE / "kernel.c"), "-lm"],
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    kernel = ctypes.CDLL(str(built))
-    for name in ("kv_factor", "kv_step_block", "kv_format_csv"):
-        entry, bound = getattr(kernel, name), getattr(linalg._kernel, name)
-        entry.argtypes, entry.restype = bound.argtypes, bound.restype
+    kernel = build_kernel(linalg, list(flags), tmp_path)
     expected = block_outputs()
     monkeypatch.setattr(linalg, "_kernel", kernel)
     assert block_outputs() == expected
+
+
+SANITIZE = ["-O1", "-g", "-fno-omit-frame-pointer", "-ffp-contract=off", "-march=native",
+            "-fsanitize=address,undefined", "-fno-sanitize-recover=all"]
+# Run with the sanitizers' runtimes preloaded; the compiler runs without them
+SANITIZED_RUN = """
+import os, sys
+from pathlib import Path
+os.environ.pop("LD_PRELOAD")
+from kvwave import linalg
+from test_kernel_build import SANITIZE, block_outputs, build_kernel
+expected = block_outputs()
+linalg._kernel = build_kernel(linalg, SANITIZE, Path(sys.argv[1]))
+assert block_outputs() == expected
+"""
+
+
+def test_sanitized_kernel_reads_and_writes_within_its_arrays(tmp_path):
+    # A read or write out of bounds, or undefined behaviour, that moves no
+    # bit passes every other test; AddressSanitizer and UndefinedBehavior-
+    # Sanitizer stop the process at it.  The kernel is built as shipped,
+    # both widths of the step included, and gives the package build's bits.
+    try:
+        runtimes = [subprocess.run(["gcc", f"-print-file-name={name}"], capture_output=True,
+                                   text=True, timeout=60).stdout.strip()
+                    for name in ("libasan.so", "libubsan.so")]
+    except FileNotFoundError:  # no gcc
+        runtimes = [""]
+    if not Path(runtimes[0]).is_file():
+        pytest.skip("gcc names no AddressSanitizer runtime (libasan.so)")
+    path = os.pathsep.join(map(str, (PACKAGE.parent, Path(__file__).parent, TOOLS)))
+    proc = subprocess.run([sys.executable, "-c", SANITIZED_RUN, str(tmp_path)],
+                          env=dict(os.environ, PYTHONPATH=path, LD_PRELOAD=" ".join(runtimes),
+                                   ASAN_OPTIONS="detect_leaks=0"),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]

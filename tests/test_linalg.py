@@ -818,15 +818,11 @@ class TestFormatCsv:
                                           1e-9, 1e-10, 1e-99, 1e-100, 1e99, 1e100, 1e300]))
         assert format_column(edges) == percent_lines(edges.tolist())
 
-    def test_leading_int64_column_and_many_columns(self, rng):
+    def test_many_columns(self, rng):
         table = rng.standard_normal((50, 6)) * 10.0 ** rng.integers(-30, 30, (50, 6))
-        first = rng.integers(-2**63, 2**63, 50, dtype=np.int64)
-        first[:3] = [0, -2**63, 2**63 - 1]
-        lines = [",".join([str(k), *("%.17g" % v for v in row)]) + "\n"
-                 for k, row in zip(first.tolist(), table.tolist())]
-        assert format_csv(table, first) == "".join(lines).encode()
-        assert format_csv(table) == "".join(line.split(",", 1)[1] for line in lines).encode()
-        assert format_csv(np.zeros((0, 6)), np.zeros(0, np.int64)) == b""
+        lines = [",".join("%.17g" % v for v in row) + "\n" for row in table.tolist()]
+        assert format_csv(table) == "".join(lines).encode()
+        assert format_csv(np.zeros((0, 6))) == b""
 
     def test_widest_fields_fill_the_output_bound(self):
         # 24 bytes a value plus its separator is the bound the output buffer
@@ -837,14 +833,8 @@ class TestFormatCsv:
             text = format_csv(np.full((rows, cols), widest))
             assert len(text) == rows * cols * 25
             assert text == (",".join(["%.17g" % widest] * cols) + "\n").encode() * rows
-        first = np.full(4, -2**63, np.int64)  # 20 bytes, below the bound
-        assert len(format_csv(np.full((4, 6), widest), first)) == 4 * (6 * 25 + 21)
 
     def test_rejects_what_the_kernel_would_misread(self):
-        table = np.zeros((3, 2))
-        for first in (np.zeros(4, np.int64), np.zeros(3), np.zeros(6, np.int64)[::2]):
-            with pytest.raises(ValueError, match="int64"):
-                format_csv(table, first)
         for bad in (np.zeros(3), np.zeros((3, 0))):
             with pytest.raises(ValueError, match="two-dimensional"):
                 format_csv(bad)
@@ -852,12 +842,11 @@ class TestFormatCsv:
                     np.zeros((3, 4))[:, ::2]):
             with pytest.raises(ValueError, match="contiguous float64"):
                 format_csv(bad)
-        # the kernel only reads the table and the leading column
-        table, first = np.arange(6.0).reshape(3, 2), np.arange(3, dtype=np.int64)
-        expected = format_csv(table, first)
+        # the kernel only reads the table
+        table = np.arange(6.0).reshape(3, 2)
+        expected = format_csv(table)
         table.setflags(write=False)
-        first.setflags(write=False)
-        assert format_csv(table, first) == expected == b"0,0,1\n1,2,3\n2,4,5\n"
+        assert format_csv(table) == expected == b"0,1\n2,3\n4,5\n"
 
 
 class TestAgainstLapack:

@@ -166,13 +166,14 @@ def digest_runs(kvwave, steps: int | None) -> dict[str, dict[str, str]]:
 
 def build_kernel(linalg, flags: list[str], directory: Path):
     """linalg's kernel.c built with flags into directory and loaded, with
-    the argtypes and restype of every entry point that linalg._kernel binds."""
+    the argtypes and restype of every entry point that linalg._kernel binds.
+    Raises RuntimeError, with the compiler's message, if cc fails."""
     lib = directory / "kernel.so"
     proc = subprocess.run(["cc", *flags, "-shared", "-fPIC", "-o", str(lib),
                            str(Path(linalg.__file__).with_name("kernel.c")), "-lm"],
                           capture_output=True, text=True)
     if proc.returncode:
-        sys.exit(f"cc {shlex.join(flags)} cannot build the kernel:\n{proc.stderr}")
+        raise RuntimeError(f"cc {shlex.join(flags)} cannot build the kernel:\n{proc.stderr}")
     kernel = ctypes.CDLL(str(lib))
     # ctypes keeps each function it has looked up as an attribute of the library
     for name in [name for name in vars(linalg._kernel) if name.startswith("kv_")]:
@@ -246,8 +247,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"kvwave from {Path(kvwave.__file__).parent}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         if args.cflags is not None:
-            kvwave.linalg._kernel = build_kernel(kvwave.linalg, shlex.split(args.cflags),
-                                                 Path(tmp))
+            try:
+                kvwave.linalg._kernel = build_kernel(kvwave.linalg, shlex.split(args.cflags),
+                                                     Path(tmp))
+            except RuntimeError as err:
+                sys.exit(str(err))
             print(f"kernel built with {args.cflags}", file=sys.stderr)
         digests = {ENVIRONMENT: environment(), **digest_runs(kvwave, args.steps)}
     Path(args.output).write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
